@@ -11,7 +11,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ZeroArgument
-from .fields import SquareClass, is_prime, legendre, minus_one_class, one_class, sq_mul
+from .fields import (
+    SquareClass,
+    is_prime,
+    legendre,
+    minus_one_class,
+    one_class,
+    sq_mul,
+    squarefree_decomposition,
+)
 from .qform import DiagonalForm, WittDecomposition
 
 
@@ -86,21 +94,13 @@ def hilbert_symbol(a, b, v: Place) -> int:
     return out
 
 
-def _prime_support(*values) -> list[int]:
-    primes = set()
+def _support_primes(values) -> list[int]:
+    """2 and the primes dividing some value to an odd power: away from
+    them every Hilbert symbol of the values is 1.  Factoring is bounded
+    by ``WITTFORGE_FACTOR_BOUND``."""
+    primes = {2}
     for x in values:
-        for n in (x.numerator, x.denominator):
-            n = abs(n)
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1 if d == 2 else 2
-            if n > 1:
-                primes.add(n)
-    primes.add(2)
+        primes.update(squarefree_decomposition(x)[1])
     return sorted(primes)
 
 
@@ -111,7 +111,7 @@ def ramification_set(a, b) -> frozenset[Place]:
     out = set()
     if hilbert_symbol(a, b, REAL_PLACE) == -1:
         out.add(REAL_PLACE)
-    for p in _prime_support(a, b):
+    for p in _support_primes((a, b)):
         v = Place(p)
         if hilbert_symbol(a, b, v) == -1:
             out.add(v)
@@ -140,8 +140,7 @@ def _entry_values(f: DiagonalForm) -> list[int]:
 
 
 def support_places(f: DiagonalForm) -> list[Place]:
-    vals = [Fraction(x) for x in _entry_values(f)] or [Fraction(1)]
-    return [Place(p) for p in _prime_support(*vals)]
+    return [Place(p) for p in _support_primes(_entry_values(f))]
 
 
 def rational_invariants(f: DiagonalForm) -> RationalInvariants:
@@ -199,35 +198,28 @@ def local_isotropy(f: DiagonalForm, v: Place) -> bool:
     return _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v)
 
 
-def global_isotropy(f: DiagonalForm) -> bool:
-    """Hasse-Minkowski over the finite support.
+def _failing_place(inv: RationalInvariants, places) -> Optional[Place]:
+    """First place where the invariants describe an anisotropic form."""
+    for v in places:
+        if not _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v):
+            return v
+    return None
+
+
+def global_isotropy_certificate(f: DiagonalForm) -> tuple[bool, Optional[Place]]:
+    """Hasse-Minkowski over the finite support: verdict plus a failing
+    place for anisotropic forms.
 
     Outside the primes of the entries (all squarefree) and 2, every form
     of any dimension is automatically isotropic, so the real place plus
     the support decides.
     """
-    inv = rational_invariants(f)
-    places = [REAL_PLACE] + support_places(f)
-    return all(
-        _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v)
-        for v in places
-    )
+    place = _failing_place(rational_invariants(f), [REAL_PLACE] + support_places(f))
+    return place is None, place
 
 
-def global_isotropy_certificate(f: DiagonalForm) -> tuple[bool, Optional[Place]]:
-    """Verdict plus a failing place for anisotropic forms."""
-    inv = rational_invariants(f)
-    for v in [REAL_PLACE] + support_places(f):
-        if not _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v):
-            return False, v
-    return True, None
-
-
-def _inv_isotropic(inv: RationalInvariants, places) -> bool:
-    return all(
-        _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v)
-        for v in places
-    )
+def global_isotropy(f: DiagonalForm) -> bool:
+    return global_isotropy_certificate(f)[0]
 
 
 def witt_index_rational(f: DiagonalForm) -> WittDecomposition:
@@ -240,7 +232,7 @@ def witt_index_rational(f: DiagonalForm) -> WittDecomposition:
     places = [REAL_PLACE] + support_places(f)
     m1 = minus_one_class(f.tower)
     index = 0
-    while inv.dim >= 2 and _inv_isotropic(inv, places):
+    while inv.dim >= 2 and _failing_place(inv, places) is None:
         disc2 = sq_mul(m1, inv.disc)
         minus = set()
         for v in places:

@@ -18,6 +18,7 @@ a Laurent variable of that name shadows it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .errors import ParseError, ZeroSlot
 from .fields import FieldTower, SquareClass, canonical_square_class
@@ -156,32 +157,24 @@ def parse_class(text: str, tower: FieldTower) -> SquareClass:
     return canonical_square_class(tower, coeff, exps)
 
 
-def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: str):
+def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: Optional[str] = None):
+    """Nonzero monomials separated by commas, up to the ``stop`` token (an
+    empty list allowed) or, when ``stop`` is None, to the end of the text."""
     slots = []
-    s.skip_ws()
-    if s.match(stop):
-        return tuple(slots)
+    if stop is not None and s.match(stop):
+        return ()
     while True:
         coeff, exps = _parse_monomial(s, tower)
         if coeff == 0:
             raise ZeroSlot("slot must be nonzero")
         slots.append(canonical_square_class(tower, coeff, exps))
-        if s.match(stop):
+        if (s.at_end() if stop is None else s.match(stop)):
             return tuple(slots)
         s.expect(",")
 
 
 def parse_slots(text: str, tower: FieldTower) -> tuple[SquareClass, ...]:
-    s = _Scanner(text)
-    slots = []
-    while True:
-        coeff, exps = _parse_monomial(s, tower)
-        if coeff == 0:
-            raise ZeroSlot("slot must be nonzero")
-        slots.append(canonical_square_class(tower, coeff, exps))
-        if s.at_end():
-            return tuple(slots)
-        s.expect(",")
+    return _parse_slot_list(_Scanner(text), tower)
 
 
 def parse_form(text: str, tower: FieldTower) -> DiagonalForm:

@@ -111,6 +111,10 @@ class PreconditionFailed(WittforgeError):
     pass
 
 
+class InternalInconsistency(WittforgeError):
+    """Computed evidence contradicts a theorem a verdict rests on."""
+
+
 # -- CLI / DSL ----------------------------------------------------------------
 
 class ParseError(WittforgeError):

@@ -7,14 +7,17 @@ and t is the outermost uniformizer.
 
 Everything downstream works with canonical square classes instead of raw
 field elements: quadratic form theory over these fields only sees the
-group k^x / k^{x2}.  Canonical representatives:
+group k^x / k^{x2}.  A class is a base part, always a squarefree integer:
 
 * Q       signed squarefree integer (trial-divided up to a configurable
           bound, ``WITTFORGE_FACTOR_BOUND``),
-* F_p     1 or the least positive quadratic nonresidue u,
+* F_p     1 or the least positive quadratic nonresidue u (a prime),
 * signs   +1 / -1,
 
-each times a set of Laurent variables with odd exponent.
+times a bit mask whose bit i marks an odd exponent of ``laurent_vars[i]``.
+Over F_p and sign bases the group is the F_2-vector space (Z/2)^(n+1):
+class number k = 2*mask + (base bit) is its enumeration order and its
+natural order.
 
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
@@ -22,12 +25,11 @@ group is still {1, u} but every base constant is a square there.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache, total_ordering
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import (
@@ -84,15 +86,24 @@ def least_nonresidue(p: int) -> int:
 def _sign_and_primes(n: int, bound: int) -> tuple[int, tuple[int, ...]]:
     """Squarefree decomposition of n by trial division up to ``bound``.
 
-    Returns (sign, primes with odd multiplicity).  A remaining cofactor
-    that is a perfect square contributes nothing; anything else past the
-    bound raises FactorBoundExceeded.
+    Returns (sign, primes with odd multiplicity).  A cofactor with no
+    divisor up to its square root is prime.  Once the divisors pass the
+    bound, a remaining cofactor that is a perfect square contributes
+    nothing and anything else raises FactorBoundExceeded.
     """
     sign = -1 if n < 0 else 1
     n = abs(n)
     primes = []
     d = 2
-    while d * d <= n and d <= bound:
+    while d * d <= n:
+        if d > bound:
+            r = math.isqrt(n)
+            if r * r != n:
+                raise FactorBoundExceeded(
+                    f"cofactor {n} exceeds the trial division bound {bound}"
+                )
+            n = 1
+            break
         if n % d == 0:
             mult = 0
             while n % d == 0:
@@ -101,17 +112,8 @@ def _sign_and_primes(n: int, bound: int) -> tuple[int, tuple[int, ...]]:
             if mult % 2:
                 primes.append(d)
         d += 1 if d == 2 else 2
-    if n > 1:
-        if n <= bound:
-            primes.append(n)
-        else:
-            r = int(n**0.5)
-            while r * r < n:
-                r += 1
-            if r * r != n:
-                raise FactorBoundExceeded(
-                    f"cofactor {n} exceeds the trial division bound {bound}"
-                )
+    if n > 1:  # no divisor up to its square root: a prime
+        primes.append(n)
     return sign, tuple(sorted(primes))
 
 
@@ -182,9 +184,6 @@ class FieldTower:
             raise NotLaurent(f"{self} has no Laurent variable")
         return FieldTower(self.kind, self.p, self.laurent_vars[:-1], self.degree)
 
-    def with_var(self, name: str) -> "FieldTower":
-        return FieldTower(self.kind, self.p, self.laurent_vars + (name,), self.degree)
-
     @property
     def is_enumerable(self) -> bool:
         return self.kind in ("F", "R")
@@ -217,23 +216,25 @@ class FieldTower:
         return head + "".join(f"(({v}))" for v in self.laurent_vars)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class SquareClass:
     """Canonical representative of an element of k^x / k^{x2}.
 
-    ``base`` is the base-field part (see module docstring); ``odd_vars``
-    is the set of Laurent variables carrying an odd exponent.
+    ``base`` is the base-field part and bit i of ``mask`` marks an odd
+    exponent of ``tower.laurent_vars[i]`` (see module docstring).  Classes
+    of one tower are totally ordered by (mask, |base|, sign of base),
+    which over enumerable towers is the enumeration order.
     """
 
     tower: FieldTower
     base: int
-    odd_vars: frozenset[str] = field(default_factory=frozenset)
+    mask: int = 0
 
     def __post_init__(self):
-        if not self.odd_vars <= set(self.tower.laurent_vars):
+        if self.mask < 0 or self.mask >> len(self.tower.laurent_vars):
             raise UnknownVariable(
-                f"variables {set(self.odd_vars) - set(self.tower.laurent_vars)} "
-                f"not declared in {self.tower}"
+                f"variable mask {self.mask:#b} exceeds the variables of {self.tower}"
             )
         if self.tower.kind == "F":
             if self.base not in (1, self.tower.nonresidue):
@@ -245,22 +246,27 @@ class SquareClass:
             raise ZeroElement("0 has no square class")
 
     @property
-    def is_one(self) -> bool:
-        return self.base == 1 and not self.odd_vars
-
-    def sort_key(self):
-        vbits = tuple(
-            1 if v in self.odd_vars else 0 for v in reversed(self.tower.laurent_vars)
+    def odd_vars(self) -> frozenset[str]:
+        """The Laurent variables carrying an odd exponent."""
+        return frozenset(
+            v for i, v in enumerate(self.tower.laurent_vars) if self.mask >> i & 1
         )
-        if self.tower.kind == "Q":
-            return vbits + (abs(self.base), 1 if self.base < 0 else 0)
-        return vbits + (0 if self.base == 1 else 1,)
+
+    @property
+    def is_one(self) -> bool:
+        return self.base == 1 and not self.mask
+
+    def __lt__(self, other: "SquareClass") -> bool:
+        key = (self.mask, abs(self.base), self.base < 0)
+        return key < (other.mask, abs(other.base), other.base < 0)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sq_mul(self, other)
 
     def __str__(self) -> str:
-        vars_part = [v for v in self.tower.laurent_vars if v in self.odd_vars]
+        vars_part = [
+            v for i, v in enumerate(self.tower.laurent_vars) if self.mask >> i & 1
+        ]
         if self.tower.kind == "F":
             base_part = "1" if self.base == 1 else "u"
         else:
@@ -277,27 +283,27 @@ class SquareClass:
 
 
 def one_class(tower: FieldTower) -> SquareClass:
-    return SquareClass(tower, 1, frozenset())
+    return SquareClass(tower, 1)
 
 
 def minus_one_class(tower: FieldTower) -> SquareClass:
     if tower.kind == "F":
         if tower.minus_one_is_square():
             return one_class(tower)
-        return SquareClass(tower, tower.nonresidue, frozenset())
-    return SquareClass(tower, -1, frozenset())
+        return SquareClass(tower, tower.nonresidue)
+    return SquareClass(tower, -1)
 
 
 def nonresidue_class(tower: FieldTower) -> SquareClass:
     if tower.kind != "F":
         raise ValueError(f"{tower} has no canonical nonresidue class")
-    return SquareClass(tower, tower.nonresidue, frozenset())
+    return SquareClass(tower, tower.nonresidue)
 
 
 def var_class(tower: FieldTower, name: str) -> SquareClass:
     if name not in tower.laurent_vars:
         raise UnknownVariable(f"{name!r} not declared in {tower}")
-    return SquareClass(tower, 1, frozenset((name,)))
+    return SquareClass(tower, 1, 1 << tower.laurent_vars.index(name))
 
 
 def _base_class_of_constant(tower: FieldTower, coeff) -> int:
@@ -338,43 +344,34 @@ def canonical_square_class(
     Idempotent: feeding a canonical representative back in returns the
     same class.
     """
-    exponents = exponents or {}
-    for v in exponents:
+    mask = 0
+    for v, e in (exponents or {}).items():
         if v not in tower.laurent_vars:
             raise UnknownVariable(f"{v!r} not declared in {tower}")
-    odd = frozenset(v for v, e in exponents.items() if e % 2)
-    return SquareClass(tower, _base_class_of_constant(tower, coeff), odd)
+        mask |= (e & 1) << tower.laurent_vars.index(v)
+    return SquareClass(tower, _base_class_of_constant(tower, coeff), mask)
 
 
 def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
-    """Group law of k^x / k^{x2}; every class is its own inverse."""
+    """Group law of k^x / k^{x2}; every class is its own inverse.
+
+    Bases are squarefree, so b1*b2 / gcd^2 is the squarefree part.
+    """
     if x.tower != y.tower:
         raise FieldMismatch(f"{x.tower} vs {y.tower}")
-    t = x.tower
-    if t.kind == "Q":
-        g = math.gcd(abs(x.base), abs(y.base))
-        base = (x.base // g) * (y.base // g)
-    elif t.kind == "R":
-        base = x.base * y.base
-    else:
-        xb = x.base != 1
-        yb = y.base != 1
-        base = t.nonresidue if xb != yb else 1
-    return SquareClass(t, base, x.odd_vars ^ y.odd_vars)
+    g = math.gcd(x.base, y.base)
+    return SquareClass(x.tower, (x.base // g) * (y.base // g), x.mask ^ y.mask)
 
 
 def enumerate_square_classes(tower: FieldTower) -> list[SquareClass]:
-    """All square classes, in binary-counter order (outermost bit first)."""
+    """All square classes; class k has base bit k & 1 and mask k >> 1."""
     if not tower.is_enumerable:
         raise InfiniteSquareClassGroup(f"{tower} has infinitely many square classes")
-    outer_first = tuple(reversed(tower.laurent_vars))
     nonsq = tower.nonresidue if tower.kind == "F" else -1
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(outer_first) + 1):
-        vbits, bbit = bits[:-1], bits[-1]
-        odd = frozenset(v for v, b in zip(outer_first, vbits) if b)
-        out.append(SquareClass(tower, nonsq if bbit else 1, odd))
-    return out
+    return [
+        SquareClass(tower, nonsq if k & 1 else 1, k >> 1)
+        for k in range(2 ** (len(tower.laurent_vars) + 1))
+    ]
 
 
 def residue_split(tower: FieldTower, x: SquareClass) -> tuple[int, SquareClass]:
@@ -383,17 +380,16 @@ def residue_split(tower: FieldTower, x: SquareClass) -> tuple[int, SquareClass]:
         raise NotLaurent(f"{tower} has no Laurent variable")
     if x.tower != tower:
         raise FieldMismatch(f"{x.tower} vs {tower}")
-    outer = tower.outer_var
-    parity = 1 if outer in x.odd_vars else 0
-    unit = SquareClass(tower.inner(), x.base, x.odd_vars - {outer})
-    return parity, unit
+    outer_bit = len(tower.laurent_vars) - 1
+    parity = x.mask >> outer_bit
+    return parity, SquareClass(tower.inner(), x.base, x.mask ^ (parity << outer_bit))
 
 
 def lift_class(x: SquareClass, tower: FieldTower) -> SquareClass:
     """Reinterpret a class of the inner tower one Laurent level up."""
     if tower.inner() != x.tower:
         raise FieldMismatch(f"{x.tower} is not the inner tower of {tower}")
-    return SquareClass(tower, x.base, x.odd_vars)
+    return SquareClass(tower, x.base, x.mask)
 
 
 @dataclass(frozen=True)
@@ -431,7 +427,7 @@ def extend_quadratic(tower: FieldTower, delta: SquareClass) -> QuadraticExtensio
     if tower.kind != "F":
         raise UnsupportedDelta(f"quadratic extension models need a prime base, got {tower}")
 
-    if not delta.odd_vars:
+    if not delta.mask:
         # unramified: delta is the base nonresidue
         if tower.degree == 2:
             raise UnsupportedDelta("base is already quadratically extended")
@@ -440,27 +436,26 @@ def extend_quadratic(tower: FieldTower, delta: SquareClass) -> QuadraticExtensio
         def transfer(x: SquareClass, _t=new_tower) -> SquareClass:
             if x.tower != tower:
                 raise FieldMismatch(f"{x.tower} vs {tower}")
-            return SquareClass(_t, 1, x.odd_vars)
+            return SquareClass(_t, 1, x.mask)
 
         return QuadraticExtension(new_tower, delta, transfer)
 
-    if delta.odd_vars == {tower.outer_var}:
+    outer_bit = 1 << (len(tower.laurent_vars) - 1)  # delta.mask != 0: n >= 1
+    if delta.mask == outer_bit:
         # ramified: t = r^2 / delta0, so the class of t maps to delta0
-        delta0 = SquareClass(tower, delta.base, frozenset())
+        delta0 = SquareClass(tower, delta.base)
         inner_vars = tower.laurent_vars[:-1]
         new_tower = FieldTower(
             tower.kind, tower.p, inner_vars + (_fresh_var(inner_vars),), tower.degree
         )
-        outer = tower.outer_var
 
         def transfer(x: SquareClass, _t=new_tower, _d0=delta0) -> SquareClass:
             if x.tower != tower:
                 raise FieldMismatch(f"{x.tower} vs {tower}")
             base = x.base
-            if outer in x.odd_vars:
-                y = sq_mul(SquareClass(tower, base, frozenset()), _d0)
-                base = y.base
-            return SquareClass(_t, base, x.odd_vars - {outer})
+            if x.mask & outer_bit:
+                base = sq_mul(SquareClass(tower, base), _d0).base
+            return SquareClass(_t, base, x.mask & ~outer_bit)
 
         return QuadraticExtension(new_tower, delta, transfer)
 

@@ -120,12 +120,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        out = LaurentPoly.const(self.tower, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -152,8 +146,8 @@ class LaurentPoly:
         inner = tower.inner()
         sub = {e[:-1]: c for e, c in self.terms if e[-1] == v}
         unit = LaurentPoly._make(inner, sub).square_class()
-        odd = unit.odd_vars | ({tower.outer_var} if v % 2 else frozenset())
-        return SquareClass(tower, unit.base, frozenset(odd))
+        outer_bit = (v & 1) << len(inner.laurent_vars)
+        return SquareClass(tower, unit.base, unit.mask | outer_bit)
 
     # -- display ----------------------------------------------------------------
 

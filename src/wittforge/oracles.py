@@ -40,7 +40,7 @@ def truncated_witness_search(
     d = f.dim
     if d == 0:
         return None
-    entries = [(e.base % p, 1 if e.odd_vars else 0) for e in f.entries]
+    entries = [(e.base % p, e.mask) for e in f.entries]  # mask is the t-parity
     grid = list(itertools.product(range(p), repeat=d))
     spent = 0
 

@@ -75,10 +75,6 @@ class DiagonalForm:
     __repr__ = __str__
 
 
-def form(tower: FieldTower, entries: Sequence[SquareClass]) -> DiagonalForm:
-    return DiagonalForm(tower, tuple(entries))
-
-
 @lru_cache(maxsize=None)
 def _pfister_cached(tower: FieldTower, slots: tuple) -> DiagonalForm:
     return DiagonalForm(tower, _pfister_expansion(tower, slots), slots)
@@ -106,15 +102,15 @@ def tensor(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
     """Tensor product; blocks of g scaled by the entries of f.
 
     When both factors are Pfister the product is the Pfister form on the
-    concatenated slots, entry-exactly.
+    concatenated slots, entry-exactly, and comes from the ``pfister`` cache.
     """
     if f.tower != g.tower:
         raise FieldMismatch(f"{f.tower} vs {g.tower}")
-    entries = tuple(sq_mul(a, b) for a in f.entries for b in g.entries)
-    slots = None
-    if f.pfister_slots is not None and g.pfister_slots is not None:
-        slots = g.pfister_slots + f.pfister_slots
-    return DiagonalForm(f.tower, entries, slots)
+    if f.is_pfister and g.is_pfister:
+        return pfister(f.tower, g.pfister_slots + f.pfister_slots)
+    return DiagonalForm(
+        f.tower, tuple(sq_mul(a, b) for a in f.entries for b in g.entries)
+    )
 
 
 def scale(f: DiagonalForm, a) -> DiagonalForm:
@@ -125,9 +121,9 @@ def scale(f: DiagonalForm, a) -> DiagonalForm:
         a = LaurentPoly.const(f.tower, a).square_class()
     if a.tower != f.tower:
         raise FieldMismatch(f"{a.tower} vs {f.tower}")
-    entries = tuple(sq_mul(a, e) for e in f.entries)
-    slots = f.pfister_slots if a.is_one else None
-    return DiagonalForm(f.tower, entries, slots)
+    if a.is_one:
+        return f
+    return DiagonalForm(f.tower, tuple(sq_mul(a, e) for e in f.entries))
 
 
 def negate(f: DiagonalForm) -> DiagonalForm:
@@ -241,7 +237,7 @@ def residue_forms(f: DiagonalForm) -> tuple[DiagonalForm, DiagonalForm]:
 
 
 def _sorted_entries(f: DiagonalForm) -> tuple[SquareClass, ...]:
-    return tuple(sorted(f.entries, key=lambda e: e.sort_key()))
+    return tuple(sorted(f.entries))
 
 
 @lru_cache(maxsize=None)
@@ -383,14 +379,14 @@ def is_isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
 
 
 def map_form(f: DiagonalForm, ext: QuadraticExtension) -> DiagonalForm:
-    """Base change along a quadratic extension's transfer map."""
-    entries = tuple(ext.transfer(e) for e in f.entries)
-    slots = (
-        tuple(ext.transfer(s) for s in f.pfister_slots)
-        if f.pfister_slots is not None
-        else None
-    )
-    return DiagonalForm(ext.tower, entries, slots)
+    """Base change along a quadratic extension's transfer map.
+
+    The transfer is a group homomorphism fixing -1, so a Pfister form
+    maps to the Pfister form on the transferred slots.
+    """
+    if f.is_pfister:
+        return pfister(ext.tower, tuple(ext.transfer(s) for s in f.pfister_slots))
+    return DiagonalForm(ext.tower, tuple(ext.transfer(e) for e in f.entries))
 
 
 def splits_over_quadratic(f: DiagonalForm, delta: SquareClass) -> bool:

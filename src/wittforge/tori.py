@@ -25,6 +25,7 @@ from .algebras import CompositionAlgebra, is_split
 from .errors import (
     DSquare,
     FieldMismatch,
+    InternalInconsistency,
     LambdaNotUnit,
     NotSeparable,
     PreconditionFailed,
@@ -386,6 +387,17 @@ class CubicObstructionReport:
         )
 
 
+def _obstruction_verdict(lambda_rows, evidence) -> str:
+    """"inadmissible" unless a row contradicts the theorem for a division
+    algebra: a lambda row breaking the square-norm criterion, or a
+    hermitian candidate that would make the norm hyperbolic."""
+    bad = [r for r in lambda_rows if r.norm_is_square != r.lambda_is_square]
+    bad += [r for r in evidence if r.contradiction]
+    if bad:
+        raise InternalInconsistency(f"cubic obstruction contradicted by {bad[0]}")
+    return "inadmissible"
+
+
 def cubic_obstruction_report(
     C: CompositionAlgebra, d: SquareClass
 ) -> CubicObstructionReport:
@@ -395,7 +407,8 @@ def cubic_obstruction_report(
     a square, (b) the trace form of the ramified cubic, (c) all (b, c)
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
-    hyperbolic.  None survives, so the verdict is always "inadmissible".
+    hyperbolic.  The verdict is read off the rows; a row contradicting
+    the theorem raises InternalInconsistency.
     """
     tower = C.tower
     if C.dim != 8:
@@ -428,7 +441,6 @@ def cubic_obstruction_report(
             row = LambdaRow(
                 r, unit, norm_class, norm_class.is_one, r == 0 and unit.is_one
             )
-            assert row.norm_is_square == row.lambda_is_square
             lambda_rows.append(row)
 
     # (b) trace form of K(t^(1/3))
@@ -452,7 +464,7 @@ def cubic_obstruction_report(
         tower,
         C.slots,
         d,
-        "inadmissible",
+        _obstruction_verdict(lambda_rows, evidence),
         tuple(lambda_rows),
         tuple(tuple(str(e) for e in row) for row in gram),
         tuple(t3.entries),
@@ -595,9 +607,9 @@ def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
             return TypeVerdict(
                 tau, "inadmissible", "quadratic part must be a field for a division algebra"
             )
-        _cached_obstruction(C, tau.quad)
+        report = _cached_obstruction(C, tau.quad)
         return TypeVerdict(
-            tau, "inadmissible", "cubic obstruction: no hermitian candidate survives"
+            tau, report.verdict, "cubic obstruction: no hermitian candidate survives"
         )
     if isinstance(tau.cubic, Split3):
         first = second = tau.quad

@@ -182,9 +182,7 @@ def test_criterion_4_theorem_replay_at_surrogate_scale():
     C = cayley_dickson(quaternion(F13ST, u, s), t)
     assert not is_split(C)
     target = pfister(F13ST, (t, u, s))
-    assert sorted(e.sort_key() for e in C.norm.entries) == sorted(
-        e.sort_key() for e in target.entries
-    )
+    assert sorted(C.norm.entries) == sorted(target.entries)
     assert is_isometric(C.norm, target)
     nonsquares = {c for c in enumerate_square_classes(F13ST) if not c.is_one}
     assert splitting_profile(C) == nonsquares and len(nonsquares) == 7
@@ -200,7 +198,7 @@ def test_criterion_4_theorem_replay_at_surrogate_scale():
         DiagonalForm(F13ST, (one_class(F13ST), one_class(F13ST), minus_one_class(F13ST))),
     )
 
-    for d in sorted(nonsquares, key=lambda c: c.sort_key()):
+    for d in sorted(nonsquares):
         rep = cubic_obstruction_report(C, d)
         assert rep.verdict == "inadmissible"
         assert not any(row.contradiction for row in rep.evidence)

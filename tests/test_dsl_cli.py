@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,27 @@ class TestCli:
             capsys, "qf-isotropy", "--field", "Q", "--form", "[10403]"
         )
         assert code == 1 and "FactorBoundExceeded" in err
+
+    def test_alg_genus_respects_factor_bound(self, capsys):
+        # a product of two 10-digit primes: unbounded trial division hangs
+        t0 = time.perf_counter()
+        code, _, err = self.run(
+            capsys, "alg-genus", "--q1=99999999100000001881,-1", "--q2=-1,-1"
+        )
+        assert code == 1 and "FactorBoundExceeded" in err
+        assert time.perf_counter() - t0 < 10
+
+    def test_alg_genus_prime_past_bound(self, capsys):
+        # 1000003 is prime: trial division up to its square root proves it
+        code, out, _ = self.run(capsys, "alg-genus", "--q1=1000003,-1", "--q2=-1,-1")
+        assert code == 0 and out.strip() == "different genus {2, 1000003} vs {2, oo}"
+
+    def test_huge_literal_named_error(self, capsys):
+        huge = str(3 * 10**400 + 1)
+        code, _, err = self.run(
+            capsys, "qf-isotropy", "--field", "Q", "--form", f"[{huge},1]"
+        )
+        assert code == 1 and err.startswith("error: FactorBoundExceeded:")
 
     def test_fuzzed_cli_never_crashes(self, capsys):
         rng = random.Random(99)

@@ -17,6 +17,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import (
     FieldTower,
+    SquareClass,
     canonical_square_class,
     enumerate_square_classes,
     extend_quadratic,
@@ -75,6 +76,8 @@ class TestCanonical:
             canonical_square_class(Q, 101 * 103)
         # perfect square cofactor is still fine
         assert canonical_square_class(Q, 101 * 101).is_one
+        # no divisor up to sqrt(101) = 10.05: a prime, whatever the bound
+        assert canonical_square_class(Q, -2 * 101).base == -202
 
     @given(
         c=st.integers(min_value=-10**5, max_value=10**5).filter(lambda n: n != 0),
@@ -114,6 +117,25 @@ class TestGroupLaw:
             for y in classes:
                 assert sq_mul(x, y) in classes
                 assert sq_mul(x, y) == sq_mul(y, x)
+
+    @pytest.mark.parametrize("tower", DESK, ids=str)
+    def test_natural_order_is_enumeration_order(self, tower):
+        classes = enumerate_square_classes(tower)
+        assert sorted(reversed(classes)) == classes
+        assert [c.mask for c in classes[::2]] == list(range(2 ** len(tower.laurent_vars)))
+
+    def test_rational_order(self):
+        values = [3, -1, 2, 1, -2, -3]
+        got = sorted(canonical_square_class(Q, v) for v in values)
+        assert [c.base for c in got] == [1, -1, 2, -2, 3, -3]
+
+    def test_mask_outside_tower_rejected(self):
+        assert SquareClass(F5T, 1, 1) == var_class(F5T, "t")
+        for mask in (2, -1):
+            with pytest.raises(UnknownVariable):
+                SquareClass(F5T, 1, mask)
+        with pytest.raises(ValueError):
+            SquareClass(F5T, 3, 0)  # 3 is a nonresidue mod 5, but u = 2
 
     def test_enumeration_order_and_examples(self):
         assert [str(c) for c in enumerate_square_classes(F5)] == ["1", "u"]

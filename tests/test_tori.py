@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from wittforge import tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     DSquare,
     FieldMismatch,
     InfiniteSquareClassGroup,
+    InternalInconsistency,
     LambdaNotUnit,
     NotSeparable,
     PreconditionFailed,
@@ -360,6 +362,23 @@ class TestCubicObstruction:
         rep = cubic_obstruction_report(C, var_class(F13ST, "t"))
         text = rep.to_json()
         assert type(rep).from_json(text).to_json() == text
+
+    def test_contradicting_evidence_raises(self, monkeypatch):
+        C = division_octonion()
+        u = nonresidue_class(F13ST)
+        monkeypatch.setattr(tori, "is_isometric", lambda f, g: True)
+        with pytest.raises(InternalInconsistency):
+            cubic_obstruction_report(C, u)
+        # type_report reads its verdict from the same report
+        tori._cached_obstruction.cache_clear()
+        with pytest.raises(InternalInconsistency):
+            type_report(C)
+
+    def test_contradicting_lambda_row_raises(self, monkeypatch):
+        C = division_octonion()
+        monkeypatch.setattr(tori, "sq_mul", lambda x, y: one_class(x.tower))
+        with pytest.raises(InternalInconsistency):
+            cubic_obstruction_report(C, nonresidue_class(F13ST))
 
     def test_every_division_octonion_every_d_inadmissible(self):
         classes = enumerate_square_classes(F13ST)
