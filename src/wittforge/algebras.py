@@ -18,9 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import AlgebraMismatch, DimTooLarge, UnsupportedDim, ZeroSlot
+from .errors import (
+    AlgebraMismatch,
+    DimTooLarge,
+    InternalInconsistency,
+    UnsupportedDim,
+    ZeroSlot,
+)
 from .fields import FieldTower, SquareClass
-from .laurent import LaurentPoly, lift_poly
+from .laurent import LaurentPoly
 from .qform import is_isotropic, pfister
 
 
@@ -34,10 +40,11 @@ class CompositionAlgebra:
         self.mul_table = mul_table
         self.norm_coeffs = tuple(norm_coeffs)  # exact signed slot products
         self.norm = pfister(tower, self.slots)
-        assert self.norm.dim == self.dim
-        assert all(
-            c.square_class() == e for c, e in zip(self.norm_coeffs, self.norm.entries)
-        )
+        classes = tuple(c.square_class() for c in self.norm_coeffs)
+        if self.norm.dim != self.dim or classes != self.norm.entries:
+            raise InternalInconsistency(
+                f"dimension {self.dim} and norm classes {classes} do not fit {self.norm}"
+            )
 
     def __eq__(self, other):
         return (
@@ -131,7 +138,8 @@ class AlgebraElement:
     def norm(self) -> LaurentPoly:
         """x * conj(x), landing in the scalar span."""
         prod = self * self.conj()
-        assert all(c.is_zero for c in prod.coords[1:]), "norm left the scalar span"
+        if not all(c.is_zero for c in prod.coords[1:]):
+            raise InternalInconsistency(f"norm of {self} left the scalar span")
         return prod.coords[0]
 
     def norm_form_value(self) -> LaurentPoly:
@@ -259,53 +267,15 @@ def _monomial_sqrt(tower: FieldTower, value: LaurentPoly) -> Optional[LaurentPol
     return LaurentPoly.monomial(tower, root, half)
 
 
-def _isotropy_coords(
+def _base_witness(
     tower: FieldTower, coeffs: Sequence[LaurentPoly]
 ) -> Optional[list[LaurentPoly]]:
-    """Exact nonzero solution of sum c_i x_i^2 = 0, monomial coefficients.
+    """Nonzero solution of sum c_i x_i^2 = 0 for constants c_i, or None.
 
-    Recursion on the outermost variable: indices are grouped by the
-    parity of their uniformizer exponent, a witness found for a block's
-    unit parts lifts back after dividing out even monomial factors.
-    Over the base field: a two-entry block solved by an exact square
-    root, or a brute-force triple (F_p), or a small bounded search (Q).
+    A two-entry block solved by an exact square root, or a brute-force
+    triple (F_p), or a small bounded search (Q).
     """
     n = len(coeffs)
-    if tower.laurent_vars:
-        inner = tower.inner()
-        blocks: dict[int, list[int]] = {0: [], 1: []}
-        for idx, c in enumerate(coeffs):
-            ((exps, _),) = c.terms
-            blocks[exps[-1] % 2].append(idx)
-        for parity, idxs in blocks.items():
-            if not idxs:
-                continue
-            sub = []
-            for idx in idxs:
-                ((exps, coeff),) = coeffs[idx].terms
-                sub.append(
-                    LaurentPoly.monomial(
-                        inner, coeff, dict(zip(inner.laurent_vars, exps[:-1]))
-                    )
-                )
-            got = _isotropy_coords(inner, sub)
-            if got is None:
-                continue
-            out = [LaurentPoly.zero(tower)] * n
-            for idx, val in zip(idxs, got):
-                ((exps, _),) = coeffs[idx].terms
-                shift = -(exps[-1] - parity) // 2
-                out[idx] = lift_poly(val, tower) * LaurentPoly.variable(
-                    tower, tower.outer_var, shift
-                )
-            total = LaurentPoly.zero(tower)
-            for c, x in zip(coeffs, out):
-                total = total + c * x * x
-            assert total.is_zero
-            return out
-        return None
-
-    # base field: try binary blocks first, then small isotropic triples
     for i in range(n):
         for j in range(i + 1, n):
             root = _monomial_sqrt(tower, -(coeffs[i] * coeffs[j]))
@@ -344,6 +314,41 @@ def _isotropy_coords(
     return None
 
 
+def _isotropy_coords(
+    tower: FieldTower, coeffs: Sequence[LaurentPoly]
+) -> Optional[list[LaurentPoly]]:
+    """Exact nonzero solution of sum c_i x_i^2 = 0, monomial coefficients.
+
+    Springer's theorem, flat: indices are grouped by the parity vector
+    (mask) of their coefficient's exponent vector e_i, and the groups
+    are tried in ascending mask order.  A witness y of one group's base
+    coefficients lifts to x_i = y_i * prod v^(-floor(e_i/2)), since then
+    c_i x_i^2 = (base coefficient) * y_i^2 * (monomial of the mask).
+    """
+    groups: dict[int, list[int]] = {}
+    for idx, c in enumerate(coeffs):
+        ((exps, _),) = c.terms
+        mask = sum((e & 1) << i for i, e in enumerate(exps))
+        groups.setdefault(mask, []).append(idx)
+    base = tower.base_field()
+    for mask in sorted(groups):
+        idxs = groups[mask]
+        got = _base_witness(
+            base, [LaurentPoly.const(base, coeffs[i].terms[0][1]) for i in idxs]
+        )
+        if got is None:
+            continue
+        out = [LaurentPoly.zero(tower)] * len(coeffs)
+        for idx, y in zip(idxs, got):
+            ((exps, _),) = coeffs[idx].terms
+            if not y.is_zero:
+                ((_, yc),) = y.terms
+                half = {v: -(e // 2) for v, e in zip(tower.laurent_vars, exps)}
+                out[idx] = LaurentPoly.monomial(tower, yc, half)
+        return out
+    return None
+
+
 def zero_divisor_pair(A: CompositionAlgebra):
     """A pair (x, conj x) of nonzero elements multiplying to zero, or None.
 
@@ -354,9 +359,9 @@ def zero_divisor_pair(A: CompositionAlgebra):
     if coords is None:
         return None
     x = A.element(coords)
-    assert not x.is_zero and x.norm().is_zero
     pair = (x, x.conj())
-    assert (pair[0] * pair[1]).is_zero
+    if x.is_zero or not (pair[0] * pair[1]).is_zero:
+        raise InternalInconsistency(f"{x} is not a zero divisor of {A}")
     return pair
 
 

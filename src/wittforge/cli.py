@@ -51,16 +51,25 @@ def _cmd_qf_isotropy(args) -> int:
     }
     lines = ["isotropic" if verdict else "anisotropic"]
     if args.oracle:
-        agree, detail = _isotropy_oracle(f, verdict)
-        payload["oracle"] = {"agrees": agree, "detail": detail}
-        lines.append(f"oracle: {detail} ({'agreement' if agree else 'DISAGREEMENT'})")
+        agrees, detail = _isotropy_oracle(f, verdict)
+        payload["oracle"] = {"agrees": agrees, "detail": detail}
+        lines.append(f"oracle: {detail} ({_outcome(agrees)})")
     _emit(payload, args, lines)
     return 0
 
 
+def _outcome(agrees) -> str:
+    """An oracle outcome: True agrees, False disagrees, None checked nothing."""
+    if agrees is None:
+        return "inconclusive"
+    return "agreement" if agrees else "DISAGREEMENT"
+
+
 def _isotropy_oracle(f, verdict):
+    """(agrees, detail); agrees is None when the oracle settled nothing."""
     tower = f.tower
     if tower.kind == "F" and tower.degree == 1:
+        # both searches are exhaustive: an isotropic form has a witness there
         if len(tower.laurent_vars) == 1:
             witness = oracles.truncated_witness_search(f)
         else:
@@ -79,8 +88,9 @@ def _isotropy_oracle(f, verdict):
         ok, place = arithq.global_isotropy_certificate(f)
         if not ok:
             return verdict is False, f"local obstruction at {place}"
-        return verdict is True, "no witness found (bound exhausted)"
-    return True, "no oracle for this field"
+        # a bounded search that found nothing proves nothing
+        return None, "no witness found (bound exhausted)"
+    return None, "no oracle for this field"
 
 
 def _cmd_qf_witt(args) -> int:
@@ -111,10 +121,13 @@ def _cmd_qf_witt(args) -> int:
             f"kernel invariants: disc {inv.disc}, hasse -1 at "
             f"{_places_str(inv.hasse_minus)}, signature {inv.signature}"
         )
-    if args.oracle and w.kernel is not None:
-        ok = not qform.is_isotropic(w.kernel)
+    if args.oracle:
+        if w.kernel is None:
+            ok, detail = None, "no kernel to check over this field"
+        else:
+            ok, detail = not qform.is_isotropic(w.kernel), "kernel anisotropic"
         payload["oracle"] = {"kernel_anisotropic": ok}
-        lines.append(f"oracle: kernel anisotropic ({'agreement' if ok else 'DISAGREEMENT'})")
+        lines.append(f"oracle: {detail} ({_outcome(ok)})")
     _emit(payload, args, lines)
     return 0
 
@@ -186,12 +199,14 @@ def _cmd_alg_split(args) -> int:
             payload["zero_divisor"] = [str(pair[0]), str(pair[1])]
             lines.append(f"zero divisor {pair[0]} * {pair[1]} = 0")
     if args.oracle:
-        agree = True
         if tower.kind == "F" and tower.degree == 1:
             witness = oracles.constant_witness_search(A.norm)
-            agree = (witness is not None) == split
-            payload["oracle"] = {"agrees": agree}
-            lines.append(f"oracle: {'agreement' if agree else 'DISAGREEMENT'}")
+            agrees = (witness is not None) == split
+            payload["oracle"] = {"agrees": agrees}
+            lines.append(f"oracle: {_outcome(agrees)}")
+        else:
+            payload["oracle"] = {"agrees": None, "detail": "no oracle for this field"}
+            lines.append(f"oracle: no oracle for this field ({_outcome(None)})")
     _emit(payload, args, lines)
     return 0
 

@@ -39,6 +39,10 @@ class FactorBoundExceeded(WittforgeError):
     pass
 
 
+class UnrepresentableClass(WittforgeError):
+    """No prime-field constant times a monomial represents the class."""
+
+
 # -- quadratic form errors -------------------------------------------------
 
 class Degenerate(WittforgeError):

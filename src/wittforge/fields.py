@@ -179,6 +179,10 @@ class FieldTower:
             raise NotLaurent(f"{self} has no Laurent variable")
         return self.laurent_vars[-1]
 
+    def base_field(self) -> "FieldTower":
+        """The base field alone, every Laurent variable dropped."""
+        return FieldTower(self.kind, self.p, (), self.degree)
+
     def inner(self) -> "FieldTower":
         if not self.laurent_vars:
             raise NotLaurent(f"{self} has no Laurent variable")

@@ -3,16 +3,16 @@
 Used wherever square classes are not enough: Gram matrix reduction,
 composition algebra structure constants and element arithmetic, trace
 forms.  Coefficients are Fractions over Q and sign bases, residues mod p
-over prime bases (the prime subfield suffices for every constant the
-package ever feeds a degree-2 base).  Exponent vectors follow the
-tower's variable order, innermost first; negative exponents are allowed.
+over prime bases, so over a degree-2 base F_{p^2} the nonresidue class has
+no monomial representative.  Exponent vectors follow the tower's variable
+order, innermost first; negative exponents are allowed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnknownVariable, ZeroElement
+from .errors import UnknownVariable, UnrepresentableClass, ZeroElement
 from .fields import FieldTower, SquareClass, _base_class_of_constant
 
 
@@ -71,7 +71,15 @@ class LaurentPoly:
 
     @classmethod
     def of_class(cls, x: SquareClass) -> "LaurentPoly":
-        """The canonical monomial representing a square class."""
+        """The canonical monomial representing a square class.
+
+        Every prime-field constant is a square in F_{p^2}, so the
+        nonresidue class of a degree-2 base has no such monomial.
+        """
+        if x.tower.degree == 2 and x.base != 1:
+            raise UnrepresentableClass(
+                f"no constant of F_{x.tower.p} represents {x} over {x.tower}"
+            )
         return cls.monomial(x.tower, x.base, {v: 1 for v in x.odd_vars})
 
     @classmethod
@@ -178,10 +186,3 @@ class LaurentPoly:
         return out
 
     __repr__ = __str__
-
-
-def lift_poly(poly: LaurentPoly, tower: FieldTower) -> LaurentPoly:
-    """Reinterpret a polynomial of the inner tower one Laurent level up."""
-    if tower.inner() != poly.tower:
-        raise UnknownVariable(f"{poly.tower} is not the inner tower of {tower}")
-    return LaurentPoly._make(tower, {e + (0,): c for e, c in poly.terms})

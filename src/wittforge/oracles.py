@@ -11,6 +11,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
+from .errors import InternalInconsistency
 from .laurent import LaurentPoly
 from .qform import DiagonalForm
 
@@ -108,7 +109,10 @@ def truncated_witness_search(
             total = LaurentPoly.zero(tower)
             for e, x in zip(f.entries, coords):
                 total = total + LaurentPoly.of_class(e) * x * x
-            assert all(exps[0] >= precision for exps, _ in total.terms)
+            if any(exps[0] < precision for exps, _ in total.terms):
+                raise InternalInconsistency(
+                    f"witness {coords} leaves a residue below t^{precision}"
+                )
             return coords
     return None
 
@@ -172,7 +176,8 @@ def constant_witness_search(f: DiagonalForm) -> Optional[list[LaurentPoly]]:
             total = LaurentPoly.zero(tower)
             for e, x in zip(f.entries, coords):
                 total = total + LaurentPoly.of_class(e) * x * x
-            assert total.is_zero  # exact certificate
+            if not total.is_zero:  # exact certificate
+                raise InternalInconsistency(f"witness {coords} does not annihilate {f}")
             return coords
     return None
 

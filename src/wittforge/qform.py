@@ -1,13 +1,17 @@
 """Diagonal quadratic form algebra: Pfister forms, isotropy, Witt theory.
 
 Forms are always diagonal, with canonical square classes as entries.
-Isotropy dispatches per field: sign counting over real bases, dimension
-and discriminant rules over finite bases, Springer's residue-form
-recursion over Laurent towers, and the local-global machinery of
-``arithq`` over Q.
+Witt decomposition, and with it isotropy, applies one base-field rule:
+sign counting over real bases, dimension and discriminant rules over
+finite bases, the local-global machinery of ``arithq`` over Q.  Over a
+Laurent tower k((t_1))...((t_n)), Springer's theorem gives
+W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
+the entries of one mask, with the mask cleared, form one base-field
+summand, and the rule runs once on each.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -16,6 +20,7 @@ from .errors import (
     Degenerate,
     DeltaIsSquare,
     FieldMismatch,
+    InternalInconsistency,
     NoSplit,
     NotPfister,
     NotSymmetric,
@@ -27,12 +32,9 @@ from .fields import (
     QuadraticExtension,
     SquareClass,
     enumerate_square_classes,
-    lift_class,
     minus_one_class,
     one_class,
-    residue_split,
     sq_mul,
-    var_class,
 )
 from .laurent import LaurentPoly
 
@@ -226,47 +228,8 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
 # -- isotropy, Witt decomposition -----------------------------------------------
 
 
-def residue_forms(f: DiagonalForm) -> tuple[DiagonalForm, DiagonalForm]:
-    """Unit-part and uniformizer-part residue forms over the inner tower."""
-    inner = f.tower.inner()
-    units, twisted = [], []
-    for e in f.entries:
-        parity, unit = residue_split(f.tower, e)
-        (twisted if parity else units).append(unit)
-    return DiagonalForm(inner, tuple(units)), DiagonalForm(inner, tuple(twisted))
-
-
 def _sorted_entries(f: DiagonalForm) -> tuple[SquareClass, ...]:
     return tuple(sorted(f.entries))
-
-
-@lru_cache(maxsize=None)
-def _isotropic(tower: FieldTower, entries: tuple[SquareClass, ...]) -> bool:
-    f = DiagonalForm(tower, entries)
-    if f.dim == 0:
-        return False
-    if tower.laurent_vars:
-        f1, f2 = residue_forms(f)
-        return _isotropic(f1.tower, _sorted_entries(f1)) or _isotropic(
-            f2.tower, _sorted_entries(f2)
-        )
-    if tower.kind == "R":
-        signs = {e.base for e in entries}
-        return signs == {1, -1}
-    if tower.kind == "F":
-        if f.dim >= 3:
-            return True
-        if f.dim == 2:
-            d = sq_mul(minus_one_class(tower), sq_mul(entries[0], entries[1]))
-            return d.is_one
-        return False
-    from . import arithq
-
-    return arithq.global_isotropy(f)
-
-
-def is_isotropic(f: DiagonalForm) -> bool:
-    return _isotropic(f.tower, _sorted_entries(f))
 
 
 @dataclass(frozen=True)
@@ -315,23 +278,9 @@ def _witt_prime_base(tower: FieldTower, entries) -> WittDecomposition:
     return WittDecomposition(wi, 1, kernel)
 
 
-@lru_cache(maxsize=None)
-def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
-    f = DiagonalForm(tower, entries)
-    if tower.laurent_vars:
-        f1, f2 = residue_forms(f)
-        w1 = _witt(f1.tower, _sorted_entries(f1))
-        w2 = _witt(f2.tower, _sorted_entries(f2))
-        kernel = None
-        if w1.kernel is not None and w2.kernel is not None:
-            t = var_class(tower, tower.outer_var)
-            lifted = tuple(lift_class(e, tower) for e in w1.kernel.entries) + tuple(
-                sq_mul(t, lift_class(e, tower)) for e in w2.kernel.entries
-            )
-            kernel = DiagonalForm(tower, lifted)
-        return WittDecomposition(
-            w1.witt_index + w2.witt_index, w1.kernel_dim + w2.kernel_dim, kernel
-        )
+def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+    """The base-field rule: signs over R, dimension and discriminant over
+    F_p, invariants over Q."""
     if tower.kind == "R":
         pos = sum(1 for e in entries if e.base == 1)
         neg = len(entries) - pos
@@ -344,11 +293,43 @@ def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposit
         return _witt_prime_base(tower, entries)
     from . import arithq
 
-    return arithq.witt_index_rational(f)
+    return arithq.witt_index_rational(DiagonalForm(tower, entries))
+
+
+@lru_cache(maxsize=None)
+def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+    """Springer's theorem once per variable, flattened: W of the tower is
+    the sum over variable masks m of W(base), the summand of m spanned by
+    the entries of mask m (Lam, Ch. VI).  ``entries`` are sorted, so each
+    mask is one run; a run with its mask cleared is one base-field form.
+    """
+    if not tower.laurent_vars:
+        return _witt_base(tower, entries)
+    base = tower.base_field()
+    runs = itertools.groupby(entries, key=lambda e: e.mask) if entries else [(0, ())]
+    witt_index = kernel_dim = 0
+    kernel: Optional[list[SquareClass]] = []
+    for mask, run in runs:
+        w = _witt_base(base, tuple(SquareClass(base, e.base) for e in run))
+        witt_index += w.witt_index
+        kernel_dim += w.kernel_dim
+        if kernel is not None and w.kernel is not None:
+            kernel += [SquareClass(tower, e.base, mask) for e in w.kernel.entries]
+        else:
+            kernel = None
+    return WittDecomposition(
+        witt_index,
+        kernel_dim,
+        None if kernel is None else DiagonalForm(tower, tuple(kernel)),
+    )
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
     return _witt(f.tower, _sorted_entries(f))
+
+
+def is_isotropic(f: DiagonalForm) -> bool:
+    return witt_decompose(f).witt_index > 0
 
 
 def is_hyperbolic(f: DiagonalForm) -> bool:
@@ -424,10 +405,8 @@ def pfister_slot_witness(
         raise NoSplit(f"{f} does not split over sqrt({delta})")
     n = len(f.pfister_slots)
     classes = enumerate_square_classes(f.tower)
-    import itertools
-
     for rest in itertools.product(classes, repeat=n - 1):
         candidate = (delta,) + rest
         if is_isometric(pfister(f.tower, candidate), f):
             return candidate
-    raise AssertionError("splitting Pfister form with no slot presentation")
+    raise InternalInconsistency("splitting Pfister form with no slot presentation")

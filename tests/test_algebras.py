@@ -11,7 +11,14 @@ from wittforge.algebras import (
     quaternion,
     zero_divisor_pair,
 )
-from wittforge.errors import AlgebraMismatch, DimTooLarge, UnsupportedDim
+from wittforge import algebras
+from wittforge.errors import (
+    AlgebraMismatch,
+    DimTooLarge,
+    InternalInconsistency,
+    UnrepresentableClass,
+    UnsupportedDim,
+)
 from wittforge.fields import (
     FieldTower,
     canonical_square_class,
@@ -125,6 +132,15 @@ class TestCayleyDickson:
         assert not defect.is_zero
         assert composition_defect(x, y) == defect
 
+    def test_nonresidue_slot_over_degree_two_base(self):
+        # every prime-field constant is a square in F25, so no structure
+        # constant has the class u
+        tower = FieldTower("F", 5, ("t",), 2)
+        with pytest.raises(UnrepresentableClass):
+            algebra_from_slots(tower, (nonresidue_class(tower), var_class(tower, "t")))
+        with pytest.raises(UnrepresentableClass):
+            LaurentPoly.of_class(nonresidue_class(tower))
+
     def test_mismatch(self):
         H = hamilton()
         D = quaternion(Q, qc(-1), qc(-2))
@@ -210,3 +226,13 @@ class TestSplitDetection:
                 assert pair is not None
                 assert (pair[0] * pair[1]).is_zero
                 assert not pair[0].is_zero and not pair[1].is_zero
+
+    def test_zero_divisor_pair_checks_the_witness(self, monkeypatch):
+        A = algebra_from_slots(F13ST, (one_class(F13ST), var_class(F13ST, "s")))
+        assert zero_divisor_pair(A) is not None
+        not_a_witness = [LaurentPoly.const(F13ST, 1)] + [LaurentPoly.zero(F13ST)] * 3
+        monkeypatch.setattr(
+            algebras, "_isotropy_coords", lambda tower, coeffs: not_a_witness
+        )
+        with pytest.raises(InternalInconsistency):
+            zero_divisor_pair(A)

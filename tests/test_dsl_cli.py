@@ -108,7 +108,41 @@ class TestCli:
         code, out, _ = self.run(
             capsys, "qf-isotropy", "--field", "Q", "--form", "[1,-1]", "--oracle"
         )
-        assert code == 0 and "isotropic" in out and "agreement" in out
+        assert code == 0
+        assert out.splitlines() == ["isotropic", "oracle: witness (1, 1) (agreement)"]
+
+    def test_oracle_inconclusive_when_nothing_was_checked(self, capsys):
+        # the witness (2,1,1,1,0,1) uses five coordinates, past the search
+        argv = ["qf-isotropy", "--field", "Q", "--form", "[1,1,1,1,1,-7]", "--oracle"]
+        code, out, _ = self.run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "oracle: no witness found (bound exhausted) (inconclusive)"
+        )
+        code, out, _ = self.run(capsys, *argv, "--json")
+        assert json.loads(out)["oracle"]["agrees"] is None
+        code, out, _ = self.run(
+            capsys, "qf-isotropy", "--field", "R((t))", "--form", "[1,-t]",
+            "--oracle", "--json",
+        )
+        assert json.loads(out)["oracle"] == {
+            "agrees": None, "detail": "no oracle for this field"
+        }
+        code, out, _ = self.run(
+            capsys, "alg-split", "--field", "Q", "--slots", "1,3", "--oracle"
+        )
+        assert out.splitlines()[-1] == "oracle: no oracle for this field (inconclusive)"
+        code, out, _ = self.run(
+            capsys, "qf-witt", "--field", "Q", "--form", "[1,1,-7,-7]", "--oracle"
+        )
+        assert out.splitlines()[-1] == (
+            "oracle: no kernel to check over this field (inconclusive)"
+        )
+        code, out, _ = self.run(
+            capsys, "alg-split", "--field", "F5((t))", "--slots", "u,t",
+            "--oracle", "--json",
+        )
+        assert json.loads(out)["oracle"] == {"agrees": True}
 
     def test_parse_error_exit_2_with_caret(self, capsys):
         code, _, err = self.run(

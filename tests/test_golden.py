@@ -1,9 +1,10 @@
 """Byte-for-byte pins of report JSON and Witt kernels.
 
 ``tests/golden_outputs.json`` holds the outputs below as the library
-produced them; any change to square-class representation, ordering or
-form construction must leave them identical.  Regenerate the file (only
-when an output is meant to change) with
+produced them; any change to square-class representation, ordering,
+form construction, the Witt decomposition or the zero-divisor search
+must leave them identical.  Regenerate the file (only when an output is
+meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,8 +12,8 @@ import itertools
 import json
 from pathlib import Path
 
-from wittforge.algebras import algebra_from_slots
-from wittforge.dsl import parse_field, parse_slots
+from wittforge.algebras import algebra_from_slots, zero_divisor_pair
+from wittforge.dsl import parse_field, parse_form, parse_slots
 from wittforge.fields import enumerate_square_classes
 from wittforge.qform import DiagonalForm, is_isotropic, witt_decompose
 from wittforge.tori import compare_torus_systems, cubic_obstruction_report, type_report
@@ -33,6 +34,52 @@ def _witt_rows(field: str) -> list:
     return rows
 
 
+# Forms over Q((t)): Witt indices come from rational invariants, and the
+# kernel itself is not computed there.
+RATIONAL_LAURENT_FORMS = (
+    "[1]",
+    "[t]",
+    "[1,1]",
+    "[1,-1]",
+    "[1,t]",
+    "[t,-t]",
+    "[2,-2*t]",
+    "[1,1,1]",
+    "[1,1,-t]",
+    "[-1,2,5*t]",
+    "[1,1,1,1]",
+    "[1,1,t,t]",
+    "[1,-2,3*t,-6*t]",
+    "[1,1,1,1,1,-7]",
+    "[7*t,7*t,7*t,7*t,-t]",
+    "[1,2,3,5,7*t,-11*t,13*t]",
+)
+
+
+def _rational_laurent_rows() -> list:
+    tower = parse_field("Q((t))")
+    rows = []
+    for text in RATIONAL_LAURENT_FORMS:
+        f = parse_form(text, tower)
+        w = witt_decompose(f)
+        rows.append(
+            [str(f), is_isotropic(f), w.witt_index, w.kernel_dim, str(w.kernel)]
+        )
+    return rows
+
+
+def _zero_divisor_rows(field: str) -> list:
+    tower = parse_field(field)
+    classes = enumerate_square_classes(tower)
+    rows = []
+    for n in (2, 3):
+        for slots in itertools.product(classes, repeat=n):
+            pair = zero_divisor_pair(algebra_from_slots(tower, slots))
+            strs = None if pair is None else [str(pair[0]), str(pair[1])]
+            rows.append([",".join(str(s) for s in slots), strs])
+    return rows
+
+
 def collect() -> dict:
     tower = parse_field("F13((s))((t))")
     C = algebra_from_slots(tower, parse_slots("u,s,t", tower))
@@ -47,6 +94,10 @@ def collect() -> dict:
         "compare": compare_torus_systems(C, C2).to_json(),
         "witt_F5((t))": _witt_rows("F5((t))"),
         "witt_R((t))": _witt_rows("R((t))"),
+        "witt_F3((s))((t))": _witt_rows("F3((s))((t))"),
+        "witt_R((s))((t))": _witt_rows("R((s))((t))"),
+        "witt_Q((t))": _rational_laurent_rows(),
+        "zero_divisor_F13((s))((t))": _zero_divisor_rows("F13((s))((t))"),
     }
 
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittforge.errors import (
     Degenerate,
@@ -17,9 +19,11 @@ from wittforge.fields import (
     canonical_square_class,
     enumerate_square_classes,
     extend_quadratic,
+    lift_class,
     minus_one_class,
     nonresidue_class,
     one_class,
+    residue_split,
     sq_mul,
     var_class,
 )
@@ -31,6 +35,7 @@ from wittforge.oracles import (
 )
 from wittforge.qform import (
     DiagonalForm,
+    WittDecomposition,
     diagonalize,
     is_hyperbolic,
     is_isometric,
@@ -381,3 +386,77 @@ class TestAnisotropicKernelOverRealBase:
         w = witt_decompose(orthogonal_sum(phi1, negate(phi2)))
         assert w.kernel_dim == 4
         assert not is_isotropic(w.kernel)
+
+
+# -- the flat Springer pass against the one-variable-at-a-time recursion ------------
+
+
+def reference_witt(f):
+    """Springer's theorem one variable at a time (Lam, Ch. VI).
+
+    The entries split by the parity of the outer variable into two
+    residue forms over the inner tower; each is decomposed recursively
+    and its kernel lifted back, the odd part times the outer variable.
+    Over the base field the library's base-field rule is the leaf.
+    """
+    tower = f.tower
+    if not tower.laurent_vars:
+        return witt_decompose(f)
+    inner = tower.inner()
+    parts = ([], [])
+    for e in f.entries:
+        parity, unit = residue_split(tower, e)
+        parts[parity].append(unit)
+    w0, w1 = (reference_witt(DiagonalForm(inner, tuple(part))) for part in parts)
+    kernel = None
+    if w0.kernel is not None and w1.kernel is not None:
+        t = var_class(tower, tower.outer_var)
+        kernel = DiagonalForm(
+            tower,
+            tuple(lift_class(e, tower) for e in w0.kernel.entries)
+            + tuple(sq_mul(t, lift_class(e, tower)) for e in w1.kernel.entries),
+        )
+    return WittDecomposition(
+        w0.witt_index + w1.witt_index, w0.kernel_dim + w1.kernel_dim, kernel
+    )
+
+
+@st.composite
+def enumerable_forms(draw):
+    """A diagonal form over a random F_p, F_{p^2} or R tower, 0-3 variables."""
+    names = ("s", "t", "r")[: draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        tower = FieldTower.reals(*names)
+    else:
+        p = draw(st.sampled_from((3, 5, 7, 13)))
+        tower = FieldTower("F", p, names, draw(st.sampled_from((1, 2))))
+    classes = enumerate_square_classes(tower)
+    entries = draw(st.lists(st.sampled_from(classes), max_size=8))
+    return DiagonalForm(tower, tuple(entries))
+
+
+class TestFlatSpringerProperties:
+    @given(enumerable_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, f):
+        assert witt_decompose(f) == reference_witt(f)
+
+    @given(enumerable_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_isotropic_iff_positive_witt_index(self, f):
+        assert is_isotropic(f) == (witt_decompose(f).witt_index > 0)
+
+    @given(enumerable_forms(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_invariant_under_permutation_and_scaling(self, f, data):
+        w = witt_decompose(f)
+        shuffled = data.draw(st.permutations(f.entries))
+        a = data.draw(st.sampled_from(enumerate_square_classes(f.tower)))
+        for g in (DiagonalForm(f.tower, tuple(shuffled)), scale(f, a)):
+            wg = witt_decompose(g)
+            assert (wg.witt_index, wg.kernel_dim) == (w.witt_index, w.kernel_dim)
+
+    @given(enumerable_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_form_plus_its_negative_is_hyperbolic(self, f):
+        assert is_hyperbolic(orthogonal_sum(f, negate(f)))
