@@ -7,8 +7,13 @@ by iterated doubling from the ground field: C = A + A*u with u^2 = c and
 
 The norm of the double is <1,-c> tensor N_A, so an algebra built on
 slots (a, b, ...) has the corresponding Pfister form as its norm.
-Element coordinates are exact Laurent polynomials; the operations used
-here (multiply, conjugate, norm, trace) never leave that ring.
+
+Doubling keeps basis products monomial, e_i * e_j = gamma_ij * e_(i xor j)
+for a scalar gamma_ij, so the table holds that one Laurent polynomial per
+pair, and the diagonal norm is read off the table's diagonal:
+N(e_0) = 1 and N(e_i) = -gamma_ii.  Element coordinates are exact
+Laurent polynomials; the operations used here (multiply, conjugate,
+norm, trace) never leave that ring.
 """
 from __future__ import annotations
 
@@ -33,12 +38,15 @@ from .qform import is_isotropic, pfister
 class CompositionAlgebra:
     """Structure-constant table with its construction history and norm form."""
 
-    def __init__(self, tower, slots, mul_table, norm_coeffs):
+    def __init__(self, tower, slots, mul_table):
         self.tower = tower
         self.slots = tuple(slots)
         self.dim = len(mul_table)
-        self.mul_table = mul_table
-        self.norm_coeffs = tuple(norm_coeffs)  # exact signed slot products
+        self.mul_table = mul_table  # e_i * e_j = mul_table[i][j] * e_(i ^ j)
+        # N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii: exact signed slot products
+        self.norm_coeffs = (mul_table[0][0],) + tuple(
+            -mul_table[i][i] for i in range(1, self.dim)
+        )
         self.norm = pfister(tower, self.slots)
         classes = tuple(c.square_class() for c in self.norm_coeffs)
         if self.norm.dim != self.dim or classes != self.norm.entries:
@@ -115,10 +123,7 @@ class AlgebraElement:
             for j, yj in enumerate(other.coords):
                 if yj.is_zero:
                     continue
-                c = xi * yj
-                for k, v in enumerate(A.mul_table[i][j]):
-                    if not v.is_zero:
-                        acc[k] = acc[k] + c * v
+                acc[i ^ j] = acc[i ^ j] + xi * yj * A.mul_table[i][j]
         return AlgebraElement(A, tuple(acc))
 
     __rmul__ = __mul__
@@ -157,7 +162,7 @@ class AlgebraElement:
 
 def base_algebra(tower: FieldTower) -> CompositionAlgebra:
     one = LaurentPoly.const(tower, 1)
-    return CompositionAlgebra(tower, (), (((one,),),), (one,))
+    return CompositionAlgebra(tower, (), ((one,),))
 
 
 def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:
@@ -168,42 +173,29 @@ def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:
         raise ZeroSlot("doubling slot must be a nonzero square class")
     if c.tower != A.tower:
         raise AlgebraMismatch(f"{c.tower} vs {A.tower}")
-    tower = A.tower
     d = A.dim
     cm = LaurentPoly.of_class(c)
-    zero = LaurentPoly.zero(tower)
-
-    def widened(vec, block):
-        out = [zero] * (2 * d)
-        for k, v in enumerate(vec):
-            out[block * d + k] = v
-        return tuple(out)
-
-    def conj_sign(idx):
-        return 1 if idx == 0 else -1
-
+    g = A.mul_table
     table = []
     for i in range(2 * d):
         bi, ii = divmod(i, d)
         row = []
         for j in range(2 * d):
             bj, jj = divmod(j, d)
+            sign = 1 if jj == 0 else -1  # conj(e_jj) = sign * e_jj
             if bi == 0 and bj == 0:
-                row.append(widened(A.mul_table[ii][jj], 0))
+                row.append(g[ii][jj])
             elif bi == 0 and bj == 1:
                 # (a,0)(0,b) = (0, b a)
-                row.append(widened(A.mul_table[jj][ii], 1))
+                row.append(g[jj][ii])
             elif bi == 1 and bj == 0:
                 # (0,a)(b,0) = (0, a conj(b))
-                sign = conj_sign(jj)
-                row.append(widened([sign * v for v in A.mul_table[ii][jj]], 1))
+                row.append(sign * g[ii][jj])
             else:
                 # (0,a)(0,b) = (c conj(b) a, 0)
-                sign = conj_sign(jj)
-                row.append(widened([sign * cm * v for v in A.mul_table[jj][ii]], 0))
+                row.append(sign * cm * g[jj][ii])
         table.append(tuple(row))
-    norm_coeffs = A.norm_coeffs + tuple(-(cm * m) for m in A.norm_coeffs)
-    return CompositionAlgebra(tower, A.slots + (c,), tuple(table), norm_coeffs)
+    return CompositionAlgebra(A.tower, A.slots + (c,), tuple(table))
 
 
 def quaternion(tower: FieldTower, a: SquareClass, b: SquareClass) -> CompositionAlgebra:

@@ -11,17 +11,29 @@ Grammar (ASCII, whitespace tolerated between tokens):
     monomial :=  factor ("*" factor)*
     factor   :=  int ["/" int]  |  ident ["^" ["-"] int]
 
-The rightmost field variable is the outermost uniformizer.  Over a
+In ``"F" int`` the integer q is an odd prime p (the prime field F_p) or
+its square p^2 (the degree-2 base F_{p^2}), as ``str`` of a tower writes
+them.  The rightmost field variable is the outermost uniformizer.  Over a
 prime base the identifier ``u`` denotes the canonical nonresidue unless
-a Laurent variable of that name shadows it.
+a Laurent variable of that name shadows it; over F_{p^2}, where every
+prime-field constant is a square, ``u`` is the nonresidue class and may
+appear in class, slot and form literals but not in polynomials.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ParseError, ZeroSlot
-from .fields import FieldTower, SquareClass, canonical_square_class
+from .fields import (
+    FieldTower,
+    SquareClass,
+    canonical_square_class,
+    is_prime,
+    nonresidue_class,
+    sq_mul,
+)
 from .laurent import LaurentPoly
 from .qform import DiagonalForm, pfister
 
@@ -85,6 +97,7 @@ def parse_field(text: str) -> FieldTower:
     s = _Scanner(text)
     s.skip_ws()
     ch = s.peek()
+    degree = 1
     if ch == "Q":
         s.pos += 1
         kind, p = "Q", None
@@ -93,9 +106,16 @@ def parse_field(text: str) -> FieldTower:
         kind, p = "R", None
     elif ch == "F":
         s.pos += 1
-        kind, p = "F", s.integer()
+        start = s.pos
+        kind, q = "F", s.integer()
+        r = math.isqrt(q)
+        p, degree = (r, 2) if r * r == q else (q, 1)
+        if p == 2 or not is_prime(p):
+            raise ParseError(
+                f"F{q}: the size must be an odd prime p or its square p^2", text, start
+            )
     else:
-        raise s.error("expected a base field: Q, R or F<odd prime>")
+        raise s.error("expected a base field: Q, R or F<q>, q = p or p^2, p an odd prime")
     names = []
     while s.match("(("):
         names.append(s.ident())
@@ -103,9 +123,15 @@ def parse_field(text: str) -> FieldTower:
     if not s.at_end():
         raise s.error("trailing characters after field descriptor")
     try:
-        return FieldTower(kind, p, tuple(names))
+        return FieldTower(kind, p, tuple(names), degree)
     except ValueError as exc:
         raise ParseError(str(exc), text, 0) from exc
+
+
+# Exponent key of ``u`` over a degree-2 base: every prime-field constant
+# is a square in F_{p^2}, so the nonresidue is a class symbol there, not a
+# coefficient.
+_NONRESIDUE = None
 
 
 def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
@@ -131,6 +157,9 @@ def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
         return coeff
     if name == "u" and tower.kind == "F" and tower.degree == 1:
         return coeff * tower.nonresidue**e if e >= 0 else coeff * Fraction(1, tower.nonresidue ** (-e))
+    if name == "u" and tower.kind == "F":
+        exps[_NONRESIDUE] = exps.get(_NONRESIDUE, 0) + e
+        return coeff
     raise s.error(f"unknown identifier {name!r} over {tower}")
 
 
@@ -149,12 +178,18 @@ def _parse_monomial(s: _Scanner, tower: FieldTower):
     return coeff, exps
 
 
+def _monomial_class(tower: FieldTower, coeff, exps) -> SquareClass:
+    odd_u = exps.pop(_NONRESIDUE, 0) % 2
+    c = canonical_square_class(tower, coeff, exps)
+    return sq_mul(c, nonresidue_class(tower)) if odd_u else c
+
+
 def parse_class(text: str, tower: FieldTower) -> SquareClass:
     s = _Scanner(text)
     coeff, exps = _parse_monomial(s, tower)
     if not s.at_end():
         raise s.error("trailing characters after monomial")
-    return canonical_square_class(tower, coeff, exps)
+    return _monomial_class(tower, coeff, exps)
 
 
 def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: Optional[str] = None):
@@ -167,7 +202,7 @@ def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: Optional[str] = None)
         coeff, exps = _parse_monomial(s, tower)
         if coeff == 0:
             raise ZeroSlot("slot must be nonzero")
-        slots.append(canonical_square_class(tower, coeff, exps))
+        slots.append(_monomial_class(tower, coeff, exps))
         if (s.at_end() if stop is None else s.match(stop)):
             return tuple(slots)
         s.expect(",")
@@ -188,7 +223,7 @@ def parse_form(text: str, tower: FieldTower) -> DiagonalForm:
     entries = []
     while True:
         coeff, exps = _parse_monomial(s, tower)
-        entries.append(canonical_square_class(tower, coeff, exps))
+        entries.append(_monomial_class(tower, coeff, exps))
         if s.match("]"):
             break
         s.expect(",")
@@ -197,20 +232,23 @@ def parse_form(text: str, tower: FieldTower) -> DiagonalForm:
     return DiagonalForm(tower, tuple(entries))
 
 
+def _parse_term(s: _Scanner, tower: FieldTower) -> LaurentPoly:
+    coeff, exps = _parse_monomial(s, tower)
+    if _NONRESIDUE in exps:
+        raise s.error(f"u is a square class over {tower}, not an element")
+    return LaurentPoly.monomial(tower, coeff, exps) if coeff else LaurentPoly.zero(tower)
+
+
 def parse_poly(text_or_scanner, tower: FieldTower) -> LaurentPoly:
     s = (
         text_or_scanner
         if isinstance(text_or_scanner, _Scanner)
         else _Scanner(text_or_scanner)
     )
-    out = LaurentPoly.zero(tower)
-    coeff, exps = _parse_monomial(s, tower)
-    out = out + LaurentPoly.monomial(tower, coeff, exps) if coeff else out
+    out = _parse_term(s, tower)
     s.skip_ws()
     while s.peek() in ("+", "-"):
-        coeff, exps = _parse_monomial(s, tower)
-        if coeff:
-            out = out + LaurentPoly.monomial(tower, coeff, exps)
+        out = out + _parse_term(s, tower)
         s.skip_ws()
     if not isinstance(text_or_scanner, _Scanner) and not s.at_end():
         raise s.error("trailing characters after polynomial")

@@ -45,6 +45,11 @@ from .errors import (
 
 DEFAULT_FACTOR_BOUND = 10**6
 
+# Entries kept by every memo cache in the package.  The largest working
+# set of one benchmark round is about 520 entries, so this bounds memory
+# in a long-lived process without evicting within a computation.
+CACHE_SIZE = 4096
+
 
 def factor_bound() -> int:
     return int(os.environ.get("WITTFORGE_FACTOR_BOUND", DEFAULT_FACTOR_BOUND))
@@ -74,7 +79,7 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def least_nonresidue(p: int) -> int:
     n = 2
     while legendre(n, p) != -1:
@@ -82,7 +87,7 @@ def least_nonresidue(p: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sign_and_primes(n: int, bound: int) -> tuple[int, tuple[int, ...]]:
     """Squarefree decomposition of n by trial division up to ``bound``.
 

@@ -28,6 +28,7 @@ from .errors import (
     ZeroScale,
 )
 from .fields import (
+    CACHE_SIZE,
     FieldTower,
     QuadraticExtension,
     SquareClass,
@@ -77,7 +78,7 @@ class DiagonalForm:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _pfister_cached(tower: FieldTower, slots: tuple) -> DiagonalForm:
     return DiagonalForm(tower, _pfister_expansion(tower, slots), slots)
 
@@ -135,44 +136,16 @@ def negate(f: DiagonalForm) -> DiagonalForm:
 # -- Gram matrix diagonalization ---------------------------------------------
 
 
-def _congruence(m, t, tower):
-    """t^T m t for square LaurentPoly matrices."""
-    n = len(m)
-    zero = LaurentPoly.zero(tower)
-    mt = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if m[i][k].is_zero or t[k][j].is_zero:
-                    continue
-                acc = acc + m[i][k] * t[k][j]
-            mt[i][j] = acc
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if t[k][i].is_zero or mt[k][j].is_zero:
-                    continue
-                acc = acc + t[k][i] * mt[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _identity(n, tower):
-    one = LaurentPoly.const(tower, 1)
-    zero = LaurentPoly.zero(tower)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
     """Diagonal form isometric to the symmetric Gram matrix.
 
-    Fraction-free symmetric reduction: basis vector i is replaced by
-    pivot*e_i - m_ik*e_k, which rescales entries by squares only.  Zero
-    diagonals are repaired by e_i += e_j using an off-diagonal entry
-    (2 m_ij != 0 in odd characteristic).
+    Fraction-free symmetric elimination, in place: each basis change is
+    applied to the rows it touches and then to the same columns, so the
+    matrix stays symmetric.  Basis vector i > k is replaced by
+    pivot*e_i - m_ik*e_k, which rescales entries by squares only.  A zero
+    diagonal is repaired by swapping in a later nonzero one, or else by
+    e_i += e_j using an off-diagonal entry (2 m_ij != 0 in odd
+    characteristic) and a swap of i into place.
     """
     m = [[LaurentPoly.coerce(tower, v) for v in row] for row in gram]
     n = len(m)
@@ -183,16 +156,16 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
 
+    def swap(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
     for k in range(n):
         if m[k][k].is_zero:
-            swap = next(
-                (i for i in range(k + 1, n) if not m[i][i].is_zero), None
-            )
-            if swap is not None:
-                t = _identity(n, tower)
-                t[k][k] = t[swap][swap] = LaurentPoly.zero(tower)
-                t[k][swap] = t[swap][k] = LaurentPoly.const(tower, 1)
-                m = _congruence(m, t, tower)
+            s = next((i for i in range(k + 1, n) if not m[i][i].is_zero), None)
+            if s is not None:
+                swap(k, s)
             else:
                 pair = next(
                     (
@@ -206,21 +179,18 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
                 if pair is None:
                     raise Degenerate("Gram matrix is singular")
                 i, j = pair
-                t = _identity(n, tower)
-                t[j][i] = LaurentPoly.const(tower, 1)  # e_i += e_j
-                m = _congruence(m, t, tower)
+                m[i] = [a + b for a, b in zip(m[i], m[j])]  # e_i += e_j
+                for row in m:
+                    row[i] = row[i] + row[j]
                 if i != k:
-                    t = _identity(n, tower)
-                    t[k][k] = t[i][i] = LaurentPoly.zero(tower)
-                    t[k][i] = t[i][k] = LaurentPoly.const(tower, 1)
-                    m = _congruence(m, t, tower)
+                    swap(k, i)
         pivot = m[k][k]
-        t = _identity(n, tower)
-        for i in range(k + 1, n):
-            if not m[i][k].is_zero:
-                t[i][i] = pivot
-                t[k][i] = -m[i][k]
-        m = _congruence(m, t, tower)
+        steps = [(i, m[i][k]) for i in range(k + 1, n) if not m[i][k].is_zero]
+        for i, a in steps:
+            m[i] = [pivot * x - a * y for x, y in zip(m[i], m[k])]
+        for row in m:
+            for i, a in steps:
+                row[i] = pivot * row[i] - a * row[k]
 
     return DiagonalForm(tower, tuple(m[k][k].square_class() for k in range(n)))
 
@@ -296,7 +266,7 @@ def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecom
     return arithq.witt_index_rational(DiagonalForm(tower, entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
@@ -336,7 +306,7 @@ def is_hyperbolic(f: DiagonalForm) -> bool:
     return witt_decompose(f).is_hyperbolic
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _isometric(tower, entries_f, entries_g) -> bool:
     f = DiagonalForm(tower, entries_f)
     g = DiagonalForm(tower, entries_g)

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .arithq import ramification_set
 from .fields import (
+    CACHE_SIZE,
     FieldTower,
     SquareClass,
     enumerate_square_classes,
@@ -281,7 +282,7 @@ def jacobson_norm(
 # -- the cubic-field obstruction --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ramified_cubic_trace_form(tower: FieldTower):
     """Gram and diagonalization of the trace form of K(t^(1/3))."""
     minus_t = -LaurentPoly.variable(tower, tower.outer_var)
@@ -592,7 +593,7 @@ class ComparisonReport:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_obstruction(C: CompositionAlgebra, d: SquareClass) -> CubicObstructionReport:
     return cubic_obstruction_report(C, d)
 

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittforge.algebras import (
     algebra_from_slots,
@@ -22,6 +25,7 @@ from wittforge.errors import (
 from wittforge.fields import (
     FieldTower,
     canonical_square_class,
+    enumerate_square_classes,
     nonresidue_class,
     one_class,
     var_class,
@@ -236,3 +240,69 @@ class TestSplitDetection:
         )
         with pytest.raises(InternalInconsistency):
             zero_divisor_pair(A)
+
+
+# -- the product against the doubling formula on halves ------------------------------
+
+
+def _conj(x):
+    return [x[0]] + [-c for c in x[1:]]
+
+
+def _add(x, y):
+    return [a + b for a, b in zip(x, y)]
+
+
+def reference_product(slots, x, y):
+    """Cayley-Dickson doubling on coordinate halves, recursively:
+    (a, b)(z, w) = (a z + c conj(w) b,  w a + b conj(z)) with u^2 = c the
+    last slot, and the ground field's product at the bottom."""
+    if not slots:
+        return [x[0] * y[0]]
+    h = len(x) // 2
+    inner, c = slots[:-1], LaurentPoly.of_class(slots[-1])
+    a, b, z, w = x[:h], x[h:], y[:h], y[h:]
+    first = _add(
+        reference_product(inner, a, z),
+        [c * v for v in reference_product(inner, _conj(w), b)],
+    )
+    second = _add(reference_product(inner, w, a), reference_product(inner, b, _conj(z)))
+    return first + second
+
+
+Q_SLOT_VALUES = (-1, 2, -3, 5, 6, -7, 10, Fraction(1, 3))
+
+
+@st.composite
+def algebra_and_pair(draw):
+    """Slots over F13((s))((t)) or Q for dimension 2, 4, 8 or 16, and two
+    elements with sparse Laurent coordinates."""
+    tower = draw(st.sampled_from((F13ST, Q)))
+    if tower.kind == "F":
+        slot = st.sampled_from(enumerate_square_classes(tower))
+        coeff = st.integers(1, 12)
+    else:
+        slot = st.sampled_from(Q_SLOT_VALUES).map(qc)
+        coeff = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+    slots = tuple(draw(st.lists(slot, min_size=1, max_size=4)))
+    A = algebra_from_slots(tower, slots)
+
+    def poly():
+        out = LaurentPoly.zero(tower)
+        for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+            exps = {v: draw(st.integers(-2, 2)) for v in tower.laurent_vars}
+            out = out + LaurentPoly.monomial(tower, draw(coeff), exps)
+        return out
+
+    x = A.element([poly() for _ in range(A.dim)])
+    y = A.element([poly() for _ in range(A.dim)])
+    return A, x, y
+
+
+class TestReferenceProduct:
+    @given(algebra_and_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_doubling_on_halves(self, case):
+        A, x, y = case
+        expected = reference_product(A.slots, list(x.coords), list(y.coords))
+        assert list((x * y).coords) == expected

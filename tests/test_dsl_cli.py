@@ -13,6 +13,7 @@ from wittforge.errors import ParseError, WittforgeError, ZeroSlot
 from wittforge.fields import (
     FieldTower,
     enumerate_square_classes,
+    extend_quadratic,
     nonresidue_class,
     sq_mul,
     var_class,
@@ -34,9 +35,41 @@ class TestParsers:
         for bad in ("", "Z", "F4", "F13((s)", "F13((s))x", "F((s))", "Q(("):
             with pytest.raises(ParseError):
                 dsl.parse_field(bad)
+        for bad in ("F0", "F1", "F2", "F4", "F8", "F15", "F27", "F125"):
+            with pytest.raises(ParseError, match=r"odd prime p or its square p\^2"):
+                dsl.parse_field(bad)
+
+    def test_tower_str_roundtrip(self):
+        f25t = extend_quadratic(F5T, nonresidue_class(F5T)).tower
+        towers = (
+            FieldTower.rationals(),
+            FieldTower.reals("t"),
+            F5T,
+            F13ST,
+            f25t,
+            FieldTower("F", 3, (), 2),
+            FieldTower("F", 13, ("s", "t"), 2),
+            extend_quadratic(F5T, var_class(F5T, "t")).tower,
+            extend_quadratic(f25t, var_class(f25t, "t")).tower,
+            extend_quadratic(
+                F13ST, sq_mul(nonresidue_class(F13ST), var_class(F13ST, "t"))
+            ).tower,
+        )
+        for tower in towers:
+            assert dsl.parse_field(str(tower)) == tower
+
+    def test_nonresidue_over_degree_two_base(self):
+        f25t = FieldTower("F", 5, ("t",), 2)
+        assert dsl.parse_form("[1,u,u*t]", f25t).entries == (
+            enumerate_square_classes(f25t)[0],
+            nonresidue_class(f25t),
+            sq_mul(nonresidue_class(f25t), var_class(f25t, "t")),
+        )
+        with pytest.raises(ParseError):
+            dsl.parse_poly("1+u", f25t)
 
     def test_class_roundtrip(self):
-        for tower in (F5T, F13ST):
+        for tower in (F5T, F13ST, FieldTower("F", 5, ("t",), 2)):
             for c in enumerate_square_classes(tower):
                 assert dsl.parse_class(str(c), tower) == c
 

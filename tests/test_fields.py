@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from wittforge.errors import (
     UnsupportedDelta,
     ZeroElement,
 )
+import wittforge
 from wittforge.fields import (
     FieldTower,
     SquareClass,
@@ -271,3 +274,28 @@ class TestTowerBasics:
             FieldTower.prime(9)
         with pytest.raises(ValueError):
             FieldTower.prime(5, "t", "t")
+
+
+def package_caches():
+    """Every memoized function of the package, module level or in a class."""
+    for info in pkgutil.iter_modules(wittforge.__path__):
+        module = importlib.import_module(f"wittforge.{info.name}")
+        scopes = [vars(module)] + [
+            vars(obj)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        for scope in scopes:
+            for name, obj in scope.items():
+                fn = getattr(obj, "__func__", obj)
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    yield f"{module.__name__}.{name}", fn
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        caches = dict(package_caches())
+        assert len(caches) >= 7
+        for name, fn in caches.items():
+            maxsize = fn.cache_info().maxsize
+            assert maxsize is not None and maxsize >= 4096, name

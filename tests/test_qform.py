@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -460,3 +461,91 @@ class TestFlatSpringerProperties:
     @settings(max_examples=300, deadline=None)
     def test_form_plus_its_negative_is_hyperbolic(self, f):
         assert is_hyperbolic(orthogonal_sum(f, negate(f)))
+
+
+# -- Gram diagonalization properties ------------------------------------------------
+
+GRAM_TOWERS = (
+    F5,
+    F5T,
+    F13ST,
+    FieldTower.reals("t"),
+    Q,
+    FieldTower.rationals("t"),
+)
+
+
+@st.composite
+def monomials(draw, tower):
+    """A nonzero c * prod v^e, small coefficient, exponents in [-2, 2]."""
+    if tower.kind == "F":
+        c = draw(st.integers(1, tower.p - 1))
+    else:
+        c = draw(st.sampled_from((1, -1, 2, -2, 3, -5, 6, Fraction(1, 7), Fraction(-3, 2))))
+    exps = {v: draw(st.integers(-2, 2)) for v in tower.laurent_vars}
+    return LaurentPoly.monomial(tower, c, exps)
+
+
+@st.composite
+def sparse_entries(draw, tower):
+    """Zero about half the time, else a monomial."""
+    return draw(st.one_of(st.just(LaurentPoly.zero(tower)), monomials(tower)))
+
+
+def _matmul(a, b, tower):
+    zero = LaurentPoly.zero(tower)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@st.composite
+def invertible_matrices(draw, tower, n):
+    """L * U with L unit lower and U upper triangular with monomial
+    diagonal, rows permuted: invertible by construction."""
+    zero, one = LaurentPoly.zero(tower), LaurentPoly.const(tower, 1)
+    lower = [
+        [draw(sparse_entries(tower)) if j < i else (one if i == j else zero) for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [
+            draw(sparse_entries(tower)) if j > i else (draw(monomials(tower)) if i == j else zero)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    t = _matmul(lower, upper, tower)
+    return draw(st.permutations(t))
+
+
+class TestDiagonalizeProperties:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_gram_comes_back_in_order(self, data):
+        tower = data.draw(st.sampled_from(GRAM_TOWERS))
+        diag = data.draw(st.lists(monomials(tower), max_size=6))
+        n = len(diag)
+        gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        assert diagonalize(tower, gram).entries == tuple(d.square_class() for d in diag)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_congruent_grams_diagonalize_isometrically(self, data):
+        tower = data.draw(st.sampled_from(GRAM_TOWERS))
+        n = data.draw(st.integers(1, 3))
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = data.draw(sparse_entries(tower))
+        t = data.draw(invertible_matrices(tower, n))
+        t_transposed = [list(col) for col in zip(*t)]
+        congruent = _matmul(t_transposed, _matmul(gram, t, tower), tower)
+        try:
+            f = diagonalize(tower, gram)
+        except Degenerate:
+            with pytest.raises(Degenerate):
+                diagonalize(tower, congruent)
+            return
+        assert is_isometric(diagonalize(tower, congruent), f)

@@ -18,6 +18,7 @@ from wittforge.errors import (
 from wittforge.fields import (
     FieldTower,
     enumerate_square_classes,
+    extend_quadratic,
     minus_one_class,
     nonresidue_class,
     one_class,
@@ -431,3 +432,11 @@ class TestCompare:
         S = algebra_from_slots(F13ST, (one_class(F13ST), s, t))
         cr = compare_torus_systems(C, S)
         assert ComparisonReport.from_json(cr.to_json()).to_json() == cr.to_json()
+
+    def test_report_over_degree_two_base_roundtrips(self):
+        # the field prints as F25((t)) and its catalog rows name the class u
+        tower = extend_quadratic(F5T, nonresidue_class(F5T)).tower
+        t = var_class(tower, "t")
+        tr = type_report(algebra_from_slots(tower, [t, t, t]))
+        back = TypeReport.from_json(tr.to_json())
+        assert back == tr and back.to_json() == tr.to_json()
