@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import arithq, dsl, oracles, qform, tori
 from .algebras import algebra_from_slots, is_split, zero_divisor_pair
@@ -304,7 +305,11 @@ def _cmd_g2_cubic_obstruction(args) -> int:
 # -- parser ------------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs about as much as a
+    cached query."""
     parser = argparse.ArgumentParser(
         prog="wittforge",
         description="exact quadratic form and composition algebra calculator",

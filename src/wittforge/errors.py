@@ -39,6 +39,10 @@ class FactorBoundExceeded(WittforgeError):
     pass
 
 
+class PrimalityBoundExceeded(WittforgeError):
+    """Too large for the proven range of the deterministic primality test."""
+
+
 class UnrepresentableClass(WittforgeError):
     """No prime-field constant times a monomial represents the class."""
 

@@ -17,7 +17,11 @@ group k^x / k^{x2}.  A class is a base part, always a squarefree integer:
 times a bit mask whose bit i marks an odd exponent of ``laurent_vars[i]``.
 Over F_p and sign bases the group is the F_2-vector space (Z/2)^(n+1):
 class number k = 2*mask + (base bit) is its enumeration order and its
-natural order.
+natural order, and the product of two classes is the XOR of their
+numbers.  Every class carries a ``code``, computed once: that number
+over F_p and sign bases, and the order key (mask, |base|, base < 0)
+over Q.  Codes compare in the natural order, hash as plain ints or
+tuples, and ``class_of_code`` turns a code back into its class.
 
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
@@ -27,10 +31,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .errors import (
     DeltaIsSquare,
@@ -38,6 +42,7 @@ from .errors import (
     FieldMismatch,
     InfiniteSquareClassGroup,
     NotLaurent,
+    PrimalityBoundExceeded,
     UnknownVariable,
     UnsupportedDelta,
     ZeroElement,
@@ -55,18 +60,40 @@ def factor_bound() -> int:
     return int(os.environ.get("WITTFORGE_FACTOR_BOUND", DEFAULT_FACTOR_BOUND))
 
 
+# Miller-Rabin with the prime bases up to 41 is proven to decide
+# primality of every n below PRIMALITY_BOUND (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A number with a factor among the bases
+    is decided at any size; any other n >= PRIMALITY_BOUND raises
+    PrimalityBoundExceeded rather than answer without a proof."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= PRIMALITY_BOUND:
+        raise PrimalityBoundExceeded(
+            f"{n} is not below {PRIMALITY_BOUND}, the bound of the primality proof"
+        )
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -232,13 +259,16 @@ class SquareClass:
 
     ``base`` is the base-field part and bit i of ``mask`` marks an odd
     exponent of ``tower.laurent_vars[i]`` (see module docstring).  Classes
-    of one tower are totally ordered by (mask, |base|, sign of base),
-    which over enumerable towers is the enumeration order.
+    of one tower are totally ordered by ``code``: by (mask, |base|, sign
+    of base), which over enumerable towers is the enumeration order.
     """
 
     tower: FieldTower
     base: int
     mask: int = 0
+    code: Union[int, tuple[int, int, bool]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> len(self.tower.laurent_vars):
@@ -253,6 +283,11 @@ class SquareClass:
                 raise ValueError(f"non-canonical sign part {self.base}")
         elif self.base == 0:
             raise ZeroElement("0 has no square class")
+        if self.tower.kind == "Q":
+            code = (self.mask, abs(self.base), self.base < 0)
+        else:
+            code = 2 * self.mask + (self.base != 1)
+        object.__setattr__(self, "code", code)
 
     @property
     def odd_vars(self) -> frozenset[str]:
@@ -266,8 +301,7 @@ class SquareClass:
         return self.base == 1 and not self.mask
 
     def __lt__(self, other: "SquareClass") -> bool:
-        key = (self.mask, abs(self.base), self.base < 0)
-        return key < (other.mask, abs(other.base), other.base < 0)
+        return self.code < other.code
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sq_mul(self, other)
@@ -373,14 +407,26 @@ def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
 
 
 def enumerate_square_classes(tower: FieldTower) -> list[SquareClass]:
-    """All square classes; class k has base bit k & 1 and mask k >> 1."""
+    """All square classes; class k has code k: base bit k & 1, mask k >> 1."""
     if not tower.is_enumerable:
         raise InfiniteSquareClassGroup(f"{tower} has infinitely many square classes")
-    nonsq = tower.nonresidue if tower.kind == "F" else -1
     return [
-        SquareClass(tower, nonsq if k & 1 else 1, k >> 1)
-        for k in range(2 ** (len(tower.laurent_vars) + 1))
+        class_of_code(tower, k) for k in range(2 ** (len(tower.laurent_vars) + 1))
     ]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def class_of_code(tower: FieldTower, code) -> SquareClass:
+    """The class of ``tower`` whose ``code`` is ``code``, built once.
+
+    Cached per (tower, code) rather than as a whole table per tower, so a
+    tower with many variables costs only the classes actually used.
+    """
+    if tower.kind == "Q":
+        mask, size, negative = code
+        return SquareClass(tower, -size if negative else size, mask)
+    nonsq = tower.nonresidue if tower.kind == "F" else -1
+    return SquareClass(tower, nonsq if code & 1 else 1, code >> 1)
 
 
 def residue_split(tower: FieldTower, x: SquareClass) -> tuple[int, SquareClass]:

@@ -8,11 +8,19 @@ Laurent tower k((t_1))...((t_n)), Springer's theorem gives
 W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
 the entries of one mask, with the mask cleared, form one base-field
 summand, and the rule runs once on each.
+
+A form's ``key`` is the sorted tuple of its entries' codes (see
+``fields``), computed once.  The memo caches are keyed on (tower, key),
+or (tower, slot codes) for Pfister forms, so a repeated question costs
+one tuple hash; the tower stays in every key, since the same codes mean
+different classes over different towers.  Over F_p and real towers the
+group law is the XOR of codes, which is how Pfister expansions, tensor
+products and scalings multiply entries.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -32,6 +40,7 @@ from .fields import (
     FieldTower,
     QuadraticExtension,
     SquareClass,
+    class_of_code,
     enumerate_square_classes,
     minus_one_class,
     one_class,
@@ -40,14 +49,21 @@ from .fields import (
 from .laurent import LaurentPoly
 
 
+def _times(a: SquareClass, entries) -> tuple[SquareClass, ...]:
+    """a*e for each entry e: the XOR of codes over F_p and real towers,
+    ``sq_mul`` over Q.  The entries must live over a's tower."""
+    tower = a.tower
+    if tower.is_enumerable:
+        return tuple(class_of_code(tower, a.code ^ e.code) for e in entries)
+    return tuple(sq_mul(a, e) for e in entries)
+
+
 def _pfister_expansion(tower: FieldTower, slots) -> tuple[SquareClass, ...]:
     """Entries of <<a_1,...,a_n>>: fold e -> e ++ (-a)*e over the slots."""
-    m1 = minus_one_class(tower)
-    entries = [one_class(tower)]
-    for a in slots:
-        neg_a = sq_mul(m1, a)
-        entries = entries + [sq_mul(neg_a, e) for e in entries]
-    return tuple(entries)
+    entries = (one_class(tower),)
+    for neg_a in _times(minus_one_class(tower), slots):
+        entries += _times(neg_a, entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -55,11 +71,13 @@ class DiagonalForm:
     tower: FieldTower
     entries: tuple[SquareClass, ...]
     pfister_slots: Optional[tuple[SquareClass, ...]] = None
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for e in self.entries:
+        for e in self.entries + (self.pfister_slots or ()):
             if e.tower != self.tower:
                 raise FieldMismatch(f"entry {e} lives over {e.tower}, not {self.tower}")
+        object.__setattr__(self, "key", tuple(sorted(e.code for e in self.entries)))
         if self.pfister_slots is not None:
             if self.entries != _pfister_expansion(self.tower, self.pfister_slots):
                 raise ValueError("entries do not match the recorded Pfister expansion")
@@ -78,14 +96,22 @@ class DiagonalForm:
     __repr__ = __str__
 
 
+def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
+    return tuple(class_of_code(tower, c) for c in codes)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _pfister_cached(tower: FieldTower, slots: tuple) -> DiagonalForm:
+def _pfister_cached(tower: FieldTower, slot_codes: tuple) -> DiagonalForm:
+    slots = _classes(tower, slot_codes)
     return DiagonalForm(tower, _pfister_expansion(tower, slots), slots)
 
 
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
     """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>, provenance kept."""
-    return _pfister_cached(tower, tuple(slots))
+    for a in slots:
+        if a.tower != tower:
+            raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
+    return _pfister_cached(tower, tuple(a.code for a in slots))
 
 
 def pure_part(f: DiagonalForm) -> DiagonalForm:
@@ -112,7 +138,7 @@ def tensor(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
     if f.is_pfister and g.is_pfister:
         return pfister(f.tower, g.pfister_slots + f.pfister_slots)
     return DiagonalForm(
-        f.tower, tuple(sq_mul(a, b) for a in f.entries for b in g.entries)
+        f.tower, tuple(ab for a in f.entries for ab in _times(a, g.entries))
     )
 
 
@@ -126,7 +152,7 @@ def scale(f: DiagonalForm, a) -> DiagonalForm:
         raise FieldMismatch(f"{a.tower} vs {f.tower}")
     if a.is_one:
         return f
-    return DiagonalForm(f.tower, tuple(sq_mul(a, e) for e in f.entries))
+    return DiagonalForm(f.tower, _times(a, f.entries))
 
 
 def negate(f: DiagonalForm) -> DiagonalForm:
@@ -198,10 +224,6 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
 # -- isotropy, Witt decomposition -----------------------------------------------
 
 
-def _sorted_entries(f: DiagonalForm) -> tuple[SquareClass, ...]:
-    return tuple(sorted(f.entries))
-
-
 @dataclass(frozen=True)
 class WittDecomposition:
     witt_index: int
@@ -267,12 +289,14 @@ def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecom
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
-    the entries of mask m (Lam, Ch. VI).  ``entries`` are sorted, so each
-    mask is one run; a run with its mask cleared is one base-field form.
+    the entries of mask m (Lam, Ch. VI).  The codes of ``key`` are sorted,
+    so each mask is one run; a run with its mask cleared is one base-field
+    form.
     """
+    entries = _classes(tower, key)
     if not tower.laurent_vars:
         return _witt_base(tower, entries)
     base = tower.base_field()
@@ -295,7 +319,7 @@ def _witt(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposit
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
-    return _witt(f.tower, _sorted_entries(f))
+    return _witt(f.tower, f.key)
 
 
 def is_isotropic(f: DiagonalForm) -> bool:
@@ -307,9 +331,9 @@ def is_hyperbolic(f: DiagonalForm) -> bool:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _isometric(tower, entries_f, entries_g) -> bool:
-    f = DiagonalForm(tower, entries_f)
-    g = DiagonalForm(tower, entries_g)
+def _isometric(tower: FieldTower, key_f: tuple, key_g: tuple) -> bool:
+    f = DiagonalForm(tower, _classes(tower, key_f))
+    g = DiagonalForm(tower, _classes(tower, key_g))
     if tower.kind == "Q" and not tower.laurent_vars:
         from . import arithq
 
@@ -323,7 +347,7 @@ def is_isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
         raise FieldMismatch(f"{f.tower} vs {g.tower}")
     if f.dim != g.dim:
         return False
-    return _isometric(f.tower, _sorted_entries(f), _sorted_entries(g))
+    return _isometric(f.tower, f.key, g.key)
 
 
 # -- splitting over quadratic extensions -------------------------------------------

@@ -291,6 +291,27 @@ def _ramified_cubic_trace_form(tower: FieldTower):
     return gram, diagonalize(tower, gram)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
+    """The algebra-independent half of steps (c) and (d): for every (b, c),
+    the hermitian norm <<d>> x <<b,c>> and whether the trace form
+    <<d>> x t3 is isometric to <<d>> x pure(<<b,c>>)."""
+    _, t3 = _ramified_cubic_trace_form(tower)
+    pf_d = pfister(tower, (d,))
+    lhs = tensor(pf_d, t3)
+    classes = enumerate_square_classes(tower)
+    return tuple(
+        (
+            b,
+            c,
+            jacobson_norm(tower, d, b, c),
+            is_isometric(lhs, tensor(pf_d, pure_part(pfister(tower, (b, c))))),
+        )
+        for b in classes
+        for c in classes
+    )
+
+
 @dataclass(frozen=True)
 class LambdaRow:
     r: int
@@ -448,18 +469,11 @@ def cubic_obstruction_report(
     gram, t3 = _ramified_cubic_trace_form(tower)
 
     # (c)/(d) exhaustive hermitian candidates
-    pf_d = pfister(tower, (d,))
-    lhs = tensor(pf_d, t3)
-    classes = enumerate_square_classes(tower)
     evidence = []
-    for b in classes:
-        for c in classes:
-            matches = is_isometric(jacobson_norm(tower, d, b, c), C.norm)
-            iso = None
-            if matches:
-                rhs = tensor(pf_d, pure_part(pfister(tower, (b, c))))
-                iso = is_isometric(lhs, rhs)
-            evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
+    for b, c, norm, trace_isometric in _hermitian_candidates(tower, d):
+        matches = is_isometric(norm, C.norm)
+        iso = trace_isometric if matches else None
+        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
 
     return CubicObstructionReport(
         tower,

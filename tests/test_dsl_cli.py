@@ -1,14 +1,19 @@
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittforge
 from wittforge import dsl
-from wittforge.cli import run_command
+from wittforge.cli import build_parser, run_command
 from wittforge.errors import ParseError, WittforgeError, ZeroSlot
 from wittforge.fields import (
     FieldTower,
@@ -194,6 +199,44 @@ class TestCli:
     def test_bad_usage_exit_2(self, capsys):
         assert self.run(capsys, "qf-isotropy")[0] == 2
         assert self.run(capsys, "no-such-command")[0] == 2
+
+    def test_one_parser_serves_every_command(self, capsys):
+        # the parser is built once per process: a usage error in between
+        # must leave nothing behind for the next command
+        parser = build_parser()
+        code, out, _ = self.run(
+            capsys, "qf-isotropy", "--field", "F5((t))", "--form", "<<u,t>>"
+        )
+        assert (code, out) == (0, "anisotropic\n")
+        code, out, err = self.run(capsys, "qf-witt", "--field", "F5")
+        assert code == 2 and out == "" and "--form" in err
+        code, out, _ = self.run(
+            capsys, "qf-witt", "--field", "R((t))", "--form", "[1,1,-t]", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["command"] == "qf-witt" and "oracle" not in payload
+        assert (payload["witt_index"], payload["kernel"]) == (0, ["1", "1", "-t"])
+        assert build_parser() is parser
+
+    def test_huge_prime_field_answers_quickly(self):
+        # 2^61 - 1: trial division up to its square root would not finish
+        src = Path(wittforge.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "wittforge.cli", "qf-isotropy",
+                "--field", "F2305843009213693951", "--form", "[1,1]",
+            ],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "anisotropic\n", "")
+
+    def test_field_past_the_primality_bound_named_error(self, capsys):
+        code, _, err = self.run(
+            capsys, "qf-isotropy", "--field", f"F{2**89 - 1}", "--form", "[1,1]"
+        )
+        assert code == 1 and err.startswith("error: PrimalityBoundExceeded:")
 
     def test_cubic_obstruction_json(self, capsys):
         code, out, _ = self.run(

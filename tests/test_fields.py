@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import itertools
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from wittforge.errors import (
     FieldMismatch,
     InfiniteSquareClassGroup,
     NotLaurent,
+    PrimalityBoundExceeded,
     UnknownVariable,
     UnsupportedDelta,
     ZeroElement,
@@ -20,10 +23,13 @@ from wittforge.errors import (
 import wittforge
 from wittforge.fields import (
     FieldTower,
+    PRIMALITY_BOUND,
     SquareClass,
     canonical_square_class,
+    class_of_code,
     enumerate_square_classes,
     extend_quadratic,
+    is_prime,
     lift_class,
     minus_one_class,
     nonresidue_class,
@@ -127,6 +133,21 @@ class TestGroupLaw:
         assert sorted(reversed(classes)) == classes
         assert [c.mask for c in classes[::2]] == list(range(2 ** len(tower.laurent_vars)))
 
+    @pytest.mark.parametrize("tower", DESK + [FieldTower("F", 5, ("t",), 2)], ids=str)
+    def test_codes_are_class_numbers_and_multiply_by_xor(self, tower):
+        classes = enumerate_square_classes(tower)
+        assert [c.code for c in classes] == list(range(len(classes)))
+        for x in classes:
+            assert class_of_code(tower, x.code) == x
+            for y in classes:
+                assert sq_mul(x, y).code == x.code ^ y.code
+
+    def test_rational_codes(self):
+        for value in (1, -1, 2, -6, 15, -15):
+            c = canonical_square_class(FieldTower.rationals("t"), value, {"t": 1})
+            assert c.code == (1, abs(c.base), c.base < 0)
+            assert class_of_code(c.tower, c.code) == c
+
     def test_rational_order(self):
         values = [3, -1, 2, 1, -2, -3]
         got = sorted(canonical_square_class(Q, v) for v in values)
@@ -166,6 +187,35 @@ class TestGroupLaw:
                     square_classes.add(mono)
             assert square_classes == {one_class(tower)}
             assert all(ns not in square_classes for ns in nonsquares)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 10**5):
+            assert is_prime(n) == _trial_division_is_prime(n), n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 31
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    def test_mersenne_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**31 - 1)
+        assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+    def test_past_the_proven_bound(self):
+        # 2^89 - 1 is prime, but no fixed set of bases is proven that far
+        with pytest.raises(PrimalityBoundExceeded):
+            is_prime(2**89 - 1)
+        assert 2**89 - 1 > PRIMALITY_BOUND
+        # a factor among the bases decides at any size
+        assert not is_prime(3 * (2**89 - 1))
+        assert not is_prime(2**200)
 
 
 class TestResidueSplit:
@@ -298,4 +348,8 @@ class TestCaches:
         assert len(caches) >= 7
         for name, fn in caches.items():
             maxsize = fn.cache_info().maxsize
-            assert maxsize is not None and maxsize >= 4096, name
+            if not inspect.signature(fn).parameters:
+                # a function of no arguments has exactly one entry to keep
+                assert maxsize == 1, name
+            else:
+                assert maxsize is not None and maxsize >= 4096, name

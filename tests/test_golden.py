@@ -1,4 +1,5 @@
-"""Byte-for-byte pins of report JSON and Witt kernels.
+"""Byte-for-byte pins of report JSON and Witt kernels, and a digest of
+the whole cubic-obstruction sweep.
 
 ``tests/golden_outputs.json`` holds the outputs below as the library
 produced them; any change to square-class representation, ordering,
@@ -8,6 +9,7 @@ meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -99,6 +101,30 @@ def collect() -> dict:
         "witt_Q((t))": _rational_laurent_rows(),
         "zero_divisor_F13((s))((t))": _zero_divisor_rows("F13((s))((t))"),
     }
+
+
+# sha256 over the report JSON of every division octonion algebra over
+# F13((s))((t)) against every nonsquare d: the whole obstruction sweep.
+SWEEP_SHA256 = "7024bb062c750300b94bd0990f572864cd766fbfed4c2582c71d2a1b73eb6cb0"
+
+
+def test_whole_obstruction_sweep():
+    tower = parse_field("F13((s))((t))")
+    # class k has bit 0 = u, bit 1 = s, bit 2 = t; the slots (a, b, c) of a
+    # division algebra are linearly independent over F_2, taken in
+    # lexicographic order, and d runs over the nonsquares 1..7
+    classes = enumerate_square_classes(tower)
+    digest = hashlib.sha256()
+    algebras = 0
+    for a, b, c in itertools.product(range(8), repeat=3):
+        if a == 0 or b in (0, a) or c in (0, a, b, a ^ b):
+            continue
+        algebras += 1
+        C = algebra_from_slots(tower, [classes[a], classes[b], classes[c]])
+        for d in range(1, 8):
+            digest.update(cubic_obstruction_report(C, classes[d]).to_json().encode())
+    assert algebras == 168
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_outputs_match_golden():

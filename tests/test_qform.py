@@ -463,6 +463,99 @@ class TestFlatSpringerProperties:
         assert is_hyperbolic(orthogonal_sum(f, negate(f)))
 
 
+# -- memo keys: the tower is part of every key, and keys respect isometry ----------
+
+
+class TestCacheKeys:
+    def test_same_entries_over_different_towers(self):
+        # <1,1> is isotropic exactly when -1 is a square: over F5, not F7
+        answers = []
+        for tower in (
+            FieldTower.prime(5),
+            FieldTower.prime(7),
+            FieldTower.prime(5, "t"),
+            FieldTower.prime(7, "t"),
+        ):
+            one = one_class(tower)
+            answers.append(is_isotropic(DiagonalForm(tower, (one, one))))
+        assert answers == [True, False, True, False]
+
+    def test_same_codes_over_different_towers(self):
+        # class number 1 is -1 over R and u over F5, where -1 is a square
+        answers, pfisters = [], []
+        for tower in (
+            FieldTower.reals(),
+            FieldTower.prime(5),
+            FieldTower.reals("t"),
+            FieldTower.prime(5, "t"),
+        ):
+            one, c1 = enumerate_square_classes(tower)[:2]
+            answers.append(
+                is_isometric(DiagonalForm(tower, (one, one)), DiagonalForm(tower, (c1, c1)))
+            )
+            pfisters.append(str(pfister(tower, (c1,))))
+        assert answers == [False, True, False, True]
+        assert pfisters == ["[1,1]", "[1,u]", "[1,1]", "[1,u]"]
+
+
+KEY_TOWERS = tuple(
+    tower
+    for names in ((), ("t",), ("s", "t"))
+    for tower in (
+        FieldTower.prime(3, *names),
+        FieldTower.prime(5, *names),
+        FieldTower("F", 5, names, 2),
+        FieldTower.reals(*names),
+    )
+)
+
+
+@st.composite
+def built_forms(draw, tower):
+    """A form over ``tower``: plain entries, or built by tensor, scale or pfister."""
+    classes = enumerate_square_classes(tower)
+
+    def plain(max_size):
+        entries = draw(st.lists(st.sampled_from(classes), max_size=max_size))
+        return DiagonalForm(tower, tuple(entries))
+
+    how = draw(st.sampled_from(("plain", "tensor", "scale", "pfister")))
+    if how == "tensor":
+        return tensor(plain(2), plain(3))
+    if how == "scale":
+        return scale(plain(6), draw(st.sampled_from(classes)))
+    if how == "pfister":
+        return pfister(tower, draw(st.lists(st.sampled_from(classes), max_size=2)))
+    return plain(6)
+
+
+class TestIsometryProperties:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_isometric_iff_difference_is_hyperbolic(self, data):
+        tower = data.draw(st.sampled_from(KEY_TOWERS))
+        f = data.draw(built_forms(tower))
+        shuffled = DiagonalForm(tower, tuple(data.draw(st.permutations(f.entries))))
+        g = data.draw(
+            st.one_of(
+                st.just(shuffled),
+                st.builds(
+                    lambda a: scale(shuffled, a),
+                    st.sampled_from(enumerate_square_classes(tower)),
+                ),
+                built_forms(tower),
+            )
+        )
+        # Witt cancellation, with -g built by the general group law
+        m1 = minus_one_class(tower)
+        difference = DiagonalForm(
+            tower, f.entries + tuple(sq_mul(m1, e) for e in g.entries)
+        )
+        expected = f.dim == g.dim and reference_witt(difference).kernel_dim == 0
+        assert is_isometric(f, g) == expected
+        assert is_isometric(g, f) == expected
+
+
 # -- Gram diagonalization properties ------------------------------------------------
 
 GRAM_TOWERS = (
