@@ -14,6 +14,13 @@ pair, and the diagonal norm is read off the table's diagonal:
 N(e_0) = 1 and N(e_i) = -gamma_ii.  Element coordinates are exact
 Laurent polynomials; the operations used here (multiply, conjugate,
 norm, trace) never leave that ring.
+
+A product is one accumulate-then-reduce pass: every term of
+x_i * y_j * gamma_ij is added, unreduced, into a raw {exps: coeff} map
+for slot i xor j (``laurent._add_product``; gamma_ij may have any number
+of terms), and each of the dim maps is reduced once into its coordinate
+(``laurent._reduce_raw``).  The diagonal norm value is built the same
+way.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from .errors import (
     ZeroSlot,
 )
 from .fields import FieldTower, SquareClass
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _add_product, _reduce_raw
 from .qform import is_isotropic, pfister
 
 
@@ -91,7 +98,7 @@ class AlgebraElement:
     coords: tuple[LaurentPoly, ...]
 
     def _check(self, other):
-        if self.algebra != other.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatch(f"{self.algebra} vs {other.algebra}")
 
     def __add__(self, other):
@@ -115,16 +122,15 @@ class AlgebraElement:
             return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
         self._check(other)
         A = self.algebra
-        zero = LaurentPoly.zero(A.tower)
-        acc = [zero] * A.dim
-        for i, xi in enumerate(self.coords):
-            if xi.is_zero:
+        raw = [{} for _ in range(A.dim)]  # slot i ^ j: {exps: unreduced coeff}
+        ys = [(j, y.terms) for j, y in enumerate(other.coords) if y.terms]
+        for i, x in enumerate(self.coords):
+            if not x.terms:
                 continue
-            for j, yj in enumerate(other.coords):
-                if yj.is_zero:
-                    continue
-                acc[i ^ j] = acc[i ^ j] + xi * yj * A.mul_table[i][j]
-        return AlgebraElement(A, tuple(acc))
+            gammas = A.mul_table[i]
+            for j, y_terms in ys:
+                _add_product(raw[i ^ j], x.terms, y_terms, gammas[j].terms)
+        return AlgebraElement(A, tuple(_reduce_raw(A.tower, m) for m in raw))
 
     __rmul__ = __mul__
 
@@ -149,10 +155,10 @@ class AlgebraElement:
 
     def norm_form_value(self) -> LaurentPoly:
         """The norm evaluated as a diagonal form on the coordinates."""
-        out = LaurentPoly.zero(self.algebra.tower)
+        raw = {}
         for c, x in zip(self.algebra.norm_coeffs, self.coords):
-            out = out + c * x * x
-        return out
+            _add_product(raw, x.terms, x.terms, c.terms)
+        return _reduce_raw(self.algebra.tower, raw)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

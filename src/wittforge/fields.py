@@ -171,6 +171,8 @@ class FieldTower:
     p: Optional[int] = None
     laurent_vars: tuple[str, ...] = ()
     degree: int = 1  # 2 models the unramified quadratic extension of F_p
+    # towers key every memo cache, so the hash is computed once, here
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("Q", "R", "F"):
@@ -188,6 +190,16 @@ class FieldTower:
         for v in self.laurent_vars:
             if not v or v[0].isdigit() or not set(v) <= _IDENT_OK:
                 raise ValueError(f"bad variable name {v!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.p, self.laurent_vars, self.degree))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt on unpickling: string hashes differ between processes
+        return FieldTower, (self.kind, self.p, self.laurent_vars, self.degree)
 
     # -- constructors ------------------------------------------------------
 
@@ -213,12 +225,12 @@ class FieldTower:
 
     def base_field(self) -> "FieldTower":
         """The base field alone, every Laurent variable dropped."""
-        return FieldTower(self.kind, self.p, (), self.degree)
+        return _subtower(self.kind, self.p, (), self.degree)
 
     def inner(self) -> "FieldTower":
         if not self.laurent_vars:
             raise NotLaurent(f"{self} has no Laurent variable")
-        return FieldTower(self.kind, self.p, self.laurent_vars[:-1], self.degree)
+        return _subtower(self.kind, self.p, self.laurent_vars[:-1], self.degree)
 
     @property
     def is_enumerable(self) -> bool:
@@ -250,6 +262,12 @@ class FieldTower:
         else:
             head = self.kind
         return head + "".join(f"(({v}))" for v in self.laurent_vars)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _subtower(kind, p, laurent_vars, degree) -> FieldTower:
+    """A tower below one already validated: built and checked once."""
+    return FieldTower(kind, p, laurent_vars, degree)
 
 
 @total_ordering

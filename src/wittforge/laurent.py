@@ -6,6 +6,14 @@ forms.  Coefficients are Fractions over Q and sign bases, residues mod p
 over prime bases, so over a degree-2 base F_{p^2} the nonresidue class has
 no monomial representative.  Exponent vectors follow the tower's variable
 order, innermost first; negative exponents are allowed.
+
+Arithmetic accumulates, then reduces: sums and products first add raw
+coefficients (ints, or Fractions) into a plain {exps: coeff} map, every
+product through the one kernel ``_add_product``, and ``_reduce_raw``
+then turns that map into a polynomial: ``_norm_coeff`` once per
+exponent, zeros dropped, terms sorted.  Reduction mod p is a ring
+homomorphism, so the result is the one that reducing at every step
+gives.  ``algebras`` builds whole element products the same way.
 """
 from __future__ import annotations
 
@@ -31,6 +39,30 @@ def _norm_coeff(tower: FieldTower, c):
     return Fraction(int(c))
 
 
+def _add_product(raw: dict, f, g, h) -> None:
+    """Add every term of the product of three term sequences into ``raw``,
+    coefficients unreduced.  The loops nest h, f, g: the longest goes last."""
+    for eh, ch in h:
+        for ef, cf in f:
+            efh = [a + b for a, b in zip(ef, eh)]
+            cfh = cf * ch
+            for eg, cg in g:
+                e = tuple([a + b for a, b in zip(efh, eg)])
+                raw[e] = raw.get(e, 0) + cfh * cg
+
+
+def _reduce_raw(tower: FieldTower, raw: dict) -> "LaurentPoly":
+    """The polynomial of a raw {exps: coeff} map: each coefficient reduced
+    once, zero terms dropped, terms sorted by exponent vector."""
+    terms = []
+    for e, c in raw.items():
+        c = _norm_coeff(tower, c)
+        if c:
+            terms.append((e, c))
+    terms.sort()
+    return LaurentPoly(tower, tuple(terms))
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     tower: FieldTower
@@ -39,21 +71,12 @@ class LaurentPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _make(cls, tower, term_map):
-        terms = tuple(
-            sorted((e, c) for e, c in term_map.items() if c != 0)
-        )
-        return cls(tower, terms)
-
-    @classmethod
     def zero(cls, tower: FieldTower) -> "LaurentPoly":
         return cls(tower, ())
 
     @classmethod
     def const(cls, tower: FieldTower, c) -> "LaurentPoly":
-        c = _norm_coeff(tower, c)
-        n = len(tower.laurent_vars)
-        return cls._make(tower, {(0,) * n: c})
+        return _reduce_raw(tower, {(0,) * len(tower.laurent_vars): c})
 
     @classmethod
     def monomial(cls, tower: FieldTower, c, exponents=None) -> "LaurentPoly":
@@ -61,9 +84,8 @@ class LaurentPoly:
         for v in exponents:
             if v not in tower.laurent_vars:
                 raise UnknownVariable(f"{v!r} not declared in {tower}")
-        c = _norm_coeff(tower, c)
         exps = tuple(exponents.get(v, 0) for v in tower.laurent_vars)
-        return cls._make(tower, {exps: c})
+        return _reduce_raw(tower, {exps: c})
 
     @classmethod
     def variable(cls, tower: FieldTower, name: str, e: int = 1) -> "LaurentPoly":
@@ -85,7 +107,7 @@ class LaurentPoly:
     @classmethod
     def coerce(cls, tower: FieldTower, value) -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
-            if value.tower != tower:
+            if value.tower is not tower and value.tower != tower:
                 raise UnknownVariable(f"polynomial over {value.tower}, expected {tower}")
             return value
         if isinstance(value, SquareClass):
@@ -94,22 +116,17 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _map(self):
-        return dict(self.terms)
-
     def __add__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        m = self._map()
+        raw = dict(self.terms)
         for e, c in other.terms:
-            m[e] = _norm_coeff(self.tower, m.get(e, 0) + c)
-        return LaurentPoly._make(self.tower, m)
+            raw[e] = raw.get(e, 0) + c
+        return _reduce_raw(self.tower, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._make(
-            self.tower, {e: _norm_coeff(self.tower, -c) for e, c in self.terms}
-        )
+        return _reduce_raw(self.tower, {e: -c for e, c in self.terms})
 
     def __sub__(self, other):
         return self + (-LaurentPoly.coerce(self.tower, other))
@@ -119,12 +136,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        m = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                m[e] = _norm_coeff(self.tower, m.get(e, 0) + c1 * c2)
-        return LaurentPoly._make(self.tower, m)
+        raw = {}
+        one = (((0,) * len(self.tower.laurent_vars), 1),)
+        _add_product(raw, self.terms, other.terms, one)
+        return _reduce_raw(self.tower, raw)
 
     __rmul__ = __mul__
 
@@ -151,9 +166,10 @@ class LaurentPoly:
             ((_, c),) = self.terms
             return SquareClass(tower, _base_class_of_constant(tower, c))
         v = min(e[-1] for e, _ in self.terms)
+        # the terms of lowest outer order, already sorted, nonzero and reduced
+        lead = tuple((e[:-1], c) for e, c in self.terms if e[-1] == v)
         inner = tower.inner()
-        sub = {e[:-1]: c for e, c in self.terms if e[-1] == v}
-        unit = LaurentPoly._make(inner, sub).square_class()
+        unit = LaurentPoly(inner, lead).square_class()
         outer_bit = (v & 1) << len(inner.laurent_vars)
         return SquareClass(tower, unit.base, unit.mask | outer_bit)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge.algebras import (
+    CompositionAlgebra,
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
@@ -243,48 +245,92 @@ class TestSplitDetection:
 
 
 # -- the product against the doubling formula on halves ------------------------------
+#
+# The reference works on plain {exps: coeff} dicts read off ``.terms``, with its
+# own sums and products (reduced mod p, or kept as Fractions), so it shares no
+# arithmetic with the library's product kernel.
 
 
-def _conj(x):
-    return [x[0]] + [-c for c in x[1:]]
+def _reduced(tower, c):
+    return c % tower.p if tower.kind == "F" else Fraction(c)
 
 
-def _add(x, y):
-    return [a + b for a, b in zip(x, y)]
+def _nonzero(tower, raw):
+    return {e: c for e, c in ((e, _reduced(tower, c)) for e, c in raw.items()) if c}
 
 
-def reference_product(slots, x, y):
+def _add(tower, f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(tower, out)
+
+
+def _mul(tower, f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(tower, out)
+
+
+def _conj(tower, x):
+    return [x[0]] + [_nonzero(tower, {e: -c for e, c in v.items()}) for v in x[1:]]
+
+
+def reference_product(tower, slots, x, y):
     """Cayley-Dickson doubling on coordinate halves, recursively:
     (a, b)(z, w) = (a z + c conj(w) b,  w a + b conj(z)) with u^2 = c the
     last slot, and the ground field's product at the bottom."""
     if not slots:
-        return [x[0] * y[0]]
+        return [_mul(tower, x[0], y[0])]
     h = len(x) // 2
-    inner, c = slots[:-1], LaurentPoly.of_class(slots[-1])
+    inner, c = slots[:-1], dict(LaurentPoly.of_class(slots[-1]).terms)
     a, b, z, w = x[:h], x[h:], y[:h], y[h:]
-    first = _add(
-        reference_product(inner, a, z),
-        [c * v for v in reference_product(inner, _conj(w), b)],
-    )
-    second = _add(reference_product(inner, w, a), reference_product(inner, b, _conj(z)))
+    cwb = reference_product(tower, inner, _conj(tower, w), b)
+    first = [
+        _add(tower, u, _mul(tower, c, v))
+        for u, v in zip(reference_product(tower, inner, a, z), cwb)
+    ]
+    second = [
+        _add(tower, u, v)
+        for u, v in zip(
+            reference_product(tower, inner, w, a),
+            reference_product(tower, inner, b, _conj(tower, z)),
+        )
+    ]
     return first + second
 
 
 Q_SLOT_VALUES = (-1, 2, -3, 5, 6, -7, 10, Fraction(1, 3))
+QT = FieldTower.rationals("t")
+RT = FieldTower.reals("t")
+F25T = FieldTower("F", 5, ("t",), 2)
+
+
+def _slots(tower):
+    if tower.kind == "Q":
+        return st.builds(
+            lambda v, e: canonical_square_class(tower, v, {x: e for x in tower.laurent_vars}),
+            st.sampled_from(Q_SLOT_VALUES),
+            st.integers(0, 1),
+        )
+    # over F25 only classes with base 1 have a monomial representative
+    classes = [c for c in enumerate_square_classes(tower) if tower.degree == 1 or c.base == 1]
+    return st.sampled_from(classes)
 
 
 @st.composite
 def algebra_and_pair(draw):
-    """Slots over F13((s))((t)) or Q for dimension 2, 4, 8 or 16, and two
-    elements with sparse Laurent coordinates."""
-    tower = draw(st.sampled_from((F13ST, Q)))
+    """Slots over F13((s))((t)), F25((t)), Q, Q((t)) or R((t)) for dimension
+    2, 4, 8 or 16, and two elements with sparse Laurent coordinates."""
+    tower = draw(st.sampled_from((F13ST, F25T, Q, QT, RT)))
     if tower.kind == "F":
-        slot = st.sampled_from(enumerate_square_classes(tower))
-        coeff = st.integers(1, 12)
+        coeff = st.integers(1, tower.p - 1)
     else:
-        slot = st.sampled_from(Q_SLOT_VALUES).map(qc)
         coeff = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
-    slots = tuple(draw(st.lists(slot, min_size=1, max_size=4)))
+    slots = tuple(draw(st.lists(_slots(tower), min_size=1, max_size=4)))
     A = algebra_from_slots(tower, slots)
 
     def poly():
@@ -301,8 +347,41 @@ def algebra_and_pair(draw):
 
 class TestReferenceProduct:
     @given(algebra_and_pair())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_product_matches_doubling_on_halves(self, case):
         A, x, y = case
-        expected = reference_product(A.slots, list(x.coords), list(y.coords))
-        assert list((x * y).coords) == expected
+        expected = reference_product(
+            A.tower, A.slots, [dict(c.terms) for c in x.coords], [dict(c.terms) for c in y.coords]
+        )
+        assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
+
+    def test_structure_constants_with_several_terms(self):
+        # doubling only makes monomial gamma_ij; the product must not rely on it
+        H = quaternion(F13ST, nonresidue_class(F13ST), var_class(F13ST, "s"))
+        s, t = LaurentPoly.variable(F13ST, "s"), LaurentPoly.variable(F13ST, "t")
+        table = [list(row) for row in H.mul_table]
+        table[1][2] = table[1][2] * (t + 1)
+        table[3][1] = s * t + t * t - 5
+        # N(e_2) = -s(s + 3) keeps the class of -s: its lowest term -3s, and 3 = 4^2 mod 13
+        table[2][2] = table[2][2] * (s + 3)
+        A = CompositionAlgebra(F13ST, H.slots, tuple(tuple(row) for row in table))
+        rng = random.Random(9)
+        for _ in range(20):
+            x, y = random_element(A, rng, polynomial=True), random_element(A, rng, polynomial=True)
+            xs, ys = [dict(c.terms) for c in x.coords], [dict(c.terms) for c in y.coords]
+            expected, norm = [{} for _ in range(A.dim)], {}
+            for i, j in itertools.product(range(A.dim), repeat=2):
+                term = _mul(F13ST, _mul(F13ST, xs[i], ys[j]), dict(A.mul_table[i][j].terms))
+                expected[i ^ j] = _add(F13ST, expected[i ^ j], term)
+            for c, v in zip(A.norm_coeffs, xs):
+                norm = _add(F13ST, norm, _mul(F13ST, dict(c.terms), _mul(F13ST, v, v)))
+            assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
+            assert x.norm_form_value().terms == tuple(sorted(norm.items()))
+
+    @given(algebra_and_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_element_times_its_conjugate_cancels_to_its_norm(self, case):
+        A, x, _ = case
+        prod = x * x.conj()
+        assert all(c.is_zero for c in prod.coords[1:])
+        assert prod.coords[0] == x.norm() == x.norm_form_value()

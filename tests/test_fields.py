@@ -2,8 +2,12 @@ import importlib
 import inspect
 import itertools
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +328,49 @@ class TestTowerBasics:
             FieldTower.prime(9)
         with pytest.raises(ValueError):
             FieldTower.prime(5, "t", "t")
+
+    def test_subtowers_built_once(self):
+        for tower in (F13ST, RTS, FieldTower("F", 5, ("t",), 2), FieldTower.rationals("t")):
+            assert tower.inner() is tower.inner()
+            assert tower.base_field() is tower.base_field()
+            assert tower.inner() == FieldTower(
+                tower.kind, tower.p, tower.laurent_vars[:-1], tower.degree
+            )
+        assert F13ST.inner().inner() is F13ST.base_field()
+
+    def test_hash_agrees_with_equality(self):
+        towers = [
+            FieldTower.prime(13, "s", "t"),
+            FieldTower.prime(13, "s", "t"),
+            F13ST,
+            FieldTower.prime(13, "t", "s"),
+            FieldTower("F", 13, ("s", "t"), 2),
+            FieldTower.prime(13, "s", "t").inner(),
+            FieldTower.prime(13, "s"),
+            FieldTower.reals("s", "t"),
+            FieldTower.rationals("s", "t"),
+        ]
+        for a, b in itertools.product(towers, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b)
+        assert len(set(towers)) == 6
+        assert {FieldTower.prime(13, "s", "t"): 1}[F13ST] == 1
+
+    def test_pickled_tower_rehashes_in_another_process(self):
+        # string hashes differ between processes, so the cached hash must not travel
+        src = Path(wittforge.__file__).resolve().parents[1]
+        head = "from wittforge.fields import FieldTower as T; import pickle, sys; t = T.prime(13, 's', 't'); "
+
+        def run(seed, code, stdin=None):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", head + code],
+                input=stdin, capture_output=True, env=env, timeout=60,
+            )
+
+        dumped = run("1", "sys.stdout.buffer.write(pickle.dumps(t))").stdout
+        loaded = run("2", "print({t: 'found'}[pickle.loads(sys.stdin.buffer.read())])", dumped)
+        assert (loaded.returncode, loaded.stdout) == (0, b"found\n")
 
 
 def package_caches():

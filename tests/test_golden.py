@@ -1,5 +1,5 @@
-"""Byte-for-byte pins of report JSON and Witt kernels, and a digest of
-the whole cubic-obstruction sweep.
+"""Byte-for-byte pins of report JSON and Witt kernels, and digests of
+the whole cubic-obstruction sweep and of seeded algebra products.
 
 ``tests/golden_outputs.json`` holds the outputs below as the library
 produced them; any change to square-class representation, ordering,
@@ -12,11 +12,19 @@ meant to change) with
 import hashlib
 import itertools
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
-from wittforge.algebras import algebra_from_slots, zero_divisor_pair
+from wittforge.algebras import (
+    algebra_from_slots,
+    composition_defect,
+    find_defect_witness,
+    zero_divisor_pair,
+)
 from wittforge.dsl import parse_field, parse_form, parse_slots
 from wittforge.fields import enumerate_square_classes
+from wittforge.laurent import LaurentPoly
 from wittforge.qform import DiagonalForm, is_isotropic, witt_decompose
 from wittforge.tori import compare_torus_systems, cubic_obstruction_report, type_report
 
@@ -125,6 +133,55 @@ def test_whole_obstruction_sweep():
             digest.update(cubic_obstruction_report(C, classes[d]).to_json().encode())
     assert algebras == 168
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+# sha256 over str() of x*y, N(x*y) as a diagonal form and N(xy) - N(x)N(y)
+# for seeded pairs in dimensions 8 and 16, then over the sparse pair that
+# find_defect_witness returns for the 16-dimensional negative control.
+PRODUCT_SHA256 = "9deb011df88e225d02ae23f20e9d794493023802e3a2208a72980ac4e4d6efdc"
+
+PRODUCT_ALGEBRAS = (
+    ("F13((s))((t))", "u,s,t", "u,s,t,s*t"),
+    ("Q((t))", "-1,2,t", "-1,2,t,-3*t"),
+    ("R((t))", "-1,t,-t", "-1,t,-t,-1"),
+)
+
+
+def _seeded_element(A, rng):
+    tower = A.tower
+    if tower.kind == "F":
+        coeffs = range(1, tower.p)
+    else:
+        coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+    coords = []
+    for _ in range(A.dim):
+        poly = LaurentPoly.zero(tower)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            exps = {v: rng.randint(-2, 2) for v in tower.laurent_vars}
+            poly = poly + LaurentPoly.monomial(tower, rng.choice(coeffs), exps)
+        coords.append(poly)
+    return A.element(coords)
+
+
+def product_digest() -> str:
+    digest = hashlib.sha256()
+    rng = random.Random(20150)
+    for field, *slot_lists in PRODUCT_ALGEBRAS:
+        tower = parse_field(field)
+        for slots in slot_lists:
+            A = algebra_from_slots(tower, parse_slots(slots, tower))
+            for _ in range(6):
+                x, y = _seeded_element(A, rng), _seeded_element(A, rng)
+                for value in (x * y, (x * y).norm_form_value(), composition_defect(x, y)):
+                    digest.update(str(value).encode() + b";")
+    q = parse_field("Q")
+    for value in find_defect_witness(algebra_from_slots(q, parse_slots("-1,-1,-1,-1", q))):
+        digest.update(str(value).encode() + b";")
+    return digest.hexdigest()
+
+
+def test_product_digest():
+    assert product_digest() == PRODUCT_SHA256
 
 
 def test_outputs_match_golden():

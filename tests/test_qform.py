@@ -463,6 +463,50 @@ class TestFlatSpringerProperties:
         assert is_hyperbolic(orthogonal_sum(f, negate(f)))
 
 
+# -- the same laws over Q and Q((t)), decided by local invariants --------------------
+
+SMALL_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def rational_classes(draw, tower):
+    """A signed product of distinct small primes, times t or not over Q((t))."""
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=2, unique=True))
+    c = draw(st.sampled_from((1, -1)))
+    for q in primes:
+        c *= q
+    exps = {v: draw(st.integers(0, 1)) for v in tower.laurent_vars}
+    return canonical_square_class(tower, c, exps)
+
+
+@st.composite
+def rational_forms(draw):
+    tower = draw(st.sampled_from((Q, FieldTower.rationals("t"))))
+    entries = draw(st.lists(rational_classes(tower), max_size=6))
+    return DiagonalForm(tower, tuple(entries))
+
+
+class TestRationalWittProperties:
+    @given(rational_forms(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_witt_index_invariant_under_permutation_and_scaling(self, f, data):
+        index = witt_decompose(f).witt_index
+        shuffled = DiagonalForm(f.tower, tuple(data.draw(st.permutations(f.entries))))
+        a = data.draw(rational_classes(f.tower))
+        assert witt_decompose(shuffled).witt_index == index
+        assert witt_decompose(scale(f, a)).witt_index == index
+
+    @given(rational_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_form_plus_its_negative_has_full_witt_index(self, f):
+        assert witt_decompose(orthogonal_sum(f, negate(f))).witt_index == f.dim
+
+    @given(rational_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_isotropic_iff_positive_witt_index(self, f):
+        assert is_isotropic(f) == (witt_decompose(f).witt_index > 0)
+
+
 # -- memo keys: the tower is part of every key, and keys respect isometry ----------
 
 
