@@ -1,19 +1,29 @@
 """Composition algebras by structure constants.
 
-Quaternions, octonions and the dimension-16 negative control are built
-by iterated doubling from the ground field: C = A + A*u with u^2 = c and
+Quaternions, octonions and the dimension-16 negative control are
+iterated doublings of the ground field: C = A + A*u with u^2 = c and
 
     (x, y) (z, w) = (x z + c conj(w) y,  w x + y conj(z)).
 
 The norm of the double is <1,-c> tensor N_A, so an algebra built on
 slots (a, b, ...) has the corresponding Pfister form as its norm.
 
-Doubling keeps basis products monomial, e_i * e_j = gamma_ij * e_(i xor j)
-for a scalar gamma_ij, so the table holds that one Laurent polynomial per
-pair, and the diagonal norm is read off the table's diagonal:
-N(e_0) = 1 and N(e_i) = -gamma_ii.  Element coordinates are exact
-Laurent polynomials; the operations used here (multiply, conjugate,
-norm, trace) never leave that ring.
+Doubling keeps basis products monomial, e_i * e_j = gamma_ij * e_(i xor j),
+and unrolled it gives the index rule
+
+    gamma_ij = omega(i, j) * prod_(k in i & j) c_k,
+
+with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
+The sign table omega depends only on the number of slots; it comes from
+the doubling formula run over signs and is cached per slot count.  A
+table is then the 2^n slot-monomial products (4 Laurent products for an
+octonion) and their negations, each built once, picked by the sign of
+each pair.  An algebra is identified by (tower, slots), which is all its
+table depends on.  The diagonal norm is read off the table's diagonal:
+N(e_0) = 1 and N(e_i) = -gamma_ii, and its classes are checked against
+the Pfister form of the slots.  Element coordinates are exact Laurent
+polynomials; the operations used here (multiply, conjugate, norm, trace)
+never leave that ring.
 
 A product is one accumulate-then-reduce pass: every term of
 x_i * y_j * gamma_ij is added, unreduced, into a raw {exps: coeff} map
@@ -28,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,17 +48,31 @@ from .errors import (
     UnsupportedDim,
     ZeroSlot,
 )
-from .fields import FieldTower, SquareClass
+from .fields import CACHE_SIZE, FieldTower, SquareClass
 from .laurent import LaurentPoly, _add_product, _reduce_raw
 from .qform import is_isotropic, pfister
 
 
 class CompositionAlgebra:
-    """Structure-constant table with its construction history and norm form."""
+    """Structure-constant table with its construction history and norm form.
 
-    def __init__(self, tower, slots, mul_table):
+    Without ``mul_table`` the table is built from ``slots`` by the index
+    rule; a given table is still checked against the slots' Pfister norm.
+    """
+
+    def __init__(self, tower, slots, mul_table=None):
+        slots = tuple(slots)
+        if len(slots) > 4:
+            raise DimTooLarge("doubling past dimension 16 is not supported")
+        for c in slots:
+            if not isinstance(c, SquareClass):
+                raise ZeroSlot("doubling slot must be a nonzero square class")
+            if c.tower != tower:
+                raise AlgebraMismatch(f"{c.tower} vs {tower}")
+        if mul_table is None:
+            mul_table = _index_rule_table(tower, slots)
         self.tower = tower
-        self.slots = tuple(slots)
+        self.slots = slots
         self.dim = len(mul_table)
         self.mul_table = mul_table  # e_i * e_j = mul_table[i][j] * e_(i ^ j)
         # N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii: exact signed slot products
@@ -166,22 +191,15 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def base_algebra(tower: FieldTower) -> CompositionAlgebra:
-    one = LaurentPoly.const(tower, 1)
-    return CompositionAlgebra(tower, (), ((one,),))
-
-
-def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:
-    """Double A with a new unit of square c."""
-    if A.dim >= 16:
-        raise DimTooLarge("doubling past dimension 16 is not supported")
-    if not isinstance(c, SquareClass):
-        raise ZeroSlot("doubling slot must be a nonzero square class")
-    if c.tower != A.tower:
-        raise AlgebraMismatch(f"{c.tower} vs {A.tower}")
-    d = A.dim
-    cm = LaurentPoly.of_class(c)
-    g = A.mul_table
+@lru_cache(maxsize=CACHE_SIZE)
+def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """omega(i, j) = +-1 with gamma_ij = omega(i, j) * prod_(k in i & j) c_k
+    for n slots, by the doubling formula run over signs; the new slot is
+    the high bit, and conj(e_jj) = -e_jj unless jj = 0."""
+    if n == 0:
+        return ((1,),)
+    w = _sign_table(n - 1)
+    d = len(w)
     table = []
     for i in range(2 * d):
         bi, ii = divmod(i, d)
@@ -190,38 +208,57 @@ def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:
             bj, jj = divmod(j, d)
             sign = 1 if jj == 0 else -1  # conj(e_jj) = sign * e_jj
             if bi == 0 and bj == 0:
-                row.append(g[ii][jj])
-            elif bi == 0 and bj == 1:
+                row.append(w[ii][jj])
+            elif bi == 0:
                 # (a,0)(0,b) = (0, b a)
-                row.append(g[jj][ii])
-            elif bi == 1 and bj == 0:
+                row.append(w[jj][ii])
+            elif bj == 0:
                 # (0,a)(b,0) = (0, a conj(b))
-                row.append(sign * g[ii][jj])
+                row.append(sign * w[ii][jj])
             else:
                 # (0,a)(0,b) = (c conj(b) a, 0)
-                row.append(sign * cm * g[jj][ii])
+                row.append(sign * w[jj][ii])
         table.append(tuple(row))
-    return CompositionAlgebra(A.tower, A.slots + (c,), tuple(table))
+    return tuple(table)
+
+
+def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
+    """e_i * e_j = omega(i, j) * prod_(k in i & j) c_k * e_(i xor j), with
+    c_k the monomial of slot k: one product per slot monomial (the masks
+    with two or more bits), and each negated once."""
+    prods = [LaurentPoly.const(tower, 1)]
+    for c in slots:
+        cm = LaurentPoly.of_class(c)
+        prods += [cm] + [p * cm for p in prods[1:]]
+    negs = [-p for p in prods]
+    w = _sign_table(len(slots))
+    n = len(prods)
+    return tuple(
+        tuple(prods[i & j] if w[i][j] > 0 else negs[i & j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:
+    """Double A with a new unit of square c."""
+    return algebra_from_slots(A.tower, A.slots + (c,))
 
 
 def quaternion(tower: FieldTower, a: SquareClass, b: SquareClass) -> CompositionAlgebra:
     """Basis 1, i, j, ij with i^2 = a, j^2 = b, ij = -ji; norm <<a,b>>."""
-    return cayley_dickson(cayley_dickson(base_algebra(tower), a), b)
+    return algebra_from_slots(tower, (a, b))
 
 
 def octonion(
     tower: FieldTower, a: SquareClass, b: SquareClass, c: SquareClass
 ) -> CompositionAlgebra:
-    return cayley_dickson(quaternion(tower, a, b), c)
+    return algebra_from_slots(tower, (a, b, c))
 
 
 def algebra_from_slots(
     tower: FieldTower, slots: Sequence[SquareClass]
 ) -> CompositionAlgebra:
-    A = base_algebra(tower)
-    for s in slots:
-        A = cayley_dickson(A, s)
-    return A
+    return CompositionAlgebra(tower, slots)
 
 
 def is_split(A: CompositionAlgebra) -> bool:
@@ -364,14 +401,24 @@ def zero_divisor_pair(A: CompositionAlgebra):
 
 
 def find_defect_witness(A: CompositionAlgebra):
-    """Sparse pair with N(xy) != N(x)N(y); such pairs exist in dimension 16."""
-    idx = range(A.dim)
-    for i, j in itertools.combinations(idx, 2):
-        x = A.basis(i) + A.basis(j)
-        for k, l in itertools.combinations(idx, 2):
-            for sign in (1, -1):
-                y = A.basis(k) + (A.basis(l) * sign)
-                defect = composition_defect(x, y)
-                if not defect.is_zero:
-                    return x, y, defect
+    """Sparse pair with N(xy) != N(x)N(y); such pairs exist in dimension 16.
+
+    x runs over e_i + e_j and, for each, y over e_k + e_l then e_k - e_l
+    (i < j, k < l, lexicographic); every candidate and its norm is built
+    once."""
+    basis = [A.basis(i) for i in range(A.dim)]
+    negs = [-e for e in basis]
+    pairs = list(itertools.combinations(range(A.dim), 2))
+    ys = [
+        (y, y.norm_form_value())
+        for k, l in pairs
+        for y in (basis[k] + basis[l], basis[k] + negs[l])
+    ]
+    for i, j in pairs:
+        x = basis[i] + basis[j]
+        nx = x.norm_form_value()
+        for y, ny in ys:
+            defect = (x * y).norm_form_value() - nx * ny
+            if not defect.is_zero:
+                return x, y, defect
     return None

@@ -12,6 +12,16 @@ algebra over at most two quadratic extensions.  The cubic-field kind is
 ruled out for division algebras by an exhaustive trace-form comparison:
 every hermitian-shape candidate (b, c) compatible with the norm form
 would force the norm to be hyperbolic.
+
+Each part of an obstruction report is computed once per the inputs it
+depends on: the lambda rows, the trace gram and the trace diagonal per
+tower; the hermitian candidates per (tower, d); and the evidence rows per
+(tower, d, sorted codes of the algebra norm's entries), the only part of
+the norm that isometry reads (not the form itself, whose Pfister slots
+differ between algebras with the same norm).  The memoized helpers call
+``sq_mul``, ``is_isometric`` and the other names through this module's
+globals.  Every report still runs its preconditions and reads its
+verdict off its own rows.
 """
 from __future__ import annotations
 
@@ -37,6 +47,7 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
+    class_of_code,
     enumerate_square_classes,
     lift_class,
     sq_mul,
@@ -429,8 +440,9 @@ def cubic_obstruction_report(
     a square, (b) the trace form of the ramified cubic, (c) all (b, c)
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
-    hyperbolic.  The verdict is read off the rows; a row contradicting
-    the theorem raises InternalInconsistency.
+    hyperbolic.  The rows come from memos keyed on the tower and on
+    (tower, d, norm key); the verdict is read off them on every call, and
+    a row contradicting the theorem raises InternalInconsistency.
     """
     tower = C.tower
     if C.dim != 8:
@@ -448,6 +460,24 @@ def cubic_obstruction_report(
     if d.is_one:
         raise PreconditionFailed("d must be a nonsquare")
 
+    lambda_rows, gram, trace_diagonal = _tower_rows(tower)
+    evidence = _evidence_rows(tower, d, C.norm.key)
+    return CubicObstructionReport(
+        tower,
+        C.slots,
+        d,
+        _obstruction_verdict(lambda_rows, evidence),
+        lambda_rows,
+        gram,
+        trace_diagonal,
+        evidence,
+    )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _tower_rows(tower: FieldTower) -> tuple:
+    """Steps (a) and (b), which depend on the tower alone: the lambda rows,
+    the trace gram as strings and the diagonal of t3."""
     inner = tower.inner()
     t_class = var_class(tower, tower.outer_var)
 
@@ -467,24 +497,25 @@ def cubic_obstruction_report(
 
     # (b) trace form of K(t^(1/3))
     gram, t3 = _ramified_cubic_trace_form(tower)
-
-    # (c)/(d) exhaustive hermitian candidates
-    evidence = []
-    for b, c, norm, trace_isometric in _hermitian_candidates(tower, d):
-        matches = is_isometric(norm, C.norm)
-        iso = trace_isometric if matches else None
-        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
-
-    return CubicObstructionReport(
-        tower,
-        C.slots,
-        d,
-        _obstruction_verdict(lambda_rows, evidence),
+    return (
         tuple(lambda_rows),
         tuple(tuple(str(e) for e in row) for row in gram),
         tuple(t3.entries),
-        tuple(evidence),
     )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _evidence_rows(tower: FieldTower, d: SquareClass, norm_key: tuple) -> tuple:
+    """Steps (c) and (d) against the algebra norm with sorted entry codes
+    ``norm_key``: isometry reads nothing else of a form, so every algebra
+    with that norm key shares these rows."""
+    norm = DiagonalForm(tower, tuple(class_of_code(tower, c) for c in norm_key))
+    evidence = []
+    for b, c, jnorm, trace_isometric in _hermitian_candidates(tower, d):
+        matches = is_isometric(jnorm, norm)
+        iso = trace_isometric if matches else None
+        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
+    return tuple(evidence)
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -607,11 +638,6 @@ class ComparisonReport:
         )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_obstruction(C: CompositionAlgebra, d: SquareClass) -> CubicObstructionReport:
-    return cubic_obstruction_report(C, d)
-
-
 def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
     if isinstance(tau.cubic, PureCubicGalois):
         if is_split(C):
@@ -622,7 +648,7 @@ def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
             return TypeVerdict(
                 tau, "inadmissible", "quadratic part must be a field for a division algebra"
             )
-        report = _cached_obstruction(C, tau.quad)
+        report = cubic_obstruction_report(C, tau.quad)
         return TypeVerdict(
             tau, report.verdict, "cubic obstruction: no hermitian candidate survives"
         )

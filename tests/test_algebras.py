@@ -345,6 +345,78 @@ def algebra_and_pair(draw):
     return A, x, y
 
 
+def reference_double(tower, table, c):
+    """Cayley-Dickson doubling of a structure-constant table, the recursive
+    way: with d = len(table) and e_(i + d) = e_i u, u^2 = c,
+
+        (a,0)(b,0) = (ab, 0)         (a,0)(0,b) = (0, ba)
+        (0,a)(b,0) = (0, a conj(b))  (0,a)(0,b) = (c conj(b) a, 0),
+
+    entries as {exps: coeff} dicts with this file's own arithmetic."""
+    d = len(table)
+    cm = dict(LaurentPoly.of_class(c).terms)
+    out = []
+    for i in range(2 * d):
+        bi, ii = divmod(i, d)
+        row = []
+        for j in range(2 * d):
+            bj, jj = divmod(j, d)
+            sign = 1 if jj == 0 else -1  # conj(e_jj) = sign * e_jj
+            if bi == 0 and bj == 0:
+                row.append(table[ii][jj])
+            elif bi == 0:
+                row.append(table[jj][ii])
+            elif bj == 0:
+                row.append(_nonzero(tower, {e: sign * v for e, v in table[ii][jj].items()}))
+            else:
+                signed_c = {e: sign * v for e, v in cm.items()}
+                row.append(_mul(tower, signed_c, table[jj][ii]))
+        out.append(row)
+    return out
+
+
+def reference_tables(tower, slot_tuples):
+    """{slots: doubled table} for every tuple, each prefix doubled once."""
+    one = {(0,) * len(tower.laurent_vars): 1}
+    tables = {(): [[one]]}
+    for slots in sorted(set(slot_tuples), key=len):
+        for k in range(1, len(slots) + 1):
+            if slots[:k] not in tables:
+                tables[slots[:k]] = reference_double(tower, tables[slots[: k - 1]], slots[k - 1])
+    return {slots: tables[slots] for slots in slot_tuples}
+
+
+F7RST = FieldTower.prime(7, "r", "s", "t")
+
+
+class TestIndexRule:
+    """e_i e_j = omega(i, j) * prod_(k in i & j) c_k * e_(i xor j) gives the
+    tables that recursive doubling gives."""
+
+    def _check(self, tower, slot_tuples):
+        for slots, expected in reference_tables(tower, slot_tuples).items():
+            A = algebra_from_slots(tower, slots)
+            got = [[c.terms for c in row] for row in A.mul_table]
+            assert got == [[tuple(sorted(v.items())) for v in row] for row in expected], slots
+
+    def test_every_slot_tuple_up_to_dim_16_over_f13st(self):
+        classes = enumerate_square_classes(F13ST)
+        self._check(
+            F13ST, [s for k in range(5) for s in itertools.product(classes, repeat=k)]
+        )
+
+    def test_seeded_slot_tuples(self):
+        rng = random.Random(13)
+        q_classes = [canonical_square_class(QT, v, {"t": e}) for v in Q_SLOT_VALUES for e in (0, 1)]
+        for tower, classes in (
+            (QT, q_classes),
+            (RT, enumerate_square_classes(RT)),
+            (F7RST, enumerate_square_classes(F7RST)),
+        ):
+            tuples = [tuple(rng.choice(classes) for _ in range(rng.randint(0, 4))) for _ in range(60)]
+            self._check(tower, tuples)
+
+
 class TestReferenceProduct:
     @given(algebra_and_pair())
     @settings(max_examples=200, deadline=None)

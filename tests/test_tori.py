@@ -59,6 +59,29 @@ F13 = FieldTower.prime(13)
 F13S = FieldTower.prime(13, "s")
 F5T = FieldTower.prime(5, "t")
 F13ST = FieldTower.prime(13, "s", "t")
+F7ST = FieldTower.prime(7, "s", "t")
+F7RST = FieldTower.prime(7, "r", "s", "t")
+
+
+def _tori_caches():
+    return [
+        fn
+        for fn in vars(tori).values()
+        if hasattr(fn, "cache_clear") and fn.__module__ == tori.__name__
+    ]
+
+
+@pytest.fixture(autouse=True)
+def cold_tori_caches():
+    """Every test starts and ends with empty ``tori`` memos: the
+    fault-injection tests patch names the memoized helpers call, so a
+    warm memo would hide the fault, and a poisoned entry left behind
+    would leak into later tests."""
+    for fn in _tori_caches():
+        fn.cache_clear()
+    yield
+    for fn in _tori_caches():
+        fn.cache_clear()
 
 
 def division_octonion():
@@ -371,7 +394,6 @@ class TestCubicObstruction:
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same report
-        tori._cached_obstruction.cache_clear()
         with pytest.raises(InternalInconsistency):
             type_report(C)
 
@@ -380,6 +402,46 @@ class TestCubicObstruction:
         monkeypatch.setattr(tori, "sq_mul", lambda x, y: one_class(x.tower))
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, nonresidue_class(F13ST))
+
+    def _warm_equals_cold(self, algebras, ds):
+        """A report served from memos filled by other algebras equals one
+        built with the per-tower and per-norm-key memos empty."""
+        warm = {
+            (A.slots, d): cubic_obstruction_report(A, d).to_json()
+            for A in algebras
+            for d in ds
+        }
+        for A in algebras:
+            for d in ds:
+                tori._tower_rows.cache_clear()
+                tori._evidence_rows.cache_clear()
+                assert cubic_obstruction_report(A, d).to_json() == warm[A.slots, d]
+
+    def test_memo_keys_over_f7st(self):
+        # -1 is not a square in F7, so the division norms have several keys
+        classes = enumerate_square_classes(F7ST)
+        algebras = [algebra_from_slots(F7ST, slots) for slots in itertools.product(classes, repeat=3)]
+        division = [A for A in algebras if not is_split(A)]
+        assert len({A.norm.key for A in division}) > 1
+        self._warm_equals_cold(division, [d for d in classes if not d.is_one])
+
+    def test_memo_keys_over_f7rst(self):
+        # three variables: division norms that are not isometric, so the
+        # evidence rows differ between norm keys for the same d
+        classes = enumerate_square_classes(F7RST)
+        rng = random.Random(11)
+        division = []
+        while len(division) < 24:
+            A = algebra_from_slots(F7RST, rng.sample(classes, 3))
+            if not is_split(A):
+                division.append(A)
+        ds = rng.sample([d for d in classes if not d.is_one], 3)
+        self._warm_equals_cold(division, ds)
+        matches = {
+            tuple(row.norm_matches for row in cubic_obstruction_report(A, ds[0]).evidence)
+            for A in division
+        }
+        assert len(matches) > 1
 
     def test_every_division_octonion_every_d_inadmissible(self):
         classes = enumerate_square_classes(F13ST)
