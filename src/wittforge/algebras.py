@@ -23,7 +23,8 @@ table depends on.  The diagonal norm is read off the table's diagonal:
 N(e_0) = 1 and N(e_i) = -gamma_ii, and its classes are checked against
 the Pfister form of the slots.  Element coordinates are exact Laurent
 polynomials; the operations used here (multiply, conjugate, norm, trace)
-never leave that ring.
+never leave that ring.  A zero divisor is x with conj x, for x an
+isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
 A product is one accumulate-then-reduce pass: every term of
 x_i * y_j * gamma_ij is added, unreduced, into a raw {exps: coeff} map
@@ -35,11 +36,9 @@ way.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .fields import CACHE_SIZE, FieldTower, SquareClass
 from .laurent import LaurentPoly, _add_product, _reduce_raw
-from .qform import is_isotropic, pfister
+from .qform import is_isotropic, isotropic_vector, pfister
 
 
 class CompositionAlgebra:
@@ -278,119 +277,14 @@ def composition_defect(x: AlgebraElement, y: AlgebraElement) -> LaurentPoly:
 # -- witnesses -----------------------------------------------------------------
 
 
-def _monomial_sqrt(tower: FieldTower, value: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact square root of a square monomial, when representable."""
-    if value.is_zero or len(value.terms) != 1:
-        return None
-    ((exps, coeff),) = value.terms
-    if any(e % 2 for e in exps):
-        return None
-    half = dict(zip(tower.laurent_vars, (e // 2 for e in exps)))
-    if tower.kind == "F":
-        p = tower.p
-        root = next((r for r in range(1, p) if r * r % p == coeff % p), None)
-        if root is None:
-            return None
-    else:
-        if coeff <= 0:
-            return None
-        num, den = coeff.numerator, coeff.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            return None
-        root = Fraction(rn, rd)
-    return LaurentPoly.monomial(tower, root, half)
-
-
-def _base_witness(
-    tower: FieldTower, coeffs: Sequence[LaurentPoly]
-) -> Optional[list[LaurentPoly]]:
-    """Nonzero solution of sum c_i x_i^2 = 0 for constants c_i, or None.
-
-    A two-entry block solved by an exact square root, or a brute-force
-    triple (F_p), or a small bounded search (Q).
-    """
-    n = len(coeffs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            root = _monomial_sqrt(tower, -(coeffs[i] * coeffs[j]))
-            if root is not None:
-                out = [LaurentPoly.zero(tower)] * n
-                out[i] = root
-                out[j] = coeffs[i]
-                return out
-    if n >= 3 and tower.kind == "F" and tower.degree == 1:
-        p = tower.p
-        c0, c1, c2 = (c.terms[0][1] for c in coeffs[:3])
-        for x0, x1, x2 in itertools.product(range(p), repeat=3):
-            if x0 == x1 == x2 == 0:
-                continue
-            if (c0 * x0 * x0 + c1 * x1 * x1 + c2 * x2 * x2) % p == 0:
-                out = [LaurentPoly.zero(tower)] * n
-                out[0] = LaurentPoly.const(tower, x0)
-                out[1] = LaurentPoly.const(tower, x1)
-                out[2] = LaurentPoly.const(tower, x2)
-                return out
-    if n >= 3 and tower.kind == "Q":
-        vals = [c.terms[0][1] for c in coeffs[:3]]
-        for x0, x1 in itertools.product(range(31), repeat=2):
-            if x0 == x1 == 0:
-                continue
-            rhs = -(vals[0] * x0 * x0 + vals[1] * x1 * x1) / vals[2]
-            if rhs <= 0:
-                continue
-            root = _monomial_sqrt(tower, LaurentPoly.const(tower, rhs))
-            if root is not None:
-                out = [LaurentPoly.zero(tower)] * n
-                out[0] = LaurentPoly.const(tower, x0)
-                out[1] = LaurentPoly.const(tower, x1)
-                out[2] = root
-                return out
-    return None
-
-
-def _isotropy_coords(
-    tower: FieldTower, coeffs: Sequence[LaurentPoly]
-) -> Optional[list[LaurentPoly]]:
-    """Exact nonzero solution of sum c_i x_i^2 = 0, monomial coefficients.
-
-    Springer's theorem, flat: indices are grouped by the parity vector
-    (mask) of their coefficient's exponent vector e_i, and the groups
-    are tried in ascending mask order.  A witness y of one group's base
-    coefficients lifts to x_i = y_i * prod v^(-floor(e_i/2)), since then
-    c_i x_i^2 = (base coefficient) * y_i^2 * (monomial of the mask).
-    """
-    groups: dict[int, list[int]] = {}
-    for idx, c in enumerate(coeffs):
-        ((exps, _),) = c.terms
-        mask = sum((e & 1) << i for i, e in enumerate(exps))
-        groups.setdefault(mask, []).append(idx)
-    base = tower.base_field()
-    for mask in sorted(groups):
-        idxs = groups[mask]
-        got = _base_witness(
-            base, [LaurentPoly.const(base, coeffs[i].terms[0][1]) for i in idxs]
-        )
-        if got is None:
-            continue
-        out = [LaurentPoly.zero(tower)] * len(coeffs)
-        for idx, y in zip(idxs, got):
-            ((exps, _),) = coeffs[idx].terms
-            if not y.is_zero:
-                ((_, yc),) = y.terms
-                half = {v: -(e // 2) for v, e in zip(tower.laurent_vars, exps)}
-                out[idx] = LaurentPoly.monomial(tower, yc, half)
-        return out
-    return None
-
-
 def zero_divisor_pair(A: CompositionAlgebra):
     """A pair (x, conj x) of nonzero elements multiplying to zero, or None.
 
-    The search is exact, so a returned pair is always genuine; it can
-    only succeed when the norm form is isotropic.
+    x is an isotropic vector of the diagonal norm (``qform.isotropic_vector``),
+    so a pair exists only when the norm form is isotropic; the product is
+    checked exactly before the pair is returned.
     """
-    coords = _isotropy_coords(A.tower, list(A.norm_coeffs))
+    coords = isotropic_vector(A.tower, A.norm_coeffs)
     if coords is None:
         return None
     x = A.element(coords)

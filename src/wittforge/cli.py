@@ -59,6 +59,9 @@ def _cmd_qf_isotropy(args) -> int:
     return 0
 
 
+BUDGET_EXCEEDED = "search budget exceeded"
+
+
 def _outcome(agrees) -> str:
     """An oracle outcome: True agrees, False disagrees, None checked nothing."""
     if agrees is None:
@@ -71,10 +74,13 @@ def _isotropy_oracle(f, verdict):
     tower = f.tower
     if tower.kind == "F" and tower.degree == 1:
         # both searches are exhaustive: an isotropic form has a witness there
-        if len(tower.laurent_vars) == 1:
-            witness = oracles.truncated_witness_search(f)
-        else:
-            witness = oracles.constant_witness_search(f)
+        try:
+            if len(tower.laurent_vars) == 1:
+                witness = oracles.truncated_witness_search(f)
+            else:
+                witness = oracles.constant_witness_search(f)
+        except oracles.OracleBudgetExceeded:
+            return None, BUDGET_EXCEEDED
         found = witness is not None
         detail = (
             "witness (" + ", ".join(str(w) for w in witness) + ")"
@@ -201,10 +207,15 @@ def _cmd_alg_split(args) -> int:
             lines.append(f"zero divisor {pair[0]} * {pair[1]} = 0")
     if args.oracle:
         if tower.kind == "F" and tower.degree == 1:
-            witness = oracles.constant_witness_search(A.norm)
-            agrees = (witness is not None) == split
-            payload["oracle"] = {"agrees": agrees}
-            lines.append(f"oracle: {_outcome(agrees)}")
+            try:
+                witness = oracles.constant_witness_search(A.norm)
+            except oracles.OracleBudgetExceeded:
+                payload["oracle"] = {"agrees": None, "detail": BUDGET_EXCEEDED}
+                lines.append(f"oracle: {BUDGET_EXCEEDED} ({_outcome(None)})")
+            else:
+                agrees = (witness is not None) == split
+                payload["oracle"] = {"agrees": agrees}
+                lines.append(f"oracle: {_outcome(agrees)}")
         else:
             payload["oracle"] = {"agrees": None, "detail": "no oracle for this field"}
             lines.append(f"oracle: no oracle for this field ({_outcome(None)})")

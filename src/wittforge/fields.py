@@ -106,6 +106,29 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def sqrt_mod(a: int, p: int) -> Optional[int]:
+    """The least r with r^2 = a mod the prime p, or None when a is a
+    nonresidue: Tonelli-Shanks, then the smaller of r and p - r."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)  # r^2 = a t; t has order dividing 2^(s-1)
+    c = pow(least_nonresidue(p), q, p) if t != 1 else 1
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, s = t * c % p, i
+    return min(r, p - r)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def least_nonresidue(p: int) -> int:
     n = 2

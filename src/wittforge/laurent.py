@@ -153,25 +153,15 @@ class LaurentPoly:
     # -- square class extraction ----------------------------------------------
 
     def square_class(self) -> SquareClass:
-        """Class of this element in the Laurent tower.
-
-        The lowest-order coefficient in the outermost variable determines
-        the class: 1 + (higher order) is a square by Hensel's lemma in
-        odd characteristic, so the extraction recurses inward.
-        """
+        """Class of this element in the Laurent tower: that of its leading
+        term, least in the outermost exponent, then the next one inward,
+        since 1 + (higher order) is a square by Hensel's lemma in odd
+        characteristic, one variable at a time."""
         if self.is_zero:
             raise ZeroElement("0 has no square class")
-        tower = self.tower
-        if not tower.laurent_vars:
-            ((_, c),) = self.terms
-            return SquareClass(tower, _base_class_of_constant(tower, c))
-        v = min(e[-1] for e, _ in self.terms)
-        # the terms of lowest outer order, already sorted, nonzero and reduced
-        lead = tuple((e[:-1], c) for e, c in self.terms if e[-1] == v)
-        inner = tower.inner()
-        unit = LaurentPoly(inner, lead).square_class()
-        outer_bit = (v & 1) << len(inner.laurent_vars)
-        return SquareClass(tower, unit.base, unit.mask | outer_bit)
+        exps, c = min(self.terms, key=lambda term: term[0][::-1])
+        mask = sum((e & 1) << i for i, e in enumerate(exps))
+        return SquareClass(self.tower, _base_class_of_constant(self.tower, c), mask)
 
     # -- display ----------------------------------------------------------------
 

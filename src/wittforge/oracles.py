@@ -2,8 +2,9 @@
 
 These searches only ever certify: a returned witness is verified exactly,
 and the "none found" answers are exhaustive over their stated candidate
-spaces.  The test suite compares them against the library verdicts; the
-CLI exposes them behind ``--oracle``.
+spaces.  A search whose candidates would exceed ``SEARCH_BUDGET`` raises
+OracleBudgetExceeded instead of running.  The test suite compares them
+against the library verdicts; the CLI exposes them behind ``--oracle``.
 """
 from __future__ import annotations
 
@@ -20,11 +21,19 @@ class OracleBudgetExceeded(RuntimeError):
     pass
 
 
+SEARCH_BUDGET = 2_000_000  # candidates one search may look at
+
+
+def _check_budget(count: int) -> None:
+    if count > SEARCH_BUDGET:
+        raise OracleBudgetExceeded(f"{count} candidates exceed the budget {SEARCH_BUDGET}")
+
+
 # -- truncated Laurent series witness search (one variable) ------------------------
 
 
 def truncated_witness_search(
-    f: DiagonalForm, precision: int = 4, budget: int = 2_000_000
+    f: DiagonalForm, precision: int = 4
 ) -> Optional[list[LaurentPoly]]:
     """Isotropy witness with truncated series coordinates, or None.
 
@@ -42,6 +51,7 @@ def truncated_witness_search(
     if d == 0:
         return None
     entries = [(e.base % p, e.mask) for e in f.entries]  # mask is the t-parity
+    _check_budget(p**d)
     grid = list(itertools.product(range(p), repeat=d))
     spent = 0
 
@@ -70,20 +80,13 @@ def truncated_witness_search(
             for i, (ci, ei) in enumerate(entries)
         )
         const = layer_value(layers + [(0,) * d], k)
-        if not any(grad):
-            if const != 0:
-                return None
-            candidates = grid
-        else:
-            candidates = None  # filter below
+        if const and not any(grad):
+            return None
         spent += len(grid)
-        if spent > budget:
-            raise OracleBudgetExceeded(f"search exceeded {budget} nodes")
+        _check_budget(spent)
         for xk in grid:
-            if candidates is None:
-                val = (const + sum(g * v for g, v in zip(grad, xk))) % p
-                if val != 0:
-                    continue
+            if (const + sum(g * v for g, v in zip(grad, xk))) % p:
+                continue
             got = dfs(layers + [xk])
             if got is not None:
                 return got
@@ -142,6 +145,7 @@ def constant_witness_search(f: DiagonalForm) -> Optional[list[LaurentPoly]]:
         ((exps, coeff),) = LaurentPoly.of_class(e).terms
         monos.append((exps, coeff))
     half = d // 2
+    _check_budget(p**half + p ** (d - half))
     left, right = list(range(half)), list(range(half, d))
 
     def values(idxs):

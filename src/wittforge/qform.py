@@ -7,7 +7,10 @@ finite bases, the local-global machinery of ``arithq`` over Q.  Over a
 Laurent tower k((t_1))...((t_n)), Springer's theorem gives
 W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
 the entries of one mask, with the mask cleared, form one base-field
-summand, and the rule runs once on each.
+summand, and the rule runs once on each.  ``isotropic_vector`` takes its
+vector from the same runs: the first run the rule makes isotropic gets
+an exact base-field solution (a square root for a pair, the least
+ternary solution over F_p), lifted by monomials.
 
 A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
@@ -20,7 +23,9 @@ products and scalings multiply entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -45,6 +50,7 @@ from .fields import (
     minus_one_class,
     one_class,
     sq_mul,
+    sqrt_mod,
 )
 from .laurent import LaurentPoly
 
@@ -241,33 +247,20 @@ class WittDecomposition:
 
 
 def _witt_prime_base(tower: FieldTower, entries) -> WittDecomposition:
-    d = len(entries)
-    if d == 0:
-        return WittDecomposition(0, 0, DiagonalForm(tower, ()))
-    if d == 1:
-        return WittDecomposition(0, 1, DiagonalForm(tower, entries))
+    d, m1 = len(entries), minus_one_class(tower)
     disc = one_class(tower)
     for e in entries:
         disc = sq_mul(disc, e)
-    m1 = minus_one_class(tower)
-
-    def sign_power(k):
-        return m1 if k % 2 else one_class(tower)
-
-    if d == 2:
-        if sq_mul(m1, disc).is_one:
-            return WittDecomposition(1, 0, DiagonalForm(tower, ()))
+    wi = d // 2
+    sign = m1 if wi % 2 else one_class(tower)  # (-1)^wi
+    if d % 2:
+        return WittDecomposition(wi, 1, DiagonalForm(tower, (sq_mul(disc, sign),)))
+    if disc == sign:
+        return WittDecomposition(wi, 0, DiagonalForm(tower, ()))
+    if d == 2:  # an anisotropic plane is its own kernel
         return WittDecomposition(0, 2, DiagonalForm(tower, entries))
-    if d % 2 == 0:
-        if disc == sign_power(d // 2):
-            return WittDecomposition(d // 2, 0, DiagonalForm(tower, ()))
-        wi = (d - 2) // 2
-        k2 = sq_mul(disc, sign_power(wi))
-        kernel = DiagonalForm(tower, (one_class(tower), k2))
-        return WittDecomposition(wi, 2, kernel)
-    wi = (d - 1) // 2
-    kernel = DiagonalForm(tower, (sq_mul(disc, sign_power(wi)),))
-    return WittDecomposition(wi, 1, kernel)
+    kernel = (one_class(tower), sq_mul(disc, sq_mul(sign, m1)))  # disc * (-1)^(wi-1)
+    return WittDecomposition(wi - 1, 2, DiagonalForm(tower, kernel))
 
 
 def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
@@ -288,23 +281,30 @@ def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecom
     return arithq.witt_index_rational(DiagonalForm(tower, entries))
 
 
+def _mask_runs(classes) -> list[tuple[int, list[int]]]:
+    """The runs of the Springer pass: the indices of ``classes`` grouped by
+    variable mask, masks ascending, indices in order within a run."""
+    runs: dict[int, list[int]] = {}
+    for i, c in enumerate(classes):
+        runs.setdefault(c.mask, []).append(i)
+    return sorted(runs.items())
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
-    the entries of mask m (Lam, Ch. VI).  The codes of ``key`` are sorted,
-    so each mask is one run; a run with its mask cleared is one base-field
-    form.
+    the entries of mask m (Lam, Ch. VI).  Each run of ``_mask_runs`` with
+    its mask cleared is one base-field form.
     """
     entries = _classes(tower, key)
     if not tower.laurent_vars:
         return _witt_base(tower, entries)
     base = tower.base_field()
-    runs = itertools.groupby(entries, key=lambda e: e.mask) if entries else [(0, ())]
     witt_index = kernel_dim = 0
     kernel: Optional[list[SquareClass]] = []
-    for mask, run in runs:
-        w = _witt_base(base, tuple(SquareClass(base, e.base) for e in run))
+    for mask, idxs in _mask_runs(entries) or [(0, [])]:
+        w = _witt_base(base, tuple(SquareClass(base, entries[i].base) for i in idxs))
         witt_index += w.witt_index
         kernel_dim += w.kernel_dim
         if kernel is not None and w.kernel is not None:
@@ -328,6 +328,82 @@ def is_isotropic(f: DiagonalForm) -> bool:
 
 def is_hyperbolic(f: DiagonalForm) -> bool:
     return witt_decompose(f).is_hyperbolic
+
+
+def _base_sqrt(base: FieldTower, a):
+    """A square root of the base constant a among the constants, or None:
+    the least one over F_p and F_{p^2}, the positive one over Q and R."""
+    if base.kind == "F":
+        return sqrt_mod(a, base.p)
+    a = Fraction(a)
+    rn, rd = math.isqrt(max(a.numerator, 0)), math.isqrt(a.denominator)
+    if a > 0 and rn * rn == a.numerator and rd * rd == a.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _base_vector(base: FieldTower, b: list) -> Optional[list]:
+    """Nonzero constants y with sum b_i y_i^2 = 0, or None.
+
+    The first pair with -b_i b_j = r^2 gives y_i = r, y_j = b_i.  Failing
+    that, three entries over F_p give the least solution (1, y_1, y_2):
+    y_1 the least value with -(b_0 + b_1 y_1^2)/b_2 a square (about half
+    of all values are), y_2 its least root.  No solution has y_0 = 0, as
+    (1, 2) is no isotropic pair, so this is the lexicographically first.
+    Over Q three entries get a bounded search.
+    """
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            root = _base_sqrt(base, -b[i] * b[j])
+            if root is not None:
+                y = [0] * n
+                y[i], y[j] = root, b[i]
+                return y
+    if n >= 3 and base.kind == "F" and base.degree == 1:
+        inv = pow(b[2], -1, base.p)
+        for y1 in range(base.p):
+            root = sqrt_mod(-(b[0] + b[1] * y1 * y1) * inv, base.p)
+            if root is not None:
+                return [1, y1, root] + [0] * (n - 3)
+    if n >= 3 and base.kind == "Q":
+        for x0, x1 in itertools.product(range(31), repeat=2):
+            root = _base_sqrt(base, -(b[0] * x0 * x0 + b[1] * x1 * x1) / b[2])
+            if root is not None:
+                return [x0, x1, root] + [0] * (n - 3)
+    return None
+
+
+def isotropic_vector(
+    tower: FieldTower, coeffs: Sequence[LaurentPoly]
+) -> Optional[list[LaurentPoly]]:
+    """Exact nonzero x with sum c_i x_i^2 = 0 for monomials c_i, or None.
+
+    The runs of the Witt pass, masks ascending; a run is searched only
+    when the base-field rule makes it isotropic.  A vector y of its base
+    constants lifts to x_i = y_i * prod v^(-floor(e_i/2)), e_i the
+    exponents of c_i, and the other x_i are 0.  An isotropic run with no
+    vector is skipped over F_{p^2} (no constant root) and Q (a bounded
+    search); over F_p it raises InternalInconsistency.
+    """
+    monos = [m for (m,) in (c.terms for c in coeffs)]  # ValueError unless monomials
+    classes = [c.square_class() for c in coeffs]
+    base = tower.base_field()
+    for mask, idxs in _mask_runs(classes):
+        run = tuple(SquareClass(base, classes[i].base) for i in idxs)
+        if not is_isotropic(DiagonalForm(base, run)):
+            continue
+        y = _base_vector(base, [monos[i][1] for i in idxs])
+        if y is None:
+            if base.kind == "F" and base.degree == 1:
+                raise InternalInconsistency(f"isotropic run {run} without a vector")
+            continue
+        out = [LaurentPoly.zero(tower)] * len(coeffs)
+        for i, yi in zip(idxs, y):
+            half = {v: -(e // 2) for v, e in zip(tower.laurent_vars, monos[i][0])}
+            out[i] = LaurentPoly.monomial(tower, yi, half)
+        return out
+    return None
 
 
 @lru_cache(maxsize=CACHE_SIZE)

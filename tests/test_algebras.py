@@ -233,12 +233,21 @@ class TestSplitDetection:
                 assert (pair[0] * pair[1]).is_zero
                 assert not pair[0].is_zero and not pair[1].is_zero
 
+    def test_zero_divisors_over_large_prime_fields(self):
+        # <<u,u>> has no isotropic pair when p = 3 mod 4, so the witness
+        # comes from the ternary solution; a p^3 search would not finish
+        for p in (1000003, 2**61 - 1):
+            tower = FieldTower.prime(p)
+            u = nonresidue_class(tower)
+            x, y = zero_divisor_pair(quaternion(tower, u, u))
+            assert (x * y).is_zero and not x.is_zero
+
     def test_zero_divisor_pair_checks_the_witness(self, monkeypatch):
         A = algebra_from_slots(F13ST, (one_class(F13ST), var_class(F13ST, "s")))
         assert zero_divisor_pair(A) is not None
         not_a_witness = [LaurentPoly.const(F13ST, 1)] + [LaurentPoly.zero(F13ST)] * 3
         monkeypatch.setattr(
-            algebras, "_isotropy_coords", lambda tower, coeffs: not_a_witness
+            algebras, "isotropic_vector", lambda tower, coeffs: not_a_witness
         )
         with pytest.raises(InternalInconsistency):
             zero_divisor_pair(A)

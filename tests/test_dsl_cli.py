@@ -232,6 +232,38 @@ class TestCli:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "anisotropic\n", "")
 
+    def test_oracle_budget_is_inconclusive(self, capsys):
+        # the series search would look at more than SEARCH_BUDGET candidates
+        argv = ["qf-isotropy", "--field", "F31((t))", "--form", "[1,1,1,t]", "--oracle"]
+        code, out, _ = self.run(capsys, *argv)
+        assert (code, out) == (
+            0, "isotropic\noracle: search budget exceeded (inconclusive)\n"
+        )
+        code, out, _ = self.run(capsys, *argv, "--json")
+        assert json.loads(out)["oracle"] == {
+            "agrees": None, "detail": "search budget exceeded"
+        }
+        code, out, _ = self.run(
+            capsys, "alg-split", "--field", "F1000003", "--slots", "u,u", "--oracle"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "oracle: search budget exceeded (inconclusive)"
+
+    def test_oracle_budget_checked_before_enumerating(self):
+        # 2^61 - 1 candidates per coordinate: no grid may be built
+        src = Path(wittforge.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "wittforge.cli", "qf-isotropy",
+                "--field", "F2305843009213693951", "--form", "[1,1]", "--oracle",
+            ],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "anisotropic\noracle: search budget exceeded (inconclusive)\n", ""
+        )
+
     def test_field_past_the_primality_bound_named_error(self, capsys):
         code, _, err = self.run(
             capsys, "qf-isotropy", "--field", f"F{2**89 - 1}", "--form", "[1,1]"

@@ -40,6 +40,7 @@ from wittforge.fields import (
     one_class,
     residue_split,
     sq_mul,
+    sqrt_mod,
     var_class,
 )
 
@@ -220,6 +221,34 @@ class TestPrimality:
         # a factor among the bases decides at any size
         assert not is_prime(3 * (2**89 - 1))
         assert not is_prime(2**200)
+
+
+class TestSqrtMod:
+    @staticmethod
+    def check(a, p, r):
+        if r is None:
+            assert pow(a, (p - 1) // 2, p) == p - 1  # Euler: a nonresidue
+        else:
+            assert r * r % p == a % p and 0 <= r <= p - r
+
+    def test_every_residue_below_500_against_enumeration(self):
+        for p in (q for q in range(2, 500) if is_prime(q)):
+            least = {}
+            for r in range(p):
+                least.setdefault(r * r % p, r)
+            for a in range(p):
+                r = sqrt_mod(a, p)
+                assert r == least.get(a), (a, p)
+                self.check(a, p, r)
+
+    def test_large_primes(self):
+        # 2^61 - 1 is 3 mod 4 (one step); 1000003 - 1 has 2-adic valuation 1
+        # too, so 998244353 = 119 * 2^23 + 1 exercises the Tonelli-Shanks loop
+        for p in (1000003, 2**61 - 1, 998244353):
+            for a in list(range(1, 300)) + [p - 1, p - 2, 2**40 % p]:
+                self.check(a, p, sqrt_mod(a, p))
+            assert sqrt_mod(0, p) == 0
+            assert sqrt_mod(4, p) == 2
 
 
 class TestResidueSplit:

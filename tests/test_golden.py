@@ -108,6 +108,9 @@ def collect() -> dict:
         "witt_R((s))((t))": _witt_rows("R((s))((t))"),
         "witt_Q((t))": _rational_laurent_rows(),
         "zero_divisor_F13((s))((t))": _zero_divisor_rows("F13((s))((t))"),
+        # p = 7 is 3 mod 4: -1 is a nonsquare, so three-entry runs with no
+        # isotropic pair occur and need the ternary solution
+        "zero_divisor_F7((s))((t))": _zero_divisor_rows("F7((s))((t))"),
     }
 
 

@@ -17,6 +17,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import (
     FieldTower,
+    SquareClass,
     canonical_square_class,
     enumerate_square_classes,
     extend_quadratic,
@@ -41,6 +42,7 @@ from wittforge.qform import (
     is_hyperbolic,
     is_isometric,
     is_isotropic,
+    isotropic_vector,
     map_form,
     negate,
     orthogonal_sum,
@@ -686,3 +688,96 @@ class TestDiagonalizeProperties:
                 diagonalize(tower, congruent)
             return
         assert is_isometric(diagonalize(tower, congruent), f)
+
+
+# -- square classes of Laurent polynomials --------------------------------------------
+
+
+def reference_square_class(x):
+    """The recursive extraction: the terms of lowest outer order form a
+    unit one tower down, whose class is found the same way."""
+    tower = x.tower
+    if not tower.laurent_vars:
+        ((_, c),) = x.terms
+        return canonical_square_class(tower, c)
+    v = min(e[-1] for e, _ in x.terms)
+    inner = tower.inner()
+    unit = reference_square_class(
+        LaurentPoly(inner, tuple((e[:-1], c) for e, c in x.terms if e[-1] == v))
+    )
+    return SquareClass(tower, unit.base, unit.mask | (v & 1) << len(inner.laurent_vars))
+
+
+@st.composite
+def laurent_polys(draw):
+    """A nonzero sum of up to five monomials over a tower of 0-3 variables."""
+    names = ("r", "s", "t")[: draw(st.integers(0, 3))]
+    kind = draw(st.sampled_from("FQR"))
+    if kind == "F":
+        tower = FieldTower("F", draw(st.sampled_from((3, 7, 13))), names, draw(st.sampled_from((1, 2))))
+    else:
+        tower = FieldTower(kind, None, names)
+    poly = LaurentPoly.zero(tower)
+    for _ in range(draw(st.integers(1, 5))):
+        poly = poly + draw(monomials(tower))
+    return poly
+
+
+class TestSquareClassOfPolynomials:
+    @given(laurent_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_flat_lead_term_matches_the_recursion(self, x):
+        if not x.is_zero:
+            assert x.square_class() == reference_square_class(x)
+
+
+# -- isotropic vectors from the Witt pass -----------------------------------------------
+
+
+@st.composite
+def prime_monomials(draw):
+    """Monomial coefficients over F_p with 0-2 variables, p small or large."""
+    p = draw(st.sampled_from((3, 7, 13, 1000003, 2**61 - 1)))
+    tower = FieldTower.prime(p, *("s", "t")[: draw(st.integers(0, 2))])
+    coeffs = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(st.integers(1, p - 1))
+        exps = {v: draw(st.integers(-3, 3)) for v in tower.laurent_vars}
+        coeffs.append(LaurentPoly.monomial(tower, c, exps))
+    return tower, coeffs
+
+
+class TestIsotropicVector:
+    @given(prime_monomials())
+    @settings(max_examples=300, deadline=None)
+    def test_vector_iff_isotropic_and_exact(self, case):
+        tower, coeffs = case
+        x = isotropic_vector(tower, coeffs)
+        f = DiagonalForm(tower, tuple(c.square_class() for c in coeffs))
+        assert (x is not None) == is_isotropic(f)
+        if x is not None:
+            assert any(not xi.is_zero for xi in x)
+            total = LaurentPoly.zero(tower)
+            for c, xi in zip(coeffs, x):
+                total = total + c * xi * xi
+            assert total.is_zero
+
+    def test_ternary_run_gets_the_least_solution(self):
+        # <1,1,1> over F7: no isotropic pair, since -1 is not a square; the
+        # first solution in lexicographic order is (1, 2, 3): 1 + 4 + 9 = 14
+        tower = FieldTower.prime(7)
+        x = isotropic_vector(tower, [LaurentPoly.const(tower, 1)] * 3)
+        assert [str(xi) for xi in x] == ["1", "2", "3"]
+
+    def test_runs_are_gated_and_lifted(self):
+        # the mask-0 run <1,1> over F7 is anisotropic; the s-run <s, -s^3>
+        # is isotropic and lifts (1, 1) by s^0 and s^-1
+        tower = FieldTower.prime(7, "s")
+        coeffs = [
+            LaurentPoly.const(tower, 1),
+            LaurentPoly.const(tower, 1),
+            LaurentPoly.variable(tower, "s"),
+            LaurentPoly.monomial(tower, -1, {"s": 3}),
+        ]
+        x = isotropic_vector(tower, coeffs)
+        assert [str(xi) for xi in x] == ["0", "0", "1", "s^-1"]
