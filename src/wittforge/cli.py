@@ -287,10 +287,11 @@ def _cmd_g2_compare(args) -> int:
     A2 = algebra_from_slots(tower, dsl.parse_slots(args.slots2, tower))
     report = tori.compare_torus_systems(A1, A2)
     lines = [report.verdict]
-    for tau, v1, v2 in report.rows:
-        if v1 != v2:
+    for row in report.rows:
+        if row.verdict1 != row.verdict2:
             lines.append(
-                f"differs at quad={tau.quad} cubic={tori._cubic_str(tau.cubic)}: {v1} vs {v2}"
+                f"differs at quad={row.tau.quad} cubic={tori._cubic_str(row.tau.cubic)}: "
+                f"{row.verdict1} vs {row.verdict2}"
             )
     _emit(report.to_json_dict(), args, lines)
     return 0

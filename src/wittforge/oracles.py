@@ -52,7 +52,6 @@ def truncated_witness_search(
         return None
     entries = [(e.base % p, e.mask) for e in f.entries]  # mask is the t-parity
     _check_budget(p**d)
-    grid = list(itertools.product(range(p), repeat=d))
     spent = 0
 
     def layer_value(layers, k):
@@ -82,9 +81,9 @@ def truncated_witness_search(
         const = layer_value(layers + [(0,) * d], k)
         if const and not any(grad):
             return None
-        spent += len(grid)
+        spent += p**d
         _check_budget(spent)
-        for xk in grid:
+        for xk in itertools.product(range(p), repeat=d):
             if (const + sum(g * v for g, v in zip(grad, xk))) % p:
                 continue
             got = dfs(layers + [xk])
@@ -92,7 +91,7 @@ def truncated_witness_search(
                 return got
         return None
 
-    for x0 in grid:
+    for x0 in itertools.product(range(p), repeat=d):
         if not any(x0):
             continue
         if layer_value([x0], 0) != 0:

@@ -76,17 +76,15 @@ def _pfister_expansion(tower: FieldTower, slots) -> tuple[SquareClass, ...]:
 class DiagonalForm:
     tower: FieldTower
     entries: tuple[SquareClass, ...]
-    pfister_slots: Optional[tuple[SquareClass, ...]] = None
+    # set only by ``pfister``, which expands the entries from these slots
+    pfister_slots: Optional[tuple[SquareClass, ...]] = field(default=None, init=False)
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for e in self.entries + (self.pfister_slots or ()):
+        for e in self.entries:
             if e.tower != self.tower:
                 raise FieldMismatch(f"entry {e} lives over {e.tower}, not {self.tower}")
         object.__setattr__(self, "key", tuple(sorted(e.code for e in self.entries)))
-        if self.pfister_slots is not None:
-            if self.entries != _pfister_expansion(self.tower, self.pfister_slots):
-                raise ValueError("entries do not match the recorded Pfister expansion")
 
     @property
     def dim(self) -> int:
@@ -109,7 +107,9 @@ def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
 @lru_cache(maxsize=CACHE_SIZE)
 def _pfister_cached(tower: FieldTower, slot_codes: tuple) -> DiagonalForm:
     slots = _classes(tower, slot_codes)
-    return DiagonalForm(tower, _pfister_expansion(tower, slots), slots)
+    form = DiagonalForm(tower, _pfister_expansion(tower, slots))
+    object.__setattr__(form, "pfister_slots", slots)
+    return form
 
 
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
@@ -410,10 +410,6 @@ def isotropic_vector(
 def _isometric(tower: FieldTower, key_f: tuple, key_g: tuple) -> bool:
     f = DiagonalForm(tower, _classes(tower, key_f))
     g = DiagonalForm(tower, _classes(tower, key_g))
-    if tower.kind == "Q" and not tower.laurent_vars:
-        from . import arithq
-
-        return arithq.rational_invariants(f) == arithq.rational_invariants(g)
     return is_hyperbolic(orthogonal_sum(f, negate(g)))
 
 

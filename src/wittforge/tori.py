@@ -8,7 +8,10 @@ the ramified Galois cubic k((t))(t^(1/3)) available once the base holds
 a primitive cube root of unity.
 
 Admissibility of the first two cubic kinds reduces to splitting the
-algebra over at most two quadratic extensions.  The cubic-field kind is
+algebra over at most two quadratic extensions.  Each algebra's splitting
+set, the classes whose quadratic etale algebra splits it (its splitting
+profile, plus 1 when it is split), is computed once, and every such
+verdict reads its two classes off that set.  The cubic-field kind is
 ruled out for division algebras by an exhaustive trace-form comparison:
 every hermitian-shape candidate (b, c) compatible with the norm form
 would force the norm to be hyperbolic.
@@ -22,13 +25,20 @@ differ between algebras with the same norm).  The memoized helpers call
 ``sq_mul``, ``is_isometric`` and the other names through this module's
 globals.  Every report still runs its preconditions and reads its
 verdict off its own rows.
+
+The three reports share one JSON codec, ``_encode`` and ``_decode``,
+driven by the dataclasses' own fields and declared types: a field's
+``key`` metadata renames or nests its JSON key (the empty path spreads a
+row's torus type into the row), one table maps ``kind`` tags to the
+report and cubic classes, and derived ``init=False`` fields are written
+but not read back.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import dsl
 from .algebras import CompositionAlgebra, is_split
@@ -50,6 +60,7 @@ from .fields import (
     class_of_code,
     enumerate_square_classes,
     lift_class,
+    one_class,
     sq_mul,
     var_class,
 )
@@ -115,22 +126,6 @@ def _cubic_str(c: Cubic) -> str:
     return f"pure_cubic({c.var})"
 
 
-def _cubic_dict(c: Cubic) -> dict:
-    if isinstance(c, Split3):
-        return {"kind": "split3"}
-    if isinstance(c, QuadTimes):
-        return {"kind": "quad_times", "delta": str(c.delta)}
-    return {"kind": "pure_cubic", "var": c.var}
-
-
-def _cubic_from_dict(d: dict, tower: FieldTower) -> Cubic:
-    if d["kind"] == "split3":
-        return Split3()
-    if d["kind"] == "quad_times":
-        return QuadTimes(dsl.parse_class(d["delta"], tower))
-    return PureCubicGalois(d["var"])
-
-
 def torus_type_catalog(tower: FieldTower) -> list[TorusType]:
     """All torus types over an enumerable tower, in a fixed order."""
     classes = enumerate_square_classes(tower)
@@ -146,8 +141,6 @@ def torus_type_catalog(tower: FieldTower) -> list[TorusType]:
 
 def splitting_profile(C: CompositionAlgebra) -> frozenset[SquareClass]:
     """Nonsquare classes delta with C split by adjoining sqrt(delta)."""
-    if not C.norm.is_pfister:
-        raise PreconditionFailed("algebra norm carries no Pfister provenance")
     return frozenset(
         d
         for d in enumerate_square_classes(C.tower)
@@ -155,11 +148,19 @@ def splitting_profile(C: CompositionAlgebra) -> frozenset[SquareClass]:
     )
 
 
-def _split_by(C: CompositionAlgebra, delta: SquareClass) -> bool:
-    """Split by the quadratic etale algebra of class delta (1 = k x k)."""
-    if delta.is_one:
-        return is_split(C)
-    return splits_over_quadratic(C.norm, delta)
+def _splitting_set(C: CompositionAlgebra) -> frozenset[SquareClass]:
+    """Classes delta whose quadratic etale algebra splits C: the splitting
+    profile, and 1 (for k x k) when C is split."""
+    profile = splitting_profile(C)
+    return profile | {one_class(C.tower)} if is_split(C) else profile
+
+
+def _quadratic_pair(tau: TorusType) -> tuple[SquareClass, SquareClass]:
+    """The classes of F' and F'' with [F'] + [F''] = [E], for the cubic part
+    k x E of a split or quadratic kind (E = k x k for split3)."""
+    if isinstance(tau.cubic, Split3):
+        return tau.quad, tau.quad
+    return tau.quad, sq_mul(tau.quad, tau.cubic.delta)
 
 
 def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
@@ -172,10 +173,8 @@ def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
     if isinstance(tau.cubic, PureCubicGalois):
         raise UnsupportedCubic("use cubic_obstruction_report for the cubic field kind")
-    if isinstance(tau.cubic, Split3):
-        return _split_by(C, tau.quad)
-    second = sq_mul(tau.quad, tau.cubic.delta)
-    return _split_by(C, tau.quad) and _split_by(C, second)
+    split = _splitting_set(C)
+    return all(q in split for q in _quadratic_pair(tau))
 
 
 def genus_equal_rational(q1: tuple, q2: tuple) -> bool:
@@ -323,10 +322,31 @@ def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
     )
 
 
+def _key(*path: str):
+    """A report field written under the JSON key path ``path`` (nested
+    objects) instead of its name; the empty path spreads the field's own
+    object into its parent's."""
+    return field(metadata={"key": path})
+
+
+class _Report:
+    """JSON for a report through the one codec, ``_encode``/``_decode``."""
+
+    def to_json_dict(self) -> dict:
+        return _encode(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json(cls, text: str):
+        return _decode(cls, json.loads(text), None)
+
+
 @dataclass(frozen=True)
 class LambdaRow:
     r: int
-    unit: SquareClass
+    unit: SquareClass = field(metadata={"inner": True})  # a class of tower.inner()
     norm_class: SquareClass
     norm_is_square: bool
     lambda_is_square: bool
@@ -342,82 +362,15 @@ class EvidenceRow:
 
 
 @dataclass(frozen=True)
-class CubicObstructionReport:
-    tower: FieldTower
-    slots: tuple[SquareClass, ...]
+class CubicObstructionReport(_Report):
+    tower: FieldTower = _key("field")
+    slots: tuple[SquareClass, ...] = _key("algebra", "slots")
     d: SquareClass
     verdict: str
-    lambda_rows: tuple[LambdaRow, ...]
-    gram: tuple[tuple[str, ...], ...]
+    lambda_rows: tuple[LambdaRow, ...] = _key("lambda_table")
+    gram: tuple[tuple[str, ...], ...] = _key("trace_gram")
     trace_diagonal: tuple[SquareClass, ...]
     evidence: tuple[EvidenceRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "cubic-obstruction",
-            "field": str(self.tower),
-            "algebra": {"slots": [str(s) for s in self.slots]},
-            "d": str(self.d),
-            "verdict": self.verdict,
-            "lambda_table": [
-                {
-                    "r": row.r,
-                    "unit": str(row.unit),
-                    "norm_class": str(row.norm_class),
-                    "norm_is_square": row.norm_is_square,
-                    "lambda_is_square": row.lambda_is_square,
-                }
-                for row in self.lambda_rows
-            ],
-            "trace_gram": [list(row) for row in self.gram],
-            "trace_diagonal": [str(e) for e in self.trace_diagonal],
-            "evidence": [
-                {
-                    "b": str(row.b),
-                    "c": str(row.c),
-                    "norm_matches": row.norm_matches,
-                    "trace_isometric": row.trace_isometric,
-                    "contradiction": row.contradiction,
-                }
-                for row in self.evidence
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CubicObstructionReport":
-        d = json.loads(text)
-        tower = dsl.parse_field(d["field"])
-        return cls(
-            tower,
-            tuple(dsl.parse_class(s, tower) for s in d["algebra"]["slots"]),
-            dsl.parse_class(d["d"], tower),
-            d["verdict"],
-            tuple(
-                LambdaRow(
-                    row["r"],
-                    dsl.parse_class(row["unit"], tower.inner()),
-                    dsl.parse_class(row["norm_class"], tower),
-                    row["norm_is_square"],
-                    row["lambda_is_square"],
-                )
-                for row in d["lambda_table"]
-            ),
-            tuple(tuple(row) for row in d["trace_gram"]),
-            tuple(dsl.parse_class(s, tower) for s in d["trace_diagonal"]),
-            tuple(
-                EvidenceRow(
-                    dsl.parse_class(row["b"], tower),
-                    dsl.parse_class(row["c"], tower),
-                    row["norm_matches"],
-                    row["trace_isometric"],
-                    row["contradiction"],
-                )
-                for row in d["evidence"]
-            ),
-        )
 
 
 def _obstruction_verdict(lambda_rows, evidence) -> str:
@@ -523,124 +476,49 @@ def _evidence_rows(tower: FieldTower, d: SquareClass, norm_key: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class TypeVerdict:
-    tau: TorusType
+    tau: TorusType = _key()
     verdict: str  # admissible | inadmissible | undecided
     reason: str
 
 
 @dataclass(frozen=True)
-class TypeReport:
-    tower: FieldTower
-    slots: tuple[SquareClass, ...]
-    rows: tuple[TypeVerdict, ...]
+class TypeReport(_Report):
+    tower: FieldTower = _key("field")
+    slots: tuple[SquareClass, ...] = _key("algebra", "slots")
+    rows: tuple[TypeVerdict, ...] = _key("catalog")
+    admissible: tuple[TorusType, ...] = field(init=False)
 
-    @property
-    def admissible(self) -> tuple[TorusType, ...]:
-        return tuple(r.tau for r in self.rows if r.verdict == "admissible")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "type-report",
-            "field": str(self.tower),
-            "algebra": {"slots": [str(s) for s in self.slots]},
-            "catalog": [
-                {
-                    "quad": str(r.tau.quad),
-                    "cubic": _cubic_dict(r.tau.cubic),
-                    "verdict": r.verdict,
-                    "reason": r.reason,
-                }
-                for r in self.rows
-            ],
-            "admissible": [
-                {"quad": str(t.quad), "cubic": _cubic_dict(t.cubic)}
-                for t in self.admissible
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TypeReport":
-        d = json.loads(text)
-        tower = dsl.parse_field(d["field"])
-        rows = tuple(
-            TypeVerdict(
-                TorusType(
-                    dsl.parse_class(r["quad"], tower),
-                    _cubic_from_dict(r["cubic"], tower),
-                ),
-                r["verdict"],
-                r["reason"],
-            )
-            for r in d["catalog"]
-        )
-        return cls(
-            tower, tuple(dsl.parse_class(s, tower) for s in d["algebra"]["slots"]), rows
-        )
+    def __post_init__(self):
+        admissible = tuple(r.tau for r in self.rows if r.verdict == "admissible")
+        object.__setattr__(self, "admissible", admissible)
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    tower: FieldTower
-    slots1: tuple[SquareClass, ...]
-    slots2: tuple[SquareClass, ...]
-    rows: tuple[tuple[TorusType, str, str], ...]
+class ComparisonRow:
+    tau: TorusType = _key()
+    verdict1: str
+    verdict2: str
+
+
+@dataclass(frozen=True)
+class ComparisonReport(_Report):
+    tower: FieldTower = _key("field")
+    slots1: tuple[SquareClass, ...] = _key("algebra1", "slots")
+    slots2: tuple[SquareClass, ...] = _key("algebra2", "slots")
+    rows: tuple[ComparisonRow, ...] = _key("types")
     verdict: str  # "equivalent" | "not equivalent"
 
     @property
     def equivalent(self) -> bool:
         return self.verdict == "equivalent"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "comparison",
-            "field": str(self.tower),
-            "algebra1": {"slots": [str(s) for s in self.slots1]},
-            "algebra2": {"slots": [str(s) for s in self.slots2]},
-            "types": [
-                {
-                    "quad": str(tau.quad),
-                    "cubic": _cubic_dict(tau.cubic),
-                    "verdict1": v1,
-                    "verdict2": v2,
-                }
-                for tau, v1, v2 in self.rows
-            ],
-            "verdict": self.verdict,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComparisonReport":
-        d = json.loads(text)
-        tower = dsl.parse_field(d["field"])
-        rows = tuple(
-            (
-                TorusType(
-                    dsl.parse_class(r["quad"], tower),
-                    _cubic_from_dict(r["cubic"], tower),
-                ),
-                r["verdict1"],
-                r["verdict2"],
-            )
-            for r in d["types"]
-        )
-        return cls(
-            tower,
-            tuple(dsl.parse_class(s, tower) for s in d["algebra1"]["slots"]),
-            tuple(dsl.parse_class(s, tower) for s in d["algebra2"]["slots"]),
-            rows,
-            d["verdict"],
-        )
-
-
-def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
+def _type_verdict(
+    C: CompositionAlgebra, split: frozenset[SquareClass], tau: TorusType
+) -> TypeVerdict:
+    """The verdict on tau for C, whose splitting set is ``split``."""
     if isinstance(tau.cubic, PureCubicGalois):
-        if is_split(C):
+        if one_class(C.tower) in split:
             return TypeVerdict(
                 tau, "undecided", "split algebra: outside the division-algebra obstruction"
             )
@@ -652,12 +530,8 @@ def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
         return TypeVerdict(
             tau, report.verdict, "cubic obstruction: no hermitian candidate survives"
         )
-    if isinstance(tau.cubic, Split3):
-        first = second = tau.quad
-    else:
-        first, second = tau.quad, sq_mul(tau.quad, tau.cubic.delta)
-    ok1 = _split_by(C, first)
-    ok2 = ok1 if second == first else _split_by(C, second)
+    first, second = _quadratic_pair(tau)
+    ok1, ok2 = first in split, second in split
     verdict = "admissible" if (ok1 and ok2) else "inadmissible"
     reason = f"split by sqrt({first}): {'yes' if ok1 else 'no'}; split by sqrt({second}): {'yes' if ok2 else 'no'}"
     return TypeVerdict(tau, verdict, reason)
@@ -666,8 +540,8 @@ def _type_verdict(C: CompositionAlgebra, tau: TorusType) -> TypeVerdict:
 def type_report(C: CompositionAlgebra) -> TypeReport:
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
-    catalog = torus_type_catalog(C.tower)
-    rows = tuple(_type_verdict(C, tau) for tau in catalog)
+    split = _splitting_set(C)
+    rows = tuple(_type_verdict(C, split, tau) for tau in torus_type_catalog(C.tower))
     return TypeReport(C.tower, C.slots, rows)
 
 
@@ -680,9 +554,85 @@ def compare_torus_systems(
     r1 = type_report(C1)
     r2 = type_report(C2)
     rows = tuple(
-        (a.tau, a.verdict, b.verdict) for a, b in zip(r1.rows, r2.rows)
+        ComparisonRow(a.tau, a.verdict, b.verdict) for a, b in zip(r1.rows, r2.rows)
     )
-    same = all(v1 == v2 for _, v1, v2 in rows)
+    same = all(r.verdict1 == r.verdict2 for r in rows)
     return ComparisonReport(
         C1.tower, C1.slots, C2.slots, rows, "equivalent" if same else "not equivalent"
     )
+
+
+# -- the report codec ----------------------------------------------------------------------
+
+
+# The ``kind`` tag of every tagged dataclass: the reports, and the cubic
+# kinds, which the decoder tells apart by it.
+_KINDS = {
+    "split3": Split3,
+    "quad_times": QuadTimes,
+    "pure_cubic": PureCubicGalois,
+    "cubic-obstruction": CubicObstructionReport,
+    "type-report": TypeReport,
+    "comparison": ComparisonReport,
+}
+_TAGS = {cls: kind for kind, cls in _KINDS.items()}
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _field_types(cls) -> dict:
+    """The declared types of a dataclass's fields, resolved once."""
+    return get_type_hints(cls)
+
+
+def _encode(value):
+    """The JSON value of a report or any part of one: towers and classes as
+    their strings, tuples as lists, a dataclass as an object holding its
+    ``kind`` tag, if it has one, then its fields in declaration order."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (FieldTower, SquareClass)):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    out = {"kind": _TAGS[type(value)]} if type(value) in _TAGS else {}
+    for f in fields(value):
+        encoded = _encode(getattr(value, f.name))
+        path = f.metadata.get("key", (f.name,))
+        if not path:
+            out.update(encoded)
+            continue
+        node = out
+        for k in path[:-1]:
+            node = node.setdefault(k, {})
+        node[path[-1]] = encoded
+    return out
+
+
+def _decode(tp, value, tower: Optional[FieldTower]):
+    """The inverse of ``_encode`` for a value of declared type ``tp``.
+    Classes are parsed over ``tower``, which a report reads from its own
+    tower field, declared first; a union of tagged kinds is resolved by
+    the value's ``kind``."""
+    if tp is FieldTower:
+        return dsl.parse_field(value)
+    if tp is SquareClass:
+        return dsl.parse_class(value, tower)
+    if get_origin(tp) is tuple:
+        return tuple(_decode(get_args(tp)[0], v, tower) for v in value)
+    if not is_dataclass(tp):
+        if not isinstance(value, dict):
+            return value
+        tp = _KINDS[value["kind"]]
+    types = _field_types(tp)
+    kwargs = {}
+    for f in fields(tp):
+        if not f.init:  # derived: written, not read back
+            continue
+        v = value
+        for k in f.metadata.get("key", (f.name,)):
+            v = v[k]
+        over = tower.inner() if f.metadata.get("inner") else tower
+        kwargs[f.name] = _decode(types[f.name], v, over)
+        if types[f.name] is FieldTower:
+            tower = kwargs[f.name]
+    return tp(**kwargs)

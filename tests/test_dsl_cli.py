@@ -264,6 +264,27 @@ class TestCli:
             0, "anisotropic\noracle: search budget exceeded (inconclusive)\n", ""
         )
 
+    def test_oracle_grid_is_not_kept_in_memory(self):
+        # p^d = 37^4 candidate layers are walked, not stored: the peak RSS
+        # of the command, read in a parent process that runs only it
+        src = Path(wittforge.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        measure = (
+            "import json, resource, subprocess, sys\n"
+            "proc = subprocess.run([sys.executable, '-m', 'wittforge.cli', 'qf-isotropy',"
+            " '--field', 'F37((t))', '--form', '[1,1,1,t]', '--oracle'],"
+            " capture_output=True, text=True)\n"
+            "peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([proc.returncode, proc.stdout, peak_kib]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", measure],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, out, peak_kib = json.loads(proc.stdout)
+        assert code == 0 and "inconclusive" in out
+        assert peak_kib < 64 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
+
     def test_field_past_the_primality_bound_named_error(self, capsys):
         code, _, err = self.run(
             capsys, "qf-isotropy", "--field", f"F{2**89 - 1}", "--form", "[1,1]"

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from wittforge.fields import (
     sq_mul,
     var_class,
 )
+from wittforge.arithq import rational_invariants
 from wittforge.laurent import LaurentPoly
 from wittforge.oracles import (
     constant_witness_search,
@@ -175,6 +177,17 @@ class TestPfister:
         with pytest.raises(NotPfister):
             pure_part(DiagonalForm(Q, (one_class(Q),)))
 
+    def test_slots_only_from_the_expansion(self):
+        # the slots are recorded by pfister(), never passed with the entries
+        u, t = nonresidue_class(F5T), var_class(F5T, "t")
+        entries = pfister(F5T, (u, t)).entries
+        with pytest.raises(TypeError):
+            DiagonalForm(F5T, entries, (t, t))
+        with pytest.raises(TypeError):
+            DiagonalForm(F5T, entries, pfister_slots=(t, t))
+        assert not DiagonalForm(F5T, entries).is_pfister
+        assert pfister(F5T, (u, t)).pfister_slots == (u, t)
+
 
 class TestIsotropy:
     def test_definite_real(self):
@@ -274,6 +287,23 @@ class TestIsometric:
     def test_mismatch(self):
         with pytest.raises(FieldMismatch):
             is_isometric(pfister(Q, ()), pfister(F5, ()))
+
+    def test_witt_cancellation_matches_invariants_over_q(self):
+        # reference: equal dimension, discriminant, Hasse invariants and
+        # signature classify forms over Q
+        rng = random.Random(1503)
+        values = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, 10, -15]
+        outcomes = set()
+        for _ in range(4000):
+            d = rng.randint(1, 5)
+            f, g = (
+                DiagonalForm(Q, tuple(cls(Q, rng.choice(values)) for _ in range(d)))
+                for _ in range(2)
+            )
+            expected = rational_invariants(f) == rational_invariants(g)
+            assert is_isometric(f, g) == expected, (f, g)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestPfisterDichotomy:

@@ -495,6 +495,24 @@ class TestCompare:
         cr = compare_torus_systems(C, S)
         assert ComparisonReport.from_json(cr.to_json()).to_json() == cr.to_json()
 
+    @pytest.mark.parametrize(
+        "tower", [F13ST, F7RST, FieldTower.reals("t")], ids=str
+    )
+    def test_reports_decode_to_equal_dataclasses(self, tower):
+        # equal strings alone would pass a decoder that put the lambda
+        # table's units over the wrong tower
+        gen = nonresidue_class(tower) if tower.kind == "F" else minus_one_class(tower)
+        t = var_class(tower, "t")
+        C = algebra_from_slots(tower, (gen, var_class(tower, tower.laurent_vars[0]), t))
+        S = algebra_from_slots(tower, (one_class(tower), gen, t))
+        assert not is_split(C) and is_split(S)
+        reports = [type_report(C), type_report(S), compare_torus_systems(C, S)]
+        if tower.has_zeta3():
+            reports += [cubic_obstruction_report(C, d) for d in (gen, t)]
+        for r in reports:
+            assert type(r).from_json(r.to_json()) == r
+        assert len({type(r) for r in reports}) == (3 if tower.has_zeta3() else 2)
+
     def test_report_over_degree_two_base_roundtrips(self):
         # the field prints as F25((t)) and its catalog rows name the class u
         tower = extend_quadratic(F5T, nonresidue_class(F5T)).tower
