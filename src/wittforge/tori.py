@@ -8,13 +8,14 @@ the ramified Galois cubic k((t))(t^(1/3)) available once the base holds
 a primitive cube root of unity.
 
 Admissibility of the first two cubic kinds reduces to splitting the
-algebra over at most two quadratic extensions.  Each algebra's splitting
-set, the classes whose quadratic etale algebra splits it (its splitting
-profile, plus 1 when it is split), is computed once, and every such
-verdict reads its two classes off that set.  The cubic-field kind is
-ruled out for division algebras by an exhaustive trace-form comparison:
-every hermitian-shape candidate (b, c) compatible with the norm form
-would force the norm to be hyperbolic.
+algebra over at most two quadratic extensions.  A type report computes
+the algebra's splitting set once, the classes whose quadratic etale
+algebra splits it (its splitting profile, plus 1 when it is split), and
+reads every such verdict's two classes off it; ``admits_type`` tests
+just its type's two classes, so it needs no finite class group.  The
+cubic-field kind is ruled out for division algebras by an exhaustive
+trace-form comparison: every hermitian-shape candidate (b, c)
+compatible with the norm form would force the norm to be hyperbolic.
 
 Each part of an obstruction report is computed once per the inputs it
 depends on: the lambda rows, the trace gram and the trace diagonal per
@@ -31,7 +32,8 @@ driven by the dataclasses' own fields and declared types: a field's
 ``key`` metadata renames or nests its JSON key (the empty path spreads a
 row's torus type into the row), one table maps ``kind`` tags to the
 report and cubic classes, and derived ``init=False`` fields are written
-but not read back.
+but not read back.  Each class's field plan, with an encoder and decoder
+per declared type, is built once.
 """
 from __future__ import annotations
 
@@ -173,8 +175,10 @@ def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
     if isinstance(tau.cubic, PureCubicGalois):
         raise UnsupportedCubic("use cubic_obstruction_report for the cubic field kind")
-    split = _splitting_set(C)
-    return all(q in split for q in _quadratic_pair(tau))
+    return all(
+        is_split(C) if q.is_one else splits_over_quadratic(C.norm, q)
+        for q in set(_quadratic_pair(tau))
+    )
 
 
 def genus_equal_rational(q1: tuple, q2: tuple) -> bool:
@@ -578,26 +582,51 @@ _KINDS = {
 _TAGS = {cls: kind for kind, cls in _KINDS.items()}
 
 
+def _as_is(value, tower=None):
+    return value
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _field_types(cls) -> dict:
-    """The declared types of a dataclass's fields, resolved once."""
-    return get_type_hints(cls)
+def _codec(tp) -> tuple:
+    """The (encode, decode) pair for values of declared type ``tp``, built
+    once: towers and classes as their strings (classes parsed over the
+    tower handed to decode), tuples as lists, a dataclass or a union of
+    tagged kinds as an object, and anything else as itself."""
+    if tp is FieldTower:
+        return str, lambda value, tower: dsl.parse_field(value)
+    if tp is SquareClass:
+        return str, dsl.parse_class
+    if get_origin(tp) is tuple:
+        enc, dec = _codec(get_args(tp)[0])
+        return (
+            lambda value: [enc(v) for v in value],
+            lambda value, tower: tuple(dec(v, tower) for v in value),
+        )
+    if any(map(is_dataclass, (tp, *get_args(tp)))):
+        return _encode, lambda value, tower: _decode(tp, value, tower)
+    return _as_is, _as_is
 
 
-def _encode(value):
-    """The JSON value of a report or any part of one: towers and classes as
-    their strings, tuples as lists, a dataclass as an object holding its
+@lru_cache(maxsize=CACHE_SIZE)
+def _plan(cls) -> tuple:
+    """Per field of a dataclass, built once: its name, JSON key path,
+    encode and decode, whether it is read back (derived ``init=False``
+    fields are not) and whether its classes live over ``tower.inner()``."""
+    types = get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("key", (f.name,)), *_codec(types[f.name]),
+         f.init, f.metadata.get("inner", False))
+        for f in fields(cls)
+    )
+
+
+def _encode(value) -> dict:
+    """The JSON object of a report or any dataclass part of one: its
     ``kind`` tag, if it has one, then its fields in declaration order."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (FieldTower, SquareClass)):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    out = {"kind": _TAGS[type(value)]} if type(value) in _TAGS else {}
-    for f in fields(value):
-        encoded = _encode(getattr(value, f.name))
-        path = f.metadata.get("key", (f.name,))
+    cls = type(value)
+    out = {"kind": _TAGS[cls]} if cls in _TAGS else {}
+    for name, path, encode, _, _, _ in _plan(cls):
+        encoded = encode(getattr(value, name))
         if not path:
             out.update(encoded)
             continue
@@ -608,31 +637,21 @@ def _encode(value):
     return out
 
 
-def _decode(tp, value, tower: Optional[FieldTower]):
-    """The inverse of ``_encode`` for a value of declared type ``tp``.
-    Classes are parsed over ``tower``, which a report reads from its own
-    tower field, declared first; a union of tagged kinds is resolved by
-    the value's ``kind``."""
-    if tp is FieldTower:
-        return dsl.parse_field(value)
-    if tp is SquareClass:
-        return dsl.parse_class(value, tower)
-    if get_origin(tp) is tuple:
-        return tuple(_decode(get_args(tp)[0], v, tower) for v in value)
+def _decode(tp, value: dict, tower: Optional[FieldTower]):
+    """The inverse of ``_encode`` for a dataclass ``tp``, or a union of
+    tagged kinds, resolved by the value's ``kind``.  Classes are parsed
+    over ``tower``, which a report reads from its own tower field,
+    declared first."""
     if not is_dataclass(tp):
-        if not isinstance(value, dict):
-            return value
         tp = _KINDS[value["kind"]]
-    types = _field_types(tp)
     kwargs = {}
-    for f in fields(tp):
-        if not f.init:  # derived: written, not read back
+    for name, path, _, decode, init, inner in _plan(tp):
+        if not init:  # derived: written, not read back
             continue
         v = value
-        for k in f.metadata.get("key", (f.name,)):
+        for k in path:
             v = v[k]
-        over = tower.inner() if f.metadata.get("inner") else tower
-        kwargs[f.name] = _decode(types[f.name], v, over)
-        if types[f.name] is FieldTower:
-            tower = kwargs[f.name]
+        kwargs[name] = decode(v, tower.inner() if inner else tower)
+        if isinstance(kwargs[name], FieldTower):
+            tower = kwargs[name]
     return tp(**kwargs)

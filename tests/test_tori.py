@@ -17,6 +17,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import (
     FieldTower,
+    canonical_square_class,
     enumerate_square_classes,
     extend_quadratic,
     minus_one_class,
@@ -154,6 +155,26 @@ class TestAdmitsType:
         C = division_octonion()
         for cubic in (Split3(), QuadTimes(var_class(F13ST, "s"))):
             assert not admits_type(C, TorusType(one_class(F13ST), cubic))
+
+    def test_answers_over_q(self):
+        # Q has no finite class group; the criterion needs only the classes
+        # of the type. <<-1,-1,-1>> = 8<1> splits over Q(i) and Q(sqrt -2),
+        # not over Q or the real field Q(sqrt 2).
+        def qc(c):
+            return canonical_square_class(Q, c)
+
+        division = algebra_from_slots(Q, (qc(-1), qc(-1), qc(-1)))
+        split = algebra_from_slots(Q, (one_class(Q), qc(2), qc(3)))
+        cases = [
+            (TorusType(qc(-1), Split3()), True),
+            (TorusType(qc(-1), QuadTimes(qc(2))), True),
+            (TorusType(one_class(Q), Split3()), False),
+            (TorusType(qc(2), Split3()), False),
+            (TorusType(qc(2), QuadTimes(qc(-1))), False),
+        ]
+        for tau, expected in cases:
+            assert admits_type(division, tau) == expected
+            assert admits_type(split, tau)
 
     def test_depends_only_on_profile_f5t_exhaustive(self):
         classes = enumerate_square_classes(F5T)
