@@ -1,15 +1,18 @@
 """Diagonal quadratic form algebra: Pfister forms, isotropy, Witt theory.
 
 Forms are always diagonal, with canonical square classes as entries.
-Witt decomposition, and with it isotropy, applies one base-field rule:
-sign counting over real bases, dimension and discriminant rules over
-finite bases, the local-global machinery of ``arithq`` over Q.  Over a
-Laurent tower k((t_1))...((t_n)), Springer's theorem gives
+Witt decomposition, isotropy and isometry apply one base-field rule,
+which returns the form's class in W(k): counted from the entries of each
+class over R and F_q (Lam, Ch. II), with the kernel read off it, and the
+kernel's invariants from ``arithq`` over Q.  Over a Laurent tower
+k((t_1))...((t_n)), Springer's theorem gives
 W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
 the entries of one mask, with the mask cleared, form one base-field
-summand, and the rule runs once on each.  ``isotropic_vector`` takes its
-vector from the same runs: the first run the rule makes isotropic gets
-an exact base-field solution (a square root for a pair, the least
+summand, and the rule runs once on each.  A form's Witt class is its
+(mask, base class) pairs, and forms of one dimension are isometric when
+their classes are equal (Witt cancellation).  ``isotropic_vector`` takes
+its vector from the same runs: the first run the rule makes isotropic
+gets an exact base-field solution (a square root for a pair, the least
 ternary solution over F_p), lifted by monomials.
 
 A form's ``key`` is the sorted tuple of its entries' codes (see
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -236,6 +239,8 @@ class WittDecomposition:
     kernel_dim: int
     kernel: Optional[DiagonalForm] = None  # None when only invariants survive (Q)
     kernel_invariants: Optional[object] = None  # arithq.RationalInvariants
+    # (mask, base class) per anisotropic run; derived, so not compared
+    witt_class: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -246,39 +251,34 @@ class WittDecomposition:
         return 2 * self.witt_index + self.kernel_dim
 
 
-def _witt_prime_base(tower: FieldTower, entries) -> WittDecomposition:
-    d, m1 = len(entries), minus_one_class(tower)
-    disc = one_class(tower)
-    for e in entries:
-        disc = sq_mul(disc, e)
-    wi = d // 2
-    sign = m1 if wi % 2 else one_class(tower)  # (-1)^wi
-    if d % 2:
-        return WittDecomposition(wi, 1, DiagonalForm(tower, (sq_mul(disc, sign),)))
-    if disc == sign:
-        return WittDecomposition(wi, 0, DiagonalForm(tower, ()))
-    if d == 2:  # an anisotropic plane is its own kernel
-        return WittDecomposition(0, 2, DiagonalForm(tower, entries))
-    kernel = (one_class(tower), sq_mul(disc, sq_mul(sign, m1)))  # disc * (-1)^(wi-1)
-    return WittDecomposition(wi - 1, 2, DiagonalForm(tower, kernel))
-
-
 def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
-    """The base-field rule: signs over R, dimension and discriminant over
-    F_p, invariants over Q."""
-    if tower.kind == "R":
-        pos = sum(1 for e in entries if e.base == 1)
-        neg = len(entries) - pos
-        wi = min(pos, neg)
-        leftover = (one_class(tower),) * (pos - wi) + (
-            minus_one_class(tower),
-        ) * (neg - wi)
-        return WittDecomposition(wi, len(leftover), DiagonalForm(tower, leftover))
-    if tower.kind == "F":
-        return _witt_prime_base(tower, entries)
-    from . import arithq
+    """The base-field rule, with the Witt class ((0, c),), or () when c = 0.
 
-    return arithq.witt_index_rational(DiagonalForm(tower, entries))
+    Over R and F_q, pos and neg count the entries 1 and -1 or u: c is
+    pos - neg in W(R) = Z, (pos - neg) mod 4 in W(F_q) = Z/4 when -1 is not
+    a square (kernels [], <1>, <1,1>, <u>), and (pos mod 2, neg mod 2) in
+    W(F_q) = F_2[Z/2] when it is.  Over Q, c is the kernel's invariants.
+    """
+    if tower.kind == "Q":
+        from . import arithq
+
+        w = arithq.witt_index_rational(DiagonalForm(tower, entries))
+        return replace(w, witt_class=((0, w.kernel_invariants),) if w.kernel_dim else ())
+    pos = sum(1 for e in entries if e.base == 1)
+    neg = len(entries) - pos
+    if tower.kind == "R":
+        c = pos - neg
+        ones, others = max(c, 0), max(-c, 0)
+    elif tower.minus_one_is_square():
+        c = ones, others = pos % 2, neg % 2
+    else:
+        c = (pos - neg) % 4
+        ones, others = ((0, 0), (1, 0), (2, 0), (0, 1))[c]
+    kernel = (one_class(tower),) * ones + (class_of_code(tower, 1),) * others
+    if len(entries) == 2 == len(kernel):  # an anisotropic plane is its own kernel
+        kernel = entries
+    wi, cls = (len(entries) - len(kernel)) // 2, ((0, c),) if kernel else ()
+    return WittDecomposition(wi, len(kernel), DiagonalForm(tower, kernel), witt_class=cls)
 
 
 def _mask_runs(classes) -> list[tuple[int, list[int]]]:
@@ -295,7 +295,7 @@ def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
     the entries of mask m (Lam, Ch. VI).  Each run of ``_mask_runs`` with
-    its mask cleared is one base-field form.
+    its mask cleared is one base-field form, whose class goes to its mask.
     """
     entries = _classes(tower, key)
     if not tower.laurent_vars:
@@ -303,23 +303,28 @@ def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     base = tower.base_field()
     witt_index = kernel_dim = 0
     kernel: Optional[list[SquareClass]] = []
+    witt_class = []
     for mask, idxs in _mask_runs(entries) or [(0, [])]:
         w = _witt_base(base, tuple(SquareClass(base, entries[i].base) for i in idxs))
         witt_index += w.witt_index
         kernel_dim += w.kernel_dim
+        witt_class += [(mask, c) for _, c in w.witt_class]
         if kernel is not None and w.kernel is not None:
             kernel += [SquareClass(tower, e.base, mask) for e in w.kernel.entries]
         else:
             kernel = None
-    return WittDecomposition(
-        witt_index,
-        kernel_dim,
-        None if kernel is None else DiagonalForm(tower, tuple(kernel)),
-    )
+    kernel_form = None if kernel is None else DiagonalForm(tower, tuple(kernel))
+    return WittDecomposition(witt_index, kernel_dim, kernel_form, witt_class=tuple(witt_class))
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
     return _witt(f.tower, f.key)
+
+
+def witt_class(f: DiagonalForm) -> tuple:
+    """The class of f in the Witt ring: (mask, base class) for each
+    anisotropic run, masks ascending; () when f is hyperbolic."""
+    return _witt(f.tower, f.key).witt_class
 
 
 def is_isotropic(f: DiagonalForm) -> bool:
@@ -406,20 +411,11 @@ def isotropic_vector(
     return None
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _isometric(tower: FieldTower, key_f: tuple, key_g: tuple) -> bool:
-    f = DiagonalForm(tower, _classes(tower, key_f))
-    g = DiagonalForm(tower, _classes(tower, key_g))
-    return is_hyperbolic(orthogonal_sum(f, negate(g)))
-
-
 def is_isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Witt cancellation: same dimension and hyperbolic difference."""
+    """Witt cancellation: same dimension and equal Witt classes."""
     if f.tower != g.tower:
         raise FieldMismatch(f"{f.tower} vs {g.tower}")
-    if f.dim != g.dim:
-        return False
-    return _isometric(f.tower, f.key, g.key)
+    return f.dim == g.dim and witt_class(f) == witt_class(g)
 
 
 # -- splitting over quadratic extensions -------------------------------------------

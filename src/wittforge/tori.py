@@ -19,10 +19,11 @@ compatible with the norm form would force the norm to be hyperbolic.
 
 Each part of an obstruction report is computed once per the inputs it
 depends on: the lambda rows, the trace gram and the trace diagonal per
-tower; the hermitian candidates per (tower, d); and the evidence rows per
-(tower, d, sorted codes of the algebra norm's entries), the only part of
-the norm that isometry reads (not the form itself, whose Pfister slots
-differ between algebras with the same norm).  The memoized helpers call
+tower; the hermitian candidates, each with the Witt class of its
+Jacobson norm, per (tower, d); and the evidence rows per (tower, d, Witt
+class of the algebra norm), the only part of the norm that isometry of
+8-dimensional forms reads, so algebras with isometric norms share one
+entry whatever their slots or entries.  The memoized helpers call
 ``sq_mul``, ``is_isometric`` and the other names through this module's
 globals.  Every report still runs its preconditions and reads its
 verdict off its own rows.
@@ -59,7 +60,6 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
-    class_of_code,
     enumerate_square_classes,
     lift_class,
     one_class,
@@ -75,6 +75,7 @@ from .qform import (
     pure_part,
     splits_over_quadratic,
     tensor,
+    witt_class,
 )
 
 
@@ -308,8 +309,8 @@ def _ramified_cubic_trace_form(tower: FieldTower):
 @lru_cache(maxsize=CACHE_SIZE)
 def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
     """The algebra-independent half of steps (c) and (d): for every (b, c),
-    the hermitian norm <<d>> x <<b,c>> and whether the trace form
-    <<d>> x t3 is isometric to <<d>> x pure(<<b,c>>)."""
+    the Witt class of the hermitian norm <<d>> x <<b,c>> and whether the
+    trace form <<d>> x t3 is isometric to <<d>> x pure(<<b,c>>)."""
     _, t3 = _ramified_cubic_trace_form(tower)
     pf_d = pfister(tower, (d,))
     lhs = tensor(pf_d, t3)
@@ -318,7 +319,7 @@ def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
         (
             b,
             c,
-            jacobson_norm(tower, d, b, c),
+            witt_class(jacobson_norm(tower, d, b, c)),
             is_isometric(lhs, tensor(pf_d, pure_part(pfister(tower, (b, c))))),
         )
         for b in classes
@@ -398,7 +399,7 @@ def cubic_obstruction_report(
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic.  The rows come from memos keyed on the tower and on
-    (tower, d, norm key); the verdict is read off them on every call, and
+    (tower, d, norm class); the verdict is read off them on every call, and
     a row contradicting the theorem raises InternalInconsistency.
     """
     tower = C.tower
@@ -418,7 +419,7 @@ def cubic_obstruction_report(
         raise PreconditionFailed("d must be a nonsquare")
 
     lambda_rows, gram, trace_diagonal = _tower_rows(tower)
-    evidence = _evidence_rows(tower, d, C.norm.key)
+    evidence = _evidence_rows(tower, d, witt_class(C.norm))
     return CubicObstructionReport(
         tower,
         C.slots,
@@ -462,14 +463,14 @@ def _tower_rows(tower: FieldTower) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _evidence_rows(tower: FieldTower, d: SquareClass, norm_key: tuple) -> tuple:
-    """Steps (c) and (d) against the algebra norm with sorted entry codes
-    ``norm_key``: isometry reads nothing else of a form, so every algebra
-    with that norm key shares these rows."""
-    norm = DiagonalForm(tower, tuple(class_of_code(tower, c) for c in norm_key))
+def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
+    """Steps (c) and (d) against the algebra norm of Witt class
+    ``norm_class``: a Jacobson norm, 8-dimensional like the algebra norm,
+    matches it exactly when the classes are equal, so every algebra whose
+    norm has that class shares these rows."""
     evidence = []
-    for b, c, jnorm, trace_isometric in _hermitian_candidates(tower, d):
-        matches = is_isometric(jnorm, norm)
+    for b, c, jnorm_class, trace_isometric in _hermitian_candidates(tower, d):
+        matches = jnorm_class == norm_class
         iso = trace_isometric if matches else None
         evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
     return tuple(evidence)

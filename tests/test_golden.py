@@ -20,12 +20,13 @@ from wittforge.algebras import (
     algebra_from_slots,
     composition_defect,
     find_defect_witness,
+    is_split,
     zero_divisor_pair,
 )
 from wittforge.dsl import parse_field, parse_form, parse_slots
 from wittforge.fields import enumerate_square_classes
 from wittforge.laurent import LaurentPoly
-from wittforge.qform import DiagonalForm, is_isotropic, witt_decompose
+from wittforge.qform import DiagonalForm, is_isometric, is_isotropic, witt_decompose
 from wittforge.tori import compare_torus_systems, cubic_obstruction_report, type_report
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -185,6 +186,43 @@ def product_digest() -> str:
 
 def test_product_digest():
     assert product_digest() == PRODUCT_SHA256
+
+
+# sha256 over the type reports of four seeded division octonions over
+# F7((r))((s))((t)), whose norms all have different keys while the first
+# three are isometric, and of the split octonion <<1,s,t>>; then over the
+# comparison of the first and the last division octonion, and over the
+# obstruction reports of the division octonions against every nonsquare
+# d, whose evidence rows a type report reads only through its verdicts.
+TYPES_F7RST_SHA256 = "20e0bf00b6e9509363f27228d6f1d4c0fb22db6acd83a98e507972a7005b4aef"
+
+
+def types_digest() -> str:
+    tower = parse_field("F7((r))((s))((t))")
+    classes = enumerate_square_classes(tower)
+    rng = random.Random(1503)
+    division = []
+    while len(division) < 4:
+        A = algebra_from_slots(tower, rng.sample(classes, 3))
+        if is_split(A) or A.norm.key in {B.norm.key for B in division}:
+            continue
+        # the second one has the first one's norm up to isometry
+        if len(division) == 1 and not is_isometric(A.norm, division[0].norm):
+            continue
+        division.append(A)
+    split = algebra_from_slots(tower, parse_slots("1,s,t", tower))
+    digest = hashlib.sha256()
+    for A in division + [split]:
+        digest.update(type_report(A).to_json().encode())
+    digest.update(compare_torus_systems(division[0], division[3]).to_json().encode())
+    for A in division:
+        for d in classes[1:]:
+            digest.update(cubic_obstruction_report(A, d).to_json().encode())
+    return digest.hexdigest()
+
+
+def test_type_reports_over_three_variables():
+    assert types_digest() == TYPES_F7RST_SHA256
 
 
 def test_outputs_match_golden():

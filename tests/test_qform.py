@@ -30,7 +30,7 @@ from wittforge.fields import (
     sq_mul,
     var_class,
 )
-from wittforge.arithq import rational_invariants
+from wittforge.arithq import rational_invariants, witt_index_rational
 from wittforge.laurent import LaurentPoly
 from wittforge.oracles import (
     constant_witness_search,
@@ -305,6 +305,37 @@ class TestIsometric:
             outcomes.add(expected)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("tower", [Q, FieldTower.rationals("t")], ids=str)
+    def test_equal_classes_match_witt_cancellation_over_q(self, tower):
+        # reference: f ⊥ -g hyperbolic, decided by the recursive Springer
+        # pass with the local-global rule at its leaves
+        rng = random.Random(2015)
+
+        def entry():
+            c = rng.choice((1, -1))
+            for q in rng.sample((2, 3, 5, 7), rng.randint(0, 2)):
+                c *= q
+            return cls(tower, c, {v: rng.randint(0, 1) for v in tower.laurent_vars})
+
+        m1 = minus_one_class(tower)
+        outcomes = set()
+        for _ in range(600):
+            f = DiagonalForm(tower, tuple(entry() for _ in range(rng.randint(1, 5))))
+            how = rng.choice(("permute", "scale", "own"))
+            if how == "permute":
+                g = DiagonalForm(tower, tuple(rng.sample(f.entries, f.dim)))
+            elif how == "scale":
+                g = scale(f, entry())
+            else:
+                g = DiagonalForm(tower, tuple(entry() for _ in range(f.dim)))
+            difference = DiagonalForm(
+                tower, f.entries + tuple(sq_mul(m1, e) for e in g.entries)
+            )
+            expected = f.dim == g.dim and reference_witt(difference).kernel_dim == 0
+            assert is_isometric(f, g) == expected, (f, g)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
 
 class TestPfisterDichotomy:
     @pytest.mark.parametrize("tower", [F5T, F13ST, RTS], ids=str)
@@ -424,17 +455,53 @@ class TestAnisotropicKernelOverRealBase:
 # -- the flat Springer pass against the one-variable-at-a-time recursion ------------
 
 
+def reference_base_witt(f):
+    """Witt decomposition over R or F_q without Witt classes.
+
+    Over R the signs are counted: min(pos, neg) hyperbolic planes and the
+    leftover signs as kernel.  Over F_q the dimension d and discriminant
+    decide, with wi = d // 2: an odd form has kernel <disc * (-1)^wi>; an
+    even one is hyperbolic when disc = (-1)^wi, and otherwise has kernel
+    <1, disc * (-1)^(wi - 1)>, except that an anisotropic plane is its own
+    kernel.  Entries are taken in class order, as the library's runs are.
+    """
+    tower, entries = f.tower, tuple(sorted(f.entries))
+    one, m1 = one_class(tower), minus_one_class(tower)
+    if tower.kind == "R":
+        pos = sum(1 for e in entries if e.base == 1)
+        neg = len(entries) - pos
+        wi = min(pos, neg)
+        leftover = (one,) * (pos - wi) + (m1,) * (neg - wi)
+        return WittDecomposition(wi, len(leftover), DiagonalForm(tower, leftover))
+    disc = one
+    for e in entries:
+        disc = sq_mul(disc, e)
+    d, wi = len(entries), len(entries) // 2
+    sign = m1 if wi % 2 else one  # (-1)^wi
+    if d % 2:
+        return WittDecomposition(wi, 1, DiagonalForm(tower, (sq_mul(disc, sign),)))
+    if disc == sign:
+        return WittDecomposition(wi, 0, DiagonalForm(tower, ()))
+    if d == 2:
+        return WittDecomposition(0, 2, DiagonalForm(tower, entries))
+    kernel = (one, sq_mul(disc, sq_mul(sign, m1)))  # disc * (-1)^(wi-1)
+    return WittDecomposition(wi - 1, 2, DiagonalForm(tower, kernel))
+
+
 def reference_witt(f):
     """Springer's theorem one variable at a time (Lam, Ch. VI).
 
     The entries split by the parity of the outer variable into two
     residue forms over the inner tower; each is decomposed recursively
     and its kernel lifted back, the odd part times the outer variable.
-    Over the base field the library's base-field rule is the leaf.
+    Over the base field the leaf is ``reference_base_witt``, or over Q
+    the local-global rule of ``arithq``.
     """
     tower = f.tower
     if not tower.laurent_vars:
-        return witt_decompose(f)
+        if tower.kind == "Q":
+            return witt_index_rational(f)
+        return reference_base_witt(f)
     inner = tower.inner()
     parts = ([], [])
     for e in f.entries:
