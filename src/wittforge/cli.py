@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import arithq, dsl, oracles, qform, tori
 from .algebras import algebra_from_slots, is_split, zero_divisor_pair
 from .errors import ParseError, WittforgeError
-from .fields import FieldTower
+from .fields import FieldTower, SquareClass
 
 
 def _place_key(v):
@@ -100,6 +100,18 @@ def _isotropy_oracle(f, verdict):
     return None, "no oracle for this field"
 
 
+def _invariants(inv) -> tuple[dict, str]:
+    """The JSON object and the text of a rational kernel's invariants."""
+    places = sorted(inv.hasse_minus, key=_place_key)
+    payload = {
+        "dim": inv.dim,
+        "disc": str(inv.disc),
+        "hasse_minus": [str(v) for v in places],
+        "signature": list(inv.signature),
+    }
+    return payload, f"disc {inv.disc}, hasse -1 at {_places_str(places)}, signature {inv.signature}"
+
+
 def _cmd_qf_witt(args) -> int:
     tower = _parse_field(args)
     f = dsl.parse_form(args.form, tower)
@@ -117,17 +129,15 @@ def _cmd_qf_witt(args) -> int:
     if w.kernel is not None:
         lines.append(f"kernel {w.kernel}")
     if w.kernel_invariants is not None:
-        inv = w.kernel_invariants
-        payload["kernel_invariants"] = {
-            "dim": inv.dim,
-            "disc": str(inv.disc),
-            "hasse_minus": [str(v) for v in sorted(inv.hasse_minus, key=_place_key)],
-            "signature": list(inv.signature),
-        }
-        lines.append(
-            f"kernel invariants: disc {inv.disc}, hasse -1 at "
-            f"{_places_str(inv.hasse_minus)}, signature {inv.signature}"
-        )
+        payload["kernel_invariants"], text = _invariants(w.kernel_invariants)
+        lines.append(f"kernel invariants: {text}")
+    if tower.kind == "Q" and tower.laurent_vars:
+        payload["kernel_runs"] = []  # one rational kernel per anisotropic run
+        for mask, inv in qform.witt_class(f):
+            at = SquareClass(tower, 1, mask)
+            run, text = _invariants(inv)
+            payload["kernel_runs"].append({"at": str(at), **run})
+            lines.append(f"kernel invariants at {at}: {text}")
     if args.oracle:
         if w.kernel is None:
             ok, detail = None, "no kernel to check over this field"

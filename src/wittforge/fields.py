@@ -50,9 +50,11 @@ from .errors import (
 
 DEFAULT_FACTOR_BOUND = 10**6
 
-# Entries kept by every memo cache in the package.  The largest working
-# set of one benchmark round is about 520 entries, so this bounds memory
-# in a long-lived process without evicting within a computation.
+# Entries kept by every memo cache in the package: a memory bound for a
+# long-lived process, sized for the benchmark rounds (working sets of about
+# 520 entries).  Larger computations evict: ``g2-types`` over
+# F7((q))((r))((s))((t)) misses the Pfister cache 32,800 times.  Eviction
+# costs rebuilds, never answers.
 CACHE_SIZE = 4096
 
 

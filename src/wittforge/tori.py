@@ -16,15 +16,18 @@ just its type's two classes, so it needs no finite class group.  The
 cubic-field kind is ruled out for division algebras by an exhaustive
 trace-form comparison: every hermitian-shape candidate (b, c)
 compatible with the norm form would force the norm to be hyperbolic.
+The Jacobson norm <<d>> x <<b,c>> is <<d>> + <<d>> x pure(<<b,c>>), so
+by Witt cancellation step (d), <<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds
+exactly when its Witt class equals that of <<d>> x (<1> + t3).
 
 Each part of an obstruction report is computed once per the inputs it
-depends on: the lambda rows, the trace gram and the trace diagonal per
-tower; the hermitian candidates, each with the Witt class of its
-Jacobson norm, per (tower, d); and the evidence rows per (tower, d, Witt
+depends on: the lambda rows, the trace gram and the trace diagonal t3
+per tower; the target class and the Witt class of every candidate's
+Jacobson norm per (tower, d); and the evidence rows per (tower, d, Witt
 class of the algebra norm), the only part of the norm that isometry of
 8-dimensional forms reads, so algebras with isometric norms share one
 entry whatever their slots or entries.  The memoized helpers call
-``sq_mul``, ``is_isometric`` and the other names through this module's
+``sq_mul``, ``witt_class`` and the other names through this module's
 globals.  Every report still runs its preconditions and reads its
 verdict off its own rows.
 
@@ -70,9 +73,7 @@ from .laurent import LaurentPoly
 from .qform import (
     DiagonalForm,
     diagonalize,
-    is_isometric,
     pfister,
-    pure_part,
     splits_over_quadratic,
     tensor,
     witt_class,
@@ -298,32 +299,14 @@ def jacobson_norm(
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _ramified_cubic_trace_form(tower: FieldTower):
-    """Gram and diagonalization of the trace form of K(t^(1/3))."""
-    minus_t = -LaurentPoly.variable(tower, tower.outer_var)
-    zero = LaurentPoly.zero(tower)
-    gram = trace_form_gram(tower, (minus_t, zero, zero), 1)
-    return gram, diagonalize(tower, gram)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
-    """The algebra-independent half of steps (c) and (d): for every (b, c),
-    the Witt class of the hermitian norm <<d>> x <<b,c>> and whether the
-    trace form <<d>> x t3 is isometric to <<d>> x pure(<<b,c>>)."""
-    _, t3 = _ramified_cubic_trace_form(tower)
-    pf_d = pfister(tower, (d,))
-    lhs = tensor(pf_d, t3)
+    """The algebra-independent half of steps (c) and (d): the target, the
+    Witt class of <<d>> x (<1> + t3), and for every (b, c) the Witt class
+    of the hermitian norm <<d>> x <<b,c>>."""
+    unit_t3 = DiagonalForm(tower, (one_class(tower), *_tower_rows(tower)[2]))
     classes = enumerate_square_classes(tower)
-    return tuple(
-        (
-            b,
-            c,
-            witt_class(jacobson_norm(tower, d, b, c)),
-            is_isometric(lhs, tensor(pf_d, pure_part(pfister(tower, (b, c))))),
-        )
-        for b in classes
-        for c in classes
+    return witt_class(tensor(pfister(tower, (d,)), unit_t3)), tuple(
+        (b, c, witt_class(jacobson_norm(tower, d, b, c))) for b in classes for c in classes
     )
 
 
@@ -395,12 +378,13 @@ def cubic_obstruction_report(
     """Replay of the cubic-field exclusion for a division octonion algebra.
 
     (a) the unit-and-valuation check forcing the hermitian scaling to be
-    a square, (b) the trace form of the ramified cubic, (c) all (b, c)
+    a square, (b) the trace form t3 of the ramified cubic, (c) all (b, c)
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
-    hyperbolic.  The rows come from memos keyed on the tower and on
-    (tower, d, norm class); the verdict is read off them on every call, and
-    a row contradicting the theorem raises InternalInconsistency.
+    hyperbolic: by Witt cancellation, the norm's class is the target's.
+    The rows come from memos keyed on the tower and on (tower, d, norm
+    class); the verdict is read off them on every call, and a row
+    contradicting the theorem raises InternalInconsistency.
     """
     tower = C.tower
     if C.dim != 8:
@@ -453,12 +437,12 @@ def _tower_rows(tower: FieldTower) -> tuple:
             )
             lambda_rows.append(row)
 
-    # (b) trace form of K(t^(1/3))
-    gram, t3 = _ramified_cubic_trace_form(tower)
+    # (b) trace form of K(t^(1/3)) = K[x]/(x^3 - t)
+    gram = trace_form_gram(tower, (-LaurentPoly.variable(tower, tower.outer_var), 0, 0))
     return (
         tuple(lambda_rows),
         tuple(tuple(str(e) for e in row) for row in gram),
-        tuple(t3.entries),
+        diagonalize(tower, gram).entries,
     )
 
 
@@ -466,12 +450,14 @@ def _tower_rows(tower: FieldTower) -> tuple:
 def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
     """Steps (c) and (d) against the algebra norm of Witt class
     ``norm_class``: a Jacobson norm, 8-dimensional like the algebra norm,
-    matches it exactly when the classes are equal, so every algebra whose
-    norm has that class shares these rows."""
+    matches it exactly when the classes are equal, and step (d) holds on
+    a matching row exactly when the norm class is the target, so every
+    algebra whose norm has that class shares these rows."""
+    target, candidates = _hermitian_candidates(tower, d)
     evidence = []
-    for b, c, jnorm_class, trace_isometric in _hermitian_candidates(tower, d):
+    for b, c, jnorm_class in candidates:
         matches = jnorm_class == norm_class
-        iso = trace_isometric if matches else None
+        iso = norm_class == target if matches else None
         evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
     return tuple(evidence)
 

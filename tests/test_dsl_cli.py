@@ -350,6 +350,25 @@ class TestCli:
         payload = json.loads(out)
         assert payload["witt_index"] == 0 and payload["kernel_dim"] == 4
         assert payload["kernel_invariants"]["signature"] == [2, 2]
+        assert "kernel_runs" not in payload
+
+    def test_qf_witt_kernel_runs_over_q_laurent(self, capsys):
+        def witt(form, *flags):
+            code, out, _ = self.run(
+                capsys, "qf-witt", "--field", "Q((t))", "--form", form, *flags
+            )
+            assert code == 0
+            return out
+
+        # <1> and <2> have equal Witt index and kernel dimension
+        assert witt("[1]") != witt("[2]")
+        assert witt("[2]").splitlines()[-1] == (
+            "kernel invariants at 1: disc 2, hasse -1 at {}, signature (1, 0)"
+        )
+        runs = json.loads(witt("[1,2*t]", "--json"))["kernel_runs"]
+        assert [(r["at"], r["dim"], r["disc"]) for r in runs] == [("1", 1, "1"), ("t", 1, "2")]
+        assert "kernel invariants at t: disc 2" in witt("[1,2*t]")
+        assert json.loads(witt("[1,-1]", "--json"))["kernel_runs"] == []
 
     def test_pfister_split_witness(self, capsys):
         code, out, _ = self.run(

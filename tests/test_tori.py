@@ -35,6 +35,7 @@ from wittforge.qform import (
     is_isotropic,
     pfister,
     pure_part,
+    tensor,
 )
 from wittforge.tori import (
     ComparisonReport,
@@ -57,6 +58,7 @@ from wittforge.tori import (
 
 Q = FieldTower.rationals()
 F13 = FieldTower.prime(13)
+F13T = FieldTower.prime(13, "t")
 F13S = FieldTower.prime(13, "s")
 F5T = FieldTower.prime(5, "t")
 F13ST = FieldTower.prime(13, "s", "t")
@@ -353,8 +355,6 @@ class TestJacobsonNorm:
 
     def test_isotropic_twisted_hermitian_part_forces_hyperbolic(self):
         # whenever <<d>> x <-b,-c,bc> is isotropic the full norm splits
-        from wittforge.qform import tensor
-
         classes = enumerate_square_classes(F13S)
         hit = 0
         for d, b, c in itertools.product(classes, repeat=3):
@@ -411,12 +411,38 @@ class TestCubicObstruction:
     def test_contradicting_evidence_raises(self, monkeypatch):
         C = division_octonion()
         u = nonresidue_class(F13ST)
-        monkeypatch.setattr(tori, "is_isometric", lambda f, g: True)
+        # every form gets one class: each candidate matches the norm, and
+        # the norm class equals the step (d) target
+        monkeypatch.setattr(tori, "witt_class", lambda f: ())
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same report
         with pytest.raises(InternalInconsistency):
             type_report(C)
+
+    def test_step_d_class_comparison_matches_trace_isometry(self):
+        """Step (d) read off Witt classes, the Jacobson norm's against the
+        target <<d>> x (<1> + t3), agrees on every candidate with the
+        direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Over
+        F13((t)) every candidate passes the direct test; the other towers
+        have both outcomes."""
+        outcomes = set()
+        for tower in (F13T, F13ST, F7ST, F7RST):
+            zero = LaurentPoly.zero(tower)
+            minus_t = -LaurentPoly.variable(tower, tower.outer_var)
+            t3 = trace_form(tower, (minus_t, zero, zero))
+            for d in enumerate_square_classes(tower):
+                if d.is_one:
+                    continue
+                pf_d = pfister(tower, (d,))
+                lhs = tensor(pf_d, t3)
+                target, candidates = tori._hermitian_candidates(tower, d)
+                for b, c, jnorm_class in candidates:
+                    pure = tensor(pf_d, pure_part(pfister(tower, (b, c))))
+                    direct = is_isometric(lhs, pure)
+                    assert (jnorm_class == target) == direct, (tower, d, b, c)
+                    outcomes.add(direct)
+        assert outcomes == {True, False}
 
     def test_contradicting_lambda_row_raises(self, monkeypatch):
         C = division_octonion()
