@@ -28,8 +28,8 @@ isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
 A product is one accumulate-then-reduce pass: every term of
 x_i * y_j * gamma_ij is added, unreduced, into a raw {exps: coeff} map
-for slot i xor j (``laurent._add_product``; gamma_ij may have any number
-of terms), and each of the dim maps is reduced once into its coordinate
+for slot i xor j (``laurent._add_product``; gamma_ij is one signed slot
+monomial), and each of the dim maps is reduced once into its coordinate
 (``laurent._reduce_raw``).  The diagonal norm value is built the same
 way.
 """
@@ -53,13 +53,10 @@ from .qform import is_isotropic, isotropic_vector, pfister
 
 
 class CompositionAlgebra:
-    """Structure-constant table with its construction history and norm form.
+    """Structure-constant table built from ``slots`` by the index rule,
+    with its norm form, checked against the slots' Pfister norm."""
 
-    Without ``mul_table`` the table is built from ``slots`` by the index
-    rule; a given table is still checked against the slots' Pfister norm.
-    """
-
-    def __init__(self, tower, slots, mul_table=None):
+    def __init__(self, tower, slots):
         slots = tuple(slots)
         if len(slots) > 4:
             raise DimTooLarge("doubling past dimension 16 is not supported")
@@ -68,8 +65,7 @@ class CompositionAlgebra:
                 raise ZeroSlot("doubling slot must be a nonzero square class")
             if c.tower != tower:
                 raise AlgebraMismatch(f"{c.tower} vs {tower}")
-        if mul_table is None:
-            mul_table = _index_rule_table(tower, slots)
+        mul_table = _index_rule_table(tower, slots)
         self.tower = tower
         self.slots = slots
         self.dim = len(mul_table)

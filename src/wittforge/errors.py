@@ -39,6 +39,10 @@ class FactorBoundExceeded(WittforgeError):
     pass
 
 
+class InvalidFactorBound(WittforgeError):
+    """WITTFORGE_FACTOR_BOUND is set, but not to a non-negative integer."""
+
+
 class PrimalityBoundExceeded(WittforgeError):
     """Too large for the proven range of the deterministic primality test."""
 

@@ -17,7 +17,7 @@ group k^x / k^{x2}.  A class is a base part, always a squarefree integer:
 times a bit mask whose bit i marks an odd exponent of ``laurent_vars[i]``.
 Over F_p and sign bases the group is the F_2-vector space (Z/2)^(n+1):
 class number k = 2*mask + (base bit) is its enumeration order and its
-natural order, and the product of two classes is the XOR of their
+natural order, and ``sq_mul`` multiplies two classes by the XOR of their
 numbers.  Every class carries a ``code``, computed once: that number
 over F_p and sign bases, and the order key (mask, |base|, base < 0)
 over Q.  Codes compare in the natural order, hash as plain ints or
@@ -41,6 +41,7 @@ from .errors import (
     FactorBoundExceeded,
     FieldMismatch,
     InfiniteSquareClassGroup,
+    InvalidFactorBound,
     NotLaurent,
     PrimalityBoundExceeded,
     UnknownVariable,
@@ -53,13 +54,21 @@ DEFAULT_FACTOR_BOUND = 10**6
 # Entries kept by every memo cache in the package: a memory bound for a
 # long-lived process, sized for the benchmark rounds (working sets of about
 # 520 entries).  Larger computations evict: ``g2-types`` over
-# F7((q))((r))((s))((t)) misses the Pfister cache 32,800 times.  Eviction
-# costs rebuilds, never answers.
+# F7((q))((r))((s))((t)) misses the Pfister cache 31,776 times and hits it
+# never.  Eviction costs rebuilds, never answers.
 CACHE_SIZE = 4096
 
 
 def factor_bound() -> int:
-    return int(os.environ.get("WITTFORGE_FACTOR_BOUND", DEFAULT_FACTOR_BOUND))
+    """``WITTFORGE_FACTOR_BOUND``, a non-negative integer, or the default."""
+    raw = os.environ.get("WITTFORGE_FACTOR_BOUND")
+    if raw is None:
+        return DEFAULT_FACTOR_BOUND
+    if not raw.strip().isdecimal():
+        raise InvalidFactorBound(
+            f"WITTFORGE_FACTOR_BOUND={raw!r} is not a non-negative integer"
+        )
+    return int(raw)
 
 
 # Miller-Rabin with the prime bases up to 41 is proven to decide
@@ -369,15 +378,13 @@ class SquareClass:
 
 
 def one_class(tower: FieldTower) -> SquareClass:
-    return SquareClass(tower, 1)
+    return class_of_code(tower, (0, 1, False) if tower.kind == "Q" else 0)
 
 
 def minus_one_class(tower: FieldTower) -> SquareClass:
-    if tower.kind == "F":
-        if tower.minus_one_is_square():
-            return one_class(tower)
-        return SquareClass(tower, tower.nonresidue)
-    return SquareClass(tower, -1)
+    if tower.kind == "Q":
+        return class_of_code(tower, (0, 1, True))
+    return class_of_code(tower, 0 if tower.minus_one_is_square() else 1)
 
 
 def nonresidue_class(tower: FieldTower) -> SquareClass:
@@ -441,10 +448,14 @@ def canonical_square_class(
 def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
     """Group law of k^x / k^{x2}; every class is its own inverse.
 
-    Bases are squarefree, so b1*b2 / gcd^2 is the squarefree part.
+    The XOR of class numbers over F_p, F_{p^2} and sign bases; over Q
+    bases are squarefree, so b1*b2 / gcd^2 is the squarefree part.
     """
-    if x.tower != y.tower:
-        raise FieldMismatch(f"{x.tower} vs {y.tower}")
+    tower = x.tower
+    if tower != y.tower:
+        raise FieldMismatch(f"{tower} vs {y.tower}")
+    if tower.is_enumerable:
+        return class_of_code(tower, x.code ^ y.code)
     g = math.gcd(x.base, y.base)
     return SquareClass(x.tower, (x.base // g) * (y.base // g), x.mask ^ y.mask)
 

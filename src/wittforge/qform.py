@@ -19,9 +19,13 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
 or (tower, slot codes) for Pfister forms, so a repeated question costs
 one tuple hash; the tower stays in every key, since the same codes mean
-different classes over different towers.  Over F_p and real towers the
-group law is the XOR of codes, which is how Pfister expansions, tensor
-products and scalings multiply entries.
+different classes over different towers.  Pfister expansions, tensor
+products and scalings multiply entries by ``fields.sq_mul`` alone.
+
+A form is its tower and its entries.  The slots that ``pfister``
+records are metadata, which equality and hashing ignore; only
+``pure_part``, ``splits_over_quadratic`` and ``pfister_slot_witness``
+read them, and the witness is found one slot at a time.
 """
 from __future__ import annotations
 
@@ -59,11 +63,7 @@ from .laurent import LaurentPoly
 
 
 def _times(a: SquareClass, entries) -> tuple[SquareClass, ...]:
-    """a*e for each entry e: the XOR of codes over F_p and real towers,
-    ``sq_mul`` over Q.  The entries must live over a's tower."""
-    tower = a.tower
-    if tower.is_enumerable:
-        return tuple(class_of_code(tower, a.code ^ e.code) for e in entries)
+    """a*e for each entry e."""
     return tuple(sq_mul(a, e) for e in entries)
 
 
@@ -79,8 +79,11 @@ def _pfister_expansion(tower: FieldTower, slots) -> tuple[SquareClass, ...]:
 class DiagonalForm:
     tower: FieldTower
     entries: tuple[SquareClass, ...]
-    # set only by ``pfister``, which expands the entries from these slots
-    pfister_slots: Optional[tuple[SquareClass, ...]] = field(default=None, init=False)
+    # set only by ``pfister``, which expands the entries from these slots;
+    # metadata, so a form equals and hashes as its tower and entries
+    pfister_slots: Optional[tuple[SquareClass, ...]] = field(
+        default=None, init=False, compare=False
+    )
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,15 +140,9 @@ def orthogonal_sum(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
 
 
 def tensor(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
-    """Tensor product; blocks of g scaled by the entries of f.
-
-    When both factors are Pfister the product is the Pfister form on the
-    concatenated slots, entry-exactly, and comes from the ``pfister`` cache.
-    """
+    """Tensor product; blocks of g scaled by the entries of f."""
     if f.tower != g.tower:
         raise FieldMismatch(f"{f.tower} vs {g.tower}")
-    if f.is_pfister and g.is_pfister:
-        return pfister(f.tower, g.pfister_slots + f.pfister_slots)
     return DiagonalForm(
         f.tower, tuple(ab for a in f.entries for ab in _times(a, g.entries))
     )
@@ -422,13 +419,7 @@ def is_isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
 
 
 def map_form(f: DiagonalForm, ext: QuadraticExtension) -> DiagonalForm:
-    """Base change along a quadratic extension's transfer map.
-
-    The transfer is a group homomorphism fixing -1, so a Pfister form
-    maps to the Pfister form on the transferred slots.
-    """
-    if f.is_pfister:
-        return pfister(ext.tower, tuple(ext.transfer(s) for s in f.pfister_slots))
+    """Base change along a quadratic extension's transfer map."""
     return DiagonalForm(ext.tower, tuple(ext.transfer(e) for e in f.entries))
 
 
@@ -456,8 +447,13 @@ def pfister_slot_witness(
 ) -> tuple[SquareClass, ...]:
     """Slots (delta, b_2, ..., b_n) presenting f with delta in front.
 
-    Exhaustive over the square-class group, so only available over
-    enumerable towers; over Q the split/no-split decision is all there is.
+    Found one slot at a time: b_k is the first class, in enumeration
+    order, for which rho = <<delta, b_2, ..., b_k>> is a subform of f
+    (Witt index of f + (-rho) at least dim rho).  A Pfister subform of a
+    Pfister form divides it (Lam, Ch. X), so every choice extends to a
+    full presentation and the result is the lexicographically first one.
+    Only available over enumerable towers; over Q the split/no-split
+    decision is all there is.
     """
     if not f.is_pfister:
         raise NotPfister(f"{f} carries no Pfister provenance")
@@ -466,9 +462,19 @@ def pfister_slot_witness(
     if not splits_over_quadratic(f, delta):
         raise NoSplit(f"{f} does not split over sqrt({delta})")
     n = len(f.pfister_slots)
+    if n == 1 and is_hyperbolic(f):
+        raise WitnessUnsupported(
+            f"<<{f.pfister_slots[0]}>> is hyperbolic and <<{delta}>> is not: "
+            f"no presentation has {delta} in front"
+        )
     classes = enumerate_square_classes(f.tower)
-    for rest in itertools.product(classes, repeat=n - 1):
-        candidate = (delta,) + rest
-        if is_isometric(pfister(f.tower, candidate), f):
-            return candidate
-    raise InternalInconsistency("splitting Pfister form with no slot presentation")
+    slots = (delta,)
+    for _ in range(n - 1):
+        for b in classes:
+            rho = pfister(f.tower, slots + (b,))
+            if witt_decompose(orthogonal_sum(f, negate(rho))).witt_index >= rho.dim:
+                slots += (b,)
+                break
+    if not is_isometric(pfister(f.tower, slots), f):
+        raise InternalInconsistency(f"slots {slots} found for {f} do not present it")
+    return slots

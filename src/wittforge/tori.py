@@ -289,10 +289,11 @@ def trace_form(tower: FieldTower, f, lam=1) -> DiagonalForm:
 def jacobson_norm(
     tower: FieldTower, d: SquareClass, b: SquareClass, c: SquareClass
 ) -> DiagonalForm:
-    """<<d>> tensor <1,-b,-c,bc>, the norm of the hermitian-form construction."""
+    """<<d>> tensor <<b,c>> = <<b,c,d>>, the norm of the hermitian-form
+    construction."""
     if d.is_one:
         raise DSquare(f"{d} is a square")
-    return tensor(pfister(tower, (d,)), pfister(tower, (b, c)))
+    return pfister(tower, (b, c, d))
 
 
 # -- the cubic-field obstruction --------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge.algebras import (
-    CompositionAlgebra,
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
@@ -252,6 +251,20 @@ class TestSplitDetection:
         with pytest.raises(InternalInconsistency):
             zero_divisor_pair(A)
 
+    def test_table_is_checked_against_the_pfister_norm(self, monkeypatch):
+        # a table whose diagonal gives N(e_1) the class of s instead of -u
+        good = algebras._index_rule_table
+        u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
+
+        def bad_table(tower, slots):
+            table = [list(row) for row in good(tower, slots)]
+            table[1][1] = -LaurentPoly.of_class(s)
+            return tuple(tuple(row) for row in table)
+
+        monkeypatch.setattr(algebras, "_index_rule_table", bad_table)
+        with pytest.raises(InternalInconsistency):
+            quaternion(F13ST, u, s)
+
 
 # -- the product against the doubling formula on halves ------------------------------
 #
@@ -435,29 +448,6 @@ class TestReferenceProduct:
             A.tower, A.slots, [dict(c.terms) for c in x.coords], [dict(c.terms) for c in y.coords]
         )
         assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
-
-    def test_structure_constants_with_several_terms(self):
-        # doubling only makes monomial gamma_ij; the product must not rely on it
-        H = quaternion(F13ST, nonresidue_class(F13ST), var_class(F13ST, "s"))
-        s, t = LaurentPoly.variable(F13ST, "s"), LaurentPoly.variable(F13ST, "t")
-        table = [list(row) for row in H.mul_table]
-        table[1][2] = table[1][2] * (t + 1)
-        table[3][1] = s * t + t * t - 5
-        # N(e_2) = -s(s + 3) keeps the class of -s: its lowest term -3s, and 3 = 4^2 mod 13
-        table[2][2] = table[2][2] * (s + 3)
-        A = CompositionAlgebra(F13ST, H.slots, tuple(tuple(row) for row in table))
-        rng = random.Random(9)
-        for _ in range(20):
-            x, y = random_element(A, rng, polynomial=True), random_element(A, rng, polynomial=True)
-            xs, ys = [dict(c.terms) for c in x.coords], [dict(c.terms) for c in y.coords]
-            expected, norm = [{} for _ in range(A.dim)], {}
-            for i, j in itertools.product(range(A.dim), repeat=2):
-                term = _mul(F13ST, _mul(F13ST, xs[i], ys[j]), dict(A.mul_table[i][j].terms))
-                expected[i ^ j] = _add(F13ST, expected[i ^ j], term)
-            for c, v in zip(A.norm_coeffs, xs):
-                norm = _add(F13ST, norm, _mul(F13ST, dict(c.terms), _mul(F13ST, v, v)))
-            assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
-            assert x.norm_form_value().terms == tuple(sorted(norm.items()))
 
     @given(algebra_and_pair())
     @settings(max_examples=100, deadline=None)

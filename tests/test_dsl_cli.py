@@ -378,12 +378,27 @@ class TestCli:
         assert code == 0 and out.splitlines()[0] == "splits"
         assert out.splitlines()[1].startswith("witness <<u*t,")
 
+    def test_pfister_split_witness_of_hyperbolic_one_fold_form(self, capsys):
+        # <<1>> splits over F7(sqrt u), but no <<u>> presents it
+        code, out, err = self.run(
+            capsys, "qf-pfister-split", "--field", "F7",
+            "--form", "<<1>>", "--delta", "u", "--witness",
+        )
+        assert code == 1 and out == ""
+        assert "WitnessUnsupported" in err and "InternalInconsistency" not in err
+
     def test_factor_bound_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "10")
         code, _, err = self.run(
             capsys, "qf-isotropy", "--field", "Q", "--form", "[10403]"
         )
         assert code == 1 and "FactorBoundExceeded" in err
+
+    @pytest.mark.parametrize("bound", ["abc", "-1"])
+    def test_malformed_factor_bound(self, capsys, monkeypatch, bound):
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", bound)
+        code, _, err = self.run(capsys, "qf-isotropy", "--field", "Q", "--form", "[6,1]")
+        assert code == 1 and "InvalidFactorBound" in err
 
     def test_alg_genus_respects_factor_bound(self, capsys):
         # a product of two 10-digit primes: unbounded trial division hangs

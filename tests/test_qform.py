@@ -188,6 +188,16 @@ class TestPfister:
         assert not DiagonalForm(F5T, entries).is_pfister
         assert pfister(F5T, (u, t)).pfister_slots == (u, t)
 
+    def test_a_form_is_its_tower_and_entries(self):
+        # the slots are metadata: equality and hash ignore them
+        u, t = nonresidue_class(F5T), var_class(F5T, "t")
+        f = pfister(F5T, (u, t))
+        plain = DiagonalForm(F5T, f.entries)
+        assert f == plain and hash(f) == hash(plain)
+        assert tensor(pfister(F5T, (u,)), pfister(F5T, (t,))) == pfister(F5T, (t, u))
+        plain_t = DiagonalForm(F5T, pfister(F5T, (t,)).entries)
+        assert tensor(pfister(F5T, (u,)), plain_t) == pfister(F5T, (t, u))
+
 
 class TestIsotropy:
     def test_definite_real(self):
@@ -402,6 +412,61 @@ class TestSlotWitness:
         f = pfister(Q, (cls(Q, -1), cls(Q, -1)))
         with pytest.raises(WitnessUnsupported):
             pfister_slot_witness(f, cls(Q, -1))
+
+    def test_hyperbolic_one_fold_form_has_no_presentation(self):
+        # <<1>> splits over every sqrt(delta), but <<delta>> is anisotropic
+        F7 = FieldTower.prime(7)
+        f = pfister(F7, (one_class(F7),))
+        assert splits_over_quadratic(f, nonresidue_class(F7))
+        with pytest.raises(WitnessUnsupported):
+            pfister_slot_witness(f, nonresidue_class(F7))
+
+    def test_greedy_search_agrees_with_the_exhaustive_one(self):
+        # every 1- and 2-fold form, seeded 3-fold ones, every splitting delta
+        rng = random.Random(2015)
+        towers = [
+            FieldTower.prime(7, "t"),
+            FieldTower.prime(7, "s", "t"),
+            FieldTower.prime(13, "s", "t"),
+            FieldTower.reals("s", "t"),
+            FieldTower("F", 5, ("t",), 2),
+            FieldTower.prime(3, "r", "s", "t"),
+        ]
+        seen = set()
+        for tower in towers:
+            classes = enumerate_square_classes(tower)
+            slot_tuples = [
+                *itertools.product(classes, repeat=1),
+                *itertools.product(classes, repeat=2),
+                *(tuple(rng.choice(classes) for _ in range(3)) for _ in range(16)),
+            ]
+            for slots in slot_tuples:
+                f = pfister(tower, slots)
+                for delta in classes[1:]:
+                    if not splits_over_quadratic(f, delta):
+                        continue
+                    expected = reference_slot_witness(f, delta)
+                    if expected is None:
+                        with pytest.raises(WitnessUnsupported):
+                            pfister_slot_witness(f, delta)
+                    else:
+                        assert pfister_slot_witness(f, delta) == expected, (f, delta)
+                    seen.add((len(slots), expected is None, is_hyperbolic(f)))
+        assert seen == {
+            (1, False, False), (1, True, True), (2, False, False), (2, False, True),
+            (3, False, False), (3, False, True),
+        }
+
+
+def reference_slot_witness(f, delta):
+    """The exhaustive search: the first (delta, b_2, ..., b_n), in
+    enumeration order, whose Pfister form is isometric to f, or None."""
+    classes = enumerate_square_classes(f.tower)
+    for rest in itertools.product(classes, repeat=len(f.pfister_slots) - 1):
+        candidate = (delta,) + rest
+        if is_isometric(pfister(f.tower, candidate), f):
+            return candidate
+    return None
 
 
 class TestConcurrency:
