@@ -452,7 +452,8 @@ def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
     bases are squarefree, so b1*b2 / gcd^2 is the squarefree part.
     """
     tower = x.tower
-    if tower != y.tower:
+    # classes of one tower share its object: skip the field-by-field __eq__
+    if tower is not y.tower and tower != y.tower:
         raise FieldMismatch(f"{tower} vs {y.tower}")
     if tower.is_enumerable:
         return class_of_code(tower, x.code ^ y.code)

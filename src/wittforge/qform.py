@@ -230,14 +230,33 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
 # -- isotropy, Witt decomposition -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WittDecomposition:
     witt_index: int
     kernel_dim: int
     kernel: Optional[DiagonalForm] = None  # None when only invariants survive (Q)
     kernel_invariants: Optional[object] = None  # arithq.RationalInvariants
-    # (mask, base class) per anisotropic run; derived, so not compared
-    witt_class: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # (mask, base class) per anisotropic run; compared only when it is all
+    # that is kept of the kernel (over Q((t))...), else derived
+    witt_class: Optional[tuple] = field(default=None, repr=False)
+
+    def _key(self) -> tuple:
+        kept = self.kernel is not None or self.kernel_invariants is not None
+        return (
+            self.witt_index,
+            self.kernel_dim,
+            self.kernel,
+            self.kernel_invariants,
+            None if kept else self.witt_class,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, WittDecomposition):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def is_hyperbolic(self) -> bool:

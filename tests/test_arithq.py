@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from wittforge.arithq import (
     witt_index_rational,
 )
 from wittforge.errors import ZeroArgument
-from wittforge.fields import FieldTower, canonical_square_class
+from wittforge.fields import FieldTower, SquareClass, canonical_square_class
 from wittforge.oracles import (
     hilbert2_unit_solvable,
     legendre_by_enumeration,
@@ -259,3 +260,148 @@ class TestPlace:
         assert str(Place(13)) == "13"
         with pytest.raises(ValueError):
             Place(6)
+
+
+# -- the one-pass invariants against the product over pairs ---------------------
+
+
+def reference_hilbert(a: int, b: int, p: int) -> int:
+    """(a, b)_p of nonzero ints by the formula for one pair (Serre, *A Course
+    in Arithmetic*, Ch. III, Thm. 1); p == 0 is the real place."""
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+
+    def split(n):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v, n
+
+    (alpha, u), (beta, w) = split(a), split(b)
+    if p == 2:
+        eps = lambda x: (x % 8 - 1) // 2 % 2
+        omega = lambda x: ((x % 8) ** 2 - 1) // 8 % 2
+        e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
+        return -1 if e % 2 else 1
+    leg = lambda x: 1 if pow(x % p, (p - 1) // 2, p) == 1 else -1
+    h = 1  # (-1|p)^(alpha beta) (u|p)^beta (w|p)^alpha, factors with exponent 0 skipped
+    if alpha % 2 and beta % 2:
+        h *= leg(-1)
+    if beta % 2:
+        h *= leg(u)
+    if alpha % 2:
+        h *= leg(w)
+    return h
+
+
+def reference_hasse(values, p: int) -> int:
+    """The Hasse invariant as its definition: prod over i < j of (a_i, a_j)_p."""
+    h = 1
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            h *= reference_hilbert(values[i], values[j], p)
+    return h
+
+
+def reference_invariants(values, primes):
+    """(dim, disc, Hasse invariant per place, signature) of the squarefree
+    ``values``, with ``primes`` their support and 2, from the definitions:
+    the disc is the sign of the product times each prime that divides an
+    odd number of the values."""
+    sign = (-1) ** sum(1 for x in values if x < 0)
+    disc = sign * math.prod(q for q in primes if sum(1 for x in values if x % q == 0) % 2)
+    hasse = {p: reference_hasse(values, p) for p in [0] + sorted(primes)}
+    pos = sum(1 for x in values if x > 0)
+    return len(values), disc, hasse, (pos, len(values) - pos)
+
+
+def reference_witt_index(dim, disc, hasse, signature):
+    """Witt index and kernel invariants by stripping hyperbolic planes off
+    the invariants of ``reference_invariants``.
+
+    f = <1,-1> ⊥ f' has dim(f') = dim(f) - 2, d(f') = -d(f) and
+    s(f') = s(f) (-1, -d(f)); isotropy at a place is Serre's criterion
+    (Ch. IV, Thm. 6) on (dim, d, s) and, at the real place, indefiniteness.
+    """
+    (pos, neg), places = signature, sorted(hasse)
+
+    def local_square(m, p):
+        if m % p == 0:
+            return False
+        return m % 8 == 1 if p == 2 else pow(m % p, (p - 1) // 2, p) == 1
+
+    def isotropic_at(p):
+        if p == 0:
+            return pos > 0 and neg > 0
+        if dim == 2:
+            return local_square(-disc, p)
+        if dim == 3:
+            return reference_hilbert(-1, -disc, p) == hasse[p]
+        if dim == 4:
+            return not local_square(disc, p) or hasse[p] == reference_hilbert(-1, -1, p)
+        return True
+
+    index = 0
+    while dim >= 2 and all(isotropic_at(p) for p in places):
+        hasse = {p: hasse[p] * reference_hilbert(-1, -disc, p) for p in places}
+        dim, disc, pos, neg, index = dim - 2, -disc, pos - 1, neg - 1, index + 1
+    return index, (dim, disc, {p for p in places if hasse[p] == -1}, (pos, neg))
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, n, d)))
+    return [q for q in range(n) if sieve[q]]
+
+
+LARGE_PRIMES = [q for q in _primes_below(10**5) if q > 13]
+
+
+def seeded_squarefree_forms(seed, count):
+    """(values, primes) of ``count`` forms of dimension 1-9: each entry a sign
+    times up to two primes from 2..13, and a third of them times one
+    prime up to 10^5, so that factoring stays cheap."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        values, primes = [], {2}
+        for _ in range(rng.randint(1, 9)):
+            ps = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 2))
+            if rng.random() < 1 / 3:
+                ps.append(rng.choice(LARGE_PRIMES))
+            values.append(rng.choice((1, -1)) * math.prod(ps))
+            primes.update(ps)
+        yield values, primes
+
+
+class TestAgainstPairwiseReference:
+    def test_hilbert_symbol_matches_pair_formula(self):
+        for a, b in itertools.product(RANGE30, repeat=2):
+            for v in PLACES:
+                assert hilbert_symbol(a, b, v) == reference_hilbert(a, b, v.p)
+
+    def test_invariants_and_witt_index_on_seeded_forms(self):
+        outside = (3, 5, 7, 11, 13, 99991)  # off the support the Hasse invariant is 1
+        seen = set()
+        for values, primes in seeded_squarefree_forms(14, 4000):
+            f = DiagonalForm(Q, tuple(SquareClass(Q, x) for x in values))
+            inv = rational_invariants(f)
+            dim, disc, hasse, signature = reference_invariants(values, primes)
+            assert (inv.dim, inv.disc.base, inv.signature) == (dim, disc, signature)
+            for p, h in hasse.items():
+                assert inv.hasse(Place(p)) == h, (values, p)
+            for p in set(outside) - primes:
+                assert inv.hasse(Place(p)) == 1 == reference_hasse(values, p), (values, p)
+            w = witt_index_rational(f)
+            index, (k_dim, k_disc, k_minus, k_signature) = reference_witt_index(
+                dim, disc, hasse, signature
+            )
+            kernel = w.kernel_invariants
+            assert (w.witt_index, w.kernel_dim, kernel.dim) == (index, k_dim, k_dim), values
+            assert (kernel.disc.base, kernel.signature) == (k_disc, k_signature), values
+            assert kernel.hasse_minus == {Place(p) for p in k_minus}, values
+            seen.add((dim % 2, min(index, 2), k_dim))
+        assert len(seen) >= 10  # odd and even forms, anisotropic to index 2 and more

@@ -122,6 +122,18 @@ class TestGroupLaw:
         with pytest.raises(FieldMismatch):
             sq_mul(one_class(Q), one_class(F5))
 
+    def test_towers_compared_by_value_not_identity(self):
+        # distinct but equal tower objects multiply; towers that differ in
+        # one field only (variable order, degree) still raise
+        twin = FieldTower.prime(13, "s", "t")
+        assert twin is not F13ST and twin == F13ST
+        s, t = var_class(F13ST, "s"), SquareClass(twin, 1, 0b10)
+        assert sq_mul(s, t) == SquareClass(F13ST, 1, 0b11)
+        for other in (FieldTower.prime(13, "t", "s"), FieldTower("F", 13, ("s", "t"), 2)):
+            assert other is not F13ST and other != F13ST
+            with pytest.raises(FieldMismatch):
+                sq_mul(s, SquareClass(other, 1, 0b10))
+
     @pytest.mark.parametrize("tower", DESK, ids=str)
     def test_elementary_abelian_two_group(self, tower):
         classes = enumerate_square_classes(tower)

@@ -248,6 +248,22 @@ class TestWitt:
         w = witt_decompose(DiagonalForm(Q, (one_class(Q),)))
         assert (w.witt_index, w.kernel_dim) == (0, 1)
 
+    def test_equality_over_qt_follows_isometry(self):
+        # over Q((t)) no kernel and no kernel invariants are kept, so the
+        # Witt class is what tells <1> from <2>; <1,2> and <3,6> stay equal
+        qt = FieldTower.rationals("t")
+
+        def form(*values):
+            return DiagonalForm(qt, tuple(cls(qt, v) for v in values))
+
+        for f, g in ((form(1), form(2)), (form(1, 2), form(3, 6)), (form(1, -1), form(5, -5))):
+            w, wg = witt_decompose(f), witt_decompose(g)
+            assert w.kernel is None and w.kernel_invariants is None
+            assert (w == wg) == is_isometric(f, g)
+            assert w != wg or hash(w) == hash(wg)
+        assert witt_decompose(form(1)) != witt_decompose(form(2))
+        assert witt_decompose(form(1, 2)) == witt_decompose(form(3, 6))
+
     @pytest.mark.parametrize("tower", [F5T, F13ST, RTS], ids=str)
     def test_decomposition_algebra(self, tower):
         classes = enumerate_square_classes(tower)
