@@ -22,6 +22,7 @@ appear in class, slot and form literals but not in polynomials.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -38,6 +39,10 @@ from .laurent import LaurentPoly
 from .qform import DiagonalForm, pfister
 
 
+# a run of whitespace: in a str pattern, \s is exactly what str.isspace accepts
+_WS = re.compile(r"\s*")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -47,8 +52,9 @@ class _Scanner:
         return ParseError(message, self.text, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        # most tokens follow no whitespace: test one character before matching
+        if self.text[self.pos : self.pos + 1].isspace():
+            self.pos = _WS.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""

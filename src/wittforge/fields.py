@@ -15,13 +15,14 @@ group k^x / k^{x2}.  A class is a base part, always a squarefree integer:
 * signs   +1 / -1,
 
 times a bit mask whose bit i marks an odd exponent of ``laurent_vars[i]``.
-Over F_p and sign bases the group is the F_2-vector space (Z/2)^(n+1):
-class number k = 2*mask + (base bit) is its enumeration order and its
-natural order, and ``sq_mul`` multiplies two classes by the XOR of their
-numbers.  Every class carries a ``code``, computed once: that number
-over F_p and sign bases, and the order key (mask, |base|, base < 0)
-over Q.  Codes compare in the natural order, hash as plain ints or
-tuples, and ``class_of_code`` turns a code back into its class.
+Over F_p and sign bases the group is the F_2-vector space (Z/2)^(n+1)
+(Lam, Ch. VI §1): class number k = 2*mask + (base bit) is its
+enumeration order and its natural order.  Every class carries a
+``code``, computed once: that number over F_p and sign bases, and the
+order key (mask, |base|, base < 0) over Q.  Codes hash as plain ints or
+tuples, ``class_of_code`` turns one back into its class, and the group
+law is ``_code_mul`` on codes (XOR of class numbers; over Q, XOR of masks
+and signs with base |b1*b2| / gcd^2), which ``sq_mul`` reads as a class.
 
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
@@ -53,9 +54,8 @@ DEFAULT_FACTOR_BOUND = 10**6
 
 # Entries kept by every memo cache in the package: a memory bound for a
 # long-lived process, sized for the benchmark rounds (working sets of about
-# 520 entries).  Larger computations evict: ``g2-types`` over
-# F7((q))((r))((s))((t)) misses the Pfister cache 31,776 times and hits it
-# never.  Eviction costs rebuilds, never answers.
+# 520 entries).  Larger computations may evict; eviction costs rebuilds,
+# never answers.
 CACHE_SIZE = 4096
 
 
@@ -226,6 +226,16 @@ class FieldTower:
                 raise ValueError(f"bad variable name {v!r}")
         object.__setattr__(
             self, "_hash", hash((self.kind, self.p, self.laurent_vars, self.degree))
+        )
+
+    def __eq__(self, other) -> bool:
+        # classes and forms of one tower share its object: answer that first
+        if self is other:
+            return True
+        if not isinstance(other, FieldTower):
+            return NotImplemented
+        return (self.kind, self.p, self.laurent_vars, self.degree) == (
+            other.kind, other.p, other.laurent_vars, other.degree
         )
 
     def __hash__(self) -> int:
@@ -445,20 +455,23 @@ def canonical_square_class(
     return SquareClass(tower, _base_class_of_constant(tower, coeff), mask)
 
 
-def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
-    """Group law of k^x / k^{x2}; every class is its own inverse.
+def _code_mul(x, y):
+    """The group law of k^x / k^{x2} on codes: the XOR of class numbers over
+    F_p, F_{p^2} and sign bases; over Q, where bases are squarefree, masks
+    and signs XOR and the base's size is |b1*b2| / gcd^2."""
+    if isinstance(x, int):
+        return x ^ y
+    g = math.gcd(x[1], y[1])
+    return x[0] ^ y[0], (x[1] // g) * (y[1] // g), x[2] != y[2]
 
-    The XOR of class numbers over F_p, F_{p^2} and sign bases; over Q
-    bases are squarefree, so b1*b2 / gcd^2 is the squarefree part.
-    """
-    tower = x.tower
-    # classes of one tower share its object: skip the field-by-field __eq__
-    if tower is not y.tower and tower != y.tower:
-        raise FieldMismatch(f"{tower} vs {y.tower}")
-    if tower.is_enumerable:
-        return class_of_code(tower, x.code ^ y.code)
-    g = math.gcd(x.base, y.base)
-    return SquareClass(x.tower, (x.base // g) * (y.base // g), x.mask ^ y.mask)
+
+def sq_mul(x: SquareClass, y: SquareClass) -> SquareClass:
+    """Group law of k^x / k^{x2}: the product of the codes, as a class.
+    Products over Q, whose classes are unbounded in number, are not kept."""
+    if x.tower != y.tower:
+        raise FieldMismatch(f"{x.tower} vs {y.tower}")
+    make = class_of_code if x.tower.is_enumerable else class_of_code.__wrapped__
+    return make(x.tower, _code_mul(x.code, y.code))
 
 
 def enumerate_square_classes(tower: FieldTower) -> list[SquareClass]:

@@ -107,7 +107,7 @@ class LaurentPoly:
     @classmethod
     def coerce(cls, tower: FieldTower, value) -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
-            if value.tower is not tower and value.tower != tower:
+            if value.tower != tower:
                 raise UnknownVariable(f"polynomial over {value.tower}, expected {tower}")
             return value
         if isinstance(value, SquareClass):

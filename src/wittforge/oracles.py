@@ -202,14 +202,27 @@ def _perfect_square(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
+def _subforms(a: Sequence[int], r: int):
+    """Index r-subsets of ``a``, skipping each whose coefficients, in
+    order, repeat an earlier subset's: the search on it would repeat too."""
+    seen = set()
+    for combo in itertools.combinations(range(len(a)), r):
+        coeffs = tuple(a[m] for m in combo)
+        if coeffs not in seen:
+            seen.add(coeffs)
+            yield combo
+
+
 def rational_witness_search(
     entries: Sequence[int], bounds: Sequence[int] = (30, 120, 400)
 ) -> Optional[tuple[int, ...]]:
     """Integer isotropy witness for a diagonal form over Q, or None.
 
     Pair rule, then ternary subforms (loop two coordinates, perfect
-    square for the third), then a quaternary meet-in-the-middle, with an
-    escalating coordinate bound.
+    square for the third), then quaternary subforms (meet in the middle
+    of two coordinate pairs), with an escalating coordinate bound.  Every
+    subform is tried, so a witness with at most four nonzero coordinates,
+    each within the last bound, is found.
     """
     a = [int(x) for x in entries]
     d = len(a)
@@ -223,8 +236,7 @@ def rational_witness_search(
                 out[i], out[j] = s, abs(a[i])
                 return _reduce(out)
     for bound in bounds:
-        for combo in itertools.combinations(range(d), 3):
-            i, j, k = combo
+        for i, j, k in _subforms(a, 3):
             for x in range(bound + 1):
                 for y in range(bound + 1):
                     if x == 0 and y == 0:
@@ -235,21 +247,22 @@ def rational_witness_search(
                         out[i], out[j], out[k] = a[k] * x, a[k] * y, s
                         if any(out):
                             return _reduce(out)
-        if d >= 4:
+        for i, j, k, l in _subforms(a, 4):
             table: dict[int, tuple[int, int]] = {}
             nonzero_table: dict[int, tuple[int, int]] = {}
             for x1 in range(bound + 1):
                 for x2 in range(bound + 1):
-                    v = a[0] * x1 * x1 + a[1] * x2 * x2
+                    v = a[i] * x1 * x1 + a[j] * x2 * x2
                     table.setdefault(v, (x1, x2))
                     if x1 or x2:
                         nonzero_table.setdefault(v, (x1, x2))
             for x3 in range(bound + 1):
                 for x4 in range(bound + 1):
-                    v = -(a[2] * x3 * x3 + a[3] * x4 * x4)
+                    v = -(a[k] * x3 * x3 + a[l] * x4 * x4)
                     match = table.get(v) if (x3 or x4) else nonzero_table.get(v)
                     if match is not None:
-                        out = (match[0], match[1], x3, x4) + (0,) * (d - 4)
+                        out = [0] * d
+                        out[i], out[j], out[k], out[l] = match[0], match[1], x3, x4
                         return _reduce(out)
     return None
 

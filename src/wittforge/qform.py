@@ -17,10 +17,11 @@ ternary solution over F_p), lifted by monomials.
 
 A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
-or (tower, slot codes) for Pfister forms, so a repeated question costs
-one tuple hash; the tower stays in every key, since the same codes mean
-different classes over different towers.  Pfister expansions, tensor
-products and scalings multiply entries by ``fields.sq_mul`` alone.
+so a repeated question costs one tuple hash; the tower stays in every
+key, since the same codes mean different classes over different towers.
+Pfister forms are folded on codes by ``fields._code_mul``, with no memo,
+and ``pfister_class`` reads their Witt class off those codes; tensor
+products and scalings multiply entries by ``fields.sq_mul``.
 
 A form is its tower and its entries.  The slots that ``pfister``
 records are metadata, which equality and hashing ignore; only
@@ -52,6 +53,7 @@ from .fields import (
     FieldTower,
     QuadraticExtension,
     SquareClass,
+    _code_mul,
     class_of_code,
     enumerate_square_classes,
     minus_one_class,
@@ -65,14 +67,6 @@ from .laurent import LaurentPoly
 def _times(a: SquareClass, entries) -> tuple[SquareClass, ...]:
     """a*e for each entry e."""
     return tuple(sq_mul(a, e) for e in entries)
-
-
-def _pfister_expansion(tower: FieldTower, slots) -> tuple[SquareClass, ...]:
-    """Entries of <<a_1,...,a_n>>: fold e -> e ++ (-a)*e over the slots."""
-    entries = (one_class(tower),)
-    for neg_a in _times(minus_one_class(tower), slots):
-        entries += _times(neg_a, entries)
-    return entries
 
 
 @dataclass(frozen=True)
@@ -110,20 +104,29 @@ def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
     return tuple(class_of_code(tower, c) for c in codes)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _pfister_cached(tower: FieldTower, slot_codes: tuple) -> DiagonalForm:
-    slots = _classes(tower, slot_codes)
-    form = DiagonalForm(tower, _pfister_expansion(tower, slots))
-    object.__setattr__(form, "pfister_slots", slots)
-    return form
+def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
+    """Codes of the entries of <<a_1,...,a_n>>: fold e -> e ++ (-a)*e over
+    the slots, on codes."""
+    codes = [one_class(tower).code]
+    minus_one = minus_one_class(tower).code
+    for a in slots:
+        if a.tower != tower:
+            raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
+        neg_a = _code_mul(minus_one, a.code)
+        codes += [_code_mul(neg_a, e) for e in codes]
+    return codes
 
 
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
     """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>, provenance kept."""
-    for a in slots:
-        if a.tower != tower:
-            raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
-    return _pfister_cached(tower, tuple(a.code for a in slots))
+    form = DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
+    object.__setattr__(form, "pfister_slots", tuple(slots))
+    return form
+
+
+def pfister_class(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
+    """``witt_class(pfister(tower, slots))`` from the entry codes, no form built."""
+    return _witt(tower, tuple(sorted(_pfister_codes(tower, slots)))).witt_class
 
 
 def pure_part(f: DiagonalForm) -> DiagonalForm:

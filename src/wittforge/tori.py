@@ -22,14 +22,14 @@ exactly when its Witt class equals that of <<d>> x (<1> + t3).
 
 Each part of an obstruction report is computed once per the inputs it
 depends on: the lambda rows, the trace gram and the trace diagonal t3
-per tower; the target class and the Witt class of every candidate's
-Jacobson norm per (tower, d); and the evidence rows per (tower, d, Witt
-class of the algebra norm), the only part of the norm that isometry of
-8-dimensional forms reads, so algebras with isometric norms share one
-entry whatever their slots or entries.  The memoized helpers call
-``sq_mul``, ``witt_class`` and the other names through this module's
-globals.  Every report still runs its preconditions and reads its
-verdict off its own rows.
+per tower; and the evidence rows per (tower, d, Witt class of the
+algebra norm), the only part of the norm that isometry of 8-dimensional
+forms reads, so algebras with isometric norms share one entry whatever
+their slots or entries.  No candidate is built as a form: the class of
+its Jacobson norm is read off the slot codes (``qform.pfister_class``).
+The memoized helpers call ``sq_mul``, ``witt_class``, ``pfister_class``
+and the other names through this module's globals.  Every report still
+runs its preconditions and reads its verdict off its own rows.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -74,6 +74,7 @@ from .qform import (
     DiagonalForm,
     diagonalize,
     pfister,
+    pfister_class,
     splits_over_quadratic,
     tensor,
     witt_class,
@@ -299,18 +300,6 @@ def jacobson_norm(
 # -- the cubic-field obstruction --------------------------------------------------------
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _hermitian_candidates(tower: FieldTower, d: SquareClass) -> tuple:
-    """The algebra-independent half of steps (c) and (d): the target, the
-    Witt class of <<d>> x (<1> + t3), and for every (b, c) the Witt class
-    of the hermitian norm <<d>> x <<b,c>>."""
-    unit_t3 = DiagonalForm(tower, (one_class(tower), *_tower_rows(tower)[2]))
-    classes = enumerate_square_classes(tower)
-    return witt_class(tensor(pfister(tower, (d,)), unit_t3)), tuple(
-        (b, c, witt_class(jacobson_norm(tower, d, b, c))) for b in classes for c in classes
-    )
-
-
 def _key(*path: str):
     """A report field written under the JSON key path ``path`` (nested
     objects) instead of its name; the empty path spreads the field's own
@@ -450,16 +439,20 @@ def _tower_rows(tower: FieldTower) -> tuple:
 @lru_cache(maxsize=CACHE_SIZE)
 def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
     """Steps (c) and (d) against the algebra norm of Witt class
-    ``norm_class``: a Jacobson norm, 8-dimensional like the algebra norm,
-    matches it exactly when the classes are equal, and step (d) holds on
-    a matching row exactly when the norm class is the target, so every
-    algebra whose norm has that class shares these rows."""
-    target, candidates = _hermitian_candidates(tower, d)
+    ``norm_class``: a Jacobson norm <<b,c,d>>, 8-dimensional like the
+    algebra norm, matches it exactly when the classes are equal, and step
+    (d) holds on a matching row exactly when the norm class is the target,
+    the class of <<d>> x (<1> + t3), so every algebra whose norm has that
+    class shares these rows."""
+    unit_t3 = DiagonalForm(tower, (one_class(tower), *_tower_rows(tower)[2]))
+    target = witt_class(tensor(pfister(tower, (d,)), unit_t3))
+    classes = enumerate_square_classes(tower)
     evidence = []
-    for b, c, jnorm_class in candidates:
-        matches = jnorm_class == norm_class
-        iso = norm_class == target if matches else None
-        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
+    for b in classes:
+        for c in classes:
+            matches = pfister_class(tower, (b, c, d)) == norm_class
+            iso = norm_class == target if matches else None
+            evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
     return tuple(evidence)
 
 

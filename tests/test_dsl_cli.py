@@ -132,6 +132,59 @@ class TestParsers:
                 pass  # ParseError or a domain error, never a crash
 
 
+def reference_skip_ws(text, pos):
+    """The scanner's former whitespace loop, one character per step."""
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+class TestScanner:
+    SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+    def test_skip_ws_accepts_what_isspace_accepts(self):
+        # every whitespace code point, each run ended by a non-space one
+        text = "".join(c + self.SPACES[:i] + "x\u200b" for i, c in enumerate(self.SPACES))
+        scanner = dsl._Scanner(text)
+        for pos in range(len(text) + 1):
+            scanner.pos = pos
+            scanner.skip_ws()
+            assert scanner.pos == reference_skip_ws(text, pos), pos
+
+    def test_error_positions_unchanged(self, monkeypatch):
+        bad = [
+            " [1,\u00a0t^\u2003]",
+            "<<u,\u3000 ,s>>",
+            "[1,\x1c\x1d 2,",
+            "\u2028F13((s))\u0085((",
+            "(1,\t2\u200b)",
+            "[\v3/\f0]",
+        ]
+
+        def positions():
+            out = []
+            for text in bad:
+                for fn in (dsl.parse_field, lambda t: dsl.parse_form(t, F13ST),
+                           lambda t: dsl.parse_element_coords(t, F13ST)):
+                    try:
+                        fn(text)
+                        out.append(None)
+                    except ParseError as e:
+                        out.append(e.pos)
+                    except WittforgeError as e:
+                        out.append(type(e).__name__)
+            return out
+
+        fast = positions()
+        assert any(isinstance(p, int) and p > 0 for p in fast)
+
+        def slow_skip_ws(scanner):
+            scanner.pos = reference_skip_ws(scanner.text, scanner.pos)
+
+        monkeypatch.setattr(dsl._Scanner, "skip_ws", slow_skip_ws)
+        assert positions() == fast
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = run_command(list(argv))
@@ -148,6 +201,14 @@ class TestCli:
         )
         assert code == 0
         assert out.splitlines() == ["isotropic", "oracle: witness (1, 1) (agreement)"]
+
+    def test_oracle_witness_off_the_first_four_coordinates(self, capsys):
+        # 1 + 1 + 1 - 3 = 0 needs the last coordinate: every 4-subset is tried
+        code, out, _ = self.run(
+            capsys, "qf-isotropy", "--field", "Q", "--form", "[1,1,1,1,-3]", "--oracle"
+        )
+        assert code == 0
+        assert out.splitlines() == ["isotropic", "oracle: witness (1, 1, 1, 0, 1) (agreement)"]
 
     def test_oracle_inconclusive_when_nothing_was_checked(self, capsys):
         # the witness (2,1,1,1,0,1) uses five coordinates, past the search

@@ -163,6 +163,28 @@ class TestGroupLaw:
                 expected = SquareClass(tower, math.prod(primes, start=sign), x.mask ^ y.mask)
                 assert sq_mul(x, y) == expected
 
+    @pytest.mark.parametrize("tower", [Q, FieldTower.rationals("s", "t")], ids=str)
+    def test_rational_products_match_the_squarefree_reference(self, tower):
+        values = [1, -1, 2, -2, 3, -6, 10, -15, 30, 77, -105, 2 * 3 * 5 * 7 * 11]
+        masks = range(2 ** len(tower.laurent_vars))
+        classes = [SquareClass(tower, v, m) for v in values for m in masks]
+        for x in classes:
+            for y in classes:
+                # reference: the squarefree part of the product of the bases
+                sign, primes = squarefree_decomposition(x.base * y.base)
+                expected = SquareClass(tower, math.prod(primes, start=sign), x.mask ^ y.mask)
+                assert sq_mul(x, y) == expected
+                assert sq_mul(x, y).code == expected.code
+
+    def test_tower_equality(self):
+        # identity first, then the fields; other types are not towers
+        assert F13ST == F13ST and F13ST == FieldTower.prime(13, "s", "t")
+        assert F13ST != FieldTower.prime(13, "t", "s")
+        assert F13ST != FieldTower("F", 13, ("s", "t"), 2)
+        assert F13ST.__eq__("F13((s))((t))") is NotImplemented
+        assert F13ST != "F13((s))((t))"
+        assert hash(F13ST) == hash(FieldTower.prime(13, "s", "t"))
+
     def test_rational_codes(self):
         for value in (1, -1, 2, -6, 15, -15):
             c = canonical_square_class(FieldTower.rationals("t"), value, {"t": 1})

@@ -36,6 +36,7 @@ from wittforge.oracles import (
     constant_witness_search,
     rational_witness_search,
     truncated_witness_search,
+    verify_rational_witness,
 )
 from wittforge.qform import (
     DiagonalForm,
@@ -49,11 +50,13 @@ from wittforge.qform import (
     negate,
     orthogonal_sum,
     pfister,
+    pfister_class,
     pfister_slot_witness,
     pure_part,
     scale,
     splits_over_quadratic,
     tensor,
+    witt_class,
     witt_decompose,
 )
 
@@ -199,6 +202,61 @@ class TestPfister:
         assert tensor(pfister(F5T, (u,)), plain_t) == pfister(F5T, (t, u))
 
 
+def reference_pfister_entries(tower, slots):
+    """Entries of <<a_1,...,a_n>> by the class fold e -> e ++ (-a)*e,
+    each product a ``sq_mul`` of two classes."""
+    entries = (one_class(tower),)
+    for a in slots:
+        neg_a = sq_mul(minus_one_class(tower), a)
+        entries += tuple(sq_mul(neg_a, e) for e in entries)
+    return entries
+
+
+class TestPfisterCodes:
+    """``pfister`` folds its entries on codes and ``pfister_class`` reads
+    the Witt class off those codes; both against the fold on classes."""
+
+    def check(self, tower, slots):
+        f = pfister(tower, slots)
+        assert f.entries == reference_pfister_entries(tower, slots), (tower, slots)
+        assert f.pfister_slots == tuple(slots)
+        assert pfister_class(tower, slots) == witt_class(f), (tower, slots)
+
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            F13ST,
+            FieldTower.prime(7, "r", "s", "t"),
+            FieldTower.reals("s", "t"),
+            FieldTower("F", 5, ("t",), 2),
+        ],
+        ids=str,
+    )
+    def test_every_slot_tuple_up_to_three_slots(self, tower):
+        classes = enumerate_square_classes(tower)
+        for n in range(4):
+            for slots in itertools.product(classes, repeat=n):
+                self.check(tower, slots)
+
+    @pytest.mark.parametrize("tower", [Q, FieldTower.rationals("t")], ids=str)
+    def test_seeded_rational_slots(self, tower):
+        rng = random.Random(17)
+        values = [v for v in range(-30, 31) if v]
+        for _ in range(300):
+            n = rng.randint(0, 3)
+            slots = tuple(
+                cls(tower, rng.choice(values), {v: rng.randint(0, 1) for v in tower.laurent_vars})
+                for _ in range(n)
+            )
+            self.check(tower, slots)
+
+    def test_slot_over_another_tower(self):
+        with pytest.raises(FieldMismatch):
+            pfister(F13ST, (var_class(F5T, "t"),))
+        with pytest.raises(FieldMismatch):
+            pfister_class(F13ST, (var_class(F5T, "t"),))
+
+
 class TestIsotropy:
     def test_definite_real(self):
         R = FieldTower.reals()
@@ -212,6 +270,25 @@ class TestIsotropy:
         # oracle 2: no small witness
         assert rational_witness_search([1, 1, -7]) is None
         assert not is_isotropic(f)
+
+    def test_rational_search_tries_every_quaternary_subform(self):
+        # 1 + 1 + 1 - 3 = 0 needs the fifth coordinate
+        w = rational_witness_search([1, 1, 1, 1, -3])
+        assert w is not None and verify_rational_witness([1, 1, 1, 1, -3], w)
+        assert w[4] != 0
+        # a planted witness (x, y, z, 1) on four shuffled coordinates of six,
+        # repeated coefficients included, is found within its bound
+        rng = random.Random(5)
+        for _ in range(40):
+            a = [rng.choice((1, 1, 2, 3, -1, -5)) for _ in range(3)]
+            x = [rng.randint(1, 4) for _ in range(3)]
+            e = sum(ai * xi * xi for ai, xi in zip(a, x))
+            if e == 0:
+                continue
+            entries = a + [-e] + [rng.choice((1, 7, -7)) for _ in range(2)]
+            rng.shuffle(entries)
+            w = rational_witness_search(entries, bounds=(4,))
+            assert w is not None and verify_rational_witness(entries, w), entries
 
     def test_pfister_ut_over_f5t_with_oracles(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")

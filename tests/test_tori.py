@@ -36,6 +36,7 @@ from wittforge.qform import (
     pfister,
     pure_part,
     tensor,
+    witt_class,
 )
 from wittforge.tori import (
     ComparisonReport,
@@ -411,9 +412,10 @@ class TestCubicObstruction:
     def test_contradicting_evidence_raises(self, monkeypatch):
         C = division_octonion()
         u = nonresidue_class(F13ST)
-        # every form gets one class: each candidate matches the norm, and
-        # the norm class equals the step (d) target
+        # every form and every Jacobson norm gets one class: each candidate
+        # matches the norm, and the norm class equals the step (d) target
         monkeypatch.setattr(tori, "witt_class", lambda f: ())
+        monkeypatch.setattr(tori, "pfister_class", lambda tower, slots: ())
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same report
@@ -423,25 +425,33 @@ class TestCubicObstruction:
     def test_step_d_class_comparison_matches_trace_isometry(self):
         """Step (d) read off Witt classes, the Jacobson norm's against the
         target <<d>> x (<1> + t3), agrees on every candidate with the
-        direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Over
-        F13((t)) every candidate passes the direct test; the other towers
-        have both outcomes."""
+        direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Each
+        candidate's row is read from the evidence rows at the class of its
+        Jacobson norm built as a form, so the row must match; the rows are
+        asked for once per distinct class.  Over F13((t)) every candidate
+        passes the direct test; the other towers have both outcomes."""
         outcomes = set()
         for tower in (F13T, F13ST, F7ST, F7RST):
             zero = LaurentPoly.zero(tower)
             minus_t = -LaurentPoly.variable(tower, tower.outer_var)
             t3 = trace_form(tower, (minus_t, zero, zero))
-            for d in enumerate_square_classes(tower):
-                if d.is_one:
-                    continue
+            classes = enumerate_square_classes(tower)
+            for d in classes[1:]:
                 pf_d = pfister(tower, (d,))
                 lhs = tensor(pf_d, t3)
-                target, candidates = tori._hermitian_candidates(tower, d)
-                for b, c, jnorm_class in candidates:
-                    pure = tensor(pf_d, pure_part(pfister(tower, (b, c))))
-                    direct = is_isometric(lhs, pure)
-                    assert (jnorm_class == target) == direct, (tower, d, b, c)
-                    outcomes.add(direct)
+                by_class = {}
+                for i, (b, c) in enumerate(itertools.product(classes, repeat=2)):
+                    jnorm_class = witt_class(jacobson_norm(tower, d, b, c))
+                    by_class.setdefault(jnorm_class, []).append(i)
+                for jnorm_class, idxs in by_class.items():
+                    rows = tori._evidence_rows(tower, d, jnorm_class)
+                    for i in idxs:
+                        row = rows[i]
+                        pure = tensor(pf_d, pure_part(pfister(tower, (row.b, row.c))))
+                        direct = is_isometric(lhs, pure)
+                        assert row.norm_matches, (tower, d, row)
+                        assert row.trace_isometric == direct, (tower, d, row)
+                        outcomes.add(direct)
         assert outcomes == {True, False}
 
     def test_contradicting_lambda_row_raises(self, monkeypatch):
