@@ -15,23 +15,23 @@ and unrolled it gives the index rule
 
 with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
 The sign table omega depends only on the number of slots; it comes from
-the doubling formula run over signs and is cached per slot count.  A
-table is then the 2^n slot-monomial products (4 Laurent products for an
-octonion) and their negations, each built once, picked by the sign of
-each pair.  An algebra is identified by (tower, slots), which is all its
-table depends on.  The diagonal norm is read off the table's diagonal:
-N(e_0) = 1 and N(e_i) = -gamma_ii, and its classes are checked against
-the Pfister form of the slots.  Element coordinates are exact Laurent
+the doubling formula run over signs and is cached per slot count.  The
+table ``gamma`` holds one (exps, coeff) term per pair: one of the 2^n
+slot-monomial products (4 Laurent products for an octonion), each built
+and checked once, with the pair's sign on its coefficient, which is left
+unreduced, since products reduce once at the end.  An algebra is
+identified by (tower, slots), which is all its table depends on.  The
+diagonal norm is read off the table's diagonal: N(e_0) = 1 and
+N(e_i) = -gamma_ii, and its classes are checked against the Pfister form
+of the slots.  Element coordinates are exact Laurent
 polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
 isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
-A product is one accumulate-then-reduce pass: every term of
-x_i * y_j * gamma_ij is added, unreduced, into a raw {exps: coeff} map
-for slot i xor j (``laurent._add_product``; gamma_ij is one signed slot
-monomial), and each of the dim maps is reduced once into its coordinate
-(``laurent._reduce_raw``).  The diagonal norm value is built the same
-way.
+A product is one accumulate-then-reduce pass over the pairs of terms of
+x and y (``laurent._add_products``): each adds x_i * y_j * gamma_ij,
+unreduced, into a raw map for slot i xor j, and each of the dim maps is
+reduced once (``laurent._reduce_raw``).  So is the norm value.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .errors import (
     ZeroSlot,
 )
 from .fields import CACHE_SIZE, FieldTower, SquareClass
-from .laurent import LaurentPoly, _add_product, _reduce_raw
+from .laurent import LaurentPoly, _add_products, _reduce_raw
 from .qform import is_isotropic, isotropic_vector, pfister
 
 
@@ -65,14 +65,15 @@ class CompositionAlgebra:
                 raise ZeroSlot("doubling slot must be a nonzero square class")
             if c.tower != tower:
                 raise AlgebraMismatch(f"{c.tower} vs {tower}")
-        mul_table = _index_rule_table(tower, slots)
+        gamma = _index_rule_table(tower, slots)
         self.tower = tower
         self.slots = slots
-        self.dim = len(mul_table)
-        self.mul_table = mul_table  # e_i * e_j = mul_table[i][j] * e_(i ^ j)
+        self.dim = len(gamma)
+        self.gamma = gamma  # e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term
         # N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii: exact signed slot products
-        self.norm_coeffs = (mul_table[0][0],) + tuple(
-            -mul_table[i][i] for i in range(1, self.dim)
+        diagonal = [gamma[i][i] for i in range(self.dim)]
+        self.norm_coeffs = tuple(
+            _reduce_raw(tower, {e: -c if i else c}) for i, (e, c) in enumerate(diagonal)
         )
         self.norm = pfister(tower, self.slots)
         classes = tuple(c.square_class() for c in self.norm_coeffs)
@@ -128,10 +129,7 @@ class AlgebraElement:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self + (-other)
 
     def __neg__(self):
         return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
@@ -142,15 +140,10 @@ class AlgebraElement:
             return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
         self._check(other)
         A = self.algebra
-        raw = [{} for _ in range(A.dim)]  # slot i ^ j: {exps: unreduced coeff}
-        ys = [(j, y.terms) for j, y in enumerate(other.coords) if y.terms]
-        for i, x in enumerate(self.coords):
-            if not x.terms:
-                continue
-            gammas = A.mul_table[i]
-            for j, y_terms in ys:
-                _add_product(raw[i ^ j], x.terms, y_terms, gammas[j].terms)
-        return AlgebraElement(A, tuple(_reduce_raw(A.tower, m) for m in raw))
+        raws = [{} for _ in range(A.dim)]  # slot i ^ j: {exps: unreduced coeff}
+        xs, ys = ([c.terms for c in z.coords] for z in (self, other))
+        _add_products(raws, xs, ys, A.gamma)
+        return AlgebraElement(A, tuple(_reduce_raw(A.tower, m) for m in raws))
 
     __rmul__ = __mul__
 
@@ -175,10 +168,10 @@ class AlgebraElement:
 
     def norm_form_value(self) -> LaurentPoly:
         """The norm evaluated as a diagonal form on the coordinates."""
-        raw = {}
+        raws = [{}]
         for c, x in zip(self.algebra.norm_coeffs, self.coords):
-            _add_product(raw, x.terms, x.terms, c.terms)
-        return _reduce_raw(self.algebra.tower, raw)
+            _add_products(raws, (x.terms,), (x.terms,), (c.terms,))
+        return _reduce_raw(self.algebra.tower, raws[0])
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -218,18 +211,21 @@ def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
-    """e_i * e_j = omega(i, j) * prod_(k in i & j) c_k * e_(i xor j), with
-    c_k the monomial of slot k: one product per slot monomial (the masks
-    with two or more bits), and each negated once."""
+    """gamma_ij = omega(i, j) * prod_(k in i & j) c_k as one (exps, coeff)
+    term, c_k the monomial of slot k: one checked product per slot monomial,
+    the sign on the coefficient, unreduced (products reduce at the end)."""
     prods = [LaurentPoly.const(tower, 1)]
     for c in slots:
         cm = LaurentPoly.of_class(c)
         prods += [cm] + [p * cm for p in prods[1:]]
-    negs = [-p for p in prods]
+    if any(len(p.terms) != 1 for p in prods):
+        raise InternalInconsistency(f"slot products {prods} are not all signed monomials")
+    pos = [p.terms[0] for p in prods]
+    neg = [(e, -c) for e, c in pos]
     w = _sign_table(len(slots))
     n = len(prods)
     return tuple(
-        tuple(prods[i & j] if w[i][j] > 0 else negs[i & j] for j in range(n))
+        tuple(pos[i & j] if w[i][j] > 0 else neg[i & j] for j in range(n))
         for i in range(n)
     )
 

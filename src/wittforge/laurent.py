@@ -7,18 +7,18 @@ over prime bases, so over a degree-2 base F_{p^2} the nonresidue class has
 no monomial representative.  Exponent vectors follow the tower's variable
 order, innermost first; negative exponents are allowed.
 
-Arithmetic accumulates, then reduces: sums and products first add raw
-coefficients (ints, or Fractions) into a plain {exps: coeff} map, every
-product through the one kernel ``_add_product``, and ``_reduce_raw``
-then turns that map into a polynomial: ``_norm_coeff`` once per
-exponent, zeros dropped, terms sorted.  Reduction mod p is a ring
-homomorphism, so the result is the one that reducing at every step
-gives.  ``algebras`` builds whole element products the same way.
+Arithmetic accumulates, then reduces: sums and products add raw ints or
+Fractions into plain {exps: coeff} maps, every product through the one
+kernel ``_add_products``; ``_reduce_raw`` turns a map into a polynomial,
+mod p over prime bases (a ring homomorphism, so this is what reducing at
+every step gives), zeros dropped, terms sorted.  ``_norm_coeff`` checks
+coefficients where they enter: ``const`` and ``monomial``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .errors import UnknownVariable, UnrepresentableClass, ZeroElement
 from .fields import FieldTower, SquareClass, _base_class_of_constant
@@ -34,32 +34,35 @@ def _norm_coeff(tower: FieldTower, c):
                 raise ZeroElement(f"denominator vanishes in F_{tower.p}")
             return c.numerator * pow(den, -1, tower.p) % tower.p
         return int(c) % tower.p
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(int(c))
+    return Fraction(c)
 
 
-def _add_product(raw: dict, f, g, h) -> None:
-    """Add every term of the product of three term sequences into ``raw``,
-    coefficients unreduced.  The loops nest h, f, g: the longest goes last."""
-    for eh, ch in h:
-        for ef, cf in f:
-            efh = [a + b for a, b in zip(ef, eh)]
-            cfh = cf * ch
-            for eg, cg in g:
-                e = tuple([a + b for a, b in zip(efh, eg)])
-                raw[e] = raw.get(e, 0) + cfh * cg
+def _add_products(raws: list, xs, ys, gamma) -> None:
+    """Add every term of x_i * y_j * gamma[i][j], unreduced, into raws[i ^ j]:
+    xs, ys hold one term sequence per slot, gamma[i][j] is one (exps, coeff)
+    term; a polynomial product is one slot with gamma = 1.  Per slot j, x is
+    flattened into its terms times gamma_ij, so ex + e_gamma is summed once."""
+    xs = [(i, x) for i, x in enumerate(xs) if x]
+    for j, y in enumerate(ys):
+        if not y:
+            continue
+        xg = [(raws[i ^ j], tuple(map(add, ex, eg)), cx * cg)
+              for i, x in xs for eg, cg in (gamma[i][j],) for ex, cx in x]
+        for ey, cy in y:
+            for raw, exg, cxg in xg:
+                e = tuple(map(add, exg, ey))
+                raw[e] = raw.get(e, 0) + cxg * cy
 
 
 def _reduce_raw(tower: FieldTower, raw: dict) -> "LaurentPoly":
-    """The polynomial of a raw {exps: coeff} map: each coefficient reduced
-    once, zero terms dropped, terms sorted by exponent vector."""
-    terms = []
-    for e, c in raw.items():
-        c = _norm_coeff(tower, c)
-        if c:
-            terms.append((e, c))
-    terms.sort()
+    """The polynomial of a raw {exps: coeff} map: coefficients mod p over
+    prime bases, zero terms dropped, terms sorted by exponent vector."""
+    if tower.kind == "F":
+        p = tower.p
+        terms = [(e, r) for e, c in raw.items() if (r := c % p)]
+    else:
+        terms = [(e, c) for e, c in raw.items() if c]
+    terms.sort(key=itemgetter(0))
     return LaurentPoly(tower, tuple(terms))
 
 
@@ -76,7 +79,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, tower: FieldTower, c) -> "LaurentPoly":
-        return _reduce_raw(tower, {(0,) * len(tower.laurent_vars): c})
+        return cls.monomial(tower, c)
 
     @classmethod
     def monomial(cls, tower: FieldTower, c, exponents=None) -> "LaurentPoly":
@@ -85,7 +88,8 @@ class LaurentPoly:
             if v not in tower.laurent_vars:
                 raise UnknownVariable(f"{v!r} not declared in {tower}")
         exps = tuple(exponents.get(v, 0) for v in tower.laurent_vars)
-        return _reduce_raw(tower, {exps: c})
+        c = _norm_coeff(tower, c)
+        return cls(tower, ((exps, c),) if c else ())
 
     @classmethod
     def variable(cls, tower: FieldTower, name: str, e: int = 1) -> "LaurentPoly":
@@ -136,10 +140,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        raw = {}
-        one = (((0,) * len(self.tower.laurent_vars), 1),)
-        _add_product(raw, self.terms, other.terms, one)
-        return _reduce_raw(self.tower, raw)
+        raws, one = [{}], ((0,) * len(self.tower.laurent_vars), 1)
+        _add_products(raws, (self.terms,), (other.terms,), ((one,),))
+        return _reduce_raw(self.tower, raws[0])
 
     __rmul__ = __mul__
 

@@ -20,7 +20,8 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
 Pfister forms are folded on codes by ``fields._code_mul``, with no memo,
-and ``pfister_class`` reads their Witt class off those codes; tensor
+and ``pfister_class`` reads their Witt class off those codes
+(``pfister_classes`` extends many folded forms by the same slots); tensor
 products and scalings multiply entries by ``fields.sq_mul``.
 
 A form is its tower and its entries.  The slots that ``pfister``
@@ -105,15 +106,24 @@ def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
 
 
 def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
-    """Codes of the entries of <<a_1,...,a_n>>: fold e -> e ++ (-a)*e over
-    the slots, on codes."""
-    codes = [one_class(tower).code]
+    """Codes of the entries of <<a_1,...,a_n>>."""
+    return _fold([one_class(tower).code], _neg_codes(tower, slots))
+
+
+def _neg_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
+    """The codes of -a for the slots a, each checked to live over ``tower``."""
     minus_one = minus_one_class(tower).code
     for a in slots:
         if a.tower != tower:
             raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
-        neg_a = _code_mul(minus_one, a.code)
-        codes += [_code_mul(neg_a, e) for e in codes]
+    return [_code_mul(minus_one, a.code) for a in slots]
+
+
+def _fold(codes: list, negs: list) -> list:
+    """The codes of phi x <<a_1,...,a_n>>, given those of phi and of the -a:
+    fold e -> e ++ (-a)*e over the slots."""
+    for neg_a in negs:
+        codes = codes + [_code_mul(neg_a, e) for e in codes]
     return codes
 
 
@@ -126,7 +136,14 @@ def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
 
 def pfister_class(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
     """``witt_class(pfister(tower, slots))`` from the entry codes, no form built."""
-    return _witt(tower, tuple(sorted(_pfister_codes(tower, slots)))).witt_class
+    return pfister_classes(tower, slots, [(one_class(tower).code,)])[0]
+
+
+def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> list:
+    """The Witt class of phi x <<slots>> for each Pfister form phi whose
+    entry codes are in ``bases``; the slots are read once for all of them."""
+    negs = _neg_codes(tower, slots)
+    return [_witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class for phi in bases]
 
 
 def pure_part(f: DiagonalForm) -> DiagonalForm:

@@ -26,9 +26,10 @@ per tower; and the evidence rows per (tower, d, Witt class of the
 algebra norm), the only part of the norm that isometry of 8-dimensional
 forms reads, so algebras with isometric norms share one entry whatever
 their slots or entries.  No candidate is built as a form: the class of
-its Jacobson norm is read off the slot codes (``qform.pfister_class``).
-The memoized helpers call ``sq_mul``, ``witt_class``, ``pfister_class``
-and the other names through this module's globals.  Every report still
+its Jacobson norm <<b,c,d>> is read off codes (``qform.pfister_classes``),
+those of <<b,c>> folded once per tower and extended by d.  The memoized
+helpers call ``sq_mul``, ``witt_class``, ``pfister_classes`` and the
+other names through this module's globals.  Every report still
 runs its preconditions and reads its verdict off its own rows.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
@@ -72,9 +73,10 @@ from .fields import (
 from .laurent import LaurentPoly
 from .qform import (
     DiagonalForm,
+    _pfister_codes,
     diagonalize,
     pfister,
-    pfister_class,
+    pfister_classes,
     splits_over_quadratic,
     tensor,
     witt_class,
@@ -446,14 +448,25 @@ def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tupl
     class shares these rows."""
     unit_t3 = DiagonalForm(tower, (one_class(tower), *_tower_rows(tower)[2]))
     target = witt_class(tensor(pfister(tower, (d,)), unit_t3))
-    classes = enumerate_square_classes(tower)
+    pairs = _pair_codes(tower)
+    jnorm_classes = pfister_classes(tower, (d,), [bc for _, _, bc in pairs])
     evidence = []
-    for b in classes:
-        for c in classes:
-            matches = pfister_class(tower, (b, c, d)) == norm_class
-            iso = norm_class == target if matches else None
-            evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
+    for (b, c, _), jnorm_class in zip(pairs, jnorm_classes):
+        matches = jnorm_class == norm_class
+        iso = norm_class == target if matches else None
+        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
     return tuple(evidence)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _pair_codes(tower: FieldTower) -> tuple:
+    """(b, c, entry codes of <<b,c>>) for every pair of square classes, b
+    outer: each <<b,c>> is folded once per tower, and each Jacobson norm
+    <<b,c,d>> is <<b,c>> with (-d)<<b,c>> appended."""
+    classes = enumerate_square_classes(tower)
+    return tuple(
+        (b, c, tuple(_pfister_codes(tower, (b, c)))) for b in classes for c in classes
+    )
 
 
 # -- reports -----------------------------------------------------------------------------

@@ -258,11 +258,19 @@ class TestSplitDetection:
 
         def bad_table(tower, slots):
             table = [list(row) for row in good(tower, slots)]
-            table[1][1] = -LaurentPoly.of_class(s)
+            (table[1][1],) = (-LaurentPoly.of_class(s)).terms
             return tuple(tuple(row) for row in table)
 
         monkeypatch.setattr(algebras, "_index_rule_table", bad_table)
         with pytest.raises(InternalInconsistency):
+            quaternion(F13ST, u, s)
+
+    def test_structure_constants_must_be_signed_monomials(self, monkeypatch):
+        # slot "monomials" c + 1 give slot products of several terms
+        of_class = LaurentPoly.of_class
+        u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
+        monkeypatch.setattr(LaurentPoly, "of_class", classmethod(lambda cls, x: of_class(x) + 1))
+        with pytest.raises(InternalInconsistency, match="signed monomials"):
             quaternion(F13ST, u, s)
 
 
@@ -418,7 +426,8 @@ class TestIndexRule:
     def _check(self, tower, slot_tuples):
         for slots, expected in reference_tables(tower, slot_tuples).items():
             A = algebra_from_slots(tower, slots)
-            got = [[c.terms for c in row] for row in A.mul_table]
+            # a negative sign stays on gamma's unreduced coefficient
+            got = [[((e, _reduced(tower, c)),) for e, c in row] for row in A.gamma]
             assert got == [[tuple(sorted(v.items())) for v in row] for row in expected], slots
 
     def test_every_slot_tuple_up_to_dim_16_over_f13st(self):
@@ -448,6 +457,33 @@ class TestReferenceProduct:
             A.tower, A.slots, [dict(c.terms) for c in x.coords], [dict(c.terms) for c in y.coords]
         )
         assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
+
+    def test_seeded_octonions_over_three_variables(self):
+        """Octonion products over F7((r))((s))((t)), with dense coordinates
+        and negative exponents, against doubling on halves."""
+        rng = random.Random(7)
+        classes = enumerate_square_classes(F7RST)
+
+        def coords():
+            return [
+                {
+                    tuple(rng.randint(-2, 2) for _ in F7RST.laurent_vars): rng.randint(1, 6)
+                    for _ in range(rng.randint(0, 3))
+                }
+                for _ in range(8)
+            ]
+
+        for _ in range(40):
+            slots = tuple(rng.choice(classes) for _ in range(3))
+            A = algebra_from_slots(F7RST, slots)
+            xc, yc = coords(), coords()
+            x, y = (
+                A.element([LaurentPoly(F7RST, tuple(sorted(v.items()))) for v in c])
+                for c in (xc, yc)
+            )
+            expected = reference_product(F7RST, slots, xc, yc)
+            assert [c.terms for c in (x * y).coords] == [tuple(sorted(v.items())) for v in expected]
+            assert composition_defect(x, y).is_zero
 
     @given(algebra_and_pair())
     @settings(max_examples=100, deadline=None)

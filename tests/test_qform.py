@@ -51,6 +51,7 @@ from wittforge.qform import (
     orthogonal_sum,
     pfister,
     pfister_class,
+    pfister_classes,
     pfister_slot_witness,
     pure_part,
     scale,
@@ -250,11 +251,26 @@ class TestPfisterCodes:
             )
             self.check(tower, slots)
 
+    @pytest.mark.parametrize(
+        "tower", [F13ST, FieldTower.prime(7, "r", "s", "t"), FieldTower.reals("s", "t")], ids=str
+    )
+    def test_classes_of_folded_forms_extended_by_a_slot(self, tower):
+        """<<b,c,d>> read as <<b,c>>'s entry codes extended by d."""
+        classes = enumerate_square_classes(tower)
+        pairs = list(itertools.product(classes, repeat=2))
+        bases = [pfister(tower, pair).key for pair in pairs]
+        for d in classes:
+            assert pfister_classes(tower, (d,), bases) == [
+                pfister_class(tower, (b, c, d)) for b, c in pairs
+            ], (tower, d)
+
     def test_slot_over_another_tower(self):
         with pytest.raises(FieldMismatch):
             pfister(F13ST, (var_class(F5T, "t"),))
         with pytest.raises(FieldMismatch):
             pfister_class(F13ST, (var_class(F5T, "t"),))
+        with pytest.raises(FieldMismatch):
+            pfister_classes(F13ST, (var_class(F5T, "t"),), [(0,)])
 
 
 class TestIsotropy:

@@ -415,7 +415,9 @@ class TestCubicObstruction:
         # every form and every Jacobson norm gets one class: each candidate
         # matches the norm, and the norm class equals the step (d) target
         monkeypatch.setattr(tori, "witt_class", lambda f: ())
-        monkeypatch.setattr(tori, "pfister_class", lambda tower, slots: ())
+        monkeypatch.setattr(
+            tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
+        )
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same report
