@@ -16,15 +16,22 @@ and unrolled it gives the index rule
 with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
 The sign table omega depends only on the number of slots; it comes from
 the doubling formula run over signs and is cached per slot count.  The
-table ``gamma`` holds one (exps, coeff) term per pair: one of the 2^n
-slot-monomial products (4 Laurent products for an octonion), each built
-and checked once, with the pair's sign on its coefficient, which is left
-unreduced, since products reduce once at the end.  An algebra is
-identified by (tower, slots), which is all its table depends on.  The
-diagonal norm is read off the table's diagonal: N(e_0) = 1 and
-N(e_i) = -gamma_ii, and its classes are checked against the Pfister form
-of the slots.  Element coordinates are exact Laurent
-polynomials; the operations used here (multiply, conjugate, norm, trace)
+table ``gamma`` holds one (exps, coeff) term per pair, built from one
+term per slot, the slot's monomial (``LaurentPoly.of_class``, checked to
+be a single term): the 2^n slot products are term products (exponent
+vectors added, coefficients multiplied, reduced mod p once), and each
+row picks its entries out of the products and their negatives by a
+layout cached per slot count.  So the pair's sign sits on its
+coefficient, which is left unreduced, since products reduce once at the
+end.  An algebra is identified by (tower, slots), which is all its table
+depends on.  The norm is checked on codes: the class code of each
+N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
+(``laurent._term_class``: the exponent parities and the base class of the
+coefficient) and must equal the Pfister codes of the slots
+(``qform._pfister_codes``); the norm form is built from those same codes
+by the path ``qform.pfister`` takes, and the diagonal coefficients
+``norm_coeffs`` become polynomials on first use.  Element coordinates are
+exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
 isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
@@ -37,7 +44,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -47,9 +55,9 @@ from .errors import (
     UnsupportedDim,
     ZeroSlot,
 )
-from .fields import CACHE_SIZE, FieldTower, SquareClass
-from .laurent import LaurentPoly, _add_products, _reduce_raw
-from .qform import is_isotropic, isotropic_vector, pfister
+from .fields import CACHE_SIZE, FieldTower, SquareClass, _class_code
+from .laurent import LaurentPoly, _add_products, _norm_coeff, _reduce_raw, _term_class
+from .qform import _pfister_codes, _pfister_form, is_isotropic, isotropic_vector
 
 
 class CompositionAlgebra:
@@ -70,17 +78,19 @@ class CompositionAlgebra:
         self.slots = slots
         self.dim = len(gamma)
         self.gamma = gamma  # e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term
-        # N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii: exact signed slot products
-        diagonal = [gamma[i][i] for i in range(self.dim)]
-        self.norm_coeffs = tuple(
-            _reduce_raw(tower, {e: -c if i else c}) for i, (e, c) in enumerate(diagonal)
-        )
-        self.norm = pfister(tower, self.slots)
-        classes = tuple(c.square_class() for c in self.norm_coeffs)
-        if self.norm.dim != self.dim or classes != self.norm.entries:
+        # the class of each N(e_i), read off its term, against the Pfister codes
+        codes = _pfister_codes(tower, slots)
+        diagonal = [_class_code(tower, *_term_class(tower, e, c)) for e, c in _norm_terms(gamma)]
+        if diagonal != codes:
             raise InternalInconsistency(
-                f"dimension {self.dim} and norm classes {classes} do not fit {self.norm}"
+                f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
             )
+        self.norm = _pfister_form(tower, slots, codes)
+
+    @cached_property
+    def norm_coeffs(self) -> tuple[LaurentPoly, ...]:
+        """N(e_i) as polynomials, from the table's diagonal on first use."""
+        return tuple(_reduce_raw(self.tower, {e: c}) for e, c in _norm_terms(self.gamma))
 
     def __eq__(self, other):
         return (
@@ -210,24 +220,44 @@ def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+def _norm_terms(gamma) -> list:
+    """N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii as (exps, coeff) terms,
+    the coefficients unreduced."""
+    return [(e, -c if i else c) for i, row in enumerate(gamma) for e, c in (row[i],)]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _row_getters(n: int) -> tuple:
+    """Row i of the table for n slots, picked out of the 2^n slot products
+    followed by their negatives: entry j is product i & j, negated where
+    omega(i, j) < 0.  An itemgetter of one index returns the item itself,
+    so the one-entry row of no slots is a slice."""
+    w = _sign_table(n)
+    d = len(w)
+    if d == 1:
+        return (itemgetter(slice(0, 1)),)
+    return tuple(
+        itemgetter(*(i & j if w[i][j] > 0 else d + (i & j) for j in range(d)))
+        for i in range(d)
+    )
+
+
 def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
     """gamma_ij = omega(i, j) * prod_(k in i & j) c_k as one (exps, coeff)
-    term, c_k the monomial of slot k: one checked product per slot monomial,
-    the sign on the coefficient, unreduced (products reduce at the end)."""
-    prods = [LaurentPoly.const(tower, 1)]
-    for c in slots:
-        cm = LaurentPoly.of_class(c)
-        prods += [cm] + [p * cm for p in prods[1:]]
-    if any(len(p.terms) != 1 for p in prods):
-        raise InternalInconsistency(f"slot products {prods} are not all signed monomials")
-    pos = [p.terms[0] for p in prods]
-    neg = [(e, -c) for e, c in pos]
-    w = _sign_table(len(slots))
-    n = len(prods)
-    return tuple(
-        tuple(pos[i & j] if w[i][j] > 0 else neg[i & j] for j in range(n))
-        for i in range(n)
-    )
+    term, c_k the checked one-term monomial of slot k: the 2^n slot products
+    by term arithmetic, reduced once, and the sign on the coefficient,
+    unreduced (products reduce at the end)."""
+    terms = [LaurentPoly.of_class(c).terms for c in slots]
+    if any(len(t) != 1 for t in terms):
+        raise InternalInconsistency(f"slot terms {terms} are not all signed monomials")
+    pos = [((0,) * len(tower.laurent_vars), _norm_coeff(tower, 1))]
+    for ((e, c),) in terms:
+        pos += [(tuple(map(add, pe, e)), pc * c) for pe, pc in pos]
+    if tower.kind == "F":
+        p = tower.p
+        pos = [(e, c % p) for e, c in pos]
+    signed = (*pos, *[(e, -c) for e, c in pos])
+    return tuple(row(signed) for row in _row_getters(len(slots)))
 
 
 def cayley_dickson(A: CompositionAlgebra, c: SquareClass) -> CompositionAlgebra:

@@ -345,11 +345,7 @@ class SquareClass:
                 raise ValueError(f"non-canonical sign part {self.base}")
         elif self.base == 0:
             raise ZeroElement("0 has no square class")
-        if self.tower.kind == "Q":
-            code = (self.mask, abs(self.base), self.base < 0)
-        else:
-            code = 2 * self.mask + (self.base != 1)
-        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "code", _class_code(self.tower, self.base, self.mask))
 
     @property
     def odd_vars(self) -> frozenset[str]:
@@ -385,6 +381,14 @@ class SquareClass:
         return "*".join([base_part] + vars_part)
 
     __repr__ = __str__
+
+
+def _class_code(tower: FieldTower, base: int, mask: int):
+    """The code of the class with canonical base part ``base`` and variable
+    mask ``mask``: (mask, |base|, base < 0) over Q, 2*mask + base bit else."""
+    if tower.kind == "Q":
+        return mask, abs(base), base < 0
+    return 2 * mask + (base != 1)
 
 
 def one_class(tower: FieldTower) -> SquareClass:
@@ -425,7 +429,9 @@ def _base_class_of_constant(tower: FieldTower, coeff) -> int:
         return 1 if coeff > 0 else -1
     # prime base
     p = tower.p
-    if isinstance(coeff, Fraction):
+    if type(coeff) is int:
+        c = coeff
+    elif isinstance(coeff, Fraction):
         num, den = coeff.numerator, coeff.denominator
         if den % p == 0:
             raise ZeroElement(f"denominator of {coeff} vanishes in F_{p}")

@@ -12,7 +12,10 @@ Fractions into plain {exps: coeff} maps, every product through the one
 kernel ``_add_products``; ``_reduce_raw`` turns a map into a polynomial,
 mod p over prime bases (a ring homomorphism, so this is what reducing at
 every step gives), zeros dropped, terms sorted.  ``_norm_coeff`` checks
-coefficients where they enter: ``const`` and ``monomial``.
+coefficients where they enter: ``const``, ``monomial`` and ``of_class``.
+The class of a monomial term is read off it by ``_term_class`` (base class
+of the coefficient, parities of the exponents), for ``square_class`` and
+for the algebras' norm check alike.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ def _norm_coeff(tower: FieldTower, c):
     if isinstance(c, float):
         raise TypeError("exact coefficients only")
     if tower.kind == "F":
+        if type(c) is int:
+            return c % tower.p
         if isinstance(c, Fraction):
             den = c.denominator
             if den % tower.p == 0:
@@ -35,6 +40,12 @@ def _norm_coeff(tower: FieldTower, c):
             return c.numerator * pow(den, -1, tower.p) % tower.p
         return int(c) % tower.p
     return Fraction(c)
+
+
+def _term_class(tower: FieldTower, exps, c) -> tuple[int, int]:
+    """(base part, variable mask) of the class of the monomial c * x^exps:
+    the base class of c and the parities of the exponents."""
+    return _base_class_of_constant(tower, c), sum((e & 1) << i for i, e in enumerate(exps))
 
 
 def _add_products(raws: list, xs, ys, gamma) -> None:
@@ -97,7 +108,8 @@ class LaurentPoly:
 
     @classmethod
     def of_class(cls, x: SquareClass) -> "LaurentPoly":
-        """The canonical monomial representing a square class.
+        """The canonical monomial representing a square class: its base
+        part times each variable of its mask, read off directly.
 
         Every prime-field constant is a square in F_{p^2}, so the
         nonresidue class of a degree-2 base has no such monomial.
@@ -106,7 +118,8 @@ class LaurentPoly:
             raise UnrepresentableClass(
                 f"no constant of F_{x.tower.p} represents {x} over {x.tower}"
             )
-        return cls.monomial(x.tower, x.base, {v: 1 for v in x.odd_vars})
+        exps = tuple(x.mask >> i & 1 for i in range(len(x.tower.laurent_vars)))
+        return cls(x.tower, ((exps, _norm_coeff(x.tower, x.base)),))
 
     @classmethod
     def coerce(cls, tower: FieldTower, value) -> "LaurentPoly":
@@ -163,8 +176,7 @@ class LaurentPoly:
         if self.is_zero:
             raise ZeroElement("0 has no square class")
         exps, c = min(self.terms, key=lambda term: term[0][::-1])
-        mask = sum((e & 1) << i for i, e in enumerate(exps))
-        return SquareClass(self.tower, _base_class_of_constant(self.tower, c), mask)
+        return SquareClass(self.tower, *_term_class(self.tower, exps, c))
 
     # -- display ----------------------------------------------------------------
 

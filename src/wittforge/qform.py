@@ -82,8 +82,9 @@ class DiagonalForm:
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        tower = self.tower
         for e in self.entries:
-            if e.tower != self.tower:
+            if e.tower is not tower and e.tower != tower:
                 raise FieldMismatch(f"entry {e} lives over {e.tower}, not {self.tower}")
         object.__setattr__(self, "key", tuple(sorted(e.code for e in self.entries)))
 
@@ -129,7 +130,12 @@ def _fold(codes: list, negs: list) -> list:
 
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
     """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>, provenance kept."""
-    form = DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
+    return _pfister_form(tower, slots, _pfister_codes(tower, slots))
+
+
+def _pfister_form(tower: FieldTower, slots: Sequence[SquareClass], codes: list) -> DiagonalForm:
+    """``pfister(tower, slots)`` from its entry codes ``_pfister_codes(tower, slots)``."""
+    form = DiagonalForm(tower, _classes(tower, codes))
     object.__setattr__(form, "pfister_slots", tuple(slots))
     return form
 

@@ -196,37 +196,12 @@ def genus_equal_rational(q1: tuple, q2: tuple) -> bool:
 # -- cubic etale algebra arithmetic ---------------------------------------------------
 
 
-def _ext_mul(tower, fcs, a, b):
-    """Product in K[x]/(x^3 + c2 x^2 + c1 x + c0); fcs = (c0, c1, c2)."""
-    zero = LaurentPoly.zero(tower)
-    prod = [zero] * 5
-    for i in range(3):
-        for j in range(3):
-            prod[i + j] = prod[i + j] + a[i] * b[j]
-    for deg in (4, 3):
-        c = prod[deg]
-        if c.is_zero:
-            continue
-        prod[deg] = zero
-        for k in range(3):
-            prod[deg - 3 + k] = prod[deg - 3 + k] - c * fcs[k]
-    return tuple(prod[:3])
-
-
-def _mult_matrix(tower, fcs, h):
-    """Matrix of multiplication by h in the basis 1, x, x^2 (columns)."""
-    zero = LaurentPoly.zero(tower)
-    one = LaurentPoly.const(tower, 1)
-    x = (zero, one, zero)
-    cols = [h]
-    for _ in range(2):
-        cols.append(_ext_mul(tower, fcs, cols[-1], x))
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
-
-
-def _ext_trace(tower, fcs, h) -> LaurentPoly:
-    m = _mult_matrix(tower, fcs, h)
-    return m[0][0] + m[1][1] + m[2][2]
+def _times_x(fcs, a) -> tuple:
+    """a * x in K[x]/(x^3 + c2 x^2 + c1 x + c0), fcs = (c0, c1, c2): a shift
+    of the coordinates, with x^3 = -c0 - c1 x - c2 x^2."""
+    c0, c1, c2 = fcs
+    a0, a1, a2 = a
+    return -(a2 * c0), a0 - a2 * c1, a1 - a2 * c2
 
 
 def _det3(tower, m) -> LaurentPoly:
@@ -266,23 +241,25 @@ def cubic_discriminant(tower, f) -> LaurentPoly:
 
 
 def trace_form_gram(tower: FieldTower, f, lam=1):
-    """Gram matrix of (x, y) -> Tr(lam * x * y) on K[x]/(f), basis 1, x, x^2."""
+    """Gram matrix of (x, y) -> Tr(lam * x * y) on K[x]/(f), basis 1, x, x^2:
+    entry (i, j) is Tr(lam * x^(i+j)) = sum_m (lam * x^(i+j))_m * Tr(x^m)."""
     fcs = _coerce_cubic(tower, f)
     if cubic_discriminant(tower, f).is_zero:
         raise NotSeparable("cubic polynomial has vanishing discriminant")
     lam = _coerce_element(tower, lam)
-    if _det3(tower, _mult_matrix(tower, fcs, lam)).is_zero:
+    # lam * x^k for k = 0..4; the first three are the columns of lam's
+    # multiplication matrix in the basis 1, x, x^2
+    powers = [lam]
+    for _ in range(4):
+        powers.append(_times_x(fcs, powers[-1]))
+    if _det3(tower, [[powers[j][i] for j in range(3)] for i in range(3)]).is_zero:
         raise LambdaNotUnit("scaling element is not invertible")
+    # Tr(x^m) as power sums of the roots, by Newton's identities
+    _, c1, c2 = fcs
+    power_sums = (LaurentPoly.const(tower, 3), -c2, c2 * c2 - 2 * c1)
     zero = LaurentPoly.zero(tower)
-    one = LaurentPoly.const(tower, 1)
-    basis = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    gram = [[zero] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            prod = _ext_mul(tower, fcs, basis[i], basis[j])
-            prod = _ext_mul(tower, fcs, lam, prod)
-            gram[i][j] = gram[j][i] = _ext_trace(tower, fcs, prod)
-    return gram
+    traces = [sum((h * p for h, p in zip(hk, power_sums)), zero) for hk in powers]
+    return [[traces[i + j] for j in range(3)] for i in range(3)]
 
 
 def trace_form(tower: FieldTower, f, lam=1) -> DiagonalForm:

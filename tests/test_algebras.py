@@ -27,11 +27,12 @@ from wittforge.fields import (
     FieldTower,
     canonical_square_class,
     enumerate_square_classes,
+    minus_one_class,
     nonresidue_class,
     one_class,
     var_class,
 )
-from wittforge.laurent import LaurentPoly
+from wittforge.laurent import LaurentPoly, _reduce_raw
 from wittforge.qform import is_isotropic, pfister, tensor
 
 Q = FieldTower.rationals()
@@ -265,6 +266,33 @@ class TestSplitDetection:
         with pytest.raises(InternalInconsistency):
             quaternion(F13ST, u, s)
 
+    @pytest.mark.parametrize(
+        "tower, factor",
+        [(F13ST, 2), (FieldTower.reals("s", "t"), -1), (FieldTower.rationals("t"), 2)],
+        ids=str,
+    )
+    def test_diagonal_base_class_is_checked(self, monkeypatch, tower, factor):
+        # N(e_1) keeps its exponent parities, but its coefficient times a
+        # nonsquare constant (u = 2 mod 13, -1, 2) moves its base class only
+        good = algebras._index_rule_table
+        slots = (minus_one_class(tower), var_class(tower, tower.outer_var))
+
+        def scaled(by):
+            def table(tower, slots):
+                rows = [list(row) for row in good(tower, slots)]
+                e, c = rows[1][1]
+                rows[1][1] = (e, c * by)
+                return tuple(tuple(row) for row in rows)
+
+            return table
+
+        # a square factor leaves every class, and so the check, as it was
+        monkeypatch.setattr(algebras, "_index_rule_table", scaled(factor * factor))
+        assert quaternion(tower, *slots).norm == pfister(tower, slots)
+        monkeypatch.setattr(algebras, "_index_rule_table", scaled(factor))
+        with pytest.raises(InternalInconsistency, match="Pfister codes"):
+            quaternion(tower, *slots)
+
     def test_structure_constants_must_be_signed_monomials(self, monkeypatch):
         # slot "monomials" c + 1 give slot products of several terms
         of_class = LaurentPoly.of_class
@@ -446,6 +474,74 @@ class TestIndexRule:
         ):
             tuples = [tuple(rng.choice(classes) for _ in range(rng.randint(0, 4))) for _ in range(60)]
             self._check(tower, tuples)
+
+
+class TestNormFromSlotCodes:
+    """The norm is the Pfister form of the slots, with its provenance, and
+    N(e_i) is the product of the -c_k over the slots k of i."""
+
+    def _check(self, tower, slot_tuples):
+        one = LaurentPoly.const(tower, 1)
+        for slots in slot_tuples:
+            A = algebra_from_slots(tower, slots)
+            assert A.norm == pfister(tower, slots), slots
+            assert A.norm.pfister_slots == slots
+            diagonal = [A.gamma[i][i] for i in range(A.dim)]
+            eager = tuple(
+                _reduce_raw(tower, {e: -c if i else c}) for i, (e, c) in enumerate(diagonal)
+            )
+            assert A.norm_coeffs == eager
+            minus_c = [-LaurentPoly.of_class(c) for c in slots]
+            products = []
+            for i in range(A.dim):
+                x = one
+                for k, m in enumerate(minus_c):
+                    if i >> k & 1:
+                        x = x * m
+                products.append(x)
+            assert [c.terms for c in A.norm_coeffs] == [x.terms for x in products], slots
+
+    @pytest.mark.parametrize(
+        "tower",
+        [F13ST, F7RST, FieldTower.reals("s", "t"), F25T],
+        ids=str,
+    )
+    def test_every_slot_tuple_up_to_octonions(self, tower):
+        # over F25 only classes with base 1 have a monomial representative
+        classes = [c for c in enumerate_square_classes(tower) if tower.degree == 1 or c.base == 1]
+        self._check(tower, [s for k in range(4) for s in itertools.product(classes, repeat=k)])
+
+    @pytest.mark.parametrize("tower", [Q, QT], ids=str)
+    def test_seeded_slot_tuples_over_q(self, tower):
+        rng = random.Random(41)
+        values = Q_SLOT_VALUES + (-1, 3, 15, -30, Fraction(7, 12))
+        tuples = [
+            tuple(
+                canonical_square_class(
+                    tower, rng.choice(values), {v: rng.randint(-1, 2) for v in tower.laurent_vars}
+                )
+                for _ in range(rng.randint(0, 3))
+            )
+            for _ in range(300)
+        ]
+        self._check(tower, tuples)
+
+    def test_of_class_is_the_canonical_monomial(self):
+        q_classes = [
+            canonical_square_class(QT, v, {"t": e}) for v in Q_SLOT_VALUES for e in (0, 1)
+        ]
+        towers = (F13ST, F7RST, FieldTower.reals("s", "t"), F25T, Q, FieldTower.prime(3))
+        classes = q_classes + [c for t in towers if t.is_enumerable for c in enumerate_square_classes(t)]
+        for c in classes:
+            if c.tower.degree == 2 and c.base != 1:
+                with pytest.raises(UnrepresentableClass):
+                    LaurentPoly.of_class(c)
+                continue
+            got = LaurentPoly.of_class(c)
+            expected = LaurentPoly.monomial(c.tower, c.base, {v: 1 for v in c.odd_vars})
+            assert got == expected, c
+            assert [type(x) for _, x in got.terms] == [type(x) for _, x in expected.terms]
+            assert got.square_class() == c
 
 
 class TestReferenceProduct:

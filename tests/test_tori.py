@@ -259,6 +259,71 @@ def _f13_poly_mul(a, b):
     return out
 
 
+# -- the trace form the old way: traces of multiplication matrices ---------------
+
+
+def _ref_ext_mul(tower, fcs, a, b):
+    """Product in K[x]/(x^3 + c2 x^2 + c1 x + c0); fcs = (c0, c1, c2)."""
+    zero = LaurentPoly.zero(tower)
+    prod = [zero] * 5
+    for i in range(3):
+        for j in range(3):
+            prod[i + j] = prod[i + j] + a[i] * b[j]
+    for deg in (4, 3):
+        c = prod[deg]
+        prod[deg] = zero
+        for k in range(3):
+            prod[deg - 3 + k] = prod[deg - 3 + k] - c * fcs[k]
+    return tuple(prod[:3])
+
+
+def _ref_mult_matrix(tower, fcs, h):
+    """Matrix of multiplication by h in the basis 1, x, x^2 (columns)."""
+    zero, one = LaurentPoly.zero(tower), LaurentPoly.const(tower, 1)
+    cols = [h]
+    for _ in range(2):
+        cols.append(_ref_ext_mul(tower, fcs, cols[-1], (zero, one, zero)))
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+
+def _ref_det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def reference_trace_gram(tower, fcs, lam):
+    """Tr(lam * x^i * x^j) as the trace of the multiplication matrix of the
+    product, with every product taken in K[x]/(f); None if lam is not a unit."""
+    if _ref_det3(_ref_mult_matrix(tower, fcs, lam)).is_zero:
+        return None
+    zero, one = LaurentPoly.zero(tower), LaurentPoly.const(tower, 1)
+    basis = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    gram = [[zero] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            prod = _ref_ext_mul(tower, fcs, lam, _ref_ext_mul(tower, fcs, basis[i], basis[j]))
+            m = _ref_mult_matrix(tower, fcs, prod)
+            gram[i][j] = m[0][0] + m[1][1] + m[2][2]
+    return gram
+
+
+def _coerce3(tower, values):
+    return tuple(LaurentPoly.const(tower, v) for v in values)
+
+
+def _seeded_poly(rng, tower):
+    """A sparse Laurent polynomial: 0 to 2 terms, exponents in [-1, 1]."""
+    out = LaurentPoly.zero(tower)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        c = rng.randint(1, tower.p - 1) if tower.kind == "F" else rng.choice((1, -1, 2, -3))
+        exps = {v: rng.randint(-1, 1) for v in tower.laurent_vars}
+        out = out + LaurentPoly.monomial(tower, c, exps)
+    return out
+
+
 class TestTraceForm:
     def test_ramified_cubic_gram_matches_expected(self):
         t = LaurentPoly.variable(F13ST, "t")
@@ -337,6 +402,39 @@ class TestTraceForm:
         # x - 1 kills the idempotent component of x^3 - 1
         with pytest.raises(LambdaNotUnit):
             trace_form(F13, (-1, 0, 0), (-1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "tower", [F13ST, F7RST, FieldTower.rationals("t"), FieldTower.reals("t")], ids=str
+    )
+    def test_power_sum_gram_matches_matrix_traces(self, tower):
+        """Seeded cubics and lambdas: the gram from Newton's power sums is the
+        gram of multiplication-matrix traces, entry for entry and as strings."""
+        rng = random.Random(31)
+        compared = 0
+        for _ in range(40):
+            fcs = tuple(_seeded_poly(rng, tower) for _ in range(3))
+            lam = tuple(_seeded_poly(rng, tower) for _ in range(3))
+            if tori.cubic_discriminant(tower, fcs).is_zero:
+                with pytest.raises(NotSeparable):
+                    trace_form_gram(tower, fcs, lam)
+                continue
+            expected = reference_trace_gram(tower, fcs, lam)
+            if expected is None:
+                with pytest.raises(LambdaNotUnit):
+                    trace_form_gram(tower, fcs, lam)
+                continue
+            gram = trace_form_gram(tower, fcs, lam)
+            assert gram == expected
+            assert [[str(e) for e in row] for row in gram] == [
+                [str(e) for e in row] for row in expected
+            ]
+            compared += 1
+        assert compared >= 15
+        # x - 1 divides x^3 - 1 over every tower: the one refusal both ways share
+        f, lam = _coerce3(tower, (-1, 0, 0)), _coerce3(tower, (-1, 1, 0))
+        assert reference_trace_gram(tower, f, lam) is None
+        with pytest.raises(LambdaNotUnit):
+            trace_form_gram(tower, (-1, 0, 0), (-1, 1, 0))
 
 
 class TestJacobsonNorm:
