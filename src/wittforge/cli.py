@@ -328,10 +328,9 @@ def _cmd_g2_cubic_obstruction(args) -> int:
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process:
-    parsing leaves it unchanged, and building it costs about as much as a
-    cached query."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and, by name, the subcommand parsers that
+    ``add_subparsers`` fills in for it (its ``choices``)."""
     parser = argparse.ArgumentParser(
         prog="wittforge",
         description="exact quadratic form and composition algebra calculator",
@@ -417,13 +416,35 @@ def build_parser() -> argparse.ArgumentParser:
             "--d": {"required": True},
         },
     )
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs about as much as a
+    cached query."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass when argv
+    names a subcommand: that subcommand's parser reads the rest, and what
+    it leaves over is reported by the top parser, as the nested pass
+    would.  Anything else (no argv, ``-h``, an unknown name) goes through
+    the top parser."""
+    parser = build_parser()
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -41,6 +41,10 @@ from .qform import DiagonalForm, pfister
 
 # a run of whitespace: in a str pattern, \s is exactly what str.isspace accepts
 _WS = re.compile(r"\s*")
+# an integer after optional whitespace: in a str pattern, \d is exactly what
+# str.isdecimal accepts, the digits int() reads (not superscripts, which
+# str.isdigit also accepts)
+_INT = re.compile(r"\s*(\d+)")
 
 
 class _Scanner:
@@ -60,11 +64,13 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def match(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
+        # a token never starts with whitespace: at a match there is none to skip
+        if not self.text.startswith(token, self.pos):
+            self.skip_ws()
+            if not self.text.startswith(token, self.pos):
+                return False
+        self.pos += len(token)
+        return True
 
     def expect(self, token: str):
         if not self.match(token):
@@ -75,13 +81,12 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        m = _INT.match(self.text, self.pos)
+        if m is None:
+            self.skip_ws()
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        self.pos = m.end()
+        return int(m[1])
 
     def ident(self) -> str:
         self.skip_ws()
@@ -142,8 +147,7 @@ _NONRESIDUE = None
 
 def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
     s.skip_ws()
-    ch = s.peek()
-    if ch.isdigit():
+    if s.peek().isdecimal():
         num = s.integer()
         if s.match("/"):
             den = s.integer()

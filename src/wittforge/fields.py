@@ -78,10 +78,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin.  A number with a factor among the bases
     is decided at any size; any other n >= PRIMALITY_BOUND raises
-    PrimalityBoundExceeded rather than answer without a proof."""
+    PrimalityBoundExceeded rather than answer without a proof.  Each
+    answer is proven once per process (every ``Place`` of a support prime
+    asks again); a raise is not kept, so it is raised again."""
     if n < 2:
         return False
     for a in _MR_BASES:

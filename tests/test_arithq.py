@@ -261,6 +261,15 @@ class TestPlace:
         with pytest.raises(ValueError):
             Place(6)
 
+    def test_proven_primes_leave_composites_rejected(self):
+        # 561 = 3 * 11 * 17 is a Carmichael number; 563 is prime
+        assert Place(563).p == 563
+        with pytest.raises(ValueError):
+            Place(561)
+        assert Place(563) == Place(563)
+        with pytest.raises(ValueError):
+            Place(561)
+
 
 # -- the one-pass invariants against the product over pairs ---------------------
 

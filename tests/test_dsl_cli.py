@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import string
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittforge
-from wittforge import dsl
+from wittforge import cli, dsl
 from wittforge.cli import build_parser, run_command
 from wittforge.errors import ParseError, WittforgeError, ZeroSlot
 from wittforge.fields import (
@@ -139,8 +140,130 @@ def reference_skip_ws(text, pos):
     return pos
 
 
+class reference_scanner:
+    """The former ``dsl._Scanner``: whitespace skipped before every token,
+    integers read one ``isdigit`` character at a time."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        return ParseError(message, self.text, self.pos)
+
+    def skip_ws(self):
+        self.pos = reference_skip_ws(self.text, self.pos)
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def match(self, token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token):
+        if not self.match(token):
+            raise self.error(f"expected {token!r}")
+
+    def at_end(self):
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def integer(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def ident(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and (
+            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an identifier")
+        return self.text[start : self.pos]
+
+
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# digits that str.isdigit accepts and int() rejects: superscripts and the like
+NON_DECIMAL_DIGITS = [
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isdigit() and not c.isdecimal()
+]
+
+# pieces of the literal syntax: fields, forms, Pfister forms, slots and elements
+_VALID_LITERALS = [
+    "Q", "R", "F13", "F25", "F13((s))((t))", "F5((t))", "Q((t))",
+    "[1,-t]", "[2*s,-3/4*t^-2,u]", "[-1,+2,--3]", "<<u,s,t>>", "<<>>", "<<-1,s^3>>",
+    "u,s,t", "1,s*t", "-u*s^-1", "3/5", "(1,0,s+t,-1)", "(s^2-3*t,1/2,u)",
+    "[12,٣,7*t]", "(1)",
+]
+_PIECES = ["[", "]", "<<", ">>", "(", ")", "((", "))", ",", "*", "/", "^", "-", "+",
+           "0", "1", "17", "u", "s", "t", "x", "Q", "F", "٣", "_", "\u200b"]
+
+
+def _seeded_literals(rng, count):
+    """Valid literals with whitespace between (and inside) their tokens,
+    truncated, or followed by garbage."""
+    out = []
+    for _ in range(count):
+        text = rng.choice(_VALID_LITERALS)
+        chars = []
+        for ch in text:
+            if rng.random() < 0.3:
+                chars.append("".join(rng.choice(SPACES) for _ in range(rng.randint(1, 3))))
+            chars.append(ch)
+        text = "".join(chars)
+        roll = rng.random()
+        if roll < 0.25:
+            text = text[: rng.randint(0, len(text))]
+        elif roll < 0.5:
+            text += "".join(rng.choice(_PIECES + [rng.choice(SPACES)]) for _ in range(rng.randint(1, 4)))
+        elif roll < 0.6:
+            text = "".join(rng.choice(_PIECES + [rng.choice(SPACES)]) for _ in range(rng.randint(1, 10)))
+        if rng.random() < 0.3:
+            text += rng.choice(SPACES)
+        out.append(text)
+    return out
+
+
+def _parse_outcomes(text):
+    """What each parser makes of the text: its value, or the error with
+    its position."""
+    parsers = (
+        dsl.parse_field,
+        lambda t: dsl.parse_form(t, F13ST),
+        lambda t: dsl.parse_form(t, FieldTower.rationals()),
+        lambda t: dsl.parse_class(t, F13ST),
+        lambda t: dsl.parse_slots(t, F13ST),
+        lambda t: dsl.parse_element_coords(t, F13ST),
+        lambda t: dsl.parse_poly(t, F13ST),
+    )
+    out = []
+    for fn in parsers:
+        try:
+            out.append(("ok", fn(text)))
+        except ParseError as e:
+            out.append(("ParseError", e.pos, str(e)))
+        except WittforgeError as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
 class TestScanner:
-    SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    SPACES = SPACES
 
     def test_skip_ws_accepts_what_isspace_accepts(self):
         # every whitespace code point, each run ended by a non-space one
@@ -183,6 +306,86 @@ class TestScanner:
 
         monkeypatch.setattr(dsl._Scanner, "skip_ws", slow_skip_ws)
         assert positions() == fast
+
+    def test_scanner_matches_reference_scanner(self, monkeypatch):
+        texts = _seeded_literals(random.Random(18), 1500)
+        assert not any(c in NON_DECIMAL_DIGITS for text in texts for c in text)
+        fast = [_parse_outcomes(text) for text in texts]
+        outcomes = [o for per_text in fast for o in per_text]
+        assert {"ok", "ParseError"} <= {o[0] for o in outcomes}
+        assert any(o[0] == "ParseError" and o[1] > 0 for o in outcomes)
+        monkeypatch.setattr(dsl, "_Scanner", reference_scanner)
+        for text, expected in zip(texts, fast):
+            assert _parse_outcomes(text) == expected, text
+
+    def test_non_decimal_digits_are_parse_errors(self):
+        # int() rejects these although str.isdigit accepts them
+        assert len(NON_DECIMAL_DIGITS) > 100 and "\u00b2" in NON_DECIMAL_DIGITS
+        for c in NON_DECIMAL_DIGITS:
+            for fn in (
+                lambda: dsl.parse_form(f"[2{c}]", F13ST),
+                lambda: dsl.parse_form(f"[{c}]", F13ST),
+                lambda: dsl.parse_form(f"[1,3/{c}]", FieldTower.rationals()),
+                lambda: dsl.parse_class(f"s^{c}", F13ST),
+                lambda: dsl.parse_class(f"{c}*s", F13ST),
+                lambda: dsl.parse_field(f"F1{c}"),
+                lambda: dsl.parse_field(f"F{c}"),
+                lambda: dsl.parse_field(f"F13{c}((t))"),
+            ):
+                with pytest.raises(ParseError):
+                    fn()
+
+    def test_composite_sizes_rejected_after_primes_proven(self):
+        # primality answers are kept per process; 561 is a Carmichael number
+        assert dsl.parse_field("F563").p == 563
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                dsl.parse_field("F561")
+
+    def test_decimal_digits_of_any_script_parse(self):
+        # Arabic-Indic three is a decimal digit: int() reads it as 3
+        Q = FieldTower.rationals()
+        assert dsl.parse_form("[\u0663]", Q) == dsl.parse_form("[3]", Q)
+        assert dsl.parse_field("F1\u0663") == FieldTower.prime(13)
+
+
+def readme_commands():
+    """The argv of every ``wittforge ...`` line in the README."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line)[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("wittforge ")
+    ]
+
+
+DISPATCH_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["qf-isotropy", "-h"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1,-1]", "--help"],
+    ["qf-isotropy", "--fie", "Q", "--fo", "[1,-1]"],
+    ["qf-witt", "--field=Q", "--form=[1,2,3]"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1,1]", "--json", "--json"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1,-1]", "--", "x"],
+    ["qf-isotropy", "--", "--field", "Q", "--form", "[1]"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1]", "extra", "more"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1]", "--bogus", "--x=1"],
+    ["qf-witt", "--field", "F5"],
+    ["qf-witt", "--form", "[1]"],
+    ["no-such-command", "--field", "Q"],
+    ["qf"],
+    ["--json", "qf-isotropy", "--field", "Q", "--form", "[1]"],
+    ["qf-isotropy", "--field", "Q", "--field", "R", "--form", "[1,1]"],
+    ["qf-isotropy", "--field", "Q", "--form", "-x"],
+    ["qf-isotropy", "--field", "Q", "--form", "[1", "--json"],
+    ["qf-isotropy", "--oracle", "--field", "Q", "--form", "[1,1,1,1,-3]", "--json"],
+    ["alg-build", "--field", "F5", "--slots", "u", "--mul", "(1,0)"],
+    ["alg-genus", "--q1=1,-1", "--q2", "-1,-1"],
+    ["qf-pfister-split", "--field", "F5((t))", "--form", "<<u,t>>", "--delta", "1"],
+]
 
 
 class TestCli:
@@ -279,6 +482,32 @@ class TestCli:
         assert payload["command"] == "qf-witt" and "oracle" not in payload
         assert (payload["witt_index"], payload["kernel"]) == (0, ["1", "1", "-t"])
         assert build_parser() is parser
+
+    def test_dispatch_matches_nested_parse(self, capsys, monkeypatch):
+        # argparse wraps usage text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        cases = DISPATCH_CASES + [
+            argv + extra for argv in readme_commands() for extra in ([], ["--json"])
+        ]
+        assert len(readme_commands()) >= 10
+
+        def outcomes():
+            return [self.run(capsys, *argv) for argv in cases]
+
+        fast = outcomes()
+        assert {code for code, _, _ in fast} == {0, 1, 2}
+        # the former dispatch: the top parser runs the subcommand's parser
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        for argv, a, b in zip(cases, fast, outcomes()):
+            assert a == b, argv
+
+    def test_unicode_digits_exit_2(self, capsys):
+        for argv in (
+            ["qf-isotropy", "--field", "Q", "--form", "[2\u00b2]"],
+            ["qf-isotropy", "--field", "F1\u00b3", "--form", "[1]"],
+        ):
+            code, out, err = self.run(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith("parse error:"), argv
 
     def test_huge_prime_field_answers_quickly(self):
         # 2^61 - 1: trial division up to its square root would not finish

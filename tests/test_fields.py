@@ -260,6 +260,20 @@ class TestPrimality:
         assert not is_prime(3 * (2**89 - 1))
         assert not is_prime(2**200)
 
+    def test_answers_are_kept_and_raises_are_not(self):
+        # each answer is proven once; a raise is raised again on every call
+        for _ in range(2):
+            with pytest.raises(PrimalityBoundExceeded):
+                is_prime(2**89 - 1)
+        assert is_prime(2**61 - 1) and is_prime(2**61 - 1)
+        assert not is_prime(561) and not is_prime(561)
+        hits = is_prime.cache_info().hits
+        assert is_prime(2**61 - 1) and is_prime.cache_info().hits == hits + 1
+        assert FieldTower.prime(2**61 - 1).p == 2**61 - 1
+        for q in (561, 2**67 - 1):
+            with pytest.raises(ValueError):
+                FieldTower.prime(q)
+
 
 class TestSqrtMod:
     @staticmethod
