@@ -36,9 +36,14 @@ never leave that ring.  A zero divisor is x with conj x, for x an
 isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
 A product is one accumulate-then-reduce pass over the pairs of terms of
-x and y (``laurent._add_products``): each adds x_i * y_j * gamma_ij,
-unreduced, into a raw map for slot i xor j, and each of the dim maps is
-reduced once (``laurent._reduce_raw``).  So is the norm value.
+x and y (``laurent._add_products``) on packed exponent keys, one int per
+exponent vector (see ``laurent``): each pair adds x_i * y_j * gamma_ij,
+unreduced, into a raw {key: coeff} map for slot i xor j, its exponent the
+sum of three keys, and each of the dim maps is reduced once by the one
+reduction, ``laurent._reduce_raw``, which reads the keys back as tuples.
+The table is packed once per algebra, on the first product (``_gamma``).
+So is the norm value computed.  Exponents of size ``laurent.EXP_LIMIT``
+or more raise ``ExponentOutOfRange`` where they are packed.
 """
 from __future__ import annotations
 
@@ -56,7 +61,15 @@ from .errors import (
     ZeroSlot,
 )
 from .fields import CACHE_SIZE, FieldTower, SquareClass, _class_code
-from .laurent import LaurentPoly, _add_products, _norm_coeff, _reduce_raw, _term_class
+from .laurent import (
+    LaurentPoly,
+    _add_products,
+    _key,
+    _norm_coeff,
+    _packed,
+    _reduce_raw,
+    _term_class,
+)
 from .qform import _pfister_codes, _pfister_form, is_isotropic, isotropic_vector
 
 
@@ -88,9 +101,15 @@ class CompositionAlgebra:
         self.norm = _pfister_form(tower, slots, codes)
 
     @cached_property
+    def _gamma(self) -> tuple:
+        """The table with packed exponent keys, (key, coeff) terms, as the
+        product kernel reads it: packed on first use, once."""
+        return tuple([(_key(e), c) for e, c in row] for row in self.gamma)
+
+    @cached_property
     def norm_coeffs(self) -> tuple[LaurentPoly, ...]:
         """N(e_i) as polynomials, from the table's diagonal on first use."""
-        return tuple(_reduce_raw(self.tower, {e: c}) for e, c in _norm_terms(self.gamma))
+        return tuple(_reduce_raw(self.tower, {k: c}) for k, c in _norm_terms(self._gamma))
 
     def __eq__(self, other):
         return (
@@ -150,9 +169,8 @@ class AlgebraElement:
             return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
         self._check(other)
         A = self.algebra
-        raws = [{} for _ in range(A.dim)]  # slot i ^ j: {exps: unreduced coeff}
-        xs, ys = ([c.terms for c in z.coords] for z in (self, other))
-        _add_products(raws, xs, ys, A.gamma)
+        raws = [{} for _ in range(A.dim)]  # slot i ^ j: {key: unreduced coeff}
+        _add_products(raws, _packed(self.coords), _packed(other.coords), A._gamma)
         return AlgebraElement(A, tuple(_reduce_raw(A.tower, m) for m in raws))
 
     __rmul__ = __mul__
@@ -179,8 +197,8 @@ class AlgebraElement:
     def norm_form_value(self) -> LaurentPoly:
         """The norm evaluated as a diagonal form on the coordinates."""
         raws = [{}]
-        for c, x in zip(self.algebra.norm_coeffs, self.coords):
-            _add_products(raws, (x.terms,), (x.terms,), (c.terms,))
+        for n, x in zip(_norm_terms(self.algebra._gamma), _packed(self.coords)):
+            _add_products(raws, (x,), (x,), ((n,),))
         return _reduce_raw(self.algebra.tower, raws[0])
 
     def __str__(self):
@@ -221,8 +239,8 @@ def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _norm_terms(gamma) -> list:
-    """N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii as (exps, coeff) terms,
-    the coefficients unreduced."""
+    """N(e_0) = 1 and N(e_i) = -e_i^2 = -gamma_ii as terms of the table's
+    format, (exps, coeff) or (key, coeff), the coefficients unreduced."""
     return [(e, -c if i else c) for i, row in enumerate(gamma) for e, c in (row[i],)]
 
 

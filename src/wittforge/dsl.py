@@ -85,8 +85,13 @@ class _Scanner:
         if m is None:
             self.skip_ws()
             raise self.error("expected an integer")
+        try:
+            value = int(m[1])
+        except ValueError:  # more digits than int() converts (int_max_str_digits)
+            self.pos = m.start(1)
+            raise self.error(f"integer literal of {len(m[1])} digits is too long") from None
         self.pos = m.end()
-        return int(m[1])
+        return value
 
     def ident(self) -> str:
         self.skip_ws()

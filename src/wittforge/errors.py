@@ -51,6 +51,11 @@ class UnrepresentableClass(WittforgeError):
     """No prime-field constant times a monomial represents the class."""
 
 
+class ExponentOutOfRange(WittforgeError):
+    """A Laurent exponent too large for exact packed arithmetic:
+    |e| >= ``laurent.EXP_LIMIT``."""
+
+
 # -- quadratic form errors -------------------------------------------------
 
 class Degenerate(WittforgeError):

@@ -60,15 +60,24 @@ CACHE_SIZE = 4096
 
 
 def factor_bound() -> int:
-    """``WITTFORGE_FACTOR_BOUND``, a non-negative integer, or the default."""
+    """``WITTFORGE_FACTOR_BOUND``, a non-negative integer, or the default.
+    The variable is read on every call, so a change takes effect at once;
+    each distinct value is parsed once."""
     raw = os.environ.get("WITTFORGE_FACTOR_BOUND")
-    if raw is None:
-        return DEFAULT_FACTOR_BOUND
-    if not raw.strip().isdecimal():
-        raise InvalidFactorBound(
-            f"WITTFORGE_FACTOR_BOUND={raw!r} is not a non-negative integer"
-        )
-    return int(raw)
+    return DEFAULT_FACTOR_BOUND if raw is None else _parse_factor_bound(raw)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _parse_factor_bound(raw: str) -> int:
+    # a raise is not cached: a malformed value raises on every call
+    if raw.strip().isdecimal():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InvalidFactorBound(
+        f"WITTFORGE_FACTOR_BOUND={raw!r} is not a non-negative integer"
+    )
 
 
 # Miller-Rabin with the prime bases up to 41 is proven to decide

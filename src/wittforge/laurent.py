@@ -5,26 +5,45 @@ composition algebra structure constants and element arithmetic, trace
 forms.  Coefficients are Fractions over Q and sign bases, residues mod p
 over prime bases, so over a degree-2 base F_{p^2} the nonresidue class has
 no monomial representative.  Exponent vectors follow the tower's variable
-order, innermost first; negative exponents are allowed.
+order, innermost first; negative exponents are allowed.  A polynomial's
+``terms`` are sorted ``((exps, coeff), ...)`` with ``exps`` a tuple.
 
-Arithmetic accumulates, then reduces: sums and products add raw ints or
-Fractions into plain {exps: coeff} maps, every product through the one
-kernel ``_add_products``; ``_reduce_raw`` turns a map into a polynomial,
-mod p over prime bases (a ring homomorphism, so this is what reducing at
-every step gives), zeros dropped, terms sorted.  ``_norm_coeff`` checks
-coefficients where they enter: ``const``, ``monomial`` and ``of_class``.
-The class of a monomial term is read off it by ``_term_class`` (base class
-of the coefficient, parities of the exponents), for ``square_class`` and
-for the algebras' norm check alike.
+Arithmetic packs, accumulates, then reduces.  Inside this module an
+exponent vector e of n entries is one int, its key: the sum of
+e_i * 2^(K*(n-1-i)), the first variable in the most significant digit,
+digits balanced in (-2^(K-1), 2^(K-1)) (Kronecker substitution).  Adding
+exponent vectors is adding keys, and keys sort as their tuples do.
+Every exponent is checked where it is packed: |e| < EXP_LIMIT = 2^(K-3),
+so that three keys (x_i * y_j * gamma_ij) add without a carry from one
+digit into the next; a larger one raises ``ExponentOutOfRange`` instead of
+colliding with another key.  Sums and products add raw ints or Fractions
+into plain {key: coeff} maps, every product through the one kernel
+``_add_products``; ``_reduce_raw``, the one reduction, turns a map into a
+polynomial, mod p over prime bases (a ring homomorphism, so this is what
+reducing at every step gives), zeros dropped, terms sorted by key and the
+keys read back as tuples.  Packing and unpacking go through memos bounded
+by ``fields.CACHE_SIZE``; the unpacking memo is kept per arity, since
+(1,) and (0, 1) have the same key.  ``_norm_coeff`` checks coefficients
+where they enter: ``const``, ``monomial`` and ``of_class``.  The class of a
+monomial term is read off it by ``_term_class`` (base class of the
+coefficient, parities of the exponents), for ``square_class`` and for the
+algebras' norm check alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
 
-from .errors import UnknownVariable, UnrepresentableClass, ZeroElement
-from .fields import FieldTower, SquareClass, _base_class_of_constant
+from .errors import ExponentOutOfRange, UnknownVariable, UnrepresentableClass, ZeroElement
+from .fields import CACHE_SIZE, FieldTower, SquareClass, _base_class_of_constant
+
+K = 32  # bits per exponent digit of a packed key
+EXP_LIMIT = 1 << (K - 3)  # |e| < EXP_LIMIT: three keys add without a carry
+_HALF = 1 << (K - 1)
+_DIGIT = (1 << K) - 1
+
+_KEYS: dict = {}  # exponent tuple -> key; a tuple carries its arity
+_EXPS: dict = {}  # arity -> {key: exponent tuple}
 
 
 def _norm_coeff(tower: FieldTower, c):
@@ -48,32 +67,89 @@ def _term_class(tower: FieldTower, exps, c) -> tuple[int, int]:
     return _base_class_of_constant(tower, c), sum((e & 1) << i for i, e in enumerate(exps))
 
 
+def _remember(memo: dict, k, v):
+    """memo[k] = v, the oldest entry dropped once CACHE_SIZE are kept."""
+    if len(memo) >= CACHE_SIZE:
+        del memo[next(iter(memo))]
+    memo[k] = v
+    return v
+
+
+def _key(exps: tuple) -> int:
+    """The packed key of an exponent vector, each exponent checked."""
+    key = _KEYS.get(exps)
+    if key is None:
+        key = 0
+        for e in exps:
+            if not -EXP_LIMIT < e < EXP_LIMIT:
+                raise ExponentOutOfRange(
+                    f"exponent {e} in {exps}: packed arithmetic needs |e| < {EXP_LIMIT}"
+                )
+            key = (key << K) + e
+        _remember(_KEYS, exps, key)
+    return key
+
+
+def _exps(key: int, n: int, memo: dict) -> tuple:
+    """The exponent vector of n entries packed in key, by balanced digits,
+    through memo (the unpacking memo of arity n)."""
+    exps = memo.get(key)
+    if exps is None:
+        out = []
+        k = key
+        for _ in range(n):
+            e = ((k + _HALF) & _DIGIT) - _HALF
+            out.append(e)
+            k = (k - e) >> K
+        exps = _remember(memo, key, tuple(out[::-1]))
+    return exps
+
+
+def _packed(polys) -> list:
+    """The terms of each polynomial as a list [(key, coeff), ...]."""
+    try:
+        return [[(_KEYS[e], c) for e, c in f.terms] for f in polys]
+    except KeyError:
+        return [[(_key(e), c) for e, c in f.terms] for f in polys]
+
+
 def _add_products(raws: list, xs, ys, gamma) -> None:
     """Add every term of x_i * y_j * gamma[i][j], unreduced, into raws[i ^ j]:
-    xs, ys hold one term sequence per slot, gamma[i][j] is one (exps, coeff)
-    term; a polynomial product is one slot with gamma = 1.  Per slot j, x is
-    flattened into its terms times gamma_ij, so ex + e_gamma is summed once."""
+    xs, ys hold one packed term sequence per slot, gamma[i][j] is one packed
+    (key, coeff) term; a polynomial product is one slot with gamma = 1.  Per
+    slot j, x is flattened into its terms times gamma_ij, so ex + eg is
+    summed once."""
     xs = [(i, x) for i, x in enumerate(xs) if x]
     for j, y in enumerate(ys):
         if not y:
             continue
-        xg = [(raws[i ^ j], tuple(map(add, ex, eg)), cx * cg)
+        xg = [(raws[i ^ j], ex + eg, cx * cg)
               for i, x in xs for eg, cg in (gamma[i][j],) for ex, cx in x]
         for ey, cy in y:
             for raw, exg, cxg in xg:
-                e = tuple(map(add, exg, ey))
+                e = exg + ey
                 raw[e] = raw.get(e, 0) + cxg * cy
 
 
 def _reduce_raw(tower: FieldTower, raw: dict) -> "LaurentPoly":
-    """The polynomial of a raw {exps: coeff} map: coefficients mod p over
-    prime bases, zero terms dropped, terms sorted by exponent vector."""
+    """The polynomial of a raw {key: coeff} map: coefficients mod p over
+    prime bases, zero terms dropped, terms sorted by key, keys unpacked."""
+    n = len(tower.laurent_vars)
+    memo = _EXPS.get(n)
+    if memo is None:
+        memo = _EXPS[n] = {}
+    keys = sorted(raw)
     if tower.kind == "F":
         p = tower.p
-        terms = [(e, r) for e, c in raw.items() if (r := c % p)]
+        try:
+            terms = [(memo[k], r) for k in keys if (r := raw[k] % p)]
+        except KeyError:
+            terms = [(_exps(k, n, memo), r) for k in keys if (r := raw[k] % p)]
     else:
-        terms = [(e, c) for e, c in raw.items() if c]
-    terms.sort(key=itemgetter(0))
+        try:
+            terms = [(memo[k], c) for k in keys if (c := raw[k])]
+        except KeyError:
+            terms = [(_exps(k, n, memo), c) for k in keys if (c := raw[k])]
     return LaurentPoly(tower, tuple(terms))
 
 
@@ -135,15 +211,17 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        raw = dict(self.terms)
-        for e, c in other.terms:
-            raw[e] = raw.get(e, 0) + c
+        mine, theirs = _packed((self, other))
+        raw = dict(mine)
+        for k, c in theirs:
+            raw[k] = raw.get(k, 0) + c
         return _reduce_raw(self.tower, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduce_raw(self.tower, {e: -c for e, c in self.terms})
+        (mine,) = _packed((self,))
+        return _reduce_raw(self.tower, {k: -c for k, c in mine})
 
     def __sub__(self, other):
         return self + (-LaurentPoly.coerce(self.tower, other))
@@ -153,8 +231,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        raws, one = [{}], ((0,) * len(self.tower.laurent_vars), 1)
-        _add_products(raws, (self.terms,), (other.terms,), ((one,),))
+        raws = [{}]
+        mine, theirs = _packed((self, other))
+        # gamma = 1: key 0, that of the zero exponent vector, coefficient 1
+        _add_products(raws, (mine,), (theirs,), (((0, 1),),))
         return _reduce_raw(self.tower, raws[0])
 
     __rmul__ = __mul__

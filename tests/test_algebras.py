@@ -32,7 +32,7 @@ from wittforge.fields import (
     one_class,
     var_class,
 )
-from wittforge.laurent import LaurentPoly, _reduce_raw
+from wittforge.laurent import LaurentPoly, _key, _reduce_raw
 from wittforge.qform import is_isotropic, pfister, tensor
 
 Q = FieldTower.rationals()
@@ -488,7 +488,7 @@ class TestNormFromSlotCodes:
             assert A.norm.pfister_slots == slots
             diagonal = [A.gamma[i][i] for i in range(A.dim)]
             eager = tuple(
-                _reduce_raw(tower, {e: -c if i else c}) for i, (e, c) in enumerate(diagonal)
+                _reduce_raw(tower, {_key(e): -c if i else c}) for i, (e, c) in enumerate(diagonal)
             )
             assert A.norm_coeffs == eager
             minus_c = [-LaurentPoly.of_class(c) for c in slots]

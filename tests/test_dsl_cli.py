@@ -24,7 +24,7 @@ from wittforge.fields import (
     sq_mul,
     var_class,
 )
-from wittforge.laurent import LaurentPoly
+from wittforge.laurent import EXP_LIMIT, LaurentPoly
 from wittforge.qform import pfister
 
 F5T = FieldTower.prime(5, "t")
@@ -341,6 +341,23 @@ class TestScanner:
         for _ in range(2):
             with pytest.raises(ParseError):
                 dsl.parse_field("F561")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts strings of any length here",
+    )
+    def test_integers_longer_than_int_converts_are_parse_errors(self):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        cases = [
+            (lambda: dsl.parse_form(f"[{long}]", F13ST), 1),
+            (lambda: dsl.parse_form(f"[1, 3/{long}]", FieldTower.rationals()), 6),
+            (lambda: dsl.parse_class(f"s^-{long}", F13ST), 3),
+            (lambda: dsl.parse_field(f"F{long}((t))"), 1),
+        ]
+        for fn, pos in cases:
+            with pytest.raises(ParseError, match="too long") as info:
+                fn()
+            assert info.value.pos == pos
 
     def test_decimal_digits_of_any_script_parse(self):
         # Arabic-Indic three is a decimal digit: int() reads it as 3
@@ -676,6 +693,34 @@ class TestCli:
         )
         assert code == 1 and out == ""
         assert "WitnessUnsupported" in err and "InternalInconsistency" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts strings of any length here",
+    )
+    @pytest.mark.parametrize("field, form", [("Q", "[{}]"), ("F{}", "[1]")])
+    def test_long_literal_is_a_caret_parse_error(self, capsys, field, form):
+        long = "1" * 5000
+        code, out, err = self.run(
+            capsys, "qf-isotropy", "--field", field.format(long), "--form", form.format(long)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: integer literal of 5000 digits") and "^" in err
+
+    def test_exponent_out_of_range_exits_1(self, capsys):
+        big = f"t^{EXP_LIMIT}"
+        code, out, err = self.run(
+            capsys, "alg-build", "--field", "F13((t))", "--slots", "u,t",
+            "--mul", f"({big},0,0,0)", "(t,0,0,0)",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ExponentOutOfRange:") and "Traceback" not in err
+        # one less is in range: the product has exponent EXP_LIMIT
+        code, out, _ = self.run(
+            capsys, "alg-build", "--field", "F13((t))", "--slots", "u,t",
+            "--mul", f"(t^{EXP_LIMIT - 1},0,0,0)", "(t,0,0,0)",
+        )
+        assert code == 0 and f"product (t^{EXP_LIMIT}, 0, 0, 0)" in out
 
     def test_factor_bound_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "10")

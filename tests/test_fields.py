@@ -18,6 +18,7 @@ from wittforge.errors import (
     FactorBoundExceeded,
     FieldMismatch,
     InfiniteSquareClassGroup,
+    InvalidFactorBound,
     NotLaurent,
     PrimalityBoundExceeded,
     UnknownVariable,
@@ -26,6 +27,7 @@ from wittforge.errors import (
 )
 import wittforge
 from wittforge.fields import (
+    DEFAULT_FACTOR_BOUND,
     FieldTower,
     PRIMALITY_BOUND,
     SquareClass,
@@ -33,6 +35,7 @@ from wittforge.fields import (
     class_of_code,
     enumerate_square_classes,
     extend_quadratic,
+    factor_bound,
     is_prime,
     lift_class,
     minus_one_class,
@@ -43,6 +46,7 @@ from wittforge.fields import (
     sqrt_mod,
     squarefree_decomposition,
     var_class,
+    _parse_factor_bound,
 )
 
 Q = FieldTower.rationals()
@@ -93,6 +97,43 @@ class TestCanonical:
         assert canonical_square_class(Q, 101 * 101).is_one
         # no divisor up to sqrt(101) = 10.05: a prime, whatever the bound
         assert canonical_square_class(Q, -2 * 101).base == -202
+
+    def test_factor_bound_change_applies_mid_process(self, monkeypatch):
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "10")
+        with pytest.raises(FactorBoundExceeded):
+            squarefree_decomposition(101 * 103)
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "101")
+        assert factor_bound() == 101
+        assert squarefree_decomposition(101 * 103) == (1, (101, 103))
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "10")
+        with pytest.raises(FactorBoundExceeded):
+            squarefree_decomposition(101 * 103)
+        monkeypatch.delenv("WITTFORGE_FACTOR_BOUND")
+        assert factor_bound() == DEFAULT_FACTOR_BOUND
+
+    def test_each_factor_bound_value_is_parsed_once(self, monkeypatch):
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "1234567")
+        misses = _parse_factor_bound.cache_info().misses
+        assert [factor_bound() for _ in range(3)] == [1234567] * 3
+        assert _parse_factor_bound.cache_info().misses <= misses + 1
+
+    @pytest.mark.parametrize("bound", ["abc", "-1", " ", "1e6"])
+    def test_malformed_factor_bound_raises_on_every_call(self, monkeypatch, bound):
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", bound)
+        for _ in range(3):
+            with pytest.raises(InvalidFactorBound):
+                factor_bound()
+            with pytest.raises(InvalidFactorBound):
+                squarefree_decomposition(30)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts strings of any length here",
+    )
+    def test_factor_bound_longer_than_int_converts_is_invalid(self, monkeypatch):
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "1" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(InvalidFactorBound):
+            factor_bound()
 
     @given(
         c=st.integers(min_value=-10**5, max_value=10**5).filter(lambda n: n != 0),

@@ -1,13 +1,16 @@
-"""Laurent arithmetic: the product kernel against a schoolbook product, and
-coefficient checks where a coefficient enters a polynomial."""
+"""Laurent arithmetic: the product kernel against a schoolbook product,
+packed exponent keys at and near their limit, and coefficient checks where
+a coefficient enters a polynomial."""
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
-from wittforge.errors import ZeroElement
-from wittforge.fields import FieldTower
-from wittforge.laurent import LaurentPoly
+from wittforge import laurent
+from wittforge.errors import ExponentOutOfRange, WittforgeError, ZeroElement
+from wittforge.fields import CACHE_SIZE, FieldTower
+from wittforge.laurent import EXP_LIMIT, LaurentPoly, _add_products, _key, _packed, _reduce_raw
 
 Q = FieldTower.rationals()
 QT = FieldTower.rationals("t")
@@ -16,7 +19,10 @@ F13 = FieldTower.prime(13)
 F13ST = FieldTower.prime(13, "s", "t")
 F25T = FieldTower("F", 5, ("t",), 2)
 
+F7PQRST = FieldTower.prime(7, "p", "q", "r", "s", "t")
+
 TOWERS = (F13ST, F25T, Q, QT, RT)
+VARIABLE_TOWERS = (F13ST, F25T, QT, RT, F7PQRST)
 
 
 def schoolbook(tower, f, g):
@@ -32,15 +38,34 @@ def schoolbook(tower, f, g):
     return {e: c for e, c in out.items() if c}
 
 
-def random_poly(tower, rng):
-    """Up to five terms, exponents in [-2, 2] so that products collide."""
+def tuple_keyed_reduce(tower, raw):
+    """Terms of a raw {exps: coeff} map with tuple keys: coefficients mod p
+    over prime bases, zeros dropped, sorted by exponent tuple."""
+    if tower.kind == "F":
+        terms = [(e, r) for e, c in raw.items() if (r := c % tower.p)]
+    else:
+        terms = [(e, c) for e, c in raw.items() if c]
+    return tuple(sorted(terms, key=itemgetter(0)))
+
+
+def tuple_keyed_sum(f, g):
+    """The terms of f + g by the tuple-keyed reduction."""
+    raw = dict(f.terms)
+    for e, c in g.terms:
+        raw[e] = raw.get(e, 0) + c
+    return tuple_keyed_reduce(f.tower, raw)
+
+
+def random_poly(tower, rng, exponents=(-2, 2)):
+    """Up to five terms, exponents in [-2, 2] (or in the range given) so
+    that products collide."""
     if tower.kind == "F":
         coeffs = range(1, tower.p)
     else:
         coeffs = (1, -1, 2, -2, Fraction(1, 2), Fraction(-5, 3))
     out = LaurentPoly.zero(tower)
     for _ in range(rng.randint(0, 5)):
-        exps = {v: rng.randint(-2, 2) for v in tower.laurent_vars}
+        exps = {v: rng.randint(*exponents) for v in tower.laurent_vars}
         out = out + LaurentPoly.monomial(tower, rng.choice(coeffs), exps)
     return out
 
@@ -82,6 +107,110 @@ class TestProductKernel:
         if tower.laurent_vars:
             t = LaurentPoly.variable(tower, tower.laurent_vars[-1])
             assert ((1 + t) * (1 - t)).terms == (1 - t * t).terms
+
+
+class TestPackedKeys:
+    """Exponent vectors are packed into one int each inside ``laurent``;
+    ``terms`` keep their tuples, and every result is what tuple arithmetic
+    gives."""
+
+    @pytest.mark.parametrize("tower", VARIABLE_TOWERS, ids=str)
+    def test_products_next_to_the_limit_match_schoolbook(self, tower):
+        top = EXP_LIMIT - 1
+        rng = random.Random(f"laurent-limit:{tower}")
+        for _ in range(100):
+            f, g = (random_poly(tower, rng, (-top, top)) for _ in range(2))
+            edge = {v: rng.choice((-top, top)) for v in tower.laurent_vars}
+            f = f + LaurentPoly.monomial(tower, 3, edge)
+            expected = schoolbook(tower, dict(f.terms), dict(g.terms))
+            assert (f * g).terms == tuple(sorted(expected.items())), (f, g)
+        # three keys at +-(limit - 1) in one kernel call: x_i * y_j * gamma_ij
+        for signs in ((1, 1, 1), (-1, -1, -1), (1, -1, 1)):
+            x, y, z = (
+                LaurentPoly.monomial(tower, 2, {v: s * top for v in tower.laurent_vars})
+                + LaurentPoly.monomial(tower, Fraction(1, 3) if tower.kind != "F" else 5)
+                for s in signs
+            )
+            (e, c) = z.terms[-1] if signs[2] > 0 else z.terms[0]
+            raws = [{}]
+            _add_products(raws, _packed((x,)), _packed((y,)), (((_key(e), c),),))
+            xy = schoolbook(tower, dict(x.terms), dict(y.terms))
+            expected = schoolbook(tower, xy, {e: c})
+            got = _reduce_raw(tower, raws[0]).terms
+            assert got == tuple(sorted(expected.items())), signs
+            if len(set(signs)) == 1:
+                assert max(abs(d) for exps, _ in got for d in exps) == 3 * top
+
+    @pytest.mark.parametrize("tower", VARIABLE_TOWERS, ids=str)
+    def test_the_limit_raises_a_named_error(self, tower):
+        one = LaurentPoly.const(tower, 1)
+        for e in (EXP_LIMIT, -EXP_LIMIT, 10**12):
+            for v in tower.laurent_vars:
+                m = LaurentPoly.monomial(tower, 3, {v: e})  # built, not yet packed
+                for op in (lambda: m * one, lambda: one * m, lambda: m * m,
+                           lambda: m + one, lambda: one - m, lambda: -m):
+                    with pytest.raises(ExponentOutOfRange, match=str(EXP_LIMIT)):
+                        op()
+        assert issubclass(ExponentOutOfRange, WittforgeError)
+
+    def test_towers_whose_tuples_pack_to_one_int(self):
+        # (), (0,), (0, 0) all have key 0, and (1,), (0, 1), (0, 0, 0, 0, 1)
+        # key 1: each arity reads its keys back through its own memo
+        towers = (F13, FieldTower.prime(13, "t"), F13ST, F7PQRST)
+        assert {_key((0,) * n) for n in range(6)} == {0}
+        assert {_key((0,) * n + (1,)) for n in range(5)} == {1}
+        rng = random.Random("laurent-arities")
+        for _ in range(50):
+            for tower in rng.sample(towers, len(towers)):
+                n = len(tower.laurent_vars)
+                t = LaurentPoly.monomial(tower, 2, {tower.laurent_vars[-1]: 1} if n else {})
+                f = t + rng.randint(1, 6)
+                square = schoolbook(tower, dict(f.terms), dict(f.terms))
+                assert (f * f).terms == tuple(sorted(square.items()))
+                assert (f + t).terms == tuple_keyed_sum(f, t)
+                assert all(len(e) == n for e, _ in (f * f + t).terms)
+
+    @pytest.mark.parametrize("tower", TOWERS, ids=str)
+    def test_the_zero_vector_has_the_falsy_key_zero(self, tower):
+        zero = (0,) * len(tower.laurent_vars)
+        assert _key(zero) == 0 and not _key(zero)
+        a, b = LaurentPoly.const(tower, 3), LaurentPoly.const(tower, 4)
+        assert (a * b).terms == ((zero, 12 % tower.p if tower.kind == "F" else 12),)
+        assert (a + b).terms[0][0] == zero and (a - a).is_zero
+        if tower.laurent_vars:
+            v = LaurentPoly.variable(tower, tower.laurent_vars[0])
+            w = LaurentPoly.variable(tower, tower.laurent_vars[0], -1)
+            # t * t^-1 lands on key 0, beside the key of t^2
+            assert (v * (w + v)).terms == ((zero, 1), ((2,) + zero[1:], 1))
+
+    @pytest.mark.parametrize("tower", (Q, QT, RT), ids=str)
+    def test_fraction_coefficients_stay_fractions(self, tower):
+        rng = random.Random(f"laurent-fractions:{tower}")
+        for _ in range(100):
+            f, g = random_poly(tower, rng), random_poly(tower, rng)
+            product = schoolbook(tower, dict(f.terms), dict(g.terms))
+            assert (f * g).terms == tuple(sorted(product.items()))
+            assert (f + g).terms == tuple_keyed_sum(f, g)
+            for h in (f * g, f + g, -f):
+                assert all(type(c) is Fraction for _, c in h.terms)
+
+    @pytest.mark.parametrize("tower", TOWERS + (F7PQRST,), ids=str)
+    def test_add_and_neg_match_the_tuple_keyed_reduction(self, tower):
+        rng = random.Random(f"laurent-add-neg:{tower}")
+        for _ in range(200):
+            f, g = random_poly(tower, rng), random_poly(tower, rng)
+            assert (f + g).terms == tuple_keyed_sum(f, g), (f, g)
+            assert (-f).terms == tuple_keyed_reduce(tower, {e: -c for e, c in f.terms}), f
+            assert (f - f).is_zero
+
+    def test_memos_stay_bounded(self):
+        tower = FieldTower.prime(13, "t")
+        t = LaurentPoly.variable(tower, "t")
+        for e in range(-CACHE_SIZE, CACHE_SIZE + 10):
+            m = LaurentPoly.variable(tower, "t", e)
+            assert (m * t).terms == (((e + 1,), 1),)
+        assert len(laurent._KEYS) <= CACHE_SIZE
+        assert all(len(memo) <= CACHE_SIZE for memo in laurent._EXPS.values())
 
 
 class TestEntryNormalization:
