@@ -31,7 +31,6 @@ from .qform import (
     orthogonal_sum,
     pfister,
     pfister_slot_witness,
-    pure_part,
     scale,
     splits_over_quadratic,
     tensor,

@@ -29,7 +29,7 @@ N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
 (``laurent._term_class``: the exponent parities and the base class of the
 coefficient) and must equal the Pfister codes of the slots
 (``qform._pfister_codes``); the norm form is built from those same codes
-by the path ``qform.pfister`` takes, and the diagonal coefficients
+as ``qform.pfister`` builds it, and the diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
@@ -70,7 +70,7 @@ from .laurent import (
     _reduce_raw,
     _term_class,
 )
-from .qform import _pfister_codes, _pfister_form, is_isotropic, isotropic_vector
+from .qform import DiagonalForm, _classes, _pfister_codes, is_isotropic, isotropic_vector
 
 
 class CompositionAlgebra:
@@ -98,7 +98,7 @@ class CompositionAlgebra:
             raise InternalInconsistency(
                 f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
             )
-        self.norm = _pfister_form(tower, slots, codes)
+        self.norm = DiagonalForm(tower, _classes(tower, codes))
 
     @cached_property
     def _gamma(self) -> tuple:

@@ -151,21 +151,21 @@ def _cmd_qf_witt(args) -> int:
 
 def _cmd_qf_pfister_split(args) -> int:
     tower = _parse_field(args)
-    f = dsl.parse_form(args.form, tower)
+    slots = dsl.parse_pfister(args.form, tower)
     delta = dsl.parse_class(args.delta, tower)
-    verdict = qform.splits_over_quadratic(f, delta)
+    verdict = qform.splits_over_quadratic(tower, slots, delta)
     payload = {
         "command": "qf-pfister-split",
         "field": str(tower),
-        "form": [str(e) for e in f.entries],
+        "form": [str(e) for e in qform.pfister(tower, slots).entries],
         "delta": str(delta),
         "splits": verdict,
     }
     lines = ["splits" if verdict else "does not split"]
     if args.witness and verdict:
-        slots = qform.pfister_slot_witness(f, delta)
-        payload["witness"] = [str(s) for s in slots]
-        lines.append("witness <<" + ",".join(str(s) for s in slots) + ">>")
+        witness = qform.pfister_slot_witness(tower, slots, delta)
+        payload["witness"] = [str(s) for s in witness]
+        lines.append("witness <<" + ",".join(str(s) for s in witness) + ">>")
     _emit(payload, args, lines)
     return 0
 
@@ -192,8 +192,9 @@ def _cmd_alg_build(args) -> int:
     if args.mul:
         x = A.element(dsl.parse_element_coords(args.mul[0], tower))
         y = A.element(dsl.parse_element_coords(args.mul[1], tower))
-        payload["product"] = [str(c) for c in (x * y).coords]
-        lines.append(f"product {x * y}")
+        xy = x * y
+        payload["product"] = [str(c) for c in xy.coords]
+        lines.append(f"product {xy}")
     _emit(payload, args, lines)
     return 0
 

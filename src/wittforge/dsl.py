@@ -171,7 +171,7 @@ def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
         exps[name] = exps.get(name, 0) + e
         return coeff
     if name == "u" and tower.kind == "F" and tower.degree == 1:
-        return coeff * tower.nonresidue**e if e >= 0 else coeff * Fraction(1, tower.nonresidue ** (-e))
+        return coeff * pow(tower.nonresidue, e, tower.p)
     if name == "u" and tower.kind == "F":
         exps[_NONRESIDUE] = exps.get(_NONRESIDUE, 0) + e
         return coeff
@@ -227,13 +227,20 @@ def parse_slots(text: str, tower: FieldTower) -> tuple[SquareClass, ...]:
     return _parse_slot_list(_Scanner(text), tower)
 
 
+def parse_pfister(text: str, tower: FieldTower) -> tuple[SquareClass, ...]:
+    """The slots of a Pfister literal ``<<a_1,...,a_n>>``."""
+    s = _Scanner(text)
+    s.expect("<<")
+    slots = _parse_slot_list(s, tower, ">>")
+    if not s.at_end():
+        raise s.error("trailing characters after Pfister literal")
+    return slots
+
+
 def parse_form(text: str, tower: FieldTower) -> DiagonalForm:
     s = _Scanner(text)
     if s.match("<<"):
-        slots = _parse_slot_list(s, tower, ">>")
-        if not s.at_end():
-            raise s.error("trailing characters after Pfister literal")
-        return pfister(tower, slots)
+        return pfister(tower, parse_pfister(text, tower))
     s.expect("[")
     entries = []
     while True:

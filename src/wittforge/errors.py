@@ -74,10 +74,6 @@ class ZeroSlot(WittforgeError):
     pass
 
 
-class NotPfister(WittforgeError):
-    pass
-
-
 class NoSplit(WittforgeError):
     pass
 

@@ -20,14 +20,16 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
 Pfister forms are folded on codes by ``fields._code_mul``, with no memo,
-and ``pfister_class`` reads their Witt class off those codes
-(``pfister_classes`` extends many folded forms by the same slots); tensor
-products and scalings multiply entries by ``fields.sq_mul``.
+and ``pfister_classes`` reads the Witt classes of many folded forms
+extended by the same slots off those codes; tensor products and scalings
+multiply entries by ``fields.sq_mul``.
 
-A form is its tower and its entries.  The slots that ``pfister``
-records are metadata, which equality and hashing ignore; only
-``pure_part``, ``splits_over_quadratic`` and ``pfister_slot_witness``
-read them, and the witness is found one slot at a time.
+A form is its tower and its entries, and nothing else: a Pfister form
+keeps no record of its slots.  The questions that need slots take them,
+as every caller holds them (an algebra's ``slots``, a ``<<...>>``
+literal): ``splits_over_quadratic`` decides on the folded codes without
+building a form, and ``pfister_slot_witness`` finds its presentation one
+slot at a time.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ from .errors import (
     FieldMismatch,
     InternalInconsistency,
     NoSplit,
-    NotPfister,
     NotSymmetric,
     WitnessUnsupported,
     ZeroScale,
@@ -74,11 +75,6 @@ def _times(a: SquareClass, entries) -> tuple[SquareClass, ...]:
 class DiagonalForm:
     tower: FieldTower
     entries: tuple[SquareClass, ...]
-    # set only by ``pfister``, which expands the entries from these slots;
-    # metadata, so a form equals and hashes as its tower and entries
-    pfister_slots: Optional[tuple[SquareClass, ...]] = field(
-        default=None, init=False, compare=False
-    )
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,10 +87,6 @@ class DiagonalForm:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    @property
-    def is_pfister(self) -> bool:
-        return self.pfister_slots is not None
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
@@ -129,20 +121,8 @@ def _fold(codes: list, negs: list) -> list:
 
 
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
-    """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>, provenance kept."""
-    return _pfister_form(tower, slots, _pfister_codes(tower, slots))
-
-
-def _pfister_form(tower: FieldTower, slots: Sequence[SquareClass], codes: list) -> DiagonalForm:
-    """``pfister(tower, slots)`` from its entry codes ``_pfister_codes(tower, slots)``."""
-    form = DiagonalForm(tower, _classes(tower, codes))
-    object.__setattr__(form, "pfister_slots", tuple(slots))
-    return form
-
-
-def pfister_class(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
-    """``witt_class(pfister(tower, slots))`` from the entry codes, no form built."""
-    return pfister_classes(tower, slots, [(one_class(tower).code,)])[0]
+    """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>."""
+    return DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
 
 
 def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> list:
@@ -150,13 +130,6 @@ def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> l
     entry codes are in ``bases``; the slots are read once for all of them."""
     negs = _neg_codes(tower, slots)
     return [_witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class for phi in bases]
-
-
-def pure_part(f: DiagonalForm) -> DiagonalForm:
-    """Complement of the leading <1> in a Pfister form."""
-    if not f.is_pfister:
-        raise NotPfister(f"{f} carries no Pfister provenance")
-    return DiagonalForm(f.tower, f.entries[1:])
 
 
 def orthogonal_sum(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
@@ -468,29 +441,31 @@ def map_form(f: DiagonalForm, ext: QuadraticExtension) -> DiagonalForm:
     return DiagonalForm(ext.tower, tuple(ext.transfer(e) for e in f.entries))
 
 
-def splits_over_quadratic(f: DiagonalForm, delta: SquareClass) -> bool:
-    """Whether the Pfister form becomes hyperbolic over tower(sqrt(delta)).
+def splits_over_quadratic(
+    tower: FieldTower, slots: Sequence[SquareClass], delta: SquareClass
+) -> bool:
+    """Whether <<slots>> becomes hyperbolic over tower(sqrt(delta)).
 
-    Decided entirely downstairs: a hyperbolic form splits over anything,
-    and otherwise the pure subform represents -delta exactly when the
-    extension kills the form.
+    Decided entirely downstairs, on the folded codes: a hyperbolic form
+    splits over anything, and otherwise the pure subform (every entry but
+    the leading <1>) represents -delta exactly when the extension kills
+    the form.
     """
-    if not f.is_pfister:
-        raise NotPfister(f"{f} carries no Pfister provenance")
-    if delta.tower != f.tower:
-        raise FieldMismatch(f"{delta.tower} vs {f.tower}")
+    codes = _pfister_codes(tower, slots)
+    if delta.tower != tower:
+        raise FieldMismatch(f"{delta.tower} vs {tower}")
     if delta.is_one:
         raise DeltaIsSquare(f"{delta} is a square")
-    if is_isotropic(f):  # isotropic Pfister forms are hyperbolic
+    # isotropic Pfister forms are hyperbolic
+    if _witt(tower, tuple(sorted(codes))).witt_index > 0:
         return True
-    probe = orthogonal_sum(pure_part(f), DiagonalForm(f.tower, (delta,)))
-    return is_isotropic(probe)
+    return _witt(tower, tuple(sorted(codes[1:] + [delta.code]))).witt_index > 0
 
 
 def pfister_slot_witness(
-    f: DiagonalForm, delta: SquareClass
+    tower: FieldTower, slots: Sequence[SquareClass], delta: SquareClass
 ) -> tuple[SquareClass, ...]:
-    """Slots (delta, b_2, ..., b_n) presenting f with delta in front.
+    """Slots (delta, b_2, ..., b_n) presenting f = <<slots>> with delta in front.
 
     Found one slot at a time: b_k is the first class, in enumeration
     order, for which rho = <<delta, b_2, ..., b_k>> is a subform of f
@@ -500,26 +475,25 @@ def pfister_slot_witness(
     Only available over enumerable towers; over Q the split/no-split
     decision is all there is.
     """
-    if not f.is_pfister:
-        raise NotPfister(f"{f} carries no Pfister provenance")
-    if not f.tower.is_enumerable:
-        raise WitnessUnsupported(f"witness search needs a finite class group, not {f.tower}")
-    if not splits_over_quadratic(f, delta):
+    if not tower.is_enumerable:
+        raise WitnessUnsupported(f"witness search needs a finite class group, not {tower}")
+    f = pfister(tower, slots)
+    if not splits_over_quadratic(tower, slots, delta):
         raise NoSplit(f"{f} does not split over sqrt({delta})")
-    n = len(f.pfister_slots)
+    n = len(slots)
     if n == 1 and is_hyperbolic(f):
         raise WitnessUnsupported(
-            f"<<{f.pfister_slots[0]}>> is hyperbolic and <<{delta}>> is not: "
+            f"<<{slots[0]}>> is hyperbolic and <<{delta}>> is not: "
             f"no presentation has {delta} in front"
         )
-    classes = enumerate_square_classes(f.tower)
-    slots = (delta,)
+    classes = enumerate_square_classes(tower)
+    found = (delta,)
     for _ in range(n - 1):
         for b in classes:
-            rho = pfister(f.tower, slots + (b,))
+            rho = pfister(tower, found + (b,))
             if witt_decompose(orthogonal_sum(f, negate(rho))).witt_index >= rho.dim:
-                slots += (b,)
+                found += (b,)
                 break
-    if not is_isometric(pfister(f.tower, slots), f):
-        raise InternalInconsistency(f"slots {slots} found for {f} do not present it")
-    return slots
+    if not is_isometric(pfister(tower, found), f):
+        raise InternalInconsistency(f"slots {found} found for {f} do not present it")
+    return found

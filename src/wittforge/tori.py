@@ -78,7 +78,6 @@ from .qform import (
     pfister,
     pfister_classes,
     splits_over_quadratic,
-    tensor,
     witt_class,
 )
 
@@ -151,7 +150,7 @@ def splitting_profile(C: CompositionAlgebra) -> frozenset[SquareClass]:
     return frozenset(
         d
         for d in enumerate_square_classes(C.tower)
-        if not d.is_one and splits_over_quadratic(C.norm, d)
+        if not d.is_one and splits_over_quadratic(C.tower, C.slots, d)
     )
 
 
@@ -181,7 +180,7 @@ def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
     if isinstance(tau.cubic, PureCubicGalois):
         raise UnsupportedCubic("use cubic_obstruction_report for the cubic field kind")
     return all(
-        is_split(C) if q.is_one else splits_over_quadratic(C.norm, q)
+        is_split(C) if q.is_one else splits_over_quadratic(C.tower, C.slots, q)
         for q in set(_quadratic_pair(tau))
     )
 
@@ -423,8 +422,8 @@ def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tupl
     (d) holds on a matching row exactly when the norm class is the target,
     the class of <<d>> x (<1> + t3), so every algebra whose norm has that
     class shares these rows."""
-    unit_t3 = DiagonalForm(tower, (one_class(tower), *_tower_rows(tower)[2]))
-    target = witt_class(tensor(pfister(tower, (d,)), unit_t3))
+    unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
+    target = pfister_classes(tower, (d,), [unit_t3])[0]
     pairs = _pair_codes(tower)
     jnorm_classes = pfister_classes(tower, (d,), [bc for _, _, bc in pairs])
     evidence = []

@@ -96,10 +96,10 @@ def test_criterion_1_pure_subform_equivalences():
             for slots in itertools.product(gens, repeat=n):
                 phi = pfister(tower, slots)
                 for delta in nonsquares:
-                    splits = splits_over_quadratic(phi, delta)
+                    splits = splits_over_quadratic(tower, slots, delta)
                     # (iii): a slot presentation exists iff the form splits
                     try:
-                        witness = pfister_slot_witness(phi, delta)
+                        witness = pfister_slot_witness(tower, slots, delta)
                         assert witness[0] == delta
                         assert is_isometric(pfister(tower, witness), phi)
                         has_witness = True

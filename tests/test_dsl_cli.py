@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 import wittforge
 from wittforge import cli, dsl
 from wittforge.cli import build_parser, run_command
+from wittforge.algebras import AlgebraElement
 from wittforge.errors import ParseError, WittforgeError, ZeroSlot
 from wittforge.fields import (
     FieldTower,
+    canonical_square_class,
     enumerate_square_classes,
     extend_quadratic,
     nonresidue_class,
@@ -92,6 +95,37 @@ class TestParsers:
         g = dsl.parse_form("<<u,t>>", F5T)
         assert g == pfister(F5T, (nonresidue_class(F5T), var_class(F5T, "t")))
         assert dsl.parse_form("<<>>", F5T).entries == (dsl.parse_class("1", F5T),)
+
+    def test_pfister_literal_is_its_slots(self):
+        u, t = nonresidue_class(F5T), var_class(F5T, "t")
+        assert dsl.parse_pfister(" << u , t >> ", F5T) == (u, t)
+        assert dsl.parse_pfister("<<>>", F5T) == ()
+        for bad in ("[1,u]", "<<u", "<<u,t>>x", "u,t"):
+            with pytest.raises(ParseError):
+                dsl.parse_pfister(bad, F5T)
+        with pytest.raises(ParseError) as info:
+            dsl.parse_pfister("[1,u]", F5T)
+        assert info.value.pos == 0
+
+    @pytest.mark.parametrize(
+        "tower", [FieldTower.prime(7), FieldTower.prime(13), F13ST], ids=str
+    )
+    def test_nonresidue_powers_reduce_mod_p(self, tower):
+        # the value of u^e computed exactly, as a rational number, then reduced
+        for e in range(-20, 21):
+            for coeff in (1, 3):
+                exact = coeff * Fraction(tower.nonresidue) ** e
+                text = f"{coeff}*u^{e}"
+                assert dsl.parse_class(text, tower) == canonical_square_class(tower, exact)
+                assert dsl.parse_poly(text, tower) == LaurentPoly.const(tower, exact)
+
+    def test_huge_nonresidue_power_parses_at_once(self):
+        t0 = time.perf_counter()
+        for tower in (FieldTower.prime(13), F13ST):
+            assert dsl.parse_class("u^1000000000000", tower).is_one
+            assert dsl.parse_class("u^-1000000000001", tower) == nonresidue_class(tower)
+            assert dsl.parse_form("[u^1000000000000]", tower).entries[0].is_one
+        assert time.perf_counter() - t0 < 5
 
     def test_form_errors(self):
         for bad in ("[1", "[1,]", "<<u", "[]", "[1]x", "<<u,>>"):
@@ -684,6 +718,32 @@ class TestCli:
         )
         assert code == 0 and out.splitlines()[0] == "splits"
         assert out.splitlines()[1].startswith("witness <<u*t,")
+
+    def test_pfister_split_takes_a_pfister_literal(self, capsys):
+        # a diagonal form carries no slots: a caret parse error, not a domain error
+        code, out, err = self.run(
+            capsys, "qf-pfister-split", "--field", "F5", "--form", "[1,u]", "--delta", "u",
+        )
+        assert code == 2 and out == ""
+        assert "expected '<<'" in err and "^" in err and "Traceback" not in err
+
+    def test_alg_build_multiplies_once(self, capsys, monkeypatch):
+        calls = []
+        mul = AlgebraElement.__mul__
+
+        def counting_mul(x, y):
+            calls.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(AlgebraElement, "__mul__", counting_mul)
+        argv = [
+            "alg-build", "--field", "F13((s))((t))", "--slots", "u,s",
+            "--mul", "(0,1,0,0)", "(0,0,1,0)",
+        ]
+        for extra in ([], ["--json"]):
+            calls.clear()
+            code, _, _ = self.run(capsys, *argv, *extra)
+            assert code == 0 and len(calls) == 1
 
     def test_pfister_split_witness_of_hyperbolic_one_fold_form(self, capsys):
         # <<1>> splits over F7(sqrt u), but no <<u>> presents it

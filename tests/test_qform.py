@@ -11,7 +11,6 @@ from wittforge.errors import (
     DeltaIsSquare,
     FieldMismatch,
     NoSplit,
-    NotPfister,
     NotSymmetric,
     WitnessUnsupported,
     ZeroScale,
@@ -50,10 +49,8 @@ from wittforge.qform import (
     negate,
     orthogonal_sum,
     pfister,
-    pfister_class,
     pfister_classes,
     pfister_slot_witness,
-    pure_part,
     scale,
     splits_over_quadratic,
     tensor,
@@ -78,6 +75,18 @@ def generators(tower):
     else:
         base = [minus_one_class(tower)]
     return base + [var_class(tower, v) for v in tower.laurent_vars]
+
+
+def pure_part(f):
+    """The complement of the leading <1> in a Pfister form."""
+    return DiagonalForm(f.tower, f.entries[1:])
+
+
+def reference_splits(f, delta):
+    """The form-based rule: a Pfister form f splits over sqrt(delta)
+    when it is isotropic (so hyperbolic) or its pure part + <delta> is."""
+    probe = orthogonal_sum(pure_part(f), DiagonalForm(f.tower, (delta,)))
+    return is_isotropic(f) or is_isotropic(probe)
 
 
 class TestDiagonalize:
@@ -178,8 +187,6 @@ class TestPfister:
         assert pure_part(pfister(Q, (d,))).entries == (cls(Q, -7),)
         u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
         assert pure_part(pfister(F13ST, (t, u, s))).dim == 7
-        with pytest.raises(NotPfister):
-            pure_part(DiagonalForm(Q, (one_class(Q),)))
 
     def test_slots_only_from_the_expansion(self):
         # the slots are recorded by pfister(), never passed with the entries
@@ -189,8 +196,6 @@ class TestPfister:
             DiagonalForm(F5T, entries, (t, t))
         with pytest.raises(TypeError):
             DiagonalForm(F5T, entries, pfister_slots=(t, t))
-        assert not DiagonalForm(F5T, entries).is_pfister
-        assert pfister(F5T, (u, t)).pfister_slots == (u, t)
 
     def test_a_form_is_its_tower_and_entries(self):
         # the slots are metadata: equality and hash ignore them
@@ -214,14 +219,11 @@ def reference_pfister_entries(tower, slots):
 
 
 class TestPfisterCodes:
-    """``pfister`` folds its entries on codes and ``pfister_class`` reads
-    the Witt class off those codes; both against the fold on classes."""
+    """``pfister`` folds its entries on codes, against the fold on classes."""
 
     def check(self, tower, slots):
         f = pfister(tower, slots)
         assert f.entries == reference_pfister_entries(tower, slots), (tower, slots)
-        assert f.pfister_slots == tuple(slots)
-        assert pfister_class(tower, slots) == witt_class(f), (tower, slots)
 
     @pytest.mark.parametrize(
         "tower",
@@ -261,14 +263,12 @@ class TestPfisterCodes:
         bases = [pfister(tower, pair).key for pair in pairs]
         for d in classes:
             assert pfister_classes(tower, (d,), bases) == [
-                pfister_class(tower, (b, c, d)) for b, c in pairs
+                witt_class(pfister(tower, (b, c, d))) for b, c in pairs
             ], (tower, d)
 
     def test_slot_over_another_tower(self):
         with pytest.raises(FieldMismatch):
             pfister(F13ST, (var_class(F5T, "t"),))
-        with pytest.raises(FieldMismatch):
-            pfister_class(F13ST, (var_class(F5T, "t"),))
         with pytest.raises(FieldMismatch):
             pfister_classes(F13ST, (var_class(F5T, "t"),), [(0,)])
 
@@ -472,7 +472,42 @@ class TestSplitsOverQuadratic:
         f = pfister(F5T, (one_class(F5T), t))  # slot 1 makes it hyperbolic
         assert is_hyperbolic(f)
         for d in (u, t, sq_mul(u, t)):
-            assert splits_over_quadratic(f, d)
+            assert splits_over_quadratic(F5T, (one_class(F5T), t), d)
+
+    def test_codes_rule_agrees_with_the_form_rule(self):
+        # every 0-, 1- and 2-fold form, seeded 3-fold ones, every nonsquare delta
+        rng = random.Random(20)
+        towers = [
+            F5T,
+            F13ST,
+            FieldTower.prime(7, "r", "s", "t"),
+            FieldTower.reals("s", "t"),
+            FieldTower("F", 5, ("t",), 2),
+            FieldTower.prime(3, "r", "s", "t"),
+        ]
+        outcomes = set()
+        for tower in towers:
+            classes = enumerate_square_classes(tower)
+            slot_tuples = [
+                *(slots for n in range(3) for slots in itertools.product(classes, repeat=n)),
+                *(tuple(rng.choice(classes) for _ in range(3)) for _ in range(32)),
+            ]
+            for slots in slot_tuples:
+                f = pfister(tower, slots)
+                for delta in classes[1:]:
+                    splits = splits_over_quadratic(tower, slots, delta)
+                    assert splits == reference_splits(f, delta), (tower, slots, delta)
+                    outcomes.add(splits)
+        assert outcomes == {True, False}
+
+    def test_slot_or_delta_over_another_tower(self):
+        u, t = nonresidue_class(F5T), var_class(F5T, "t")
+        with pytest.raises(FieldMismatch):
+            splits_over_quadratic(F13ST, (u,), nonresidue_class(F13ST))
+        with pytest.raises(FieldMismatch):
+            splits_over_quadratic(F5T, (u,), var_class(F13ST, "t"))
+        with pytest.raises(FieldMismatch):
+            pfister_slot_witness(F13ST, (t,), nonresidue_class(F13ST))
 
     def test_ut_splits_at_u(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
@@ -480,31 +515,31 @@ class TestSplitsOverQuadratic:
         # the pure part <-u,-t,ut> plus <u> holds a +-u pair (-1 is square mod 5)
         probe = orthogonal_sum(pure_part(f), DiagonalForm(F5T, (u,)))
         assert is_isotropic(probe)
-        assert splits_over_quadratic(f, u)
+        assert splits_over_quadratic(F5T, (u, t), u)
 
     def test_delta_square_rejected(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
         with pytest.raises(DeltaIsSquare):
-            splits_over_quadratic(pfister(F5T, (u, t)), one_class(F5T))
+            splits_over_quadratic(F5T, (u, t), one_class(F5T))
 
     def test_agrees_with_extension_base_change(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
         f = pfister(F5T, (u, t))
         for delta in (u, t, sq_mul(u, t)):
             ext = extend_quadratic(F5T, delta)
-            assert splits_over_quadratic(f, delta) == is_hyperbolic(map_form(f, ext))
+            assert splits_over_quadratic(F5T, (u, t), delta) == is_hyperbolic(map_form(f, ext))
 
 
 class TestSlotWitness:
     def test_first_slot_already_there(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
-        assert pfister_slot_witness(pfister(F5T, (u, t)), u) == (u, t)
+        assert pfister_slot_witness(F5T, (u, t), u) == (u, t)
 
     def test_ut_witness(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
         f = pfister(F5T, (u, t))
         ut = sq_mul(u, t)
-        w = pfister_slot_witness(f, ut)
+        w = pfister_slot_witness(F5T, (u, t), ut)
         assert w[0] == ut and is_isometric(pfister(F5T, w), f)
         # the listed presentation (ut, t) is itself valid
         assert is_isometric(pfister(F5T, (ut, t)), f)
@@ -512,23 +547,20 @@ class TestSlotWitness:
     def test_no_split(self):
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
         t = var_class(F13ST, "t")
-        f = pfister(F13ST, (u, s))
-        assert not splits_over_quadratic(f, t)
+        assert not splits_over_quadratic(F13ST, (u, s), t)
         with pytest.raises(NoSplit):
-            pfister_slot_witness(f, t)
+            pfister_slot_witness(F13ST, (u, s), t)
 
     def test_unsupported_over_q(self):
-        f = pfister(Q, (cls(Q, -1), cls(Q, -1)))
         with pytest.raises(WitnessUnsupported):
-            pfister_slot_witness(f, cls(Q, -1))
+            pfister_slot_witness(Q, (cls(Q, -1), cls(Q, -1)), cls(Q, -1))
 
     def test_hyperbolic_one_fold_form_has_no_presentation(self):
         # <<1>> splits over every sqrt(delta), but <<delta>> is anisotropic
         F7 = FieldTower.prime(7)
-        f = pfister(F7, (one_class(F7),))
-        assert splits_over_quadratic(f, nonresidue_class(F7))
+        assert splits_over_quadratic(F7, (one_class(F7),), nonresidue_class(F7))
         with pytest.raises(WitnessUnsupported):
-            pfister_slot_witness(f, nonresidue_class(F7))
+            pfister_slot_witness(F7, (one_class(F7),), nonresidue_class(F7))
 
     def test_greedy_search_agrees_with_the_exhaustive_one(self):
         # every 1- and 2-fold form, seeded 3-fold ones, every splitting delta
@@ -552,14 +584,14 @@ class TestSlotWitness:
             for slots in slot_tuples:
                 f = pfister(tower, slots)
                 for delta in classes[1:]:
-                    if not splits_over_quadratic(f, delta):
+                    if not splits_over_quadratic(tower, slots, delta):
                         continue
-                    expected = reference_slot_witness(f, delta)
+                    expected = reference_slot_witness(tower, slots, delta)
                     if expected is None:
                         with pytest.raises(WitnessUnsupported):
-                            pfister_slot_witness(f, delta)
+                            pfister_slot_witness(tower, slots, delta)
                     else:
-                        assert pfister_slot_witness(f, delta) == expected, (f, delta)
+                        assert pfister_slot_witness(tower, slots, delta) == expected, (f, delta)
                     seen.add((len(slots), expected is None, is_hyperbolic(f)))
         assert seen == {
             (1, False, False), (1, True, True), (2, False, False), (2, False, True),
@@ -567,13 +599,14 @@ class TestSlotWitness:
         }
 
 
-def reference_slot_witness(f, delta):
+def reference_slot_witness(tower, slots, delta):
     """The exhaustive search: the first (delta, b_2, ..., b_n), in
-    enumeration order, whose Pfister form is isometric to f, or None."""
-    classes = enumerate_square_classes(f.tower)
-    for rest in itertools.product(classes, repeat=len(f.pfister_slots) - 1):
+    enumeration order, whose Pfister form is isometric to <<slots>>, or None."""
+    f = pfister(tower, slots)
+    classes = enumerate_square_classes(tower)
+    for rest in itertools.product(classes, repeat=len(slots) - 1):
         candidate = (delta,) + rest
-        if is_isometric(pfister(f.tower, candidate), f):
+        if is_isometric(pfister(tower, candidate), f):
             return candidate
     return None
 
