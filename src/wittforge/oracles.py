@@ -125,8 +125,8 @@ def truncated_witness_search(
 def constant_witness_search(f: DiagonalForm) -> Optional[list[LaurentPoly]]:
     """Exact isotropy witness with base-field constant coordinates.
 
-    Meet-in-the-middle over the two coordinate halves; the match is an
-    exact polynomial identity, so a hit certifies isotropy outright.
+    Meet-in-the-middle over two halves, each coordinate in 0..(p-1)/2 (x
+    and -x have one square); a hit is an exact identity, certifying isotropy.
     For square-class entries a constant witness exists whenever the form
     is isotropic: some residue block is isotropic downstairs and its
     witness lifts with zeros elsewhere.
@@ -149,7 +149,7 @@ def constant_witness_search(f: DiagonalForm) -> Optional[list[LaurentPoly]]:
 
     def values(idxs):
         out = []
-        for assign in itertools.product(range(p), repeat=len(idxs)):
+        for assign in itertools.product(range((p + 1) // 2), repeat=len(idxs)):
             acc: dict = {}
             for i, x in zip(idxs, assign):
                 if x:

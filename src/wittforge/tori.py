@@ -13,24 +13,24 @@ the algebra's splitting set once, the classes whose quadratic etale
 algebra splits it (its splitting profile, plus 1 when it is split), and
 reads every such verdict's two classes off it; ``admits_type`` tests
 just its type's two classes, so it needs no finite class group.  The
-cubic-field kind is ruled out for division algebras by an exhaustive
-trace-form comparison: every hermitian-shape candidate (b, c)
-compatible with the norm form would force the norm to be hyperbolic.
-The Jacobson norm <<d>> x <<b,c>> is <<d>> + <<d>> x pure(<<b,c>>), so
-by Witt cancellation step (d), <<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds
-exactly when its Witt class equals that of <<d>> x (<1> + t3).
+cubic-field kind is ruled out for division algebras by a trace-form
+comparison: every hermitian-shape candidate (b, c) compatible with the
+norm form would force the norm to be hyperbolic.  The Jacobson norm
+<<d>> x <<b,c>> is <<d>> + <<d>> x pure(<<b,c>>), so by Witt
+cancellation step (d), <<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds exactly
+when its Witt class equals that of <<d>> x (<1> + t3), the target.  An
+anisotropic Pfister form is <<d>> x psi iff it splits over k(sqrt(d))
+(Lam, Ch. X), so a candidate exists iff d is in the splitting set: one
+rule, ``_cubic_verdict``, gives both reports their verdict from that.
 
-Each part of an obstruction report is computed once per the inputs it
-depends on: the lambda rows, the trace gram and the trace diagonal t3
-per tower; and the evidence rows per (tower, d, Witt class of the
-algebra norm), the only part of the norm that isometry of 8-dimensional
-forms reads, so algebras with isometric norms share one entry whatever
-their slots or entries.  No candidate is built as a form: the class of
-its Jacobson norm <<b,c,d>> is read off codes (``qform.pfister_classes``),
-those of <<b,c>> folded once per tower and extended by d.  The memoized
-helpers call ``sq_mul``, ``witt_class``, ``pfister_classes`` and the
-other names through this module's globals.  Every report still
-runs its preconditions and reads its verdict off its own rows.
+An obstruction report's parts are computed once per the inputs they depend
+on: the lambda rows (checked as they are built), the trace gram and t3 per
+tower; the step (d) target per (tower, d); and the evidence rows per
+(tower, d, Witt class of the norm), so algebras with isometric norms share
+them.  No candidate is built as a form: the class of its Jacobson norm
+<<b,c,d>> is read off codes (``qform.pfister_classes``), <<b,c>> folded
+once per tower and extended by d.  Memoized helpers call ``sq_mul``,
+``witt_class`` and ``pfister_classes`` via module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -329,14 +329,12 @@ class CubicObstructionReport(_Report):
     evidence: tuple[EvidenceRow, ...]
 
 
-def _obstruction_verdict(lambda_rows, evidence) -> str:
-    """"inadmissible" unless a row contradicts the theorem for a division
-    algebra: a lambda row breaking the square-norm criterion, or a
-    hermitian candidate that would make the norm hyperbolic."""
-    bad = [r for r in lambda_rows if r.norm_is_square != r.lambda_is_square]
-    bad += [r for r in evidence if r.contradiction]
-    if bad:
-        raise InternalInconsistency(f"cubic obstruction contradicted by {bad[0]}")
+def _cubic_verdict(tower, d, norm_class, d_splits) -> str:
+    """"inadmissible", unless sqrt(d) splits the division algebra (``d_splits``)
+    and its norm class is the step (d) target, which contradicts the theorem."""
+    _tower_rows(tower)  # checks the lambda rows, once per tower
+    if d_splits and norm_class == _step_d_target(tower, d):
+        raise InternalInconsistency(f"cubic obstruction contradicted at d = {d}")
     return "inadmissible"
 
 
@@ -351,8 +349,8 @@ def cubic_obstruction_report(
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic: by Witt cancellation, the norm's class is the target's.
     The rows come from memos keyed on the tower and on (tower, d, norm
-    class); the verdict is read off them on every call, and a row
-    contradicting the theorem raises InternalInconsistency.
+    class); the verdict comes from ``_cubic_verdict``, told whether a row
+    matches the norm, and a contradiction raises InternalInconsistency.
     """
     tower = C.tower
     if C.dim != 8:
@@ -371,12 +369,13 @@ def cubic_obstruction_report(
         raise PreconditionFailed("d must be a nonsquare")
 
     lambda_rows, gram, trace_diagonal = _tower_rows(tower)
-    evidence = _evidence_rows(tower, d, witt_class(C.norm))
+    norm_class = witt_class(C.norm)
+    evidence = _evidence_rows(tower, d, norm_class)
     return CubicObstructionReport(
         tower,
         C.slots,
         d,
-        _obstruction_verdict(lambda_rows, evidence),
+        _cubic_verdict(tower, d, norm_class, any(r.norm_matches for r in evidence)),
         lambda_rows,
         gram,
         trace_diagonal,
@@ -387,7 +386,7 @@ def cubic_obstruction_report(
 @lru_cache(maxsize=CACHE_SIZE)
 def _tower_rows(tower: FieldTower) -> tuple:
     """Steps (a) and (b), which depend on the tower alone: the lambda rows,
-    the trace gram as strings and the diagonal of t3."""
+    checked as they are built, the trace gram as strings and t3's diagonal."""
     inner = tower.inner()
     t_class = var_class(tower, tower.outer_var)
 
@@ -403,6 +402,8 @@ def _tower_rows(tower: FieldTower) -> tuple:
             row = LambdaRow(
                 r, unit, norm_class, norm_class.is_one, r == 0 and unit.is_one
             )
+            if row.norm_is_square != row.lambda_is_square:
+                raise InternalInconsistency(f"cubic obstruction contradicted by {row}")
             lambda_rows.append(row)
 
     # (b) trace form of K(t^(1/3)) = K[x]/(x^3 - t)
@@ -416,14 +417,11 @@ def _tower_rows(tower: FieldTower) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
-    """Steps (c) and (d) against the algebra norm of Witt class
-    ``norm_class``: a Jacobson norm <<b,c,d>>, 8-dimensional like the
-    algebra norm, matches it exactly when the classes are equal, and step
-    (d) holds on a matching row exactly when the norm class is the target,
-    the class of <<d>> x (<1> + t3), so every algebra whose norm has that
-    class shares these rows."""
-    unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
-    target = pfister_classes(tower, (d,), [unit_t3])[0]
+    """Steps (c) and (d) against any algebra norm of Witt class ``norm_class``:
+    a Jacobson norm <<b,c,d>>, 8-dimensional like it, matches it exactly
+    when the classes are equal, and step (d) holds on a matching row
+    exactly when the norm class is the step (d) target."""
+    target = _step_d_target(tower, d)
     pairs = _pair_codes(tower)
     jnorm_classes = pfister_classes(tower, (d,), [bc for _, _, bc in pairs])
     evidence = []
@@ -432,6 +430,13 @@ def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tupl
         iso = norm_class == target if matches else None
         evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
     return tuple(evidence)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:
+    """The Witt class of <<d>> x (<1> + t3), the step (d) target."""
+    unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
+    return pfister_classes(tower, (d,), [unit_t3])[0]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -500,9 +505,9 @@ def _type_verdict(
             return TypeVerdict(
                 tau, "inadmissible", "quadratic part must be a field for a division algebra"
             )
-        report = cubic_obstruction_report(C, tau.quad)
+        verdict = _cubic_verdict(C.tower, tau.quad, witt_class(C.norm), tau.quad in split)
         return TypeVerdict(
-            tau, report.verdict, "cubic obstruction: no hermitian candidate survives"
+            tau, verdict, "cubic obstruction: no hermitian candidate survives"
         )
     first, second = _quadratic_pair(tau)
     ok1, ok2 = first in split, second in split

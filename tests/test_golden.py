@@ -193,7 +193,7 @@ def test_product_digest():
 # three are isometric, and of the split octonion <<1,s,t>>; then over the
 # comparison of the first and the last division octonion, and over the
 # obstruction reports of the division octonions against every nonsquare
-# d, whose evidence rows a type report reads only through its verdicts.
+# d, whose evidence rows a type report never builds.
 TYPES_F7RST_SHA256 = "20e0bf00b6e9509363f27228d6f1d4c0fb22db6acd83a98e507972a7005b4aef"
 
 

@@ -627,7 +627,56 @@ class TestConcurrency:
         assert results == expected * 4
 
 
+def reference_constant_witness(f):
+    """The constant-coordinate search over every value 0..p-1 of each
+    coordinate: meet in the middle, returning the first right half, in
+    lexicographic order, that some left half cancels, with the first such
+    left half (the whole vector nonzero), or None."""
+    tower, p, d = f.tower, f.tower.p, f.dim
+    monos = [LaurentPoly.of_class(e).terms[0] for e in f.entries]
+    half = d // 2
+
+    def values(idxs, sign):
+        for assign in itertools.product(range(p), repeat=len(idxs)):
+            acc = {}
+            for i, x in zip(idxs, assign):
+                exps, coeff = monos[i]
+                acc[exps] = (acc.get(exps, 0) + sign * coeff * x * x) % p
+            yield assign, frozenset((e, c) for e, c in acc.items() if c)
+
+    first, first_nonzero = {}, {}
+    for assign, val in values(range(half), 1):
+        first.setdefault(val, assign)
+        if any(assign):
+            first_nonzero.setdefault(val, assign)
+    for assign, val in values(range(half, d), -1):
+        match = (first if any(assign) else first_nonzero).get(val)
+        if match is not None:
+            return [LaurentPoly.const(tower, v) for v in match + assign]
+    return None
+
+
 class TestSpringerSoundness:
+    def test_half_range_search_matches_full_range(self):
+        # x and -x have one square, and negating a coordinate keeps a
+        # witness one, so the first witness has every coordinate <= (p-1)/2
+        towers = [FieldTower.prime(p) for p in (3, 5, 7, 13)] + [
+            FieldTower.prime(3, "t"),
+            FieldTower.prime(7, "s", "t"),
+            F13ST,
+            FieldTower.prime(5, "r", "s", "t"),
+        ]
+        outcomes = set()
+        for tower in towers:
+            classes = enumerate_square_classes(tower)
+            for dim in (1, 2, 3, 4):
+                for entries in itertools.combinations_with_replacement(classes, dim):
+                    f = DiagonalForm(tower, entries)
+                    witness = constant_witness_search(f)
+                    assert witness == reference_constant_witness(f), f
+                    outcomes.add(witness is None)
+        assert outcomes == {True, False}
+
     def test_bivariate_constant_oracle(self):
         classes = enumerate_square_classes(F13ST)
         for dim in (1, 2, 3):

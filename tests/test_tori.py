@@ -34,6 +34,7 @@ from wittforge.qform import (
     is_isometric,
     is_isotropic,
     pfister,
+    splits_over_quadratic,
     tensor,
     witt_class,
 )
@@ -64,6 +65,7 @@ F5T = FieldTower.prime(5, "t")
 F13ST = FieldTower.prime(13, "s", "t")
 F7ST = FieldTower.prime(7, "s", "t")
 F7RST = FieldTower.prime(7, "r", "s", "t")
+F13RST = FieldTower.prime(13, "r", "s", "t")
 
 
 def _tori_caches():
@@ -521,7 +523,7 @@ class TestCubicObstruction:
         )
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
-        # type_report reads its verdict from the same report
+        # type_report reads its verdict from the same rule
         with pytest.raises(InternalInconsistency):
             type_report(C)
 
@@ -562,6 +564,55 @@ class TestCubicObstruction:
         monkeypatch.setattr(tori, "sq_mul", lambda x, y: one_class(x.tower))
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, nonresidue_class(F13ST))
+        with pytest.raises(InternalInconsistency):
+            type_report(C)
+
+    def test_rule_matches_the_rows(self):
+        """The rule ``_cubic_verdict`` reads against the row scan, for
+        every division norm class and every nonsquare d: a row matches the
+        norm exactly when d splits the algebra (Lam, Ch. X), and a row
+        contradicts the theorem exactly when, besides, the norm class is
+        the step (d) target.  Over two variables the one division class is
+        split by every d; over three some d leave it division."""
+        pairs, matched = 0, 0
+        for tower in (F13ST, F7ST, F7RST, F13RST):
+            classes = enumerate_square_classes(tower)
+            division = {}
+            for slots in itertools.product(classes, repeat=3):
+                norm = pfister(tower, slots)
+                if not is_isotropic(norm):
+                    division.setdefault(witt_class(norm), slots)
+            for norm_class, slots in division.items():
+                for d in classes[1:]:
+                    rows = tori._evidence_rows(tower, d, norm_class)
+                    splits = splits_over_quadratic(tower, slots, d)
+                    assert any(r.norm_matches for r in rows) == splits, (slots, d)
+                    contradiction = splits and norm_class == tori._step_d_target(tower, d)
+                    assert any(r.contradiction for r in rows) == contradiction, (slots, d)
+                    assert tori._cubic_verdict(tower, d, norm_class, splits) == "inadmissible"
+                    pairs += 1
+                    matched += splits
+        assert 0 < matched < pairs
+
+    def test_type_report_builds_no_evidence(self, monkeypatch):
+        """type_report reads the pure-cubic rows off the rule alone: with
+        the obstruction report and its candidate tables made to raise, it
+        gives the same JSON for division and split octonions."""
+        classes = enumerate_square_classes(F7RST)
+        triples = random.Random(5).sample(list(itertools.combinations(classes, 3)), 12)
+        triples.append((one_class(F7RST), *classes[1:3]))
+        algebras = [algebra_from_slots(F7RST, slots) for slots in triples]
+        assert {is_split(A) for A in algebras} == {True, False}
+        expected = [type_report(A).to_json() for A in algebras]
+        for fn in _tori_caches():
+            fn.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("type_report built an evidence table")
+
+        for name in ("cubic_obstruction_report", "_evidence_rows", "_pair_codes"):
+            monkeypatch.setattr(tori, name, forbidden)
+        assert [type_report(A).to_json() for A in algebras] == expected
 
     def _warm_equals_cold(self, algebras, ds):
         """A report served from memos filled by other algebras equals one
