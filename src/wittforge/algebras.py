@@ -27,7 +27,8 @@ end.  An algebra is identified by (tower, slots), which is all its table
 depends on.  The norm is checked on codes: the class code of each
 N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
 (``laurent._term_class``: the exponent parities and the base class of the
-coefficient) and must equal the Pfister codes of the slots
+coefficient), memoized per (tower, exps, coeff) by ``_term_code``, and
+must equal the Pfister codes of the slots
 (``qform._pfister_codes``); the norm form is built from those same codes
 as ``qform.pfister`` builds it, and the diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
@@ -93,7 +94,7 @@ class CompositionAlgebra:
         self.gamma = gamma  # e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term
         # the class of each N(e_i), read off its term, against the Pfister codes
         codes = _pfister_codes(tower, slots)
-        diagonal = [_class_code(tower, *_term_class(tower, e, c)) for e, c in _norm_terms(gamma)]
+        diagonal = [_term_code(tower, e, c) for e, c in _norm_terms(gamma)]
         if diagonal != codes:
             raise InternalInconsistency(
                 f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
@@ -236,6 +237,13 @@ def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
                 row.append(sign * w[jj][ii])
         table.append(tuple(row))
     return tuple(table)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _term_code(tower: FieldTower, exps: tuple, coeff):
+    """The class code of the monomial coeff * x^exps, read off the term
+    (``laurent._term_class``) once per term."""
+    return _class_code(tower, *_term_class(tower, exps, coeff))
 
 
 def _norm_terms(gamma) -> list:

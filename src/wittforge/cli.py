@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -422,8 +423,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process:
-    parsing leaves it unchanged, and building it costs about as much as a
-    cached query."""
+    parsing leaves it unchanged, and building it takes about 7 ms, many
+    times a whole ``qf-isotropy`` command (about 0.16 ms with its answer
+    cached, on a shared 2-vCPU Xeon with Python 3.11)."""
     return _parsers()[0]
 
 
@@ -459,7 +461,17 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """Run the command on ``sys.argv``.  A reader that closes standard
+    output early (``| head -1``) ends the command with exit code 1 and no
+    traceback: stdout is pointed at devnull, so the flush at exit raises
+    no second error (the SIGPIPE recipe of the Python docs)."""
+    try:
+        status = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -127,9 +127,14 @@ def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
 
 def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> list:
     """The Witt class of phi x <<slots>> for each Pfister form phi whose
-    entry codes are in ``bases``; the slots are read once for all of them."""
+    entry codes (a tuple) are in ``bases``; the slots are read once for all
+    of them, and each distinct tuple is folded and looked up once."""
     negs = _neg_codes(tower, slots)
-    return [_witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class for phi in bases]
+    classes = {
+        phi: _witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class
+        for phi in dict.fromkeys(bases)
+    }
+    return [classes[phi] for phi in bases]
 
 
 def orthogonal_sum(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:

@@ -25,12 +25,15 @@ rule, ``_cubic_verdict``, gives both reports their verdict from that.
 
 An obstruction report's parts are computed once per the inputs they depend
 on: the lambda rows (checked as they are built), the trace gram and t3 per
-tower; the step (d) target per (tower, d); and the evidence rows per
-(tower, d, Witt class of the norm), so algebras with isometric norms share
-them.  No candidate is built as a form: the class of its Jacobson norm
-<<b,c,d>> is read off codes (``qform.pfister_classes``), <<b,c>> folded
-once per tower and extended by d.  Memoized helpers call ``sq_mul``,
-``witt_class`` and ``pfister_classes`` via module globals.
+tower; the step (d) target per (tower, d); and the report body, verdict
+and evidence rows, per (tower, d, Witt class of the norm), so algebras
+with isometric norms share it and a repeated report pays for its
+preconditions, one ``witt_class`` and one lookup.  No candidate is built
+as a form: the class of its Jacobson norm <<b,c,d>> is read off codes
+(``qform.pfister_classes``), <<b,c>> folded once per tower with its entry
+codes sorted, so that each distinct form is extended by d once.  Memoized
+helpers call ``sq_mul``, ``witt_class`` and ``pfister_classes`` via module
+globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -348,9 +351,11 @@ def cubic_obstruction_report(
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic: by Witt cancellation, the norm's class is the target's.
-    The rows come from memos keyed on the tower and on (tower, d, norm
-    class); the verdict comes from ``_cubic_verdict``, told whether a row
-    matches the norm, and a contradiction raises InternalInconsistency.
+    The preconditions run on every call; the rest of the report, its
+    verdict and its rows, comes from one memo keyed on (tower, d, norm
+    class), whose verdict ``_cubic_verdict`` decides, told whether a row
+    matches the norm.  A contradiction raises InternalInconsistency, and
+    a raise is never memoized.
     """
     tower = C.tower
     if C.dim != 8:
@@ -368,19 +373,20 @@ def cubic_obstruction_report(
     if d.is_one:
         raise PreconditionFailed("d must be a nonsquare")
 
-    lambda_rows, gram, trace_diagonal = _tower_rows(tower)
-    norm_class = witt_class(C.norm)
-    evidence = _evidence_rows(tower, d, norm_class)
     return CubicObstructionReport(
-        tower,
-        C.slots,
-        d,
-        _cubic_verdict(tower, d, norm_class, any(r.norm_matches for r in evidence)),
-        lambda_rows,
-        gram,
-        trace_diagonal,
-        evidence,
+        tower, C.slots, d, *_report_body(tower, d, witt_class(C.norm))
     )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _report_body(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
+    """Every field of an obstruction report after ``d``, for any division
+    algebra over ``tower`` whose norm has Witt class ``norm_class``: the
+    verdict, decided once per key by ``_cubic_verdict``, and the rows."""
+    lambda_rows, gram, trace_diagonal = _tower_rows(tower)
+    evidence = _evidence_rows(tower, d, norm_class)
+    verdict = _cubic_verdict(tower, d, norm_class, any(r.norm_matches for r in evidence))
+    return verdict, lambda_rows, gram, trace_diagonal, evidence
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -415,7 +421,6 @@ def _tower_rows(tower: FieldTower) -> tuple:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
     """Steps (c) and (d) against any algebra norm of Witt class ``norm_class``:
     a Jacobson norm <<b,c,d>>, 8-dimensional like it, matches it exactly
@@ -441,12 +446,16 @@ def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _pair_codes(tower: FieldTower) -> tuple:
-    """(b, c, entry codes of <<b,c>>) for every pair of square classes, b
-    outer: each <<b,c>> is folded once per tower, and each Jacobson norm
-    <<b,c,d>> is <<b,c>> with (-d)<<b,c>> appended."""
+    """(b, c, sorted entry codes of <<b,c>>) for every pair of square
+    classes, b outer: each <<b,c>> is folded once per tower, and each
+    Jacobson norm <<b,c,d>> is <<b,c>> with (-d)<<b,c>> appended.  Sorted,
+    pairs whose forms have the same entries give equal tuples, which
+    ``pfister_classes`` extends once."""
     classes = enumerate_square_classes(tower)
     return tuple(
-        (b, c, tuple(_pfister_codes(tower, (b, c)))) for b in classes for c in classes
+        (b, c, tuple(sorted(_pfister_codes(tower, (b, c)))))
+        for b in classes
+        for c in classes
     )
 
 

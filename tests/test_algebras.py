@@ -266,6 +266,27 @@ class TestSplitDetection:
         with pytest.raises(InternalInconsistency):
             quaternion(F13ST, u, s)
 
+    def test_table_check_with_a_warm_term_memo(self, monkeypatch):
+        # the injection of test_table_is_checked_against_the_pfister_norm,
+        # after every octonion over F13((s))((t)) has filled the memo of
+        # term class codes: the wrong term is looked up under its own key
+        classes = enumerate_square_classes(F13ST)
+        for slots in itertools.product(classes, repeat=3):
+            algebra_from_slots(F13ST, slots)
+        assert algebras._term_code.cache_info().currsize > 0
+        good = algebras._index_rule_table
+        u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
+        quaternion(F13ST, u, s)
+
+        def bad_table(tower, slots):
+            table = [list(row) for row in good(tower, slots)]
+            (table[1][1],) = (-LaurentPoly.of_class(s)).terms
+            return tuple(tuple(row) for row in table)
+
+        monkeypatch.setattr(algebras, "_index_rule_table", bad_table)
+        with pytest.raises(InternalInconsistency):
+            quaternion(F13ST, u, s)
+
     @pytest.mark.parametrize(
         "tower, factor",
         [(F13ST, 2), (FieldTower.reals("s", "t"), -1), (FieldTower.rationals("t"), 2)],

@@ -573,6 +573,26 @@ class TestCli:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "anisotropic\n", "")
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # standard output is a pipe whose read end is closed before the
+        # command writes, as when ``| head -1`` has already exited
+        src = Path(wittforge.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "wittforge.cli", "g2-types",
+                    "--slots", "u,s,t", "--field", "F13((s))((t))",
+                ],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+
     def test_oracle_budget_is_inconclusive(self, capsys):
         # the series search would look at more than SEARCH_BUDGET candidates
         argv = ["qf-isotropy", "--field", "F31((t))", "--form", "[1,1,1,t]", "--oracle"]

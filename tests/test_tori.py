@@ -527,6 +527,20 @@ class TestCubicObstruction:
         with pytest.raises(InternalInconsistency):
             type_report(C)
 
+    def test_a_raise_is_not_memoized(self, monkeypatch):
+        # the injection of test_contradicting_evidence_raises: the report
+        # memo keeps no entry for a raise, so a second call raises again
+        C = division_octonion()
+        u = nonresidue_class(F13ST)
+        monkeypatch.setattr(tori, "witt_class", lambda f: ())
+        monkeypatch.setattr(
+            tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
+        )
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency):
+                cubic_obstruction_report(C, u)
+        assert tori._report_body.cache_info().currsize == 0
+
     def test_step_d_class_comparison_matches_trace_isometry(self):
         """Step (d) read off Witt classes, the Jacobson norm's against the
         target <<d>> x (<1> + t3), agrees on every candidate with the
@@ -625,8 +639,19 @@ class TestCubicObstruction:
         for A in algebras:
             for d in ds:
                 tori._tower_rows.cache_clear()
-                tori._evidence_rows.cache_clear()
+                tori._report_body.cache_clear()
                 assert cubic_obstruction_report(A, d).to_json() == warm[A.slots, d]
+
+    def test_memo_keys_over_f13st(self):
+        # a seeded sample of the swept algebras, every nonsquare d
+        classes = enumerate_square_classes(F13ST)
+        rng = random.Random(3)
+        division = []
+        while len(division) < 12:
+            A = algebra_from_slots(F13ST, rng.sample(classes, 3))
+            if not is_split(A) and A not in division:
+                division.append(A)
+        self._warm_equals_cold(division, [d for d in classes if not d.is_one])
 
     def test_memo_keys_over_f7st(self):
         # -1 is not a square in F7, so the division norms have several keys
@@ -666,6 +691,8 @@ class TestCubicObstruction:
             for d in nonsquares:
                 assert cubic_obstruction_report(A, d).verdict == "inadmissible"
         assert division == 168
+        # the division norms are all isometric here: one report body per d
+        assert tori._report_body.cache_info().misses == 7
 
 
 class TestCompare:
