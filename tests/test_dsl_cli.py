@@ -552,6 +552,9 @@ class TestCli:
         for argv, a, b in zip(cases, fast, outcomes()):
             assert a == b, argv
 
+    def test_readme_names_every_subcommand(self):
+        assert {argv[0] for argv in readme_commands()} == set(cli._parsers()[1])
+
     def test_unicode_digits_exit_2(self, capsys):
         for argv in (
             ["qf-isotropy", "--field", "Q", "--form", "[2\u00b2]"],

@@ -1,5 +1,6 @@
-"""Byte-for-byte pins of report JSON and Witt kernels, and digests of
-the whole cubic-obstruction sweep and of seeded algebra products.
+"""Byte-for-byte pins of report JSON, Witt kernels and CLI text, and
+digests of the whole cubic-obstruction sweep and of seeded algebra
+products.
 
 ``tests/golden_outputs.json`` holds the outputs below as the library
 produced them; any change to square-class representation, ordering,
@@ -10,12 +11,16 @@ meant to change) with
     PYTHONPATH=src python tests/test_golden.py
 """
 import hashlib
+import io
 import itertools
 import json
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+from wittforge import cli
 from wittforge.algebras import (
     algebra_from_slots,
     composition_defect,
@@ -91,6 +96,34 @@ def _zero_divisor_rows(field: str) -> list:
     return rows
 
 
+def _cli_rows() -> list:
+    """[argv, exit code, stdout, stderr] of every README command with and
+    without ``--json``, of every ``DISPATCH_CASES`` argv, and of ``-h`` for
+    each subcommand the README names, at COLUMNS=80 (argparse wraps usage
+    and help text to the terminal width)."""
+    from test_dsl_cli import DISPATCH_CASES, readme_commands
+
+    readme = readme_commands()
+    cases = [argv + extra for argv in readme for extra in ([], ["--json"])]
+    cases += DISPATCH_CASES
+    cases += [[name, "-h"] for name in sorted({argv[0] for argv in readme})]
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    rows = []
+    try:
+        for argv in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.run_command(list(argv))
+            rows.append([argv, code, out.getvalue(), err.getvalue()])
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return rows
+
+
 def collect() -> dict:
     tower = parse_field("F13((s))((t))")
     C = algebra_from_slots(tower, parse_slots("u,s,t", tower))
@@ -112,6 +145,7 @@ def collect() -> dict:
         # p = 7 is 3 mod 4: -1 is a nonsquare, so three-entry runs with no
         # isotropic pair occur and need the ternary solution
         "zero_divisor_F7((s))((t))": _zero_divisor_rows("F7((s))((t))"),
+        "cli": _cli_rows(),
     }
 
 
