@@ -10,6 +10,7 @@ Grammar (ASCII, whitespace tolerated between tokens):
     poly     :=  ["+"|"-"] monomial (("+"|"-") monomial)*
     monomial :=  factor ("*" factor)*
     factor   :=  int ["/" int]  |  ident ["^" ["-"] int]
+    rationals := monomial "," monomial
 
 In ``"F" int`` the integer q is an odd prime p (the prime field F_p) or
 its square p^2 (the degree-2 base F_{p^2}), as ``str`` of a tower writes
@@ -17,7 +18,9 @@ them.  The rightmost field variable is the outermost uniformizer.  Over a
 prime base the identifier ``u`` denotes the canonical nonresidue unless
 a Laurent variable of that name shadows it; over F_{p^2}, where every
 prime-field constant is a square, ``u`` is the nonresidue class and may
-appear in class, slot and form literals but not in polynomials.
+appear in class, slot and form literals but not in polynomials.  The
+rationals of ``alg-genus`` are monomials over Q, so ``0.5``, ``1e-5``
+and ``1_000`` are parse errors.
 """
 from __future__ import annotations
 
@@ -289,3 +292,15 @@ def parse_element_coords(text: str, tower: FieldTower) -> tuple[LaurentPoly, ...
     if not s.at_end():
         raise s.error("trailing characters after element literal")
     return tuple(coords)
+
+
+def parse_rational_pair(text: str) -> tuple:
+    """The two rationals of ``monomial "," monomial`` over Q."""
+    s = _Scanner(text)
+    rationals = FieldTower.rationals()
+    a, _ = _parse_monomial(s, rationals)
+    s.expect(",")
+    b, _ = _parse_monomial(s, rationals)
+    if not s.at_end():
+        raise s.error("trailing characters after rational pair")
+    return a, b

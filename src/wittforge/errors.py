@@ -1,8 +1,19 @@
-"""Exception hierarchy. Every library error derives from WittforgeError."""
+"""Exception hierarchy. Every library error derives from WittforgeError;
+``number_text`` writes the numbers in their messages."""
 
 
 class WittforgeError(Exception):
     pass
+
+
+def number_text(x) -> str:
+    """``str(x)`` of an int or a Fraction, an integer too long for ``str`` named by its size."""
+    try:
+        return str(x)
+    except ValueError:
+        if x.denominator != 1:
+            return number_text(x.numerator) + "/" + number_text(x.denominator)
+        return f"<{x.numerator.bit_length()}-bit integer>"
 
 
 # -- field tower / square class errors ------------------------------------

@@ -48,6 +48,7 @@ from .errors import (
     UnknownVariable,
     UnsupportedDelta,
     ZeroElement,
+    number_text,
 )
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -178,7 +179,7 @@ def _sign_and_primes(n: int, bound: int) -> tuple[int, tuple[int, ...]]:
             r = math.isqrt(n)
             if r * r != n:
                 raise FactorBoundExceeded(
-                    f"cofactor {n} exceeds the trial division bound {bound}"
+                    f"cofactor {number_text(n)} exceeds the trial division bound {bound}"
                 )
             n = 1
             break
@@ -446,12 +447,12 @@ def _base_class_of_constant(tower: FieldTower, coeff) -> int:
     elif isinstance(coeff, Fraction):
         num, den = coeff.numerator, coeff.denominator
         if den % p == 0:
-            raise ZeroElement(f"denominator of {coeff} vanishes in F_{p}")
+            raise ZeroElement(f"denominator of {number_text(coeff)} vanishes in F_{p}")
         c = num * pow(den, -1, p)
     else:
         c = int(coeff)
     if c % p == 0:
-        raise ZeroElement(f"{coeff} vanishes in F_{p}")
+        raise ZeroElement(f"{number_text(coeff)} vanishes in F_{p}")
     if tower.degree == 2:
         return 1  # every base constant is a square in F_{p^2}
     return 1 if legendre(c, p) == 1 else tower.nonresidue

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExponentOutOfRange, UnknownVariable, UnrepresentableClass, ZeroElement
+from .errors import ExponentOutOfRange, UnknownVariable, UnrepresentableClass, ZeroElement, number_text
 from .fields import CACHE_SIZE, FieldTower, SquareClass, _base_class_of_constant
 
 K = 32  # bits per exponent digit of a packed key
@@ -83,7 +83,7 @@ def _key(exps: tuple) -> int:
         for e in exps:
             if not -EXP_LIMIT < e < EXP_LIMIT:
                 raise ExponentOutOfRange(
-                    f"exponent {e} in {exps}: packed arithmetic needs |e| < {EXP_LIMIT}"
+                    f"exponent {number_text(e)}: packed arithmetic needs |e| < {EXP_LIMIT}"
                 )
             key = (key << K) + e
         _remember(_KEYS, exps, key)

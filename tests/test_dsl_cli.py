@@ -832,6 +832,58 @@ class TestCli:
         code, out, _ = self.run(capsys, "alg-genus", "--q1=1000003,-1", "--q2=-1,-1")
         assert code == 0 and out.strip() == "different genus {2, 1000003} vs {2, oo}"
 
+    @pytest.mark.parametrize(
+        "q1", ["1e5000,1", "1e999999,1", "0.5,1", "1e-5,1", "1_000,1", "1/0,1", "1,2,3", "x,1"]
+    )
+    def test_alg_genus_rationals_are_monomials(self, capsys, q1):
+        # Fraction() read 1e5000 (a traceback from str()) and 1e999999 (a
+        # hang in trial division) past int()'s digit limit
+        t0 = time.perf_counter()
+        code, out, err = self.run(capsys, "alg-genus", f"--q1={q1}", "--q2=1,1")
+        assert time.perf_counter() - t0 < 2
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and "^" in err
+
+    def test_alg_genus_takes_products_and_fractions(self, capsys):
+        code, out, _ = self.run(capsys, "alg-genus", "--q1=-2*3/4, 5", "--q2=-6,5", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["q1"] == ["-3/2", "5"] and payload["equal_genus"]
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="str() converts integers of any length here",
+    )
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (
+                ["qf-isotropy", "--field", "Q", "--form", f"[{10**4000 + 1}*{10**4000 + 3}]"],
+                "error: FactorBoundExceeded: cofactor <",
+            ),
+            (
+                ["qf-isotropy", "--field", "F5", "--form", f"[{5 * 10**4000}*{5 * 10**4000}]"],
+                "error: ZeroElement: <",
+            ),
+            (
+                ["qf-isotropy", "--field", "F5", "--form", f"[{5 * 10**4000}*{5 * 10**4000}/7]"],
+                "error: ZeroElement: <",
+            ),
+            (
+                [
+                    "alg-build", "--field", "F5((t))", "--slots", "t",
+                    "--mul", f"(t^{'9' * 4300}*t^{'9' * 4300},0)", "(1,0)",
+                ],
+                "error: ExponentOutOfRange: exponent <",
+            ),
+        ],
+    )
+    def test_messages_name_long_integers_by_size(self, capsys, monkeypatch, argv, start):
+        # literals within int()'s digit limit, multiplied past what str() converts
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "10")
+        code, out, err = self.run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(start) and "-bit integer>" in err
+
     def test_huge_literal_named_error(self, capsys):
         huge = str(3 * 10**400 + 1)
         code, _, err = self.run(
