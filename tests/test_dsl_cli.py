@@ -876,6 +876,7 @@ class TestCli:
                 "error: ExponentOutOfRange: exponent <",
             ),
         ],
+        ids=["cofactor", "constant", "fraction", "exponent"],
     )
     def test_messages_name_long_integers_by_size(self, capsys, monkeypatch, argv, start):
         # literals within int()'s digit limit, multiplied past what str() converts

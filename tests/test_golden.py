@@ -19,6 +19,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 from wittforge import cli
 from wittforge.algebras import (
@@ -107,20 +108,13 @@ def _cli_rows() -> list:
     cases = [argv + extra for argv in readme for extra in ([], ["--json"])]
     cases += DISPATCH_CASES
     cases += [[name, "-h"] for name in sorted({argv[0] for argv in readme})]
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
     rows = []
-    try:
+    with patch.dict(os.environ, {"COLUMNS": "80"}):
         for argv in cases:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.run_command(list(argv))
             rows.append([argv, code, out.getvalue(), err.getvalue()])
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return rows
 
 
