@@ -12,7 +12,6 @@ from .fields import (
     SquareClass,
     canonical_square_class,
     enumerate_square_classes,
-    extend_quadratic,
     minus_one_class,
     nonresidue_class,
     one_class,
@@ -53,7 +52,6 @@ from .algebras import (
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
-    find_defect_witness,
     is_split,
     octonion,
     quaternion,
@@ -71,10 +69,8 @@ from .tori import (
     compare_torus_systems,
     cubic_obstruction_report,
     genus_equal_rational,
-    jacobson_norm,
     splitting_profile,
     torus_type_catalog,
-    trace_form,
     trace_form_gram,
     type_report,
 )

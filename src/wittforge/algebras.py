@@ -48,7 +48,6 @@ or more raise ``ExponentOutOfRange`` where they are packed.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, itemgetter
@@ -61,12 +60,11 @@ from .errors import (
     UnsupportedDim,
     ZeroSlot,
 )
-from .fields import CACHE_SIZE, FieldTower, SquareClass, _class_code
+from .fields import CACHE_SIZE, FieldTower, SquareClass, _class_code, _norm_coeff
 from .laurent import (
     LaurentPoly,
     _add_products,
     _key,
-    _norm_coeff,
     _packed,
     _reduce_raw,
     _term_class,
@@ -340,27 +338,3 @@ def zero_divisor_pair(A: CompositionAlgebra):
     if x.is_zero or not (pair[0] * pair[1]).is_zero:
         raise InternalInconsistency(f"{x} is not a zero divisor of {A}")
     return pair
-
-
-def find_defect_witness(A: CompositionAlgebra):
-    """Sparse pair with N(xy) != N(x)N(y); such pairs exist in dimension 16.
-
-    x runs over e_i + e_j and, for each, y over e_k + e_l then e_k - e_l
-    (i < j, k < l, lexicographic); every candidate and its norm is built
-    once."""
-    basis = [A.basis(i) for i in range(A.dim)]
-    negs = [-e for e in basis]
-    pairs = list(itertools.combinations(range(A.dim), 2))
-    ys = [
-        (y, y.norm_form_value())
-        for k, l in pairs
-        for y in (basis[k] + basis[l], basis[k] + negs[l])
-    ]
-    for i, j in pairs:
-        x = basis[i] + basis[j]
-        nx = x.norm_form_value()
-        for y, ny in ys:
-            defect = (x * y).norm_form_value() - nx * ny
-            if not defect.is_zero:
-                return x, y, defect
-    return None

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import arithq, dsl, oracles, qform, tori
 from .algebras import algebra_from_slots, is_split, zero_divisor_pair
-from .errors import ParseError, WittforgeError
+from .errors import ParseError, WittforgeError, number_text
 from .fields import SquareClass
 
 
@@ -229,8 +229,8 @@ def _cmd_alg_genus(args) -> tuple[dict, list[str]]:
     equal = r1 == r2  # the quaternion genus over Q is the ramification set
     payload = {
         "command": "alg-genus",
-        "q1": [str(x) for x in q1],
-        "q2": [str(x) for x in q2],
+        "q1": [number_text(x) for x in q1],
+        "q2": [number_text(x) for x in q2],
         "ramification1": [str(v) for v in sorted(r1, key=_place_key)],
         "ramification2": [str(v) for v in sorted(r2, key=_place_key)],
         "equal_genus": equal,

@@ -7,8 +7,8 @@ Grammar (ASCII, whitespace tolerated between tokens):
     pfister  :=  "<<" [ monomial ("," monomial)* ] ">>"
     slots    :=  monomial ("," monomial)*
     element  :=  "(" poly ("," poly)* ")"
-    poly     :=  ["+"|"-"] monomial (("+"|"-") monomial)*
-    monomial :=  factor ("*" factor)*
+    poly     :=  monomial (("+"|"-") factor ("*" factor)*)*
+    monomial :=  ["+"|"-"] factor ("*" factor)*
     factor   :=  int ["/" int]  |  ident ["^" ["-"] int]
     rationals := monomial "," monomial
 
@@ -184,11 +184,9 @@ def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
 def _parse_monomial(s: _Scanner, tower: FieldTower):
     coeff = 1
     s.skip_ws()
-    while s.peek() in ("+", "-"):
-        if s.peek() == "-":
-            coeff = -coeff
+    if s.peek() in ("+", "-"):  # one sign at most: a second fails as a factor
+        coeff = -1 if s.peek() == "-" else 1
         s.pos += 1
-        s.skip_ws()
     exps: dict[str, int] = {}
     coeff = _parse_factor(s, tower, coeff, exps)
     while s.match("*"):

@@ -127,10 +127,6 @@ class LambdaNotUnit(WittforgeError):
     pass
 
 
-class DSquare(WittforgeError):
-    pass
-
-
 class PreconditionFailed(WittforgeError):
     pass
 

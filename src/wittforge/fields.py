@@ -35,10 +35,9 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
-    DeltaIsSquare,
     FactorBoundExceeded,
     FieldMismatch,
     InfiniteSquareClassGroup,
@@ -46,7 +45,6 @@ from .errors import (
     NotLaurent,
     PrimalityBoundExceeded,
     UnknownVariable,
-    UnsupportedDelta,
     ZeroElement,
     number_text,
 )
@@ -384,7 +382,7 @@ class SquareClass:
         if self.tower.kind == "F":
             base_part = "1" if self.base == 1 else "u"
         else:
-            base_part = str(self.base)
+            base_part = number_text(self.base)
         if not vars_part:
             return base_part
         if base_part == "1":
@@ -426,6 +424,23 @@ def var_class(tower: FieldTower, name: str) -> SquareClass:
     return SquareClass(tower, 1, 1 << tower.laurent_vars.index(name))
 
 
+def _norm_coeff(tower: FieldTower, c):
+    """An exact constant as the tower's coefficient: its residue mod p over
+    a prime base, a Fraction over Q and sign bases."""
+    if isinstance(c, float):
+        raise TypeError("exact coefficients only")
+    if tower.kind != "F":
+        return Fraction(c)
+    p = tower.p
+    if type(c) is int:
+        return c % p
+    if isinstance(c, Fraction):
+        if c.denominator % p == 0:
+            raise ZeroElement(f"denominator of {number_text(c)} vanishes in F_{p}")
+        return c.numerator * pow(c.denominator, -1, p) % p
+    return int(c) % p
+
+
 def _base_class_of_constant(tower: FieldTower, coeff) -> int:
     """Canonical base part of a nonzero constant, per base kind."""
     if isinstance(coeff, float):
@@ -442,16 +457,8 @@ def _base_class_of_constant(tower: FieldTower, coeff) -> int:
         return 1 if coeff > 0 else -1
     # prime base
     p = tower.p
-    if type(coeff) is int:
-        c = coeff
-    elif isinstance(coeff, Fraction):
-        num, den = coeff.numerator, coeff.denominator
-        if den % p == 0:
-            raise ZeroElement(f"denominator of {number_text(coeff)} vanishes in F_{p}")
-        c = num * pow(den, -1, p)
-    else:
-        c = int(coeff)
-    if c % p == 0:
+    c = _norm_coeff(tower, coeff)
+    if c == 0:
         raise ZeroElement(f"{number_text(coeff)} vanishes in F_{p}")
     if tower.degree == 2:
         return 1  # every base constant is a square in F_{p^2}
@@ -532,75 +539,3 @@ def lift_class(x: SquareClass, tower: FieldTower) -> SquareClass:
     if tower.inner() != x.tower:
         raise FieldMismatch(f"{x.tower} is not the inner tower of {tower}")
     return SquareClass(tower, x.base, x.mask)
-
-
-@dataclass(frozen=True)
-class QuadraticExtension:
-    """Model of tower(sqrt(delta)) with its square-class transfer map."""
-
-    tower: FieldTower
-    delta: SquareClass
-    transfer: Callable[[SquareClass], SquareClass]
-
-
-def _fresh_var(taken: tuple[str, ...]) -> str:
-    name = "r"
-    k = 2
-    while name in taken:
-        name = f"r{k}"
-        k += 1
-    return name
-
-
-def extend_quadratic(tower: FieldTower, delta: SquareClass) -> QuadraticExtension:
-    """Adjoin a square root of delta for the two supported shapes.
-
-    * delta purely in the base: unramified, becomes the degree-2 base;
-    * delta = (base unit) * outermost variable: ramified, the outer
-      uniformizer is replaced by its square root.
-
-    Classes mixing inner variables have no tower-shaped model here; use
-    the pure-subform splitting criterion for those.
-    """
-    if delta.tower != tower:
-        raise FieldMismatch(f"{delta.tower} vs {tower}")
-    if delta.is_one:
-        raise DeltaIsSquare(f"{delta} is a square")
-    if tower.kind != "F":
-        raise UnsupportedDelta(f"quadratic extension models need a prime base, got {tower}")
-
-    if not delta.mask:
-        # unramified: delta is the base nonresidue
-        if tower.degree == 2:
-            raise UnsupportedDelta("base is already quadratically extended")
-        new_tower = FieldTower("F", tower.p, tower.laurent_vars, 2)
-
-        def transfer(x: SquareClass, _t=new_tower) -> SquareClass:
-            if x.tower != tower:
-                raise FieldMismatch(f"{x.tower} vs {tower}")
-            return SquareClass(_t, 1, x.mask)
-
-        return QuadraticExtension(new_tower, delta, transfer)
-
-    outer_bit = 1 << (len(tower.laurent_vars) - 1)  # delta.mask != 0: n >= 1
-    if delta.mask == outer_bit:
-        # ramified: t = r^2 / delta0, so the class of t maps to delta0
-        delta0 = SquareClass(tower, delta.base)
-        inner_vars = tower.laurent_vars[:-1]
-        new_tower = FieldTower(
-            tower.kind, tower.p, inner_vars + (_fresh_var(inner_vars),), tower.degree
-        )
-
-        def transfer(x: SquareClass, _t=new_tower, _d0=delta0) -> SquareClass:
-            if x.tower != tower:
-                raise FieldMismatch(f"{x.tower} vs {tower}")
-            base = x.base
-            if x.mask & outer_bit:
-                base = sq_mul(SquareClass(tower, base), _d0).base
-            return SquareClass(_t, base, x.mask & ~outer_bit)
-
-        return QuadraticExtension(new_tower, delta, transfer)
-
-    raise UnsupportedDelta(
-        f"{delta} mixes inner variables; only base units and base*outer are modelled"
-    )

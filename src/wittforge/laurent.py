@@ -23,8 +23,9 @@ polynomial, mod p over prime bases (a ring homomorphism, so this is what
 reducing at every step gives), zeros dropped, terms sorted by key and the
 keys read back as tuples.  Packing and unpacking go through memos bounded
 by ``fields.CACHE_SIZE``; the unpacking memo is kept per arity, since
-(1,) and (0, 1) have the same key.  ``_norm_coeff`` checks coefficients
-where they enter: ``const``, ``monomial`` and ``of_class``.  The class of a
+(1,) and (0, 1) have the same key.  ``fields._norm_coeff``, the one rule
+that reduces a constant into the tower, checks coefficients where they
+enter: ``const``, ``monomial`` and ``of_class``.  The class of a
 monomial term is read off it by ``_term_class`` (base class of the
 coefficient, parities of the exponents), for ``square_class`` and for the
 algebras' norm check alike.
@@ -32,10 +33,9 @@ algebras' norm check alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ExponentOutOfRange, UnknownVariable, UnrepresentableClass, ZeroElement, number_text
-from .fields import CACHE_SIZE, FieldTower, SquareClass, _base_class_of_constant
+from .fields import CACHE_SIZE, FieldTower, SquareClass, _base_class_of_constant, _norm_coeff
 
 K = 32  # bits per exponent digit of a packed key
 EXP_LIMIT = 1 << (K - 3)  # |e| < EXP_LIMIT: three keys add without a carry
@@ -44,21 +44,6 @@ _DIGIT = (1 << K) - 1
 
 _KEYS: dict = {}  # exponent tuple -> key; a tuple carries its arity
 _EXPS: dict = {}  # arity -> {key: exponent tuple}
-
-
-def _norm_coeff(tower: FieldTower, c):
-    if isinstance(c, float):
-        raise TypeError("exact coefficients only")
-    if tower.kind == "F":
-        if type(c) is int:
-            return c % tower.p
-        if isinstance(c, Fraction):
-            den = c.denominator
-            if den % tower.p == 0:
-                raise ZeroElement(f"denominator vanishes in F_{tower.p}")
-            return c.numerator * pow(den, -1, tower.p) % tower.p
-        return int(c) % tower.p
-    return Fraction(c)
 
 
 def _term_class(tower: FieldTower, exps, c) -> tuple[int, int]:
@@ -267,13 +252,13 @@ class LaurentPoly:
                 continue
             parts.append(name if e == 1 else f"{name}^{e}")
         if not parts:
-            return str(coeff)
+            return number_text(coeff)
         body = "*".join(parts)
         if coeff == 1:
             return body
         if coeff == -1:
             return "-" + body
-        return f"{coeff}*{body}"
+        return f"{number_text(coeff)}*{body}"
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -1,10 +1,16 @@
-"""Brute-force oracles, independent of the decision procedures they check.
+"""Brute-force oracles and references, independent of the decision
+procedures they check.
 
-These searches only ever certify: a returned witness is verified exactly,
+The searches only ever certify: a returned witness is verified exactly,
 and the "none found" answers are exhaustive over their stated candidate
 spaces.  A search whose candidates would exceed ``SEARCH_BUDGET`` raises
-OracleBudgetExceeded instead of running.  The test suite compares them
-against the library verdicts; the CLI exposes them behind ``--oracle``.
+OracleBudgetExceeded instead of running.  ``extend_quadratic`` and
+``base_change`` model k(sqrt(delta)) as a tower for the two shapes of
+delta where one exists, a reference for ``qform.splits_over_quadratic``,
+which decides downstairs; ``find_defect_witness`` searches for a pair
+breaking the composition law in dimension 16.  No library answer uses
+this module: the test suite compares it against the library verdicts,
+and the CLI exposes the searches behind ``--oracle``.
 """
 from __future__ import annotations
 
@@ -12,7 +18,9 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .errors import InternalInconsistency
+from .algebras import CompositionAlgebra
+from .errors import DeltaIsSquare, FieldMismatch, InternalInconsistency, UnsupportedDelta
+from .fields import FieldTower, SquareClass, sq_mul
 from .laurent import LaurentPoly
 from .qform import DiagonalForm
 
@@ -311,3 +319,83 @@ def unit_form_liftable_mod_p(entries: Sequence[int], p: int) -> bool:
             if any((2 * c * x) % p for c, x in zip(a, vec)):
                 return True
     return False
+
+
+# -- base change along a modelled quadratic extension ----------------------------------
+
+
+def extend_quadratic(tower: FieldTower, delta: SquareClass):
+    """(tower of tower(sqrt(delta)), transfer), transfer mapping a class of
+    ``tower`` to its class upstairs, for the two shapes with a model:
+
+    * delta purely in the base: unramified, the degree-2 base;
+    * delta = (base unit) * outermost variable: ramified, the outer
+      uniformizer replaced by its square root, a fresh variable r, r2, ...
+
+    Classes mixing inner variables have no tower-shaped model here.
+    """
+    if delta.tower != tower:
+        raise FieldMismatch(f"{delta.tower} vs {tower}")
+    if delta.is_one:
+        raise DeltaIsSquare(f"{delta} is a square")
+    if tower.kind != "F":
+        raise UnsupportedDelta(f"quadratic extension models need a prime base, got {tower}")
+    outer = 1 << (len(tower.laurent_vars) - 1) if tower.laurent_vars else 0
+    if not delta.mask:
+        if tower.degree == 2:
+            raise UnsupportedDelta("base is already quadratically extended")
+        upstairs = FieldTower("F", tower.p, tower.laurent_vars, 2)
+    elif delta.mask == outer:
+        inner = tower.laurent_vars[:-1]
+        fresh, k = "r", 2
+        while fresh in inner:
+            fresh, k = f"r{k}", k + 1
+        upstairs = FieldTower("F", tower.p, inner + (fresh,), tower.degree)
+    else:
+        raise UnsupportedDelta(
+            f"{delta} mixes inner variables; only base units and base*outer are modelled"
+        )
+
+    def transfer(x: SquareClass) -> SquareClass:
+        if x.tower != tower:
+            raise FieldMismatch(f"{x.tower} vs {tower}")
+        if not delta.mask:  # every base constant is a square in F_{p^2}
+            return SquareClass(upstairs, 1, x.mask)
+        if x.mask & outer:  # t = r^2 / delta0: the class of t maps to delta0
+            x = sq_mul(x, SquareClass(tower, delta.base))
+        return SquareClass(upstairs, x.base, x.mask & ~outer)
+
+    return upstairs, transfer
+
+
+def base_change(f: DiagonalForm, delta: SquareClass) -> DiagonalForm:
+    """f over f.tower(sqrt(delta)), entry by entry through the transfer map."""
+    tower, transfer = extend_quadratic(f.tower, delta)
+    return DiagonalForm(tower, tuple(transfer(e) for e in f.entries))
+
+
+# -- composition defect search ----------------------------------------------------------
+
+
+def find_defect_witness(A: CompositionAlgebra):
+    """Sparse pair with N(xy) != N(x)N(y); such pairs exist in dimension 16.
+
+    x runs over e_i + e_j and, for each, y over e_k + e_l then e_k - e_l
+    (i < j, k < l, lexicographic); every candidate and its norm is built
+    once."""
+    basis = [A.basis(i) for i in range(A.dim)]
+    negs = [-e for e in basis]
+    pairs = list(itertools.combinations(range(A.dim), 2))
+    ys = [
+        (y, y.norm_form_value())
+        for k, l in pairs
+        for y in (basis[k] + basis[l], basis[k] + negs[l])
+    ]
+    for i, j in pairs:
+        x = basis[i] + basis[j]
+        nx = x.norm_form_value()
+        for y, ny in ys:
+            defect = (x * y).norm_form_value() - nx * ny
+            if not defect.is_zero:
+                return x, y, defect
+    return None

@@ -53,7 +53,6 @@ from .errors import (
 from .fields import (
     CACHE_SIZE,
     FieldTower,
-    QuadraticExtension,
     SquareClass,
     _code_mul,
     class_of_code,
@@ -439,11 +438,6 @@ def is_isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
 
 
 # -- splitting over quadratic extensions -------------------------------------------
-
-
-def map_form(f: DiagonalForm, ext: QuadraticExtension) -> DiagonalForm:
-    """Base change along a quadratic extension's transfer map."""
-    return DiagonalForm(ext.tower, tuple(ext.transfer(e) for e in f.entries))
 
 
 def splits_over_quadratic(

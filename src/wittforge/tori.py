@@ -53,7 +53,6 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import dsl
 from .algebras import CompositionAlgebra, is_split
 from .errors import (
-    DSquare,
     FieldMismatch,
     InternalInconsistency,
     LambdaNotUnit,
@@ -75,10 +74,8 @@ from .fields import (
 )
 from .laurent import LaurentPoly
 from .qform import (
-    DiagonalForm,
     _pfister_codes,
     diagonalize,
-    pfister,
     pfister_classes,
     splits_over_quadratic,
     witt_class,
@@ -262,20 +259,6 @@ def trace_form_gram(tower: FieldTower, f, lam=1):
     zero = LaurentPoly.zero(tower)
     traces = [sum((h * p for h, p in zip(hk, power_sums)), zero) for hk in powers]
     return [[traces[i + j] for j in range(3)] for i in range(3)]
-
-
-def trace_form(tower: FieldTower, f, lam=1) -> DiagonalForm:
-    return diagonalize(tower, trace_form_gram(tower, f, lam))
-
-
-def jacobson_norm(
-    tower: FieldTower, d: SquareClass, b: SquareClass, c: SquareClass
-) -> DiagonalForm:
-    """<<d>> tensor <<b,c>> = <<b,c,d>>, the norm of the hermitian-form
-    construction."""
-    if d.is_one:
-        raise DSquare(f"{d} is a square")
-    return pfister(tower, (b, c, d))
 
 
 # -- the cubic-field obstruction --------------------------------------------------------

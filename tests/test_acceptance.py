@@ -10,7 +10,6 @@ from wittforge.algebras import (
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
-    find_defect_witness,
     is_split,
     quaternion,
 )
@@ -28,7 +27,6 @@ from wittforge.fields import (
     FieldTower,
     canonical_square_class,
     enumerate_square_classes,
-    extend_quadratic,
     minus_one_class,
     nonresidue_class,
     one_class,
@@ -37,17 +35,19 @@ from wittforge.fields import (
 )
 from wittforge.laurent import LaurentPoly
 from wittforge.oracles import (
+    base_change,
+    find_defect_witness,
     rational_witness_search,
     truncated_witness_search,
     verify_rational_witness,
 )
 from wittforge.qform import (
     DiagonalForm,
+    diagonalize,
     splits_over_quadratic,
     is_hyperbolic,
     is_isometric,
     is_isotropic,
-    map_form,
     negate,
     orthogonal_sum,
     pfister,
@@ -61,7 +61,6 @@ from wittforge.tori import (
     compare_torus_systems,
     cubic_obstruction_report,
     splitting_profile,
-    trace_form,
     trace_form_gram,
     type_report,
 )
@@ -108,11 +107,11 @@ def test_criterion_1_pure_subform_equivalences():
                     assert splits == has_witness
                     # (i): direct base change where the extension is modelled
                     try:
-                        ext = extend_quadratic(tower, delta)
+                        upstairs = base_change(phi, delta)
                     except UnsupportedDelta:
-                        ext = None
-                    if ext is not None:
-                        assert splits == is_hyperbolic(map_form(phi, ext))
+                        upstairs = None
+                    if upstairs is not None:
+                        assert splits == is_hyperbolic(upstairs)
                     checked += 1
     assert checked == (12 * 3) + (36 * 7) + (36 * 7)
     _finish(f"criterion 1: pure-subform splitting equivalences ({checked} cases)", 60, t0)
@@ -192,7 +191,7 @@ def test_criterion_4_theorem_replay_at_surrogate_scale():
     three = LaurentPoly.const(F13ST, 3)
     gram = trace_form_gram(F13ST, (-tp, zero, zero), 1)
     assert gram == [[three, zero, zero], [zero, zero, 3 * tp], [zero, 3 * tp, zero]]
-    diag = trace_form(F13ST, (-tp, zero, zero), 1)
+    diag = diagonalize(F13ST, gram)
     assert is_isometric(
         diag,
         DiagonalForm(F13ST, (one_class(F13ST), one_class(F13ST), minus_one_class(F13ST))),

@@ -10,7 +10,6 @@ from wittforge.algebras import (
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
-    find_defect_witness,
     is_split,
     quaternion,
     zero_divisor_pair,
@@ -33,6 +32,7 @@ from wittforge.fields import (
     var_class,
 )
 from wittforge.laurent import LaurentPoly, _key, _reduce_raw
+from wittforge.oracles import find_defect_witness
 from wittforge.qform import is_isotropic, pfister, tensor
 
 Q = FieldTower.rationals()

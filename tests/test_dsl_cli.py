@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import shlex
@@ -22,7 +23,6 @@ from wittforge.fields import (
     FieldTower,
     canonical_square_class,
     enumerate_square_classes,
-    extend_quadratic,
     nonresidue_class,
     sq_mul,
     var_class,
@@ -49,20 +49,17 @@ class TestParsers:
                 dsl.parse_field(bad)
 
     def test_tower_str_roundtrip(self):
-        f25t = extend_quadratic(F5T, nonresidue_class(F5T)).tower
         towers = (
             FieldTower.rationals(),
             FieldTower.reals("t"),
             F5T,
             F13ST,
-            f25t,
+            FieldTower("F", 5, ("t",), 2),
             FieldTower("F", 3, (), 2),
             FieldTower("F", 13, ("s", "t"), 2),
-            extend_quadratic(F5T, var_class(F5T, "t")).tower,
-            extend_quadratic(f25t, var_class(f25t, "t")).tower,
-            extend_quadratic(
-                F13ST, sq_mul(nonresidue_class(F13ST), var_class(F13ST, "t"))
-            ).tower,
+            FieldTower.prime(5, "r"),
+            FieldTower("F", 5, ("r",), 2),
+            FieldTower.prime(13, "s", "r"),
         )
         for tower in towers:
             assert dsl.parse_field(str(tower)) == tower
@@ -240,7 +237,7 @@ NON_DECIMAL_DIGITS = [
 # pieces of the literal syntax: fields, forms, Pfister forms, slots and elements
 _VALID_LITERALS = [
     "Q", "R", "F13", "F25", "F13((s))((t))", "F5((t))", "Q((t))",
-    "[1,-t]", "[2*s,-3/4*t^-2,u]", "[-1,+2,--3]", "<<u,s,t>>", "<<>>", "<<-1,s^3>>",
+    "[1,-t]", "[2*s,-3/4*t^-2,u]", "[-1,+2,-3]", "<<u,s,t>>", "<<>>", "<<-1,s^3>>",
     "u,s,t", "1,s*t", "-u*s^-1", "3/5", "(1,0,s+t,-1)", "(s^2-3*t,1/2,u)",
     "[12,٣,7*t]", "(1)",
 ]
@@ -849,6 +846,21 @@ class TestCli:
         payload = json.loads(out)
         assert code == 0 and payload["q1"] == ["-3/2", "5"] and payload["equal_genus"]
 
+    @pytest.mark.parametrize(
+        "argv, text, pos",
+        [
+            (["qf-isotropy", "--field", "Q", "--form", "[--1,+-+1]"], "[--1,+-+1]", 2),
+            (["alg-genus", "--q1=--1,-1", "--q2=-1,-1"], "--1,-1", 1),
+            (["alg-build", "--field", "F5((t))", "--slots", "t", "--mul", "(t+-1,0)", "(1,0)"], "(t+-1,0)", 3),
+        ],
+        ids=["form", "rationals", "element"],
+    )
+    def test_one_sign_per_monomial(self, capsys, argv, text, pos):
+        # the caret points at the second sign of a run
+        code, out, err = self.run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == ["  " + text, "  " + " " * pos + "^"]
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="str() converts integers of any length here",
@@ -884,6 +896,31 @@ class TestCli:
         code, out, err = self.run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith(start) and "-bit integer>" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="str() converts integers of any length here",
+    )
+    @pytest.mark.parametrize("command", ["alg-build", "alg-genus", "qf-witt"])
+    def test_output_names_long_integers_by_size(self, capsys, command):
+        # each literal converts; the product it makes is past what str() converts
+        if command == "alg-build":
+            b = 3 * 10**4000 + 1
+            argv = ["alg-build", "--field", "Q", "--slots", "2", "--mul", f"({b}*{b},0)", "(1,0)"]
+            expected = "product (<26579-bit integer>, 0)"
+        elif command == "alg-genus":
+            a = 10**4000
+            argv = ["alg-genus", f"--q1={a}*{a},1", "--q2=1,1", "--json"]
+            expected = '"q1": ["<26576-bit integer>", "1"]'
+        else:
+            # the odd primes below 9,000 and those from 9,000 to 18,000: two
+            # literals of some 3,900 digits, a squarefree class of 7,800
+            odd = [p for p in range(3, 18000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+            a, b = math.prod(p for p in odd if p < 9000), math.prod(p for p in odd if p > 9000)
+            argv = ["qf-witt", "--field", "Q", "--form", f"[{a}*{b},1]"]
+            expected = f"disc <{(a * b).bit_length()}-bit integer>"
+        code, out, err = self.run(capsys, *argv)
+        assert (code, err) == (0, "") and expected in out
 
     def test_huge_literal_named_error(self, capsys):
         huge = str(3 * 10**400 + 1)

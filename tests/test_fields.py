@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import itertools
@@ -34,7 +35,6 @@ from wittforge.fields import (
     canonical_square_class,
     class_of_code,
     enumerate_square_classes,
-    extend_quadratic,
     factor_bound,
     is_prime,
     lift_class,
@@ -48,6 +48,7 @@ from wittforge.fields import (
     var_class,
     _parse_factor_bound,
 )
+from wittforge.oracles import extend_quadratic
 
 Q = FieldTower.rationals()
 F5 = FieldTower.prime(5)
@@ -371,36 +372,36 @@ class TestResidueSplit:
 
 class TestExtendQuadratic:
     def test_unramified(self):
-        ext = extend_quadratic(F5, nonresidue_class(F5))
-        assert str(ext.tower) == "F25"
-        assert ext.transfer(nonresidue_class(F5)).is_one
+        tower, transfer = extend_quadratic(F5, nonresidue_class(F5))
+        assert str(tower) == "F25"
+        assert transfer(nonresidue_class(F5)).is_one
 
     def test_ramified_t(self):
         t = var_class(F5T, "t")
-        ext = extend_quadratic(F5T, t)
-        assert str(ext.tower) == "F5((r))"
-        assert ext.transfer(t).is_one
-        assert not ext.transfer(nonresidue_class(F5T)).is_one
+        tower, transfer = extend_quadratic(F5T, t)
+        assert str(tower) == "F5((r))"
+        assert transfer(t).is_one
+        assert not transfer(nonresidue_class(F5T)).is_one
 
     def test_ramified_ut(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
-        ext = extend_quadratic(F5T, sq_mul(u, t))
-        got = ext.transfer(t)
-        assert got.base == ext.tower.nonresidue and not got.odd_vars
+        tower, transfer = extend_quadratic(F5T, sq_mul(u, t))
+        got = transfer(t)
+        assert got.base == tower.nonresidue and not got.odd_vars
 
     def test_substitution_oracle(self):
         # delta = t: substitute t = r^2; delta = u t: substitute t = r^2 / u.
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
         for delta, tpow_base in ((t, 1), (sq_mul(u, t), F5T.nonresidue)):
-            ext = extend_quadratic(F5T, delta)
+            upstairs, transfer = extend_quadratic(F5T, delta)
             for x in enumerate_square_classes(F5T):
                 e = 1 if "t" in x.odd_vars else 0
                 subst = canonical_square_class(
-                    ext.tower,
+                    upstairs,
                     x.base * pow(tpow_base, e, 5),
-                    {ext.tower.outer_var: 2 * e},
+                    {upstairs.outer_var: 2 * e},
                 )
-                assert subst == ext.transfer(x)
+                assert subst == transfer(x)
 
     def test_homomorphism_kernel(self):
         supported = {
@@ -414,13 +415,13 @@ class TestExtendQuadratic:
         for tower, deltas in supported.items():
             classes = enumerate_square_classes(tower)
             for delta in deltas:
-                ext = extend_quadratic(tower, delta)
-                kernel = {x for x in classes if ext.transfer(x).is_one}
+                _, transfer = extend_quadratic(tower, delta)
+                kernel = {x for x in classes if transfer(x).is_one}
                 assert kernel == {one_class(tower), delta}
                 for x in classes:
                     for y in classes:
-                        assert ext.transfer(sq_mul(x, y)) == sq_mul(
-                            ext.transfer(x), ext.transfer(y)
+                        assert transfer(sq_mul(x, y)) == sq_mul(
+                            transfer(x), transfer(y)
                         )
 
     def test_errors(self):
@@ -509,6 +510,28 @@ def package_caches():
                 fn = getattr(obj, "__func__", obj)
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     yield f"{module.__name__}.{name}", fn
+
+
+class TestLayering:
+    def test_only_cli_and_tests_import_oracles(self):
+        """No library answer rests on a search or a reference model: among
+        the package's modules only ``cli`` (behind ``--oracle``) imports
+        ``oracles``."""
+        package = Path(wittforge.__file__).parent
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    names = {a.name for a in node.names}
+                    if module in (".oracles", "wittforge.oracles") or (
+                        module in (".", "wittforge") and "oracles" in names
+                    ):
+                        importers.add(path.stem)
+                elif isinstance(node, ast.Import):
+                    if any(a.name == "wittforge.oracles" for a in node.names):
+                        importers.add(path.stem)
+        assert importers <= {"cli", "oracles"} and "cli" in importers
 
 
 class TestCaches:

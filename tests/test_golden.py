@@ -25,13 +25,13 @@ from wittforge import cli
 from wittforge.algebras import (
     algebra_from_slots,
     composition_defect,
-    find_defect_witness,
     is_split,
     zero_divisor_pair,
 )
 from wittforge.dsl import parse_field, parse_form, parse_slots
 from wittforge.fields import enumerate_square_classes
 from wittforge.laurent import LaurentPoly
+from wittforge.oracles import find_defect_witness
 from wittforge.qform import DiagonalForm, is_isometric, is_isotropic, witt_decompose
 from wittforge.tori import compare_torus_systems, cubic_obstruction_report, type_report
 

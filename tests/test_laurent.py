@@ -9,7 +9,7 @@ import pytest
 
 from wittforge import laurent
 from wittforge.errors import ExponentOutOfRange, WittforgeError, ZeroElement
-from wittforge.fields import CACHE_SIZE, FieldTower
+from wittforge.fields import CACHE_SIZE, FieldTower, canonical_square_class
 from wittforge.laurent import EXP_LIMIT, LaurentPoly, _add_products, _key, _packed, _reduce_raw
 
 Q = FieldTower.rationals()
@@ -214,7 +214,7 @@ class TestPackedKeys:
 
 
 class TestEntryNormalization:
-    """``_norm_coeff`` runs where a coefficient enters a polynomial:
+    """``fields._norm_coeff`` runs where a coefficient enters a polynomial:
     ``const``, ``monomial``, and so ``coerce`` in the ring operations."""
 
     @pytest.mark.parametrize("tower", TOWERS, ids=str)
@@ -230,10 +230,14 @@ class TestEntryNormalization:
             poly + 0.5
 
     def test_denominator_vanishing_mod_p_raises(self):
-        with pytest.raises(ZeroElement):
+        # the message names the number, as square classes of constants do
+        message = "denominator of 1/13 vanishes in F_13"
+        with pytest.raises(ZeroElement, match=message):
             LaurentPoly.const(F13, Fraction(1, 13))
-        with pytest.raises(ZeroElement):
+        with pytest.raises(ZeroElement, match=message):
             LaurentPoly.monomial(F13ST, Fraction(1, 13), {"s": 1})
+        with pytest.raises(ZeroElement, match=message):
+            canonical_square_class(F13, Fraction(1, 13))
 
     def test_prime_field_constants_are_residues(self):
         assert LaurentPoly.const(F13, 14) == LaurentPoly.const(F13, 1)

@@ -20,7 +20,6 @@ from wittforge.fields import (
     SquareClass,
     canonical_square_class,
     enumerate_square_classes,
-    extend_quadratic,
     lift_class,
     minus_one_class,
     nonresidue_class,
@@ -32,6 +31,7 @@ from wittforge.fields import (
 from wittforge.arithq import rational_invariants, witt_index_rational
 from wittforge.laurent import LaurentPoly
 from wittforge.oracles import (
+    base_change,
     constant_witness_search,
     rational_witness_search,
     truncated_witness_search,
@@ -45,7 +45,6 @@ from wittforge.qform import (
     is_isometric,
     is_isotropic,
     isotropic_vector,
-    map_form,
     negate,
     orthogonal_sum,
     pfister,
@@ -526,8 +525,7 @@ class TestSplitsOverQuadratic:
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
         f = pfister(F5T, (u, t))
         for delta in (u, t, sq_mul(u, t)):
-            ext = extend_quadratic(F5T, delta)
-            assert splits_over_quadratic(F5T, (u, t), delta) == is_hyperbolic(map_form(f, ext))
+            assert splits_over_quadratic(F5T, (u, t), delta) == is_hyperbolic(base_change(f, delta))
 
 
 class TestSlotWitness:

@@ -6,7 +6,6 @@ import pytest
 from wittforge import tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
-    DSquare,
     FieldMismatch,
     InfiniteSquareClassGroup,
     InternalInconsistency,
@@ -19,7 +18,6 @@ from wittforge.fields import (
     FieldTower,
     canonical_square_class,
     enumerate_square_classes,
-    extend_quadratic,
     minus_one_class,
     nonresidue_class,
     one_class,
@@ -49,10 +47,8 @@ from wittforge.tori import (
     compare_torus_systems,
     cubic_obstruction_report,
     genus_equal_rational,
-    jacobson_norm,
     splitting_profile,
     torus_type_catalog,
-    trace_form,
     trace_form_gram,
     type_report,
 )
@@ -342,7 +338,7 @@ class TestTraceForm:
     def test_ramified_cubic_diagonalizes_to_111m(self):
         t = LaurentPoly.variable(F13ST, "t")
         zero = LaurentPoly.zero(F13ST)
-        f = trace_form(F13ST, (-t, zero, zero), 1)
+        f = diagonalize(F13ST, trace_form_gram(F13ST, (-t, zero, zero), 1))
         target = DiagonalForm(
             F13ST, (one_class(F13ST), one_class(F13ST), minus_one_class(F13ST))
         )
@@ -370,7 +366,7 @@ class TestTraceForm:
                 assert _f13_poly_mul(e, idems[j]) == [0, 0, 0]
         total = [sum(e[k] for e in idems) % 13 for k in range(3)]
         assert total == [1, 0, 0]
-        f = trace_form(F13, (-1, 0, 0), 1)
+        f = diagonalize(F13, trace_form_gram(F13, (-1, 0, 0), 1))
         target = DiagonalForm(F13, (one_class(F13),) * 3)
         assert is_isometric(f, target)
 
@@ -402,12 +398,12 @@ class TestTraceForm:
     def test_not_separable(self):
         # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
         with pytest.raises(NotSeparable):
-            trace_form(Q, (2, -3, 0), 1)
+            trace_form_gram(Q, (2, -3, 0), 1)
 
     def test_lambda_not_unit(self):
         # x - 1 kills the idempotent component of x^3 - 1
         with pytest.raises(LambdaNotUnit):
-            trace_form(F13, (-1, 0, 0), (-1, 1, 0))
+            trace_form_gram(F13, (-1, 0, 0), (-1, 1, 0))
 
     @pytest.mark.parametrize(
         "tower", [F13ST, F7RST, FieldTower.rationals("t"), FieldTower.reals("t")], ids=str
@@ -444,9 +440,12 @@ class TestTraceForm:
 
 
 class TestJacobsonNorm:
+    """The norm of the hermitian-form construction, <<d>> x <<b,c>>, is
+    the Pfister form <<b,c,d>>."""
+
     def test_entry_set_identity(self):
         u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
-        f = jacobson_norm(F13ST, u, s, t)
+        f = tensor(pfister(F13ST, (t,)), pfister(F13ST, (u, s)))
         assert set(f.entries) == set(pfister(F13ST, (u, s, t)).entries)
 
     def test_entry_set_identity_exhaustive(self):
@@ -454,7 +453,7 @@ class TestJacobsonNorm:
         for d, b, c in itertools.product(classes, repeat=3):
             if d.is_one:
                 continue
-            f = jacobson_norm(F13S, d, b, c)
+            f = tensor(pfister(F13S, (d,)), pfister(F13S, (b, c)))
             assert set(f.entries) == set(pfister(F13S, (d, b, c)).entries)
 
     def test_isotropic_twisted_hermitian_part_forces_hyperbolic(self):
@@ -466,19 +465,15 @@ class TestJacobsonNorm:
                 continue
             part = tensor(pfister(F13S, (d,)), pure_part(F13S, (b, c)))
             if is_isotropic(part):
-                assert is_hyperbolic(jacobson_norm(F13S, d, b, c))
+                assert is_hyperbolic(pfister(F13S, (b, c, d)))
                 hit += 1
         assert hit > 0
 
     def test_hyperbolic_when_pure_part_isotropic(self):
         u, s = nonresidue_class(F13S), var_class(F13S, "s")
-        f = jacobson_norm(F13S, u, u, s)
+        f = pfister(F13S, (u, s, u))
         assert is_isotropic(pure_part(F13S, (u, u, s)))
         assert is_hyperbolic(f)
-
-    def test_d_square_rejected(self):
-        with pytest.raises(DSquare):
-            jacobson_norm(F13ST, one_class(F13ST), one_class(F13ST), one_class(F13ST))
 
 
 class TestCubicObstruction:
@@ -553,14 +548,14 @@ class TestCubicObstruction:
         for tower in (F13T, F13ST, F7ST, F7RST):
             zero = LaurentPoly.zero(tower)
             minus_t = -LaurentPoly.variable(tower, tower.outer_var)
-            t3 = trace_form(tower, (minus_t, zero, zero))
+            t3 = diagonalize(tower, trace_form_gram(tower, (minus_t, zero, zero)))
             classes = enumerate_square_classes(tower)
             for d in classes[1:]:
                 pf_d = pfister(tower, (d,))
                 lhs = tensor(pf_d, t3)
                 by_class = {}
                 for i, (b, c) in enumerate(itertools.product(classes, repeat=2)):
-                    jnorm_class = witt_class(jacobson_norm(tower, d, b, c))
+                    jnorm_class = witt_class(pfister(tower, (b, c, d)))
                     by_class.setdefault(jnorm_class, []).append(i)
                 for jnorm_class, idxs in by_class.items():
                     rows = tori._evidence_rows(tower, d, jnorm_class)
@@ -753,7 +748,7 @@ class TestCompare:
 
     def test_report_over_degree_two_base_roundtrips(self):
         # the field prints as F25((t)) and its catalog rows name the class u
-        tower = extend_quadratic(F5T, nonresidue_class(F5T)).tower
+        tower = FieldTower("F", 5, ("t",), 2)
         t = var_class(tower, "t")
         tr = type_report(algebra_from_slots(tower, [t, t, t]))
         back = TypeReport.from_json(tr.to_json())
