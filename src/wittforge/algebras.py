@@ -16,20 +16,26 @@ and unrolled it gives the index rule
 with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
 The sign table omega depends only on the number of slots; it comes from
 the doubling formula run over signs and is cached per slot count.  The
-table ``gamma`` holds one (exps, coeff) term per pair, built from one
-term per slot, the slot's monomial (``LaurentPoly.of_class``, checked to
-be a single term): the 2^n slot products are term products (exponent
-vectors added, coefficients multiplied, reduced mod p once), and each
-row picks its entries out of the products and their negatives by a
-layout cached per slot count.  So the pair's sign sits on its
-coefficient, which is left unreduced, since products reduce once at the
-end.  An algebra is identified by (tower, slots), which is all its table
-depends on.  The norm is checked on codes: the class code of each
+table ``gamma`` holds one (exps, coeff) term per pair, picked out of the
+2^n slot products and their negatives by a layout cached per slot count.
+The products are built one doubling at a time, as
+C(a_1, ..., a_n) = CD(C(a_1, ..., a_(n-1)), a_n): the products of the
+prefix, memoized per prefix of slot codes (``_slot_products``), then
+each of them times the last slot's monomial (exponent vectors added,
+coefficients multiplied and reduced mod p), whose one term
+(``LaurentPoly.of_class``, checked to be a single term) is memoized per
+class (``_slot_term``).  So algebras that share a prefix of slots share
+its products, and a build computes only the doublings its prefix has
+not.  The pair's sign sits on its coefficient, which is left unreduced,
+since products reduce once at the end.  An algebra is identified by
+(tower, slots), which is all its table depends on.  The norm is checked
+on codes, once per algebra: the class code of each
 N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
 (``laurent._term_class``: the exponent parities and the base class of the
 coefficient), memoized per (tower, exps, coeff) by ``_term_code``, and
 must equal the Pfister codes of the slots
-(``qform._pfister_codes``); the norm form is built from those same codes
+(``qform._pfister_codes``, folded one slot at a time and memoized per
+prefix like the products); the norm form is built from those same codes
 as ``qform.pfister`` builds it, and the diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
@@ -60,7 +66,14 @@ from .errors import (
     UnsupportedDim,
     ZeroSlot,
 )
-from .fields import CACHE_SIZE, FieldTower, SquareClass, _class_code, _norm_coeff
+from .fields import (
+    CACHE_SIZE,
+    FieldTower,
+    SquareClass,
+    _class_code,
+    _norm_coeff,
+    class_of_code,
+)
 from .laurent import (
     LaurentPoly,
     _add_products,
@@ -92,7 +105,7 @@ class CompositionAlgebra:
         self.gamma = gamma  # e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term
         # the class of each N(e_i), read off its term, against the Pfister codes
         codes = _pfister_codes(tower, slots)
-        diagonal = [_term_code(tower, e, c) for e, c in _norm_terms(gamma)]
+        diagonal = tuple(_term_code(tower, e, c) for e, c in _norm_terms(gamma))
         if diagonal != codes:
             raise InternalInconsistency(
                 f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
@@ -266,20 +279,43 @@ def _row_getters(n: int) -> tuple:
     )
 
 
-def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
-    """gamma_ij = omega(i, j) * prod_(k in i & j) c_k as one (exps, coeff)
-    term, c_k the checked one-term monomial of slot k: the 2^n slot products
-    by term arithmetic, reduced once, and the sign on the coefficient,
-    unreduced (products reduce at the end)."""
-    terms = [LaurentPoly.of_class(c).terms for c in slots]
-    if any(len(t) != 1 for t in terms):
-        raise InternalInconsistency(f"slot terms {terms} are not all signed monomials")
-    pos = [((0,) * len(tower.laurent_vars), _norm_coeff(tower, 1))]
-    for ((e, c),) in terms:
-        pos += [(tuple(map(add, pe, e)), pc * c) for pe, pc in pos]
+@lru_cache(maxsize=CACHE_SIZE)
+def _slot_term(tower: FieldTower, code) -> tuple:
+    """The one (exps, coeff) term of the monomial of the slot class with
+    code ``code`` (``LaurentPoly.of_class``), checked to be a single term,
+    once per class."""
+    x = class_of_code(tower, code)
+    terms = LaurentPoly.of_class(x).terms
+    if len(terms) != 1:
+        raise InternalInconsistency(
+            f"slot {x} has the terms {terms}: slots must be signed monomials"
+        )
+    return terms[0]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _slot_products(tower: FieldTower, codes: tuple) -> tuple:
+    """The 2^n slot products prod_(k in i) c_k, i < 2^n, for the slots of
+    codes ``codes``, as (exps, coeff) terms reduced mod p: by
+    C(a_1, ..., a_n) = CD(C(a_1, ..., a_(n-1)), a_n), the products of the
+    prefix, memoized, then each of them times the last slot's term."""
+    if not codes:
+        return (((0,) * len(tower.laurent_vars), _norm_coeff(tower, 1)),)
+    prefix = _slot_products(tower, codes[:-1])
+    e, c = _slot_term(tower, codes[-1])
+    last = [(tuple(map(add, pe, e)), pc * c) for pe, pc in prefix]
     if tower.kind == "F":
         p = tower.p
-        pos = [(e, c % p) for e, c in pos]
+        last = [(le, lc % p) for le, lc in last]
+    return (*prefix, *last)
+
+
+def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
+    """gamma_ij = omega(i, j) * prod_(k in i & j) c_k as one (exps, coeff)
+    term, c_k the checked one-term monomial of slot k: the 2^n slot products,
+    memoized per prefix of slot codes, and the sign on the coefficient,
+    unreduced (products reduce at the end)."""
+    pos = _slot_products(tower, tuple(c.code for c in slots))
     signed = (*pos, *[(e, -c) for e, c in pos])
     return tuple(row(signed) for row in _row_getters(len(slots)))
 

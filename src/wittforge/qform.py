@@ -19,10 +19,18 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
 so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
-Pfister forms are folded on codes by ``fields._code_mul``, with no memo,
-and ``pfister_classes`` reads the Witt classes of many folded forms
-extended by the same slots off those codes; tensor products and scalings
-multiply entries by ``fields.sq_mul``.
+Pfister forms are folded on codes by ``fields._code_mul`` one slot at a
+time, as <<a_1,...,a_n>> = <<a_1,...,a_(n-1)>> x <<a_n>>, memoized per
+prefix of slot codes (``_pfister_fold``; the slots' towers are checked on
+every call), and ``pfister_classes`` reads the Witt classes of many
+folded forms extended by the same slots off those codes; tensor products
+and scalings multiply entries by ``fields.sq_mul``.
+
+Over R and F_q a Witt class is read straight off the sorted codes
+(``_witt_class``): code 2*mask + base bit puts each mask's entries in one
+run, and the base-field rule needs only the run's counts of base bits 0
+and 1 (``_count_class``, the one copy of the rule, which ``_witt_base``
+also reads its kernel off).  No class, form or decomposition is built.
 
 A form is its tower and its entries, and nothing else: a Pfister form
 keeps no record of its slots.  The questions that need slots take them,
@@ -97,18 +105,35 @@ def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
     return tuple(class_of_code(tower, c) for c in codes)
 
 
-def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
-    """Codes of the entries of <<a_1,...,a_n>>."""
-    return _fold([one_class(tower).code], _neg_codes(tower, slots))
+def _slot_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
+    """The codes of the slots, each checked to live over ``tower``."""
+    for a in slots:
+        if a.tower != tower:
+            raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
+    return tuple(a.code for a in slots)
+
+
+def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
+    """Codes of the entries of <<a_1,...,a_n>>, the slots checked on every
+    call before the fold is looked up."""
+    return _pfister_fold(tower, _slot_codes(tower, slots))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _pfister_fold(tower: FieldTower, codes: tuple) -> tuple:
+    """The entry codes of <<a_1,...,a_n>> from the slot codes, one slot at a
+    time, as <<a_1,...,a_n>> = <<a_1,...,a_(n-1)>> x <1,-a_n>: the fold of
+    the prefix, memoized, followed by (-a_n) times it."""
+    if not codes:
+        return (one_class(tower).code,)
+    neg = _code_mul(minus_one_class(tower).code, codes[-1])
+    return tuple(_fold(list(_pfister_fold(tower, codes[:-1])), [neg]))
 
 
 def _neg_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
     """The codes of -a for the slots a, each checked to live over ``tower``."""
     minus_one = minus_one_class(tower).code
-    for a in slots:
-        if a.tower != tower:
-            raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
-    return [_code_mul(minus_one, a.code) for a in slots]
+    return [_code_mul(minus_one, a) for a in _slot_codes(tower, slots)]
 
 
 def _fold(codes: list, negs: list) -> list:
@@ -130,7 +155,7 @@ def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> l
     of them, and each distinct tuple is folded and looked up once."""
     negs = _neg_codes(tower, slots)
     classes = {
-        phi: _witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class
+        phi: _witt_class(tower, tuple(sorted(_fold(list(phi), negs))))
         for phi in dict.fromkeys(bases)
     }
     return [classes[phi] for phi in bases]
@@ -270,29 +295,33 @@ class WittDecomposition:
         return 2 * self.witt_index + self.kernel_dim
 
 
-def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
-    """The base-field rule, with the Witt class ((0, c),), or () when c = 0.
+def _count_class(tower: FieldTower, pos: int, neg: int) -> tuple:
+    """The base-field rule over R and F_q, for a form of pos entries <1> and
+    neg entries <-1> or <u> (base bit 0 and 1 of their codes): its class c
+    in W(k) and the numbers (ones, others) of the entries <1> and <-1> or
+    <u> of its kernel.  c is pos - neg in W(R) = Z, (pos - neg) mod 4 in
+    W(F_q) = Z/4 when -1 is not a square (kernels [], <1>, <1,1>, <u>), and
+    (pos mod 2, neg mod 2) in W(F_q) = F_2[Z/2] when it is."""
+    if tower.kind == "R":
+        c = pos - neg
+        return c, max(c, 0), max(-c, 0)
+    if tower.minus_one_is_square():
+        c = pos % 2, neg % 2
+        return c, *c
+    c = (pos - neg) % 4
+    return c, *((0, 0), (1, 0), (2, 0), (0, 1))[c]
 
-    Over R and F_q, pos and neg count the entries 1 and -1 or u: c is
-    pos - neg in W(R) = Z, (pos - neg) mod 4 in W(F_q) = Z/4 when -1 is not
-    a square (kernels [], <1>, <1,1>, <u>), and (pos mod 2, neg mod 2) in
-    W(F_q) = F_2[Z/2] when it is.  Over Q, c is the kernel's invariants.
-    """
+
+def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+    """The base-field rule, with the Witt class ((0, c),), or () when c = 0:
+    ``_count_class`` over R and F_q; over Q, c is the kernel's invariants."""
     if tower.kind == "Q":
         from . import arithq
 
         w = arithq.witt_index_rational(DiagonalForm(tower, entries))
         return replace(w, witt_class=((0, w.kernel_invariants),) if w.kernel_dim else ())
     pos = sum(1 for e in entries if e.base == 1)
-    neg = len(entries) - pos
-    if tower.kind == "R":
-        c = pos - neg
-        ones, others = max(c, 0), max(-c, 0)
-    elif tower.minus_one_is_square():
-        c = ones, others = pos % 2, neg % 2
-    else:
-        c = (pos - neg) % 4
-        ones, others = ((0, 0), (1, 0), (2, 0), (0, 1))[c]
+    c, ones, others = _count_class(tower, pos, len(entries) - pos)
     kernel = (one_class(tower),) * ones + (class_of_code(tower, 1),) * others
     if len(entries) == 2 == len(kernel):  # an anisotropic plane is its own kernel
         kernel = entries
@@ -336,6 +365,27 @@ def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     return WittDecomposition(witt_index, kernel_dim, kernel_form, witt_class=tuple(witt_class))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _witt_class(tower: FieldTower, key: tuple) -> tuple:
+    """The Witt class of the form with sorted entry codes ``key``, read off
+    the codes: code 2*mask + base bit sorts the entries of one mask into
+    one run, masks ascending, and ``_count_class`` gives each run's base
+    class from its counts of base bits 0 and 1, as ``_witt`` would; no
+    class, form or decomposition is built.  Over Q, where the class is
+    the kernel's invariants, it is ``_witt``'s."""
+    if tower.kind == "Q":
+        return _witt(tower, key).witt_class
+    counts: dict[int, list[int]] = {}
+    for code in key:
+        counts.setdefault(code >> 1, [0, 0])[code & 1] += 1
+    out = []
+    for mask, (pos, neg) in counts.items():
+        c, ones, others = _count_class(tower, pos, neg)
+        if ones or others:
+            out.append((mask, c))
+    return tuple(out)
+
+
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
     return _witt(f.tower, f.key)
 
@@ -343,7 +393,7 @@ def witt_decompose(f: DiagonalForm) -> WittDecomposition:
 def witt_class(f: DiagonalForm) -> tuple:
     """The class of f in the Witt ring: (mask, base class) for each
     anisotropic run, masks ascending; () when f is hyperbolic."""
-    return _witt(f.tower, f.key).witt_class
+    return _witt_class(f.tower, f.key)
 
 
 def is_isotropic(f: DiagonalForm) -> bool:
@@ -458,7 +508,7 @@ def splits_over_quadratic(
     # isotropic Pfister forms are hyperbolic
     if _witt(tower, tuple(sorted(codes))).witt_index > 0:
         return True
-    return _witt(tower, tuple(sorted(codes[1:] + [delta.code]))).witt_index > 0
+    return _witt(tower, tuple(sorted((*codes[1:], delta.code)))).witt_index > 0
 
 
 def pfister_slot_witness(

@@ -30,10 +30,10 @@ and evidence rows, per (tower, d, Witt class of the norm), so algebras
 with isometric norms share it and a repeated report pays for its
 preconditions, one ``witt_class`` and one lookup.  No candidate is built
 as a form: the class of its Jacobson norm <<b,c,d>> is read off codes
-(``qform.pfister_classes``), <<b,c>> folded once per tower with its entry
-codes sorted, so that each distinct form is extended by d once.  Memoized
-helpers call ``sq_mul``, ``witt_class`` and ``pfister_classes`` via module
-globals.
+(``qform.pfister_classes``), the entry codes of <<b,c>> written down once
+per tower and sorted, so that each distinct form is extended by d once.
+Memoized helpers call ``sq_mul``, ``witt_class`` and ``pfister_classes``
+via module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -68,13 +68,13 @@ from .fields import (
     SquareClass,
     enumerate_square_classes,
     lift_class,
+    minus_one_class,
     one_class,
     sq_mul,
     var_class,
 )
 from .laurent import LaurentPoly
 from .qform import (
-    _pfister_codes,
     diagonalize,
     pfister_classes,
     splits_over_quadratic,
@@ -430,13 +430,15 @@ def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:
 @lru_cache(maxsize=CACHE_SIZE)
 def _pair_codes(tower: FieldTower) -> tuple:
     """(b, c, sorted entry codes of <<b,c>>) for every pair of square
-    classes, b outer: each <<b,c>> is folded once per tower, and each
-    Jacobson norm <<b,c,d>> is <<b,c>> with (-d)<<b,c>> appended.  Sorted,
-    pairs whose forms have the same entries give equal tuples, which
-    ``pfister_classes`` extends once."""
+    classes of an enumerable tower, b outer.  <<b,c>> has the entries
+    1, -b, -c, bc, whose codes are 0, m ^ b, m ^ c and b ^ c for m the
+    code of -1; each Jacobson norm <<b,c,d>> is <<b,c>> with (-d)<<b,c>>
+    appended.  Sorted, pairs whose forms have the same entries give equal
+    tuples, which ``pfister_classes`` extends once."""
     classes = enumerate_square_classes(tower)
+    m = minus_one_class(tower).code
     return tuple(
-        (b, c, tuple(sorted(_pfister_codes(tower, (b, c)))))
+        (b, c, tuple(sorted((0, m ^ b.code, m ^ c.code, b.code ^ c.code))))
         for b in classes
         for c in classes
     )

@@ -14,7 +14,7 @@ from wittforge.algebras import (
     quaternion,
     zero_divisor_pair,
 )
-from wittforge import algebras
+from wittforge import algebras, qform
 from wittforge.errors import (
     AlgebraMismatch,
     DimTooLarge,
@@ -38,6 +38,27 @@ from wittforge.qform import is_isotropic, pfister, tensor
 Q = FieldTower.rationals()
 F13S = FieldTower.prime(13, "s")
 F13ST = FieldTower.prime(13, "s", "t")
+
+
+def _algebra_caches():
+    return [
+        fn
+        for fn in vars(algebras).values()
+        if hasattr(fn, "cache_clear") and fn.__module__ == algebras.__name__
+    ] + [qform._pfister_fold]
+
+
+@pytest.fixture(autouse=True)
+def cold_algebra_caches():
+    """Every test starts and ends with empty ``algebras`` memos and an empty
+    Pfister fold memo: the fault-injection tests patch names the memoized
+    helpers call (``LaurentPoly.of_class``), so a warm memo would hide the
+    fault, and a poisoned entry left behind would leak into later tests."""
+    for fn in _algebra_caches():
+        fn.cache_clear()
+    yield
+    for fn in _algebra_caches():
+        fn.cache_clear()
 
 
 def qc(c):
@@ -562,6 +583,58 @@ class TestNormFromSlotCodes:
             assert got == expected, c
             assert [type(x) for _, x in got.terms] == [type(x) for _, x in expected.terms]
             assert got.square_class() == c
+
+
+def _seeded_tuples(rng, classes, count=60):
+    return [tuple(rng.choice(classes) for _ in range(rng.randint(0, 4))) for _ in range(count)]
+
+
+def _prefix_memo_cases():
+    rng = random.Random(29)
+    q_classes = [canonical_square_class(QT, v, {"t": e}) for v in Q_SLOT_VALUES for e in (0, 1)]
+    f13st = enumerate_square_classes(F13ST)
+    return [
+        (F13ST, [s for k in range(5) for s in itertools.product(f13st, repeat=k)]),
+        (QT, _seeded_tuples(rng, q_classes)),
+        (RT, _seeded_tuples(rng, enumerate_square_classes(RT))),
+        (F7RST, _seeded_tuples(rng, enumerate_square_classes(F7RST))),
+    ]
+
+
+class TestPrefixMemo:
+    """Tables and norms are memoized per prefix of slot codes: an algebra
+    built after its prefixes, before them, or from empty memos is the same."""
+
+    @pytest.mark.parametrize(
+        "tower, tuples",
+        _prefix_memo_cases(),
+        ids=lambda x: str(x) if isinstance(x, FieldTower) else f"{len(x)}-tuples",
+    )
+    def test_warm_prefix_equals_cold(self, tower, tuples):
+        built = {}
+        for slots in tuples:
+            A = algebra_from_slots(tower, slots)
+            built[slots] = A.gamma, A.norm
+        for fn in _algebra_caches():
+            fn.cache_clear()
+        for slots in reversed(tuples):
+            A = algebra_from_slots(tower, slots)
+            assert (A.gamma, A.norm) == built[slots], slots
+        for slots in tuples:
+            for fn in _algebra_caches():
+                fn.cache_clear()
+            A = algebra_from_slots(tower, slots)
+            assert (A.gamma, A.norm) == built[slots], slots
+
+    @pytest.mark.parametrize("tower", [F13ST, F7RST], ids=str)
+    def test_doubling_a_built_algebra(self, tower):
+        classes = enumerate_square_classes(tower)
+        for slots in (s for k in range(3) for s in itertools.product(classes, repeat=k)):
+            A = algebra_from_slots(tower, slots)
+            for c in classes:
+                D = cayley_dickson(A, c)
+                E = algebra_from_slots(tower, slots + (c,))
+                assert D == E and (D.gamma, D.norm) == (E.gamma, E.norm), (slots, c)
 
 
 class TestReferenceProduct:

@@ -37,6 +37,7 @@ from wittforge.oracles import (
     truncated_witness_search,
     verify_rational_witness,
 )
+from wittforge import qform
 from wittforge.qform import (
     DiagonalForm,
     WittDecomposition,
@@ -266,6 +267,10 @@ class TestPfisterCodes:
             ], (tower, d)
 
     def test_slot_over_another_tower(self):
+        # s over F13((s))((t)) and t over F5((t)) both have code 2: the fold
+        # of (2,) over F13((s))((t)) is memoized first, and the slot is
+        # still checked
+        pfister(F13ST, (var_class(F13ST, "s"),))
         with pytest.raises(FieldMismatch):
             pfister(F13ST, (var_class(F5T, "t"),))
         with pytest.raises(FieldMismatch):
@@ -814,6 +819,32 @@ class TestFlatSpringerProperties:
     @settings(max_examples=300, deadline=None)
     def test_form_plus_its_negative_is_hyperbolic(self, f):
         assert is_hyperbolic(orthogonal_sum(f, negate(f)))
+
+
+@st.composite
+def enumerable_keys(draw):
+    """(tower, sorted entry codes) over F_p (p = 1 and 3 mod 4), F_{p^2} or
+    R with 0-4 variables, 0-10 entries."""
+    n = draw(st.integers(0, 4))
+    names = ("q", "r", "s", "t")[4 - n :]
+    kind, p, degree = draw(
+        st.sampled_from(
+            (("F", 3, 1), ("F", 7, 1), ("F", 5, 1), ("F", 13, 1),
+             ("F", 3, 2), ("F", 5, 2), ("R", None, 1))
+        )
+    )
+    codes = draw(st.lists(st.integers(0, 2 ** (n + 1) - 1), max_size=10))
+    return FieldTower(kind, p, names, degree), tuple(sorted(codes))
+
+
+class TestWittClassOffCodes:
+    @given(enumerable_keys())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_decompositions_class(self, tower_key):
+        tower, key = tower_key
+        expected = qform._witt.__wrapped__(tower, key).witt_class
+        assert qform._witt_class(tower, key) == expected
+        assert witt_class(DiagonalForm(tower, qform._classes(tower, key))) == expected
 
 
 # -- the same laws over Q and Q((t)), decided by local invariants --------------------
