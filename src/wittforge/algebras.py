@@ -28,15 +28,21 @@ class (``_slot_term``).  So algebras that share a prefix of slots share
 its products, and a build computes only the doublings its prefix has
 not.  The pair's sign sits on its coefficient, which is left unreduced,
 since products reduce once at the end.  An algebra is identified by
-(tower, slots), which is all its table depends on.  The norm is checked
-on codes, once per algebra: the class code of each
-N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
-(``laurent._term_class``: the exponent parities and the base class of the
-coefficient), memoized per (tower, exps, coeff) by ``_term_code``, and
-must equal the Pfister codes of the slots
+(tower, slots), which is all its table depends on.
+
+Construction checks the slots (at most four, each a square class over
+the tower) and the one-term monomial of each (``_slot_term``), and builds
+the norm form from the Pfister codes of the slots
 (``qform._pfister_codes``, folded one slot at a time and memoized per
-prefix like the products); the norm form is built from those same codes
-as ``qform.pfister`` builds it, and the diagonal coefficients
+prefix like the products), as ``qform.pfister`` builds it.  Questions of
+the norm alone (splitting, torus types, the cubic obstruction) stop
+there.  The table is built on its first read (``gamma``), and the norm
+is checked on codes, once per algebra, before any reader gets it: the
+class code of each N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its
+term (``laurent._term_class``: the exponent parities and the base class
+of the coefficient), memoized per (tower, exps, coeff) by
+``_term_code``, and must equal the code of the norm's entry i.  A table
+that fails raises on every read.  The diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
@@ -86,8 +92,9 @@ from .qform import DiagonalForm, _classes, _pfister_codes, is_isotropic, isotrop
 
 
 class CompositionAlgebra:
-    """Structure-constant table built from ``slots`` by the index rule,
-    with its norm form, checked against the slots' Pfister norm."""
+    """The algebra on ``slots``: its norm form, the slots' Pfister norm,
+    built with it, and its structure-constant table by the index rule,
+    built and checked against that norm on first use."""
 
     def __init__(self, tower, slots):
         slots = tuple(slots)
@@ -98,19 +105,26 @@ class CompositionAlgebra:
                 raise ZeroSlot("doubling slot must be a nonzero square class")
             if c.tower != tower:
                 raise AlgebraMismatch(f"{c.tower} vs {tower}")
-        gamma = _index_rule_table(tower, slots)
+        for c in slots:
+            _slot_term(tower, c.code)  # each slot has its one-term monomial
         self.tower = tower
         self.slots = slots
-        self.dim = len(gamma)
-        self.gamma = gamma  # e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term
-        # the class of each N(e_i), read off its term, against the Pfister codes
-        codes = _pfister_codes(tower, slots)
-        diagonal = tuple(_term_code(tower, e, c) for e, c in _norm_terms(gamma))
+        self.dim = 1 << len(slots)
+        self.norm = DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """e_i * e_j = gamma[i][j] * e_(i ^ j), one (exps, coeff) term per
+        pair, by the index rule on first use; the class of each N(e_i),
+        read off its term, must be the norm's entry i."""
+        gamma = _index_rule_table(self.tower, self.slots)
+        codes = tuple(e.code for e in self.norm.entries)
+        diagonal = tuple(_term_code(self.tower, e, c) for e, c in _norm_terms(gamma))
         if diagonal != codes:
             raise InternalInconsistency(
                 f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
             )
-        self.norm = DiagonalForm(tower, _classes(tower, codes))
+        return gamma
 
     @cached_property
     def _gamma(self) -> tuple:

@@ -23,6 +23,7 @@ order key (mask, |base|, base < 0) over Q.  Codes hash as plain ints or
 tuples, ``class_of_code`` turns one back into its class, and the group
 law is ``_code_mul`` on codes (XOR of class numbers; over Q, XOR of masks
 and signs with base |b1*b2| / gcd^2), which ``sq_mul`` reads as a class.
+A class builds its string on its first ``str`` and keeps it.
 
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
@@ -375,7 +376,7 @@ class SquareClass:
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sq_mul(self, other)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         vars_part = [
             v for i, v in enumerate(self.tower.laurent_vars) if self.mask >> i & 1
         ]
@@ -390,6 +391,16 @@ class SquareClass:
         if base_part == "-1":
             return "-" + "*".join(vars_part)
         return "*".join([base_part] + vars_part)
+
+    def __str__(self) -> str:
+        """Built on the first call and kept in the instance dict, which the
+        frozen dataclass's fields, equality and hash ignore.  A plain dict
+        entry, not ``functools.cached_property``: that takes a lock on each
+        first read, and most classes over Q are printed once."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = self._format()
+        return text
 
     __repr__ = __str__
 

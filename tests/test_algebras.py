@@ -15,6 +15,7 @@ from wittforge.algebras import (
     zero_divisor_pair,
 )
 from wittforge import algebras, qform
+from wittforge.cli import run_command
 from wittforge.errors import (
     AlgebraMismatch,
     DimTooLarge,
@@ -34,6 +35,7 @@ from wittforge.fields import (
 from wittforge.laurent import LaurentPoly, _key, _reduce_raw
 from wittforge.oracles import find_defect_witness
 from wittforge.qform import is_isotropic, pfister, tensor
+from wittforge.tori import cubic_obstruction_report
 
 Q = FieldTower.rationals()
 F13S = FieldTower.prime(13, "s")
@@ -230,6 +232,19 @@ class TestElements:
         assert ((e1 * e2) * e4).coords != (e1 * (e2 * e4)).coords
 
 
+def _table_with_n_e1_of_class(s):
+    """``_index_rule_table`` with gamma_11 = -s, so that the diagonal gives
+    N(e_1) the class of s instead of -c_1."""
+    good = algebras._index_rule_table
+
+    def bad_table(tower, slots):
+        table = [list(row) for row in good(tower, slots)]
+        (table[1][1],) = (-LaurentPoly.of_class(s)).terms
+        return tuple(tuple(row) for row in table)
+
+    return bad_table
+
+
 class TestSplitDetection:
     def test_split_iff_norm_isotropic(self):
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
@@ -274,18 +289,11 @@ class TestSplitDetection:
             zero_divisor_pair(A)
 
     def test_table_is_checked_against_the_pfister_norm(self, monkeypatch):
-        # a table whose diagonal gives N(e_1) the class of s instead of -u
-        good = algebras._index_rule_table
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
-
-        def bad_table(tower, slots):
-            table = [list(row) for row in good(tower, slots)]
-            (table[1][1],) = (-LaurentPoly.of_class(s)).terms
-            return tuple(tuple(row) for row in table)
-
-        monkeypatch.setattr(algebras, "_index_rule_table", bad_table)
+        monkeypatch.setattr(algebras, "_index_rule_table", _table_with_n_e1_of_class(s))
+        A = quaternion(F13ST, u, s)
         with pytest.raises(InternalInconsistency):
-            quaternion(F13ST, u, s)
+            A.gamma
 
     def test_table_check_with_a_warm_term_memo(self, monkeypatch):
         # the injection of test_table_is_checked_against_the_pfister_norm,
@@ -293,20 +301,14 @@ class TestSplitDetection:
         # term class codes: the wrong term is looked up under its own key
         classes = enumerate_square_classes(F13ST)
         for slots in itertools.product(classes, repeat=3):
-            algebra_from_slots(F13ST, slots)
+            algebra_from_slots(F13ST, slots).gamma
         assert algebras._term_code.cache_info().currsize > 0
-        good = algebras._index_rule_table
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
-        quaternion(F13ST, u, s)
-
-        def bad_table(tower, slots):
-            table = [list(row) for row in good(tower, slots)]
-            (table[1][1],) = (-LaurentPoly.of_class(s)).terms
-            return tuple(tuple(row) for row in table)
-
-        monkeypatch.setattr(algebras, "_index_rule_table", bad_table)
+        quaternion(F13ST, u, s).gamma
+        monkeypatch.setattr(algebras, "_index_rule_table", _table_with_n_e1_of_class(s))
+        A = quaternion(F13ST, u, s)
         with pytest.raises(InternalInconsistency):
-            quaternion(F13ST, u, s)
+            A.gamma
 
     @pytest.mark.parametrize(
         "tower, factor",
@@ -330,10 +332,13 @@ class TestSplitDetection:
 
         # a square factor leaves every class, and so the check, as it was
         monkeypatch.setattr(algebras, "_index_rule_table", scaled(factor * factor))
-        assert quaternion(tower, *slots).norm == pfister(tower, slots)
+        A = quaternion(tower, *slots)
+        assert A.norm == pfister(tower, slots)
+        A.gamma
         monkeypatch.setattr(algebras, "_index_rule_table", scaled(factor))
+        A = quaternion(tower, *slots)
         with pytest.raises(InternalInconsistency, match="Pfister codes"):
-            quaternion(tower, *slots)
+            A.gamma
 
     def test_structure_constants_must_be_signed_monomials(self, monkeypatch):
         # slot "monomials" c + 1 give slot products of several terms
@@ -342,6 +347,53 @@ class TestSplitDetection:
         monkeypatch.setattr(LaurentPoly, "of_class", classmethod(lambda cls, x: of_class(x) + 1))
         with pytest.raises(InternalInconsistency, match="signed monomials"):
             quaternion(F13ST, u, s)
+
+
+class TestTableOnFirstUse:
+    """The constructor checks the slots and builds the norm; the table is
+    built, and checked against the norm, on its first read."""
+
+    def test_a_bad_table_raises_from_every_reader(self, monkeypatch, capsys):
+        u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
+        monkeypatch.setattr(algebras, "_index_rule_table", _table_with_n_e1_of_class(s))
+        A = quaternion(F13ST, u, s)
+        x, y = A.basis(1), A.basis(2)
+        readers = [
+            lambda: A.gamma,
+            lambda: x * y,
+            lambda: A.norm_coeffs,
+            x.norm_form_value,
+            lambda: zero_divisor_pair(A),
+        ]
+        for read in readers:
+            for _ in range(2):
+                with pytest.raises(InternalInconsistency, match="Pfister codes"):
+                    read()
+        assert not {"gamma", "_gamma", "norm_coeffs"} & set(vars(A))
+        argv = ["alg-build", "--field", "F13((s))((t))", "--slots", "u,s"]
+        for _ in range(2):
+            assert run_command(argv + ["--mul", "(0,1,0,0)", "(0,0,1,0)"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "error: InternalInconsistency" in err and "Traceback" not in err
+
+    def test_the_obstruction_sweep_builds_no_table(self):
+        # the 168 division octonions over F13((s))((t)): slot masks
+        # linearly independent over F_2, each with the 7 nonsquare d
+        algebras._slot_products.cache_clear()
+        classes = enumerate_square_classes(F13ST)
+        division = []
+        for a, b, c in itertools.product(range(8), repeat=3):
+            if a == 0 or b in (0, a) or c in (0, a, b, a ^ b):
+                continue
+            A = algebra_from_slots(F13ST, (classes[a], classes[b], classes[c]))
+            assert not is_split(A)
+            for d in classes[1:]:
+                assert cubic_obstruction_report(A, d).verdict == "inadmissible"
+            division.append(A)
+        assert len(division) == 168
+        assert not any("gamma" in vars(A) for A in division)
+        assert algebras._slot_products.cache_info().currsize == 0
 
 
 # -- the product against the doubling formula on halves ------------------------------

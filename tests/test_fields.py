@@ -66,6 +66,18 @@ class TestCanonical:
         assert canonical_square_class(Q, Fraction(1, 2)).base == 2
         assert str(canonical_square_class(Q, -6)) == "-6"
 
+    def test_each_class_is_formatted_once(self):
+        # a second pass returns the first pass's strings: it builds none
+        tower = FieldTower.prime(7, "p", "q", "r", "s", "t")
+        classes = enumerate_square_classes(tower)
+        assert len(classes) == 64
+        first = [str(c) for c in classes]
+        assert "u*p*q*r*s*t" in first
+        assert all(str(c) is text and repr(c) is text for c, text in zip(classes, first))
+        # the stored string is no field: equality and hashing are as before
+        fresh = [SquareClass(tower, c.base, c.mask) for c in classes]
+        assert fresh == classes and list(map(hash, fresh)) == list(map(hash, classes))
+
     def test_prime_nonresidue_by_enumeration(self):
         # oracle: the squares mod 5 are exactly {1, 4}
         squares = {x * x % 5 for x in range(1, 5)}
