@@ -80,14 +80,18 @@ def _isotropy_oracle(f, verdict):
         )
         return found == verdict, detail
     if tower.kind == "Q" and not tower.laurent_vars:
-        witness = oracles.rational_witness_search([e.base for e in f.entries])
+        detail = "no witness found (bound exhausted)"
+        try:
+            witness = oracles.rational_witness_search([e.base for e in f.entries])
+        except oracles.OracleBudgetExceeded:
+            witness, detail = None, BUDGET_EXCEEDED
         if witness is not None:
             return verdict is True, "witness " + str(tuple(witness))
         ok, place = arithq.global_isotropy_certificate(f)
         if not ok:
             return verdict is False, f"local obstruction at {place}"
         # a bounded search that found nothing proves nothing
-        return None, "no witness found (bound exhausted)"
+        return None, detail
     return None, "no oracle for this field"
 
 

@@ -230,7 +230,10 @@ def rational_witness_search(
     square for the third), then quaternary subforms (meet in the middle
     of two coordinate pairs), with an escalating coordinate bound.  Every
     subform is tried, so a witness with at most four nonzero coordinates,
-    each within the last bound, is found.
+    each within the last bound, is found.  The candidates are counted
+    against ``SEARCH_BUDGET`` before each sweep runs: the index subsets
+    scanned for subforms, then (b+1)^2 per ternary and 2(b+1)^2 per
+    quaternary subform at bound b.
     """
     a = [int(x) for x in entries]
     d = len(a)
@@ -243,8 +246,13 @@ def rational_witness_search(
                 out = [0] * d
                 out[i], out[j] = s, abs(a[i])
                 return _reduce(out)
+    spent = math.comb(d, 3) + math.comb(d, 4)
+    _check_budget(spent)
+    triples, quadruples = list(_subforms(a, 3)), list(_subforms(a, 4))
     for bound in bounds:
-        for i, j, k in _subforms(a, 3):
+        spent += len(triples) * (bound + 1) ** 2
+        _check_budget(spent)
+        for i, j, k in triples:
             for x in range(bound + 1):
                 for y in range(bound + 1):
                     if x == 0 and y == 0:
@@ -255,7 +263,9 @@ def rational_witness_search(
                         out[i], out[j], out[k] = a[k] * x, a[k] * y, s
                         if any(out):
                             return _reduce(out)
-        for i, j, k, l in _subforms(a, 4):
+        spent += 2 * len(quadruples) * (bound + 1) ** 2
+        _check_budget(spent)
+        for i, j, k, l in quadruples:
             table: dict[int, tuple[int, int]] = {}
             nonzero_table: dict[int, tuple[int, int]] = {}
             for x1 in range(bound + 1):

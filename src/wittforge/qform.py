@@ -26,11 +26,13 @@ every call), and ``pfister_classes`` reads the Witt classes of many
 folded forms extended by the same slots off those codes; tensor products
 and scalings multiply entries by ``fields.sq_mul``.
 
-Over R and F_q a Witt class is read straight off the sorted codes
-(``_witt_class``): code 2*mask + base bit puts each mask's entries in one
-run, and the base-field rule needs only the run's counts of base bits 0
-and 1 (``_count_class``, the one copy of the rule, which ``_witt_base``
-also reads its kernel off).  No class, form or decomposition is built.
+One memoized Springer pass, ``_witt``, answers every Witt question:
+decomposition, class, isotropy, isometry and splitting.  Over R and F_q
+it reads the runs straight off the sorted codes: code 2*mask + base bit
+puts each mask's entries in one run, and the base-field rule needs only
+the run's counts of base bits 0 and 1 (``_count_class``, the one copy of
+the rule), which give the run's class and its kernel's codes.  No class
+is built per entry or per run; the kernel is one form.
 
 A form is its tower and its entries, and nothing else: a Pfister form
 keeps no record of its slots.  The questions that need slots take them,
@@ -155,7 +157,7 @@ def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> l
     of them, and each distinct tuple is folded and looked up once."""
     negs = _neg_codes(tower, slots)
     classes = {
-        phi: _witt_class(tower, tuple(sorted(_fold(list(phi), negs))))
+        phi: _witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class
         for phi in dict.fromkeys(bases)
     }
     return [classes[phi] for phi in bases]
@@ -312,21 +314,24 @@ def _count_class(tower: FieldTower, pos: int, neg: int) -> tuple:
     return c, *((0, 0), (1, 0), (2, 0), (0, 1))[c]
 
 
-def _witt_base(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
-    """The base-field rule, with the Witt class ((0, c),), or () when c = 0:
-    ``_count_class`` over R and F_q; over Q, c is the kernel's invariants."""
-    if tower.kind == "Q":
+def _witt_rational(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+    """The Springer pass over Q and Q((t_1))...((t_n)): ``arithq`` decides
+    each run with its mask cleared, and a run's class is its kernel's
+    invariants; over Q itself the one run is the form's own entries."""
+    if not tower.laurent_vars:
         from . import arithq
 
         w = arithq.witt_index_rational(DiagonalForm(tower, entries))
         return replace(w, witt_class=((0, w.kernel_invariants),) if w.kernel_dim else ())
-    pos = sum(1 for e in entries if e.base == 1)
-    c, ones, others = _count_class(tower, pos, len(entries) - pos)
-    kernel = (one_class(tower),) * ones + (class_of_code(tower, 1),) * others
-    if len(entries) == 2 == len(kernel):  # an anisotropic plane is its own kernel
-        kernel = entries
-    wi, cls = (len(entries) - len(kernel)) // 2, ((0, c),) if kernel else ()
-    return WittDecomposition(wi, len(kernel), DiagonalForm(tower, kernel), witt_class=cls)
+    base = tower.base_field()
+    witt_index = kernel_dim = 0
+    witt_class = []
+    for mask, idxs in _mask_runs(entries):
+        w = _witt_rational(base, tuple(SquareClass(base, entries[i].base) for i in idxs))
+        witt_index += w.witt_index
+        kernel_dim += w.kernel_dim
+        witt_class += [(mask, c) for _, c in w.witt_class]
+    return WittDecomposition(witt_index, kernel_dim, witt_class=tuple(witt_class))
 
 
 def _mask_runs(classes) -> list[tuple[int, list[int]]]:
@@ -342,48 +347,28 @@ def _mask_runs(classes) -> list[tuple[int, list[int]]]:
 def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
-    the entries of mask m (Lam, Ch. VI).  Each run of ``_mask_runs`` with
-    its mask cleared is one base-field form, whose class goes to its mask.
+    the entries of mask m (Lam, Ch. VI).  Over R and F_q the runs are read
+    off the sorted codes: code 2*mask + base bit puts each mask's entries
+    in one run, masks ascending, and ``_count_class`` takes the run's
+    counts of base bits 0 and 1.  The kernel is built once, from the codes
+    2*mask and 2*mask + 1; an anisotropic plane is its own kernel.
     """
-    entries = _classes(tower, key)
-    if not tower.laurent_vars:
-        return _witt_base(tower, entries)
-    base = tower.base_field()
-    witt_index = kernel_dim = 0
-    kernel: Optional[list[SquareClass]] = []
-    witt_class = []
-    for mask, idxs in _mask_runs(entries) or [(0, [])]:
-        w = _witt_base(base, tuple(SquareClass(base, entries[i].base) for i in idxs))
-        witt_index += w.witt_index
-        kernel_dim += w.kernel_dim
-        witt_class += [(mask, c) for _, c in w.witt_class]
-        if kernel is not None and w.kernel is not None:
-            kernel += [SquareClass(tower, e.base, mask) for e in w.kernel.entries]
-        else:
-            kernel = None
-    kernel_form = None if kernel is None else DiagonalForm(tower, tuple(kernel))
-    return WittDecomposition(witt_index, kernel_dim, kernel_form, witt_class=tuple(witt_class))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _witt_class(tower: FieldTower, key: tuple) -> tuple:
-    """The Witt class of the form with sorted entry codes ``key``, read off
-    the codes: code 2*mask + base bit sorts the entries of one mask into
-    one run, masks ascending, and ``_count_class`` gives each run's base
-    class from its counts of base bits 0 and 1, as ``_witt`` would; no
-    class, form or decomposition is built.  Over Q, where the class is
-    the kernel's invariants, it is ``_witt``'s."""
     if tower.kind == "Q":
-        return _witt(tower, key).witt_class
+        return _witt_rational(tower, _classes(tower, key))
     counts: dict[int, list[int]] = {}
     for code in key:
         counts.setdefault(code >> 1, [0, 0])[code & 1] += 1
-    out = []
+    witt_index, kernel, witt_class = 0, [], []
     for mask, (pos, neg) in counts.items():
         c, ones, others = _count_class(tower, pos, neg)
+        if pos + neg == 2 == ones + others:  # an anisotropic plane is its own kernel
+            ones, others = pos, neg
+        witt_index += (pos + neg - ones - others) // 2
+        kernel += [2 * mask] * ones + [2 * mask + 1] * others
         if ones or others:
-            out.append((mask, c))
-    return tuple(out)
+            witt_class.append((mask, c))
+    kernel_form = DiagonalForm(tower, _classes(tower, kernel))
+    return WittDecomposition(witt_index, len(kernel), kernel_form, witt_class=tuple(witt_class))
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
@@ -393,7 +378,7 @@ def witt_decompose(f: DiagonalForm) -> WittDecomposition:
 def witt_class(f: DiagonalForm) -> tuple:
     """The class of f in the Witt ring: (mask, base class) for each
     anisotropic run, masks ascending; () when f is hyperbolic."""
-    return _witt_class(f.tower, f.key)
+    return _witt(f.tower, f.key).witt_class
 
 
 def is_isotropic(f: DiagonalForm) -> bool:

@@ -610,6 +610,28 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[-1] == "oracle: search budget exceeded (inconclusive)"
 
+    def test_rational_oracle_past_its_budget_still_checks_local_obstructions(self, capsys):
+        # [1..17] has C(17,3) + C(17,4) subsets, each swept at bound 30,
+        # past the budget; the form is positive definite, so oo obstructs
+        form = "[" + ",".join(str(n) for n in range(1, 18)) + "]"
+        argv = ["qf-isotropy", "--field", "Q", "--form", form, "--oracle"]
+        code, out, _ = self.run(capsys, *argv)
+        assert (code, out) == (
+            0, "anisotropic\noracle: local obstruction at oo (agreement)\n"
+        )
+        code, out, _ = self.run(capsys, *argv, "--json")
+        assert json.loads(out)["oracle"] == {
+            "agrees": True, "detail": "local obstruction at oo"
+        }
+        # an isotropic form the full search would take about 2.5e6 candidates on
+        code, out, _ = self.run(
+            capsys, "qf-isotropy", "--field", "Q", "--form", "[1,1,1,1,-7,-7,-7,-7]",
+            "--oracle",
+        )
+        assert (code, out) == (
+            0, "isotropic\noracle: search budget exceeded (inconclusive)\n"
+        )
+
     def test_oracle_budget_checked_before_enumerating(self):
         # 2^61 - 1 candidates per coordinate: no grid may be built
         src = Path(wittforge.__file__).resolve().parents[1]

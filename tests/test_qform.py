@@ -29,6 +29,7 @@ from wittforge.fields import (
     var_class,
 )
 from wittforge.arithq import rational_invariants, witt_index_rational
+from wittforge.dsl import parse_field, parse_form
 from wittforge.laurent import LaurentPoly
 from wittforge.oracles import (
     base_change,
@@ -37,7 +38,7 @@ from wittforge.oracles import (
     truncated_witness_search,
     verify_rational_witness,
 )
-from wittforge import qform
+from wittforge import oracles, qform
 from wittforge.qform import (
     DiagonalForm,
     WittDecomposition,
@@ -309,6 +310,22 @@ class TestIsotropy:
             rng.shuffle(entries)
             w = rational_witness_search(entries, bounds=(4,))
             assert w is not None and verify_rational_witness(entries, w), entries
+
+    def test_rational_search_raises_past_its_budget_at_once(self, monkeypatch):
+        # C(d,3) + C(d,4) index subsets alone exceed the budget: no subform
+        # is listed and no candidate looked at
+        primes = [n for n in range(2, 720) if all(n % d for d in range(2, n))]
+        assert len(primes) == 128
+        monkeypatch.setattr(
+            oracles, "_subforms", lambda *args: pytest.fail("subforms enumerated")
+        )
+        for entries in (primes, [1] * 100):
+            with pytest.raises(oracles.OracleBudgetExceeded):
+                rational_witness_search(entries)
+
+    def test_rational_search_within_its_budget_still_exhausts(self):
+        assert rational_witness_search([1, 1, -7]) is None
+        assert rational_witness_search([1, 1, -7, -7]) is None
 
     def test_pfister_ut_over_f5t_with_oracles(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
@@ -837,14 +854,57 @@ def enumerable_keys(draw):
     return FieldTower(kind, p, names, degree), tuple(sorted(codes))
 
 
+def reference_witt_class(tower, key):
+    """The Witt class over R or F_q of the form with sorted entry codes
+    ``key``, counted off the codes with no form built: code 2*mask + base
+    bit puts each mask's entries in one run, masks ascending, and a run
+    of pos base bits 0 and neg base bits 1 has class pos - neg in W(R) =
+    Z, (pos - neg) mod 4 in W(F_q) = Z/4 when -1 is not a square, and
+    (pos mod 2, neg mod 2) in W(F_q) = F_2[Z/2] when it is.  A run
+    appears when its class is not 0."""
+    counts = {}
+    for code in key:
+        counts.setdefault(code >> 1, [0, 0])[code & 1] += 1
+    out = []
+    for mask, (pos, neg) in counts.items():
+        if tower.kind == "R":
+            c = pos - neg
+        elif tower.minus_one_is_square():
+            c = pos % 2, neg % 2
+        else:
+            c = (pos - neg) % 4
+        if c not in (0, (0, 0)):
+            out.append((mask, c))
+    return tuple(out)
+
+
 class TestWittClassOffCodes:
     @given(enumerable_keys())
     @settings(max_examples=500, deadline=None)
     def test_equals_the_decompositions_class(self, tower_key):
         tower, key = tower_key
-        expected = qform._witt.__wrapped__(tower, key).witt_class
-        assert qform._witt_class(tower, key) == expected
-        assert witt_class(DiagonalForm(tower, qform._classes(tower, key))) == expected
+        expected = reference_witt_class(tower, key)
+        f = DiagonalForm(tower, qform._classes(tower, key))
+        assert witt_class(f) == expected
+        assert witt_decompose(f).witt_class == expected
+
+    @pytest.mark.parametrize(
+        "tower, entries, witt_index, kernel",
+        [
+            # <u,u> is an anisotropic plane when -1 is not a square
+            ("F7((t))", "[u,u,t]", 0, "[u,u,t]"),
+            ("F3((t))", "[u,u,u*t,u*t]", 0, "[u,u,u*t,u*t]"),
+            # the s-run <1,u> is hyperbolic; the t-run <1,1> is its own kernel
+            ("F7((s))((t))", "[u,u,s,u*s,t,t]", 1, "[u,u,t,t]"),
+        ],
+    )
+    def test_an_anisotropic_plane_is_its_own_kernel(self, tower, entries, witt_index, kernel):
+        tower = parse_field(tower)
+        f = parse_form(entries, tower)
+        w = witt_decompose(f)
+        assert (w.witt_index, w.kernel_dim) == (witt_index, f.dim - 2 * witt_index)
+        assert w.kernel == parse_form(kernel, tower)
+        assert w.witt_class == reference_witt_class(tower, f.key)
 
 
 # -- the same laws over Q and Q((t)), decided by local invariants --------------------
