@@ -15,33 +15,30 @@ and unrolled it gives the index rule
 
 with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
 The sign table omega depends only on the number of slots; it comes from
-the doubling formula run over signs and is cached per slot count.  The
-table ``gamma`` holds one (exps, coeff) term per pair, picked out of the
-2^n slot products and their negatives by a layout cached per slot count.
-The products are built one doubling at a time, as
-C(a_1, ..., a_n) = CD(C(a_1, ..., a_(n-1)), a_n): the products of the
-prefix, memoized per prefix of slot codes (``_slot_products``), then
-each of them times the last slot's monomial (exponent vectors added,
-coefficients multiplied and reduced mod p), whose one term
-(``LaurentPoly.of_class``, checked to be a single term) is memoized per
-class (``_slot_term``).  So algebras that share a prefix of slots share
-its products, and a build computes only the doublings its prefix has
-not.  The pair's sign sits on its coefficient, which is left unreduced,
-since products reduce once at the end.  An algebra is identified by
-(tower, slots), which is all its table depends on.
+the doubling formula run over signs.  The table ``gamma`` holds one
+(exps, coeff) term per pair, picked out of the 2^n slot products and
+their negatives by a layout read off omega and cached per slot count
+(``_row_getters``).  The products are built one doubling at a time, as
+C(a_1, ..., a_n) = CD(C(a_1, ..., a_(n-1)), a_n): from the product 1,
+each slot appends every product so far times its monomial (exponent
+vectors added, coefficients multiplied and reduced mod p), whose one
+term (``LaurentPoly.of_class``, checked to be a single term) is memoized
+per class (``_slot_term``).  The pair's sign sits on its coefficient,
+which is left unreduced, since products reduce once at the end.  An
+algebra is identified by (tower, slots), which is all its table depends
+on.
 
 Construction checks the slots (at most four, each a square class over
 the tower) and the one-term monomial of each (``_slot_term``), and builds
 the norm form from the Pfister codes of the slots
-(``qform._pfister_codes``, folded one slot at a time and memoized per
-prefix like the products), as ``qform.pfister`` builds it.  Questions of
-the norm alone (splitting, torus types, the cubic obstruction) stop
-there.  The table is built on its first read (``gamma``), and the norm
-is checked on codes, once per algebra, before any reader gets it: the
-class code of each N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its
-term (``laurent._term_class``: the exponent parities and the base class
-of the coefficient), memoized per (tower, exps, coeff) by
-``_term_code``, and must equal the code of the norm's entry i.  A table
+(``qform._pfister_codes``, memoized per tuple of slot codes), as
+``qform.pfister`` builds it.  Questions of the norm alone (splitting,
+torus types, the cubic obstruction) stop there.  The table is built on
+its first read (``gamma``), and the norm is checked on codes, once per
+algebra, before any reader gets it: the class code of each
+N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
+(``laurent._term_class``: the exponent parities and the base class of
+the coefficient) and must equal the code of the norm's entry i.  A table
 that fails raises on every read.  The diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
@@ -119,7 +116,9 @@ class CompositionAlgebra:
         read off its term, must be the norm's entry i."""
         gamma = _index_rule_table(self.tower, self.slots)
         codes = tuple(e.code for e in self.norm.entries)
-        diagonal = tuple(_term_code(self.tower, e, c) for e, c in _norm_terms(gamma))
+        diagonal = tuple(
+            _class_code(self.tower, *_term_class(self.tower, e, c)) for e, c in _norm_terms(gamma)
+        )
         if diagonal != codes:
             raise InternalInconsistency(
                 f"norm codes {diagonal} of the table do not fit the Pfister codes {codes}"
@@ -233,7 +232,6 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
     """omega(i, j) = +-1 with gamma_ij = omega(i, j) * prod_(k in i & j) c_k
     for n slots, by the doubling formula run over signs; the new slot is
@@ -262,13 +260,6 @@ def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
                 row.append(sign * w[jj][ii])
         table.append(tuple(row))
     return tuple(table)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _term_code(tower: FieldTower, exps: tuple, coeff):
-    """The class code of the monomial coeff * x^exps, read off the term
-    (``laurent._term_class``) once per term."""
-    return _class_code(tower, *_term_class(tower, exps, coeff))
 
 
 def _norm_terms(gamma) -> list:
@@ -307,29 +298,25 @@ def _slot_term(tower: FieldTower, code) -> tuple:
     return terms[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _slot_products(tower: FieldTower, codes: tuple) -> tuple:
-    """The 2^n slot products prod_(k in i) c_k, i < 2^n, for the slots of
-    codes ``codes``, as (exps, coeff) terms reduced mod p: by
-    C(a_1, ..., a_n) = CD(C(a_1, ..., a_(n-1)), a_n), the products of the
-    prefix, memoized, then each of them times the last slot's term."""
-    if not codes:
-        return (((0,) * len(tower.laurent_vars), _norm_coeff(tower, 1)),)
-    prefix = _slot_products(tower, codes[:-1])
-    e, c = _slot_term(tower, codes[-1])
-    last = [(tuple(map(add, pe, e)), pc * c) for pe, pc in prefix]
-    if tower.kind == "F":
-        p = tower.p
-        last = [(le, lc % p) for le, lc in last]
-    return (*prefix, *last)
+def _slot_products(tower: FieldTower, slots: tuple) -> list:
+    """The 2^n slot products prod_(k in i) c_k, i < 2^n, as (exps, coeff)
+    terms reduced mod p, one doubling at a time: from the product 1, each
+    slot appends every product so far times its term."""
+    products = [((0,) * len(tower.laurent_vars), _norm_coeff(tower, 1))]
+    for slot in slots:
+        e, c = _slot_term(tower, slot.code)
+        last = [(tuple(map(add, pe, e)), pc * c) for pe, pc in products]
+        if tower.kind == "F":
+            last = [(le, lc % tower.p) for le, lc in last]
+        products += last
+    return products
 
 
 def _index_rule_table(tower: FieldTower, slots: tuple) -> tuple:
     """gamma_ij = omega(i, j) * prod_(k in i & j) c_k as one (exps, coeff)
-    term, c_k the checked one-term monomial of slot k: the 2^n slot products,
-    memoized per prefix of slot codes, and the sign on the coefficient,
-    unreduced (products reduce at the end)."""
-    pos = _slot_products(tower, tuple(c.code for c in slots))
+    term, c_k the checked one-term monomial of slot k: the 2^n slot products
+    and the sign on the coefficient, unreduced (products reduce at the end)."""
+    pos = _slot_products(tower, slots)
     signed = (*pos, *[(e, -c) for e, c in pos])
     return tuple(row(signed) for row in _row_getters(len(slots)))
 

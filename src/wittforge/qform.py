@@ -19,12 +19,12 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
 so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
-Pfister forms are folded on codes by ``fields._code_mul`` one slot at a
-time, as <<a_1,...,a_n>> = <<a_1,...,a_(n-1)>> x <<a_n>>, memoized per
-prefix of slot codes (``_pfister_fold``; the slots' towers are checked on
-every call), and ``pfister_classes`` reads the Witt classes of many
-folded forms extended by the same slots off those codes; tensor products
-and scalings multiply entries by ``fields.sq_mul``.
+Pfister forms are folded on codes by ``fields._code_mul``: <1> times
+<1,-a> for each slot a in turn (``_fold``), memoized per tuple of slot
+codes (``_pfister_fold``; the slots' towers are checked on every call),
+and ``pfister_classes`` reads the Witt classes of many folded forms
+extended by the same slots off those codes; tensor products and scalings
+multiply entries by ``fields.sq_mul``.
 
 One memoized Springer pass, ``_witt``, answers every Witt question:
 decomposition, class, isotropy, isometry and splitting.  Over R and F_q
@@ -123,19 +123,15 @@ def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _pfister_fold(tower: FieldTower, codes: tuple) -> tuple:
-    """The entry codes of <<a_1,...,a_n>> from the slot codes, one slot at a
-    time, as <<a_1,...,a_n>> = <<a_1,...,a_(n-1)>> x <1,-a_n>: the fold of
-    the prefix, memoized, followed by (-a_n) times it."""
-    if not codes:
-        return (one_class(tower).code,)
-    neg = _code_mul(minus_one_class(tower).code, codes[-1])
-    return tuple(_fold(list(_pfister_fold(tower, codes[:-1])), [neg]))
+    """The entry codes of <<a_1,...,a_n>> from the slot codes: <1> folded
+    over the slots (``_fold``), memoized per tuple of slot codes."""
+    return tuple(_fold([one_class(tower).code], _neg_codes(tower, codes)))
 
 
-def _neg_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> list:
-    """The codes of -a for the slots a, each checked to live over ``tower``."""
+def _neg_codes(tower: FieldTower, codes) -> list:
+    """The codes of -a for the slot codes a."""
     minus_one = minus_one_class(tower).code
-    return [_code_mul(minus_one, a) for a in _slot_codes(tower, slots)]
+    return [_code_mul(minus_one, a) for a in codes]
 
 
 def _fold(codes: list, negs: list) -> list:
@@ -155,7 +151,7 @@ def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> l
     """The Witt class of phi x <<slots>> for each Pfister form phi whose
     entry codes (a tuple) are in ``bases``; the slots are read once for all
     of them, and each distinct tuple is folded and looked up once."""
-    negs = _neg_codes(tower, slots)
+    negs = _neg_codes(tower, _slot_codes(tower, slots))
     classes = {
         phi: _witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class
         for phi in dict.fromkeys(bases)

@@ -25,8 +25,8 @@ rule, ``_cubic_verdict``, gives both reports their verdict from that.
 
 An obstruction report's parts are computed once per the inputs they depend
 on: the lambda rows (checked as they are built), the trace gram and t3 per
-tower; the step (d) target per (tower, d); and the report body, verdict
-and evidence rows, per (tower, d, Witt class of the norm), so algebras
+tower; and the report body, verdict and evidence rows, each read against
+the step (d) target, per (tower, d, Witt class of the norm), so algebras
 with isometric norms share it and a repeated report pays for its
 preconditions, one ``witt_class`` and one lookup.  No candidate is built
 as a form: the class of its Jacobson norm <<b,c,d>> is read off codes
@@ -420,7 +420,6 @@ def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tupl
     return tuple(evidence)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:
     """The Witt class of <<d>> x (<1> + t3), the step (d) target."""
     unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))

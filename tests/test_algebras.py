@@ -295,14 +295,13 @@ class TestSplitDetection:
         with pytest.raises(InternalInconsistency):
             A.gamma
 
-    def test_table_check_with_a_warm_term_memo(self, monkeypatch):
+    def test_table_check_after_every_octonion_table(self, monkeypatch):
         # the injection of test_table_is_checked_against_the_pfister_norm,
-        # after every octonion over F13((s))((t)) has filled the memo of
-        # term class codes: the wrong term is looked up under its own key
+        # after every octonion table over F13((s))((t)) has been built and
+        # checked, with the slot-term, row-layout and fold memos warm
         classes = enumerate_square_classes(F13ST)
         for slots in itertools.product(classes, repeat=3):
             algebra_from_slots(F13ST, slots).gamma
-        assert algebras._term_code.cache_info().currsize > 0
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
         quaternion(F13ST, u, s).gamma
         monkeypatch.setattr(algebras, "_index_rule_table", _table_with_n_e1_of_class(s))
@@ -377,10 +376,14 @@ class TestTableOnFirstUse:
             assert out == ""
             assert "error: InternalInconsistency" in err and "Traceback" not in err
 
-    def test_the_obstruction_sweep_builds_no_table(self):
+    def test_the_obstruction_sweep_builds_no_table(self, monkeypatch):
         # the 168 division octonions over F13((s))((t)): slot masks
-        # linearly independent over F_2, each with the 7 nonsquare d
-        algebras._slot_products.cache_clear()
+        # linearly independent over F_2, each with the 7 nonsquare d; no
+        # slot product may be computed
+        def forbidden(*args):
+            raise AssertionError("the sweep built a slot product")
+
+        monkeypatch.setattr(algebras, "_slot_products", forbidden)
         classes = enumerate_square_classes(F13ST)
         division = []
         for a, b, c in itertools.product(range(8), repeat=3):
@@ -393,7 +396,6 @@ class TestTableOnFirstUse:
             division.append(A)
         assert len(division) == 168
         assert not any("gamma" in vars(A) for A in division)
-        assert algebras._slot_products.cache_info().currsize == 0
 
 
 # -- the product against the doubling formula on halves ------------------------------
@@ -654,8 +656,9 @@ def _prefix_memo_cases():
 
 
 class TestPrefixMemo:
-    """Tables and norms are memoized per prefix of slot codes: an algebra
-    built after its prefixes, before them, or from empty memos is the same."""
+    """An algebra built through warm memos (slot terms, row layouts,
+    Pfister folds, filled by the algebras on its prefixes, by the ones
+    after it, or by itself) is the one built from empty memos."""
 
     @pytest.mark.parametrize(
         "tower, tuples",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittforge import tori
+from wittforge import qform, tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     FieldMismatch,
@@ -137,6 +137,17 @@ class TestSplittingProfile:
         prof = splitting_profile(C)
         nonsquares = {c for c in enumerate_square_classes(F13ST) if not c.is_one}
         assert prof == nonsquares
+
+    def test_one_pfister_fold_per_profile(self):
+        # the 31 nonsquare d over F7((q))((r))((s))((t)) read one fold of the
+        # slots' Pfister codes, memoized per whole tuple of slot codes
+        tower = FieldTower.prime(7, "q", "r", "s", "t")
+        classes = enumerate_square_classes(tower)
+        C = algebra_from_slots(tower, (classes[3], classes[10], classes[21]))
+        qform._pfister_fold.cache_clear()
+        splitting_profile(C)
+        info = qform._pfister_fold.cache_info()
+        assert (info.misses, info.hits) == (1, 30)
 
 
 class TestAdmitsType:
