@@ -21,12 +21,14 @@ into plain {key: coeff} maps, every product through the one kernel
 ``_add_products``; ``_reduce_raw``, the one reduction, turns a map into a
 polynomial, mod p over prime bases (a ring homomorphism, so this is what
 reducing at every step gives), zeros dropped, terms sorted by key and the
-keys read back as tuples.  Packing and unpacking go through memos bounded
-by ``fields.CACHE_SIZE``; the unpacking memo is kept per arity, since
-(1,) and (0, 1) have the same key.  ``fields._norm_coeff``, the one rule
-that reduces a constant into the tower, checks coefficients where they
-enter: ``const``, ``monomial`` and ``of_class``.  The class of a
-monomial term is read off it by ``_term_class`` (base class of the
+keys read back as tuples.  A product with a zero factor is zero at once,
+after both factors are packed (so their exponents are still checked),
+with no kernel call and no reduction; sums always reduce.  Packing and
+unpacking go through memos bounded by ``fields.CACHE_SIZE``; the
+unpacking memo is kept per arity, since (1,) and (0, 1) have the same
+key.  ``fields._norm_coeff``, the one rule that reduces a constant into
+the tower, checks coefficients where they enter: ``const``, ``monomial``
+and ``of_class``.  The class of a monomial term is read off it by ``_term_class`` (base class of the
 coefficient, parities of the exponents), for ``square_class`` and for the
 algebras' norm check alike.
 """
@@ -216,8 +218,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        raws = [{}]
         mine, theirs = _packed((self, other))
+        if not (mine and theirs):  # both packed, so an exponent out of range still raises
+            return LaurentPoly(self.tower, ())
+        raws = [{}]
         # gamma = 1: key 0, that of the zero exponent vector, coefficient 1
         _add_products(raws, (mine,), (theirs,), (((0, 1),),))
         return _reduce_raw(self.tower, raws[0])

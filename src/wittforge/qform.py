@@ -38,8 +38,10 @@ A form is its tower and its entries, and nothing else: a Pfister form
 keeps no record of its slots.  The questions that need slots take them,
 as every caller holds them (an algebra's ``slots``, a ``<<...>>``
 literal): ``splits_over_quadratic`` decides on the folded codes without
-building a form, and ``pfister_slot_witness`` finds its presentation one
-slot at a time.
+building a form, ``quadratic_splitting_classes`` gives its answers for
+every nonsquare delta from one fold and one isotropy lookup, the two
+sharing the one rule ``_pure_represents``, and ``pfister_slot_witness``
+finds its presentation one slot at a time.
 """
 from __future__ import annotations
 
@@ -489,7 +491,30 @@ def splits_over_quadratic(
     # isotropic Pfister forms are hyperbolic
     if _witt(tower, tuple(sorted(codes))).witt_index > 0:
         return True
-    return _witt(tower, tuple(sorted((*codes[1:], delta.code)))).witt_index > 0
+    return _pure_represents(tower, codes, delta.code)
+
+
+def quadratic_splitting_classes(
+    tower: FieldTower, slots: Sequence[SquareClass]
+) -> frozenset[SquareClass]:
+    """The nonsquare classes delta of an enumerable tower with <<slots>>
+    hyperbolic over tower(sqrt(delta)): the answers of
+    ``splits_over_quadratic`` for every delta at once.  The slots are
+    checked and folded once and isotropy is asked once; then each delta
+    is one ``_witt`` lookup."""
+    nonsquares = [d for d in enumerate_square_classes(tower) if not d.is_one]
+    codes = _pfister_codes(tower, slots)
+    if _witt(tower, tuple(sorted(codes))).witt_index > 0:
+        return frozenset(nonsquares)
+    return frozenset(d for d in nonsquares if _pure_represents(tower, codes, d.code))
+
+
+def _pure_represents(tower: FieldTower, codes: tuple, delta_code) -> bool:
+    """Whether the pure subform of the Pfister form with entry codes
+    ``codes`` (every entry but the leading <1>) represents -delta, that is
+    whether it plus <delta> is isotropic: for an anisotropic Pfister form,
+    exactly when tower(sqrt(delta)) splits it (Lam, Ch. X)."""
+    return _witt(tower, tuple(sorted((*codes[1:], delta_code)))).witt_index > 0
 
 
 def pfister_slot_witness(

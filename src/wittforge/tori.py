@@ -27,13 +27,18 @@ An obstruction report's parts are computed once per the inputs they depend
 on: the lambda rows (checked as they are built), the trace gram and t3 per
 tower; and the report body, verdict and evidence rows, each read against
 the step (d) target, per (tower, d, Witt class of the norm), so algebras
-with isometric norms share it and a repeated report pays for its
-preconditions, one ``witt_class`` and one lookup.  No candidate is built
-as a form: the class of its Jacobson norm <<b,c,d>> is read off codes
-(``qform.pfister_classes``), the entry codes of <<b,c>> written down once
-per tower and sorted, so that each distinct form is extended by d once.
-Memoized helpers call ``sq_mul``, ``witt_class`` and ``pfister_classes``
-via module globals.
+with isometric norms share it.  A repeated report pays for its
+preconditions, one Witt decomposition of the norm (its index is the
+division check, its class the body's key), one lookup and one write of
+the report's instance dict.  An evidence row is a function of its (b, c)
+pair and its state (no match, a match, a contradiction), so the rows are
+shared per tower, each built the first time a table reads it.  No
+candidate is built as a form: the class of its Jacobson norm <<b,c,d>> is
+read off codes (``qform.pfister_classes``), the entry codes of <<b,c>>
+written down once per tower and sorted, so that each distinct form is
+extended by d once.  The report, the type verdicts and the memoized
+helpers call ``sq_mul``, ``witt_class``, ``witt_decompose``,
+``pfister_classes`` and ``EvidenceRow`` through module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -77,8 +82,10 @@ from .laurent import LaurentPoly
 from .qform import (
     diagonalize,
     pfister_classes,
+    quadratic_splitting_classes,
     splits_over_quadratic,
     witt_class,
+    witt_decompose,
 )
 
 
@@ -147,11 +154,7 @@ def torus_type_catalog(tower: FieldTower) -> list[TorusType]:
 
 def splitting_profile(C: CompositionAlgebra) -> frozenset[SquareClass]:
     """Nonsquare classes delta with C split by adjoining sqrt(delta)."""
-    return frozenset(
-        d
-        for d in enumerate_square_classes(C.tower)
-        if not d.is_one and splits_over_quadratic(C.tower, C.slots, d)
-    )
+    return quadratic_splitting_classes(C.tower, C.slots)
 
 
 def _splitting_set(C: CompositionAlgebra) -> frozenset[SquareClass]:
@@ -334,11 +337,14 @@ def cubic_obstruction_report(
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic: by Witt cancellation, the norm's class is the target's.
-    The preconditions run on every call; the rest of the report, its
-    verdict and its rows, comes from one memo keyed on (tower, d, norm
-    class), whose verdict ``_cubic_verdict`` decides, told whether a row
-    matches the norm.  A contradiction raises InternalInconsistency, and
-    a raise is never memoized.
+    The preconditions run on every call, the norm's Witt decomposition
+    read once for the division check and the norm class; the rest of the
+    report, its verdict and its rows, comes from one memo keyed on (tower,
+    d, norm class), whose verdict ``_cubic_verdict`` decides, told whether
+    a row matches the norm.  A contradiction raises InternalInconsistency,
+    and a raise is never memoized.  The report is written in one step, its
+    instance dict set to every field in order: the dataclass has no
+    ``__post_init__``, so this is what its constructor stores.
     """
     tower = C.tower
     if C.dim != 8:
@@ -349,27 +355,31 @@ def cubic_obstruction_report(
         raise PreconditionFailed("the ramified cubic needs a Laurent uniformizer")
     if not tower.has_zeta3():
         raise PreconditionFailed("the cubic is Galois only with zeta_3 in the base")
-    if is_split(C):
+    norm = witt_decompose(C.norm)
+    if norm.witt_index:
         raise PreconditionFailed("the obstruction applies to division algebras")
     if d.tower != tower:
         raise FieldMismatch(f"{d.tower} vs {tower}")
     if d.is_one:
         raise PreconditionFailed("d must be a nonsquare")
 
-    return CubicObstructionReport(
-        tower, C.slots, d, *_report_body(tower, d, witt_class(C.norm))
-    )
+    body = _report_body(tower, d, norm.witt_class)
+    report = object.__new__(CubicObstructionReport)
+    object.__setattr__(report, "__dict__", {"tower": tower, "slots": C.slots, "d": d, **body})
+    return report
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _report_body(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
-    """Every field of an obstruction report after ``d``, for any division
-    algebra over ``tower`` whose norm has Witt class ``norm_class``: the
-    verdict, decided once per key by ``_cubic_verdict``, and the rows."""
+def _report_body(tower: FieldTower, d: SquareClass, norm_class: tuple) -> dict:
+    """Every field of an obstruction report after ``d``, by name, for any
+    division algebra over ``tower`` whose norm has Witt class
+    ``norm_class``: the verdict, decided once per key by ``_cubic_verdict``,
+    and the rows.  The evidence rows are the tower's shared row objects."""
     lambda_rows, gram, trace_diagonal = _tower_rows(tower)
     evidence = _evidence_rows(tower, d, norm_class)
     verdict = _cubic_verdict(tower, d, norm_class, any(r.norm_matches for r in evidence))
-    return verdict, lambda_rows, gram, trace_diagonal, evidence
+    return {"verdict": verdict, "lambda_rows": lambda_rows, "gram": gram,
+            "trace_diagonal": trace_diagonal, "evidence": evidence}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -404,20 +414,39 @@ def _tower_rows(tower: FieldTower) -> tuple:
     )
 
 
+# (norm_matches, trace_isometric, contradiction) of an evidence row in each
+# of its three states: no match, a match, a match that contradicts
+_ROW_STATES = ((False, None, False), (True, False, False), (True, True, True))
+
+
 def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
     """Steps (c) and (d) against any algebra norm of Witt class ``norm_class``:
     a Jacobson norm <<b,c,d>>, 8-dimensional like it, matches it exactly
     when the classes are equal, and step (d) holds on a matching row
-    exactly when the norm class is the step (d) target."""
-    target = _step_d_target(tower, d)
+    exactly when the norm class is the step (d) target.  A row is a
+    function of its (b, c) pair and its state (``_ROW_STATES``), so each
+    is read from the tower's row cache (``_tower_evidence``), keyed by
+    (pair index, state), and built the first time it is read."""
+    match_state = 2 if norm_class == _step_d_target(tower, d) else 1
     pairs = _pair_codes(tower)
+    rows = _tower_evidence(tower)
     jnorm_classes = pfister_classes(tower, (d,), [bc for _, _, bc in pairs])
     evidence = []
-    for (b, c, _), jnorm_class in zip(pairs, jnorm_classes):
-        matches = jnorm_class == norm_class
-        iso = norm_class == target if matches else None
-        evidence.append(EvidenceRow(b, c, matches, iso, bool(matches and iso)))
+    for i, jnorm_class in enumerate(jnorm_classes):
+        key = i, match_state if jnorm_class == norm_class else 0
+        row = rows.get(key)
+        if row is None:
+            b, c, _ = pairs[i]
+            row = rows[key] = EvidenceRow(b, c, *_ROW_STATES[key[1]])
+        evidence.append(row)
     return tuple(evidence)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _tower_evidence(tower: FieldTower) -> dict:
+    """The tower's evidence rows built so far, {(pair index, state): row},
+    the index into ``_pair_codes``: at most three rows per pair."""
+    return {}
 
 
 def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:

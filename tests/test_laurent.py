@@ -108,6 +108,22 @@ class TestProductKernel:
             t = LaurentPoly.variable(tower, tower.laurent_vars[-1])
             assert ((1 + t) * (1 - t)).terms == (1 - t * t).terms
 
+    @pytest.mark.parametrize("tower", (QT, RT, F13ST), ids=str)
+    def test_a_zero_factor_gives_zero_with_no_kernel_call(self, tower, monkeypatch):
+        rng = random.Random(f"laurent-zero:{tower}")
+        xs = [random_poly(tower, rng) for _ in range(20)]
+
+        def forbidden(*args):
+            raise AssertionError("a product with a zero factor reached the kernel")
+
+        monkeypatch.setattr(laurent, "_add_products", forbidden)
+        monkeypatch.setattr(laurent, "_reduce_raw", forbidden)
+        zero = LaurentPoly.zero(tower)
+        for x in xs + [zero]:
+            assert (x * 0).terms == (0 * x).terms == ()
+            assert (x * zero).terms == (zero * x).terms == ()
+            assert (x * zero).tower == tower
+
 
 class TestPackedKeys:
     """Exponent vectors are packed into one int each inside ``laurent``;
@@ -144,10 +160,12 @@ class TestPackedKeys:
     @pytest.mark.parametrize("tower", VARIABLE_TOWERS, ids=str)
     def test_the_limit_raises_a_named_error(self, tower):
         one = LaurentPoly.const(tower, 1)
+        zero = LaurentPoly.zero(tower)  # a zero factor still packs the other
         for e in (EXP_LIMIT, -EXP_LIMIT, 10**12):
             for v in tower.laurent_vars:
                 m = LaurentPoly.monomial(tower, 3, {v: e})  # built, not yet packed
                 for op in (lambda: m * one, lambda: one * m, lambda: m * m,
+                           lambda: m * zero, lambda: zero * m,
                            lambda: m + one, lambda: one - m, lambda: -m):
                     with pytest.raises(ExponentOutOfRange, match=str(EXP_LIMIT)):
                         op()

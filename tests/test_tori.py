@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -90,6 +91,19 @@ def pure_part(tower, slots):
     return DiagonalForm(tower, pfister(tower, slots).entries[1:])
 
 
+def _inject_one_class(monkeypatch):
+    """Give every form and every Jacobson norm the Witt class (): the one
+    decomposition the obstruction report reads (anisotropic, so the
+    division check passes), ``witt_class`` for ``type_report`` and the
+    candidate classes."""
+    anisotropic = qform.WittDecomposition(0, 8, witt_class=())
+    monkeypatch.setattr(tori, "witt_decompose", lambda f: anisotropic)
+    monkeypatch.setattr(tori, "witt_class", lambda f: ())
+    monkeypatch.setattr(
+        tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
+    )
+
+
 def division_octonion():
     u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
     return cayley_dickson(quaternion(F13ST, u, s), t)
@@ -139,15 +153,15 @@ class TestSplittingProfile:
         assert prof == nonsquares
 
     def test_one_pfister_fold_per_profile(self):
-        # the 31 nonsquare d over F7((q))((r))((s))((t)) read one fold of the
-        # slots' Pfister codes, memoized per whole tuple of slot codes
+        # the slots are folded once for all 31 nonsquare d over
+        # F7((q))((r))((s))((t)): one fold lookup per profile, no repeat
         tower = FieldTower.prime(7, "q", "r", "s", "t")
         classes = enumerate_square_classes(tower)
         C = algebra_from_slots(tower, (classes[3], classes[10], classes[21]))
         qform._pfister_fold.cache_clear()
         splitting_profile(C)
         info = qform._pfister_fold.cache_info()
-        assert (info.misses, info.hits) == (1, 30)
+        assert (info.misses, info.hits) == (1, 0)
 
 
 class TestAdmitsType:
@@ -522,11 +536,9 @@ class TestCubicObstruction:
         C = division_octonion()
         u = nonresidue_class(F13ST)
         # every form and every Jacobson norm gets one class: each candidate
-        # matches the norm, and the norm class equals the step (d) target
-        monkeypatch.setattr(tori, "witt_class", lambda f: ())
-        monkeypatch.setattr(
-            tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
-        )
+        # matches the norm, and the norm class equals the step (d) target;
+        # the report reads the norm's class off its one Witt decomposition
+        _inject_one_class(monkeypatch)
         with pytest.raises(InternalInconsistency):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same rule
@@ -538,10 +550,7 @@ class TestCubicObstruction:
         # memo keeps no entry for a raise, so a second call raises again
         C = division_octonion()
         u = nonresidue_class(F13ST)
-        monkeypatch.setattr(tori, "witt_class", lambda f: ())
-        monkeypatch.setattr(
-            tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
-        )
+        _inject_one_class(monkeypatch)
         for _ in range(2):
             with pytest.raises(InternalInconsistency):
                 cubic_obstruction_report(C, u)
@@ -578,6 +587,78 @@ class TestCubicObstruction:
                         assert row.trace_isometric == direct, (tower, d, row)
                         outcomes.add(direct)
         assert outcomes == {True, False}
+
+    def test_rows_equal_a_reference_built_row_by_row(self):
+        """The shared rows against rows written out from each candidate's
+        Jacobson norm <<b,c,d>> as a form, for every nonsquare d and every
+        norm class that reaches a state: each Jacobson norm class (its
+        matching rows are matches) and the step (d) target (its matching
+        rows are contradictions).  One row cache per tower serves every
+        call, so a row built in one state must never be read in another."""
+        states = set()
+        for tower in (F13ST, F7ST, F7RST):
+            classes = enumerate_square_classes(tower)
+            pairs = list(itertools.product(classes, repeat=2))
+            for d in classes[1:]:
+                target = tori._step_d_target(tower, d)
+                jnorm_classes = [witt_class(pfister(tower, (b, c, d))) for b, c in pairs]
+                for norm_class in dict.fromkeys(jnorm_classes + [target]):
+                    reference = []
+                    for (b, c), jnorm_class in zip(pairs, jnorm_classes):
+                        matches = jnorm_class == norm_class
+                        iso = norm_class == target if matches else None
+                        contradiction = matches and norm_class == target
+                        reference.append(tori.EvidenceRow(b, c, matches, iso, contradiction))
+                        states.add((matches, iso, contradiction))
+                    assert tori._evidence_rows(tower, d, norm_class) == tuple(reference)
+        assert states == {(False, None, False), (True, False, False), (True, True, True)}
+
+    def test_the_sweep_builds_at_most_128_rows(self, monkeypatch):
+        # the 168 x 7 reports over F13((s))((t)) read 7 tables of 64 rows;
+        # each (b, c) pair is built at most once per state it is read in
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return row_class(*args)
+
+        row_class = tori.EvidenceRow
+        monkeypatch.setattr(tori, "EvidenceRow", counted)
+        classes = enumerate_square_classes(F13ST)
+        reports = 0
+        for slots in itertools.product(classes, repeat=3):
+            A = algebra_from_slots(F13ST, slots)
+            if not is_split(A):
+                for d in classes[1:]:
+                    assert len(cubic_obstruction_report(A, d).evidence) == 64
+                    reports += 1
+        assert reports == 168 * 7
+        assert 0 < len(built) <= 128
+        assert len(set(built)) == len(built)
+
+    def test_the_report_is_written_as_its_constructor_writes_it(self):
+        # the report's instance dict is written in one step, which is what
+        # the constructor stores only while the class has no __post_init__
+        report_class = tori.CubicObstructionReport
+        assert not hasattr(report_class, "__post_init__")
+        names = [f.name for f in dataclasses.fields(report_class)]
+        for C, tower in ((division_octonion(), F13ST), (self._division_f7rst(), F7RST)):
+            for d in enumerate_square_classes(tower)[1:]:
+                rep = cubic_obstruction_report(C, d)
+                built = report_class(*(getattr(rep, name) for name in names))
+                assert type(rep) is report_class
+                assert list(vars(rep)) == names
+                assert rep == built and hash(rep) == hash(built)
+                assert rep.to_json() == built.to_json()
+                assert rep.to_json_dict() == built.to_json_dict()
+
+    @staticmethod
+    def _division_f7rst():
+        classes = enumerate_square_classes(F7RST)
+        for slots in itertools.combinations(classes[1:], 3):
+            A = algebra_from_slots(F7RST, slots)
+            if not is_split(A):
+                return A
 
     def test_contradicting_lambda_row_raises(self, monkeypatch):
         C = division_octonion()
