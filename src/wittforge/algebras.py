@@ -29,17 +29,20 @@ algebra is identified by (tower, slots), which is all its table depends
 on.
 
 Construction checks the slots (at most four, each a square class over
-the tower) and the one-term monomial of each (``_slot_term``), and builds
-the norm form from the Pfister codes of the slots
-(``qform._pfister_codes``, memoized per tuple of slot codes), as
-``qform.pfister`` builds it.  Questions of the norm alone (splitting,
-torus types, the cubic obstruction) stop there.  The table is built on
-its first read (``gamma``), and the norm is checked on codes, once per
+the tower) and the one-term monomial of each (``_slot_term``), and keeps
+the entry codes of the Pfister norm, ``norm_codes``, folded once from
+the slot codes (``qform._pfister_fold``, memoized per tuple of them).
+It builds no form: the norm form ``norm``, as ``qform.pfister`` builds
+it, is built from those codes on its first read, and the norm's Witt
+decomposition, ``norm_witt``, is read once from ``qform._witt`` and kept.
+Questions of the norm alone (splitting, torus types, the cubic
+obstruction) read that one decomposition and stop there.  The table is
+built on its first read (``gamma``), and checked on codes, once per
 algebra, before any reader gets it: the class code of each
 N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
 (``laurent._term_class``: the exponent parities and the base class of
-the coefficient) and must equal the code of the norm's entry i.  A table
-that fails raises on every read.  The diagonal coefficients
+the coefficient) and must equal the norm's entry code i.  A table that
+fails raises on every read.  The diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
@@ -85,13 +88,21 @@ from .laurent import (
     _reduce_raw,
     _term_class,
 )
-from .qform import DiagonalForm, _classes, _pfister_codes, is_isotropic, isotropic_vector
+from .qform import (
+    DiagonalForm,
+    WittDecomposition,
+    _classes,
+    _pfister_fold,
+    _witt,
+    isotropic_vector,
+)
 
 
 class CompositionAlgebra:
-    """The algebra on ``slots``: its norm form, the slots' Pfister norm,
-    built with it, and its structure-constant table by the index rule,
-    built and checked against that norm on first use."""
+    """The algebra on ``slots``: the entry codes of its Pfister norm, kept
+    at construction; the norm form and its Witt decomposition, each built
+    on first read; and its structure-constant table by the index rule,
+    built and checked against the norm's codes on first use."""
 
     def __init__(self, tower, slots):
         slots = tuple(slots)
@@ -100,14 +111,26 @@ class CompositionAlgebra:
         for c in slots:
             if not isinstance(c, SquareClass):
                 raise ZeroSlot("doubling slot must be a nonzero square class")
-            if c.tower != tower:
+            if c.tower is not tower and c.tower != tower:
                 raise AlgebraMismatch(f"{c.tower} vs {tower}")
-        for c in slots:
-            _slot_term(tower, c.code)  # each slot has its one-term monomial
+        codes = tuple(c.code for c in slots)
+        for code in codes:
+            _slot_term(tower, code)  # each slot has its one-term monomial
         self.tower = tower
         self.slots = slots
         self.dim = 1 << len(slots)
-        self.norm = DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
+        self.norm_codes = _pfister_fold(tower, codes)
+
+    @cached_property
+    def norm(self) -> DiagonalForm:
+        """The Pfister norm as a form, from ``norm_codes`` on first read."""
+        return DiagonalForm(self.tower, _classes(self.tower, self.norm_codes))
+
+    @cached_property
+    def norm_witt(self) -> WittDecomposition:
+        """The norm's Witt decomposition, read once from ``_witt``: its
+        index says whether the algebra is split, its class keys reports."""
+        return _witt(self.tower, tuple(sorted(self.norm_codes)))
 
     @cached_property
     def gamma(self) -> tuple:
@@ -115,7 +138,7 @@ class CompositionAlgebra:
         pair, by the index rule on first use; the class of each N(e_i),
         read off its term, must be the norm's entry i."""
         gamma = _index_rule_table(self.tower, self.slots)
-        codes = tuple(e.code for e in self.norm.entries)
+        codes = self.norm_codes
         diagonal = tuple(
             _class_code(self.tower, *_term_class(self.tower, e, c)) for e, c in _norm_terms(gamma)
         )
@@ -347,7 +370,7 @@ def is_split(A: CompositionAlgebra) -> bool:
     """Split means isotropic (equivalently hyperbolic) norm form."""
     if A.dim not in (2, 4, 8):
         raise UnsupportedDim(f"splitness is defined for dimensions 2, 4, 8; got {A.dim}")
-    return is_isotropic(A.norm)
+    return A.norm_witt.witt_index > 0
 
 
 def composition_defect(x: AlgebraElement, y: AlgebraElement) -> LaurentPoly:

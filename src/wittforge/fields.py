@@ -23,7 +23,8 @@ order key (mask, |base|, base < 0) over Q.  Codes hash as plain ints or
 tuples, ``class_of_code`` turns one back into its class, and the group
 law is ``_code_mul`` on codes (XOR of class numbers; over Q, XOR of masks
 and signs with base |b1*b2| / gcd^2), which ``sq_mul`` reads as a class.
-A class builds its string on its first ``str`` and keeps it.
+A class builds its string on its first ``str`` and its hash on its first
+``hash``, and keeps both.
 
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
@@ -370,6 +371,19 @@ class SquareClass:
     @property
     def is_one(self) -> bool:
         return self.base == 1 and not self.mask
+
+    def __hash__(self) -> int:
+        """The hash of (tower, base, mask), the fields ``__eq__`` compares,
+        computed on the first call and kept in the instance dict as
+        ``_text`` is: memo keys hash a class on every lookup."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.tower, self.base, self.mask))
+        return h
+
+    def __reduce__(self):
+        # rebuilt on unpickling: string hashes differ between processes
+        return SquareClass, (self.tower, self.base, self.mask)
 
     def __lt__(self, other: "SquareClass") -> bool:
         return self.code < other.code

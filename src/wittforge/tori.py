@@ -27,18 +27,22 @@ An obstruction report's parts are computed once per the inputs they depend
 on: the lambda rows (checked as they are built), the trace gram and t3 per
 tower; and the report body, verdict and evidence rows, each read against
 the step (d) target, per (tower, d, Witt class of the norm), so algebras
-with isometric norms share it.  A repeated report pays for its
-preconditions, one Witt decomposition of the norm (its index is the
-division check, its class the body's key), one lookup and one write of
-the report's instance dict.  An evidence row is a function of its (b, c)
-pair and its state (no match, a match, a contradiction), so the rows are
-shared per tower, each built the first time a table reads it.  No
-candidate is built as a form: the class of its Jacobson norm <<b,c,d>> is
-read off codes (``qform.pfister_classes``), the entry codes of <<b,c>>
-written down once per tower and sorted, so that each distinct form is
-extended by d once.  The report, the type verdicts and the memoized
-helpers call ``sq_mul``, ``witt_class``, ``witt_decompose``,
-``pfister_classes`` and ``EvidenceRow`` through module globals.
+with isometric norms share it.  The preconditions that depend on the
+algebra alone are checked once per algebra, on its one Witt
+decomposition of the norm (``norm_witt``: its index is the division
+check, its class the body's key), and the class is kept on the algebra
+once they pass; a failure keeps nothing and raises again.  A repeated
+report pays for the checks on d, one lookup and one write of the
+report's instance dict, and builds no form.  An evidence row is a
+function of its (b, c) pair and its state (no match, a match, a
+contradiction), so the rows are shared per tower, each built the first
+time a table reads it.  No candidate is built as a form: the class of
+its Jacobson norm <<b,c,d>> is read off codes (``qform.pfister_classes``),
+the entry codes of <<b,c>> written down once per tower and sorted, so
+that each distinct form is extended by d once.  The report and the memoized helpers call
+``sq_mul``, ``pfister_classes`` and ``EvidenceRow`` through module
+globals; the report and the type verdicts read the norm's class off the
+algebra.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -84,8 +88,6 @@ from .qform import (
     pfister_classes,
     quadratic_splitting_classes,
     splits_over_quadratic,
-    witt_class,
-    witt_decompose,
 )
 
 
@@ -337,15 +339,37 @@ def cubic_obstruction_report(
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic: by Witt cancellation, the norm's class is the target's.
-    The preconditions run on every call, the norm's Witt decomposition
-    read once for the division check and the norm class; the rest of the
-    report, its verdict and its rows, comes from one memo keyed on (tower,
-    d, norm class), whose verdict ``_cubic_verdict`` decides, told whether
-    a row matches the norm.  A contradiction raises InternalInconsistency,
-    and a raise is never memoized.  The report is written in one step, its
-    instance dict set to every field in order: the dataclass has no
-    ``__post_init__``, so this is what its constructor stores.
+    The preconditions of the algebra alone and its norm class are
+    answered once per algebra (``_obstruction_class``), those of d on
+    every call; the rest of the report, its verdict and its rows, comes
+    from one memo keyed on (tower, d, norm class), whose verdict
+    ``_cubic_verdict`` decides, told whether a row matches the norm.  A
+    contradiction raises InternalInconsistency, and a raise is never
+    memoized.  The report is written in one step, its instance dict set
+    to every field in order: the dataclass has no ``__post_init__``, so
+    this is what its constructor stores.
     """
+    norm_class = C.__dict__.get("_obstruction_class")
+    if norm_class is None:
+        norm_class = _obstruction_class(C)
+    tower = C.tower
+    if d.tower is not tower and d.tower != tower:
+        raise FieldMismatch(f"{d.tower} vs {tower}")
+    if d.is_one:
+        raise PreconditionFailed("d must be a nonsquare")
+
+    body = _report_body(tower, d, norm_class)
+    report = object.__new__(CubicObstructionReport)
+    object.__setattr__(report, "__dict__", {"tower": tower, "slots": C.slots, "d": d, **body})
+    return report
+
+
+def _obstruction_class(C: CompositionAlgebra) -> tuple:
+    """The preconditions of the obstruction that depend on the algebra
+    alone, and its norm's Witt class, the report body's key: checked on
+    the algebra's one Witt decomposition and kept in its instance dict as
+    ``_obstruction_class`` once they pass.  A failure keeps nothing, so it
+    raises again on every call."""
     tower = C.tower
     if C.dim != 8:
         raise PreconditionFailed("the obstruction applies to octonion algebras")
@@ -355,18 +379,11 @@ def cubic_obstruction_report(
         raise PreconditionFailed("the ramified cubic needs a Laurent uniformizer")
     if not tower.has_zeta3():
         raise PreconditionFailed("the cubic is Galois only with zeta_3 in the base")
-    norm = witt_decompose(C.norm)
+    norm = C.norm_witt
     if norm.witt_index:
         raise PreconditionFailed("the obstruction applies to division algebras")
-    if d.tower != tower:
-        raise FieldMismatch(f"{d.tower} vs {tower}")
-    if d.is_one:
-        raise PreconditionFailed("d must be a nonsquare")
-
-    body = _report_body(tower, d, norm.witt_class)
-    report = object.__new__(CubicObstructionReport)
-    object.__setattr__(report, "__dict__", {"tower": tower, "slots": C.slots, "d": d, **body})
-    return report
+    C.__dict__["_obstruction_class"] = norm.witt_class
+    return norm.witt_class
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -527,7 +544,7 @@ def _type_verdict(
             return TypeVerdict(
                 tau, "inadmissible", "quadratic part must be a field for a division algebra"
             )
-        verdict = _cubic_verdict(C.tower, tau.quad, witt_class(C.norm), tau.quad in split)
+        verdict = _cubic_verdict(C.tower, tau.quad, C.norm_witt.witt_class, tau.quad in split)
         return TypeVerdict(
             tau, verdict, "cubic obstruction: no hermitian candidate survives"
         )

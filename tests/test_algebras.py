@@ -349,8 +349,21 @@ class TestSplitDetection:
 
 
 class TestTableOnFirstUse:
-    """The constructor checks the slots and builds the norm; the table is
-    built, and checked against the norm, on its first read."""
+    """The constructor checks the slots and keeps the codes of the norm;
+    the norm form and the table are built on their first read, the table
+    checked against those codes."""
+
+    def test_a_product_builds_no_norm_form(self):
+        # the table is checked on the kept codes, so neither the table nor
+        # a product reads the norm form; a later read builds it
+        u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
+        for slots in ((u, s), (u, s, t), (one_class(F13ST), s, t)):
+            A = algebra_from_slots(F13ST, slots)
+            assert A.norm_codes == tuple(e.code for e in pfister(F13ST, slots).entries)
+            assert not (A.basis(1) * A.basis(2)).is_zero
+            A.norm_coeffs
+            assert "norm" not in vars(A)
+            assert A.norm == pfister(F13ST, slots)
 
     def test_a_bad_table_raises_from_every_reader(self, monkeypatch, capsys):
         u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
@@ -396,6 +409,8 @@ class TestTableOnFirstUse:
             division.append(A)
         assert len(division) == 168
         assert not any("gamma" in vars(A) for A in division)
+        assert not any("norm" in vars(A) for A in division)
+        assert all(A.norm == pfister(F13ST, A.slots) for A in division)
 
 
 # -- the product against the doubling formula on halves ------------------------------

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -505,6 +506,42 @@ class TestTowerBasics:
 
         dumped = run("1", "sys.stdout.buffer.write(pickle.dumps(t))").stdout
         loaded = run("2", "print({t: 'found'}[pickle.loads(sys.stdin.buffer.read())])", dumped)
+        assert (loaded.returncode, loaded.stdout) == (0, b"found\n")
+
+    def test_class_hash_agrees_with_equality(self):
+        # classes over equal but distinct towers are equal, so their hashes
+        # agree; the hash is kept on the first call and read back after
+        twin = FieldTower.prime(13, "s", "t")
+        assert twin is not F13ST
+        classes = enumerate_square_classes(F13ST) + enumerate_square_classes(twin)
+        classes += [SquareClass(twin, 2, 3), var_class(RTS, "t"), one_class(Q)]
+        for x in classes:
+            assert hash(x) == hash(x) == vars(x)["_hash"]
+        for a, b in itertools.product(classes, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b)
+        assert len(set(classes)) == 8 + 1 + 1
+        assert {SquareClass(twin, 2, 3): 1}[class_of_code(F13ST, 7)] == 1
+        for x in classes:
+            assert pickle.loads(pickle.dumps(x)) == x
+
+    def test_pickled_class_rehashes_in_another_process(self):
+        # the kept hash, like the tower's, must not travel
+        src = Path(wittforge.__file__).resolve().parents[1]
+        head = (
+            "from wittforge.fields import FieldTower as T, var_class; import pickle, sys; "
+            "x = var_class(T.prime(13, 's', 't'), 't'); "
+        )
+
+        def run(seed, code, stdin=None):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", head + code],
+                input=stdin, capture_output=True, env=env, timeout=60,
+            )
+
+        dumped = run("1", "hash(x); sys.stdout.buffer.write(pickle.dumps(x))").stdout
+        loaded = run("2", "print({x: 'found'}[pickle.loads(sys.stdin.buffer.read())])", dumped)
         assert (loaded.returncode, loaded.stdout) == (0, b"found\n")
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittforge import qform, tori
+from wittforge import algebras, qform, tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     FieldMismatch,
@@ -92,13 +92,13 @@ def pure_part(tower, slots):
 
 
 def _inject_one_class(monkeypatch):
-    """Give every form and every Jacobson norm the Witt class (): the one
-    decomposition the obstruction report reads (anisotropic, so the
-    division check passes), ``witt_class`` for ``type_report`` and the
-    candidate classes."""
+    """Give every algebra norm and every Jacobson norm the Witt class ():
+    the one decomposition an algebra reads of its norm (anisotropic, so
+    the division check passes), which the report and ``type_report`` both
+    read, and the candidate classes.  The algebra must not have read its
+    decomposition before, as it keeps the first one it reads."""
     anisotropic = qform.WittDecomposition(0, 8, witt_class=())
-    monkeypatch.setattr(tori, "witt_decompose", lambda f: anisotropic)
-    monkeypatch.setattr(tori, "witt_class", lambda f: ())
+    monkeypatch.setattr(algebras, "_witt", lambda tower, key: anisotropic)
     monkeypatch.setattr(
         tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
     )
@@ -525,6 +525,42 @@ class TestCubicObstruction:
         C = division_octonion()
         with pytest.raises(PreconditionFailed):
             cubic_obstruction_report(C, one_class(F13ST))
+
+    def test_the_reports_build_no_norm_form(self):
+        # is_split and the seven reports read the algebra's one Witt
+        # decomposition; the norm form is built only when it is read
+        C = division_octonion()
+        assert not is_split(C)
+        for d in enumerate_square_classes(F13ST)[1:]:
+            assert cubic_obstruction_report(C, d).verdict == "inadmissible"
+        assert "norm" not in vars(C)
+        assert vars(C)["_obstruction_class"] == witt_class(pfister(F13ST, C.slots))
+        assert C.norm == pfister(F13ST, C.slots)
+
+    def test_a_failed_precondition_raises_on_every_call(self):
+        # a failed check of the algebra keeps nothing on it; once the checks
+        # of the algebra pass, those of d still run on every call
+        s, t = var_class(F13ST, "s"), var_class(F13ST, "t")
+        F5ST = FieldTower.prime(5, "s", "t")  # no zeta_3 in F5
+        failing = [
+            (algebra_from_slots(F13ST, (one_class(F13ST), s, t)), "division"),
+            (quaternion(F13ST, nonresidue_class(F13ST), t), "octonion"),
+            (algebra_from_slots(F5ST, enumerate_square_classes(F5ST)[1:4]), "zeta_3"),
+        ]
+        for C, reason in failing:
+            is_split(C)
+            kept = dict(vars(C))
+            for d in enumerate_square_classes(C.tower)[1:] * 2:
+                with pytest.raises(PreconditionFailed, match=reason):
+                    cubic_obstruction_report(C, d)
+            assert vars(C) == kept
+        C = division_octonion()
+        cubic_obstruction_report(C, s)
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed, match="nonsquare"):
+                cubic_obstruction_report(C, one_class(F13ST))
+            with pytest.raises(FieldMismatch):
+                cubic_obstruction_report(C, var_class(F7ST, "s"))
 
     def test_json_roundtrip(self):
         C = division_octonion()
