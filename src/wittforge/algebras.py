@@ -30,17 +30,20 @@ on.
 
 Construction checks the slots (at most four, each a square class over
 the tower) and the one-term monomial of each (``_slot_term``), and keeps
-the entry codes of the Pfister norm, ``norm_codes``, folded once from
-the slot codes (``qform._pfister_fold``, memoized per tuple of them).
-It builds no form: the norm form ``norm``, as ``qform.pfister`` builds
-it, is built from those codes on its first read, and the norm's Witt
-decomposition, ``norm_witt``, is read once from ``qform._witt`` and kept.
-Questions of the norm alone (splitting, torus types, the cubic
-obstruction) read that one decomposition and stop there.  The table is
-built on its first read (``gamma``), and checked on codes, once per
-algebra, before any reader gets it: the class code of each
-N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
-(``laurent._term_class``: the exponent parities and the base class of
+the norm's mod-2 symbol, ``symbol`` = (a_1)...(a_n), read off the slot
+codes (``qform._symbol``; None over Q, Q((t)) and towers of more than
+``qform.SYMBOL_VARS`` variables).  It builds and folds no form.  An
+algebra of dimension 2, 4 or 8 is split iff its norm is hyperbolic, that
+is iff the symbol is 0; without a symbol ``is_split`` reads the norm's
+Witt decomposition, ``norm_witt``, read once from ``qform._witt`` and
+kept.  The entry codes of the norm, ``norm_codes``, are folded from the
+slot codes on their first read (``qform._pfister_fold``), and the norm
+form ``norm``, as ``qform.pfister`` builds it, from those.  Questions of
+the norm alone (splitting, the cubic obstruction) read the symbol and
+stop there.  The table is built on its first read (``gamma``), and
+checked on codes, once per algebra, before any reader gets it: the
+class code of each N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its
+term (``laurent._term_class``: the exponent parities and the base class of
 the coefficient) and must equal the norm's entry code i.  A table that
 fails raises on every read.  The diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
@@ -93,16 +96,18 @@ from .qform import (
     WittDecomposition,
     _classes,
     _pfister_fold,
+    _symbol,
     _witt,
     isotropic_vector,
 )
 
 
 class CompositionAlgebra:
-    """The algebra on ``slots``: the entry codes of its Pfister norm, kept
-    at construction; the norm form and its Witt decomposition, each built
-    on first read; and its structure-constant table by the index rule,
-    built and checked against the norm's codes on first use."""
+    """The algebra on ``slots``: the symbol of its Pfister norm, kept at
+    construction where the tower has symbols (else None); the norm's entry
+    codes, the norm form and its Witt decomposition, each built on first
+    read; and its structure-constant table by the index rule, built and
+    checked against the norm's codes on first use."""
 
     def __init__(self, tower, slots):
         slots = tuple(slots)
@@ -119,7 +124,13 @@ class CompositionAlgebra:
         self.tower = tower
         self.slots = slots
         self.dim = 1 << len(slots)
-        self.norm_codes = _pfister_fold(tower, codes)
+        self.symbol = _symbol(tower, codes)  # None where the tower has no symbols
+
+    @cached_property
+    def norm_codes(self) -> tuple:
+        """The entry codes of the Pfister norm, folded from the slot codes
+        on first read (``qform._pfister_fold``)."""
+        return _pfister_fold(self.tower, tuple(c.code for c in self.slots))
 
     @cached_property
     def norm(self) -> DiagonalForm:
@@ -128,8 +139,8 @@ class CompositionAlgebra:
 
     @cached_property
     def norm_witt(self) -> WittDecomposition:
-        """The norm's Witt decomposition, read once from ``_witt``: its
-        index says whether the algebra is split, its class keys reports."""
+        """The norm's Witt decomposition, read once from ``_witt``: whether
+        the algebra is split, on towers without symbols."""
         return _witt(self.tower, tuple(sorted(self.norm_codes)))
 
     @cached_property
@@ -367,9 +378,12 @@ def algebra_from_slots(
 
 
 def is_split(A: CompositionAlgebra) -> bool:
-    """Split means isotropic (equivalently hyperbolic) norm form."""
+    """Split means isotropic (equivalently hyperbolic) norm form: a zero
+    symbol where the tower has symbols, a positive Witt index elsewhere."""
     if A.dim not in (2, 4, 8):
         raise UnsupportedDim(f"splitness is defined for dimensions 2, 4, 8; got {A.dim}")
+    if A.symbol is not None:
+        return A.symbol == 0
     return A.norm_witt.witt_index > 0
 
 

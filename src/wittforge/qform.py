@@ -42,6 +42,23 @@ building a form, ``quadratic_splitting_classes`` gives its answers for
 every nonsquare delta from one fold and one isotropy lookup, the two
 sharing the one rule ``_pure_represents``, and ``pfister_slot_witness``
 finds its presentation one slot at a time.
+
+Over F_q and R towers a Pfister form also has its mod-2 symbol.  The
+mod-2 Milnor K-ring of K = k((t_1))...((t_n)) is k_*(k)[xi_1,...,xi_n]
+with xi_i = (t_i) and xi_i^2 = (-1) xi_i (Milnor, Invent. Math. 9,
+1970; Lam, Ch. VI), where k_1(k) is spanned by (base), the class (u)
+over F_q and (-1) over R, and k_2(F_q) = 0.  A class's vector in k_1 is
+its code: base bit 0 stands for (base), bit i+1 for xi_i, and (-1) is
+(base) times the code of -1.  An element of k_r is an int bit set over
+the variable subsets S, bit S standing for the monomial
+(base)^(r-|S|) xi_S (over F_q only |S| = r - 1 and r survive), and a
+product by a class is a few shifts and masks per code bit
+(``_times_codes``, reading the tower's ``_symbol_table``, built on first
+use).  The symbol of <<a_1,...,a_n>> is e_n = (a_1)...(a_n); two n-fold
+Pfister forms are isometric iff their symbols are equal, and one is
+hyperbolic iff its symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math.
+165, 2007).  Symbols are kept on towers of at most ``SYMBOL_VARS``
+variables (a bit set has 2^n bits); Q, Q((t)) and wider towers have none.
 """
 from __future__ import annotations
 
@@ -147,6 +164,123 @@ def _fold(codes: list, negs: list) -> list:
 def pfister(tower: FieldTower, slots: Sequence[SquareClass]) -> DiagonalForm:
     """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>."""
     return DiagonalForm(tower, _classes(tower, _pfister_codes(tower, slots)))
+
+
+# -- mod-2 symbols -----------------------------------------------------------------
+
+# Symbols are kept on enumerable towers of at most this many variables: an
+# element of k_r is a bit set over the 2^n variable subsets.
+SYMBOL_VARS = 16
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _symbol_table(tower: FieldTower) -> Optional[tuple]:
+    """What a product in k_* of the tower reads, built on first use, or
+    None when the tower has no symbols (a Q base, or more than
+    ``SYMBOL_VARS`` variables): (inside, keeps, minus_one).
+    ``inside[i]`` is the bit set of the subsets S holding variable i;
+    ``keeps[r]`` those monomials of k_r that (base) and the twist (-1)
+    carry into k_(r+1) (the ones of |S| = r over F_q, where
+    k_2(F_q) = 0; all of them over R, whose one entry serves every r);
+    ``minus_one`` the code of -1, so (-1) = minus_one * (base)."""
+    n = len(tower.laurent_vars)
+    if not tower.is_enumerable or n > SYMBOL_VARS:
+        return None
+    every = (1 << (1 << n)) - 1
+    # the subsets without variable i are 2^i of every 2^(i+1) in a row;
+    # shifted by 2^i, they are those with it
+    inside = tuple(
+        every // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) << (1 << i) for i in range(n)
+    )
+    by_size = [1]  # the subsets of size r of the first m variables, m = 0
+    for m in range(n):
+        by_size = [a | b << (1 << m) for a, b in zip(by_size + [0], [0] + by_size)]
+    keeps = (-1,) if tower.kind == "R" else (*by_size, 0)
+    return inside, keeps, minus_one_class(tower).code
+
+
+def _times_codes(table: tuple, codes, y: int, r: int) -> int:
+    """(x_1)...(x_m) * y in k_(r+m), for the classes x_j of ``codes`` and y
+    in k_r, with ``table`` the tower's ``_symbol_table``: one class at a
+    time, (x) being (base) for the base bit of its code and xi_i for each
+    variable bit.  (base) raises the power of (base) of each monomial;
+    xi_i moves a monomial xi_S with i outside S to xi_(S+i), one shift of
+    the bit set, and one with i in S to (-1) xi_S, since xi_i^2 = (-1) xi_i."""
+    inside, keeps, minus_one = table
+    last = len(keeps) - 1
+    for code in codes:
+        keep = keeps[r] if r < last else keeps[last]
+        out = y & keep if code & 1 else 0
+        twist = keep if minus_one else 0
+        mask, i = code >> 1, 0
+        while mask:
+            if mask & 1:
+                part = y & inside[i]
+                out ^= ((y ^ part) << (1 << i)) ^ (part & twist)
+            mask >>= 1
+            i += 1
+        y, r = out, r + 1
+    return y
+
+
+def _symbol(tower: FieldTower, codes) -> Optional[int]:
+    """e_n(<<a_1,...,a_n>>) = (a_1)...(a_n) in k_n from the slot codes, or
+    None when the tower has no symbols."""
+    table = _symbol_table(tower)
+    if table is None:
+        return None
+    return _times_codes(table, codes, 1, 0)  # from 1 in k_0, the monomial S = {}
+
+
+def _symbol_times(tower: FieldTower, code: int, y: int, r: int) -> int:
+    """(x) * y in k_(r+1) for the class x of ``code`` and y in k_r."""
+    return _times_codes(_symbol_table(tower), (code,), y, r)
+
+
+def _solve(vectors: list, target: int) -> Optional[int]:
+    """A bit set k with the XOR of the vectors[i] for the bits i of k equal
+    to ``target``, or None when the vectors do not span it: Gaussian
+    elimination over F_2, each pivot keeping the vectors it sums."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(vectors):
+        combo = 1 << i
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v, combo
+                break
+            pv, pc = pivots[top]
+            v, combo = v ^ pv, combo ^ pc
+    combo = 0
+    while target:
+        top = target.bit_length() - 1
+        if top not in pivots:
+            return None
+        pv, pc = pivots[top]
+        target, combo = target ^ pv, combo ^ pc
+    return combo
+
+
+def _symbol_factor(tower: FieldTower, d_code: int, symbol: int) -> Optional[tuple[int, int]]:
+    """Codes (b, c) with (d)(b)(c) = ``symbol`` in k_3, b the least code
+    that has a c, or None when ``symbol`` is not in (d) k_2, which the
+    (d)(g)(h) span for g, h the codes of one generator each.  For each b,
+    c -> (d)(b)(c) is linear in the code of c, so c is one elimination.
+    An anisotropic 3-fold Pfister form that tower(sqrt(d)) splits is
+    <<d,b,c>> for some b and c (Lam, Ch. X), so a Pfister symbol in
+    (d) k_2 always has its pair; InternalInconsistency if none is found."""
+    table = _symbol_table(tower)
+    gens = [1 << k for k in range(len(tower.laurent_vars) + 1)]
+    e_d = _times_codes(table, (d_code,), 1, 0)
+    span = [_times_codes(table, (g, h), e_d, 1) for i, g in enumerate(gens) for h in gens[i:]]
+    if _solve(span, symbol) is None:
+        return None
+    for b in range(2 << len(tower.laurent_vars)):
+        e_db = _times_codes(table, (b,), e_d, 1)
+        c = _solve([_times_codes(table, (g,), e_db, 2) for g in gens], symbol)
+        if c is not None:
+            return b, c
+    raise InternalInconsistency(f"symbol {symbol:#x} is in (d) k_2 but is no (d)(b)(c)")
 
 
 def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> list:

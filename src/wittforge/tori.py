@@ -10,39 +10,48 @@ a primitive cube root of unity.
 Admissibility of the first two cubic kinds reduces to splitting the
 algebra over at most two quadratic extensions.  A type report computes
 the algebra's splitting set once, the classes whose quadratic etale
-algebra splits it (its splitting profile, plus 1 when it is split), and
-reads every such verdict's two classes off it; ``admits_type`` tests
-just its type's two classes, so it needs no finite class group.  The
-cubic-field kind is ruled out for division algebras by a trace-form
-comparison: every hermitian-shape candidate (b, c) compatible with the
-norm form would force the norm to be hyperbolic.  The Jacobson norm
-<<d>> x <<b,c>> is <<d>> + <<d>> x pure(<<b,c>>), so by Witt
-cancellation step (d), <<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds exactly
-when its Witt class equals that of <<d>> x (<1> + t3), the target.  An
-anisotropic Pfister form is <<d>> x psi iff it splits over k(sqrt(d))
-(Lam, Ch. X), so a candidate exists iff d is in the splitting set: one
-rule, ``_cubic_verdict``, gives both reports their verdict from that.
+algebra splits it (its splitting profile, plus 1 when it is split), as
+one flag per class code, and reads every such verdict's two classes off
+it: over an enumerable tower codes multiply by XOR, so [F''] is one XOR
+and each test one list index.  ``admits_type`` tests just its type's two
+classes, so it needs no finite class group.  The cubic-field kind is
+ruled out for division algebras by a trace-form comparison: every
+hermitian-shape candidate (b, c) compatible with the norm form would
+force the norm to be hyperbolic.  The Jacobson norm <<d>> x <<b,c>> is
+<<d>> + <<d>> x pure(<<b,c>>), so by Witt cancellation step (d),
+<<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds exactly when its Witt class
+equals that of <<d>> x (<1> + t3), the target.
 
-An obstruction report's parts are computed once per the inputs they depend
-on: the lambda rows (checked as they are built), the trace gram and t3 per
-tower; and the report body, verdict and evidence rows, each read against
-the step (d) target, per (tower, d, Witt class of the norm), so algebras
-with isometric norms share it.  The preconditions that depend on the
-algebra alone are checked once per algebra, on its one Witt
-decomposition of the norm (``norm_witt``: its index is the division
-check, its class the body's key), and the class is kept on the algebra
-once they pass; a failure keeps nothing and raises again.  A repeated
-report pays for the checks on d, one lookup and one write of the
-report's instance dict, and builds no form.  An evidence row is a
-function of its (b, c) pair and its state (no match, a match, a
-contradiction), so the rows are shared per tower, each built the first
-time a table reads it.  No candidate is built as a form: the class of
-its Jacobson norm <<b,c,d>> is read off codes (``qform.pfister_classes``),
-the entry codes of <<b,c>> written down once per tower and sorted, so
-that each distinct form is extended by d once.  The report and the memoized helpers call
-``sq_mul``, ``pfister_classes`` and ``EvidenceRow`` through module
-globals; the report and the type verdicts read the norm's class off the
-algebra.
+The candidates are compared by their mod-2 symbols (see ``qform``).  A
+3-fold Pfister form is determined by its symbol e_3 in k_3: two are
+isometric iff their symbols are equal, and one is hyperbolic iff its
+symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math. 165, 2007).  So a
+candidate matches the norm exactly when (d)(b)(c) is the norm's symbol,
+which an algebra keeps from its construction.  The (b, c) pairs are
+grouped once per tower by (b)(c) in k_2 (``_pair_groups``), and a group
+matches when one product (d)(b)(c) does.  An anisotropic Pfister form is
+<<d>> x psi iff it splits over k(sqrt(d)) (Lam, Ch. X), so a candidate
+exists iff the symbol lies in (d) k_2, where ``qform._symbol_factor``
+finds one by elimination without a scan of the pairs.  Step (d) reads
+the norm's Witt class off that candidate, isometric to the norm, and
+compares it with the target, memoized per (tower, d) (``_step_d``).
+One rule, ``_cubic_verdict``, keyed on (tower, d, symbol), gives both
+reports their pure-cubic verdict from that.
+
+An obstruction report's parts are computed once per the inputs they
+depend on: the lambda rows (checked as they are built), the trace gram
+and t3 per tower; and the report body, verdict and evidence rows, per
+(tower, code of d, symbol of the norm), so algebras with isometric norms
+share it.  The preconditions that depend on the algebra alone are
+checked once per algebra, the division check on its symbol, and the
+symbol is kept on the algebra once they pass; a failure keeps nothing
+and raises again.  A repeated report pays for the checks on d, one memo
+lookup on (tower, int, int) and a copy of the memoized fields into the
+report's instance dict, and builds and folds no form.  An evidence row
+is a function of its (b, c) pair and its state (no match, a match, a
+contradiction), so the rows of each group in each state are built once
+per tower.  The report and the memoized helpers call ``sq_mul``,
+``pfister_classes`` and ``EvidenceRow`` through module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -54,6 +63,7 @@ per declared type, is built once.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
@@ -75,15 +85,19 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
+    class_of_code,
     enumerate_square_classes,
     lift_class,
-    minus_one_class,
     one_class,
     sq_mul,
     var_class,
 )
 from .laurent import LaurentPoly
 from .qform import (
+    SYMBOL_VARS,
+    _symbol,
+    _symbol_factor,
+    _symbol_times,
     diagonalize,
     pfister_classes,
     quadratic_splitting_classes,
@@ -320,12 +334,16 @@ class CubicObstructionReport(_Report):
     evidence: tuple[EvidenceRow, ...]
 
 
-def _cubic_verdict(tower, d, norm_class, d_splits) -> str:
-    """"inadmissible", unless sqrt(d) splits the division algebra (``d_splits``)
-    and its norm class is the step (d) target, which contradicts the theorem."""
+def _cubic_verdict(tower: FieldTower, d_code: int, symbol: int) -> str:
+    """"inadmissible", unless sqrt(d) splits the division algebra whose
+    norm has the symbol ``symbol`` and the norm's Witt class is the step
+    (d) target, which contradicts the theorem (``_step_d``).  Both
+    reports read their pure-cubic verdict here."""
     _tower_rows(tower)  # checks the lambda rows, once per tower
-    if d_splits and norm_class == _step_d_target(tower, d):
-        raise InternalInconsistency(f"cubic obstruction contradicted at d = {d}")
+    if _step_d(tower, d_code, symbol):
+        raise InternalInconsistency(
+            f"cubic obstruction contradicted at d = {class_of_code(tower, d_code)}"
+        )
     return "inadmissible"
 
 
@@ -339,37 +357,40 @@ def cubic_obstruction_report(
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
     hyperbolic: by Witt cancellation, the norm's class is the target's.
-    The preconditions of the algebra alone and its norm class are
-    answered once per algebra (``_obstruction_class``), those of d on
-    every call; the rest of the report, its verdict and its rows, comes
-    from one memo keyed on (tower, d, norm class), whose verdict
-    ``_cubic_verdict`` decides, told whether a row matches the norm.  A
-    contradiction raises InternalInconsistency, and a raise is never
-    memoized.  The report is written in one step, its instance dict set
-    to every field in order: the dataclass has no ``__post_init__``, so
-    this is what its constructor stores.
+    The preconditions of the algebra alone are answered once per algebra
+    (``_obstruction_symbol``), those of d on every call; the rest of the
+    report, its verdict and its rows, comes from one memo keyed on the
+    ints (d's code, the norm's symbol), whose verdict ``_cubic_verdict``
+    decides.  A contradiction raises InternalInconsistency, and a raise
+    is never memoized.  The report's instance dict is filled from the
+    memoized fields, in order, and then given the algebra's tower and
+    slots and d: the dataclass has no ``__post_init__``, so this is what
+    its constructor stores.
     """
-    norm_class = C.__dict__.get("_obstruction_class")
-    if norm_class is None:
-        norm_class = _obstruction_class(C)
+    symbol = C.__dict__.get("_obstruction_symbol")
+    if symbol is None:
+        symbol = _obstruction_symbol(C)
     tower = C.tower
     if d.tower is not tower and d.tower != tower:
         raise FieldMismatch(f"{d.tower} vs {tower}")
-    if d.is_one:
+    if not d.code:  # the class 1: the tower is enumerable
         raise PreconditionFailed("d must be a nonsquare")
 
-    body = _report_body(tower, d, norm_class)
     report = object.__new__(CubicObstructionReport)
-    object.__setattr__(report, "__dict__", {"tower": tower, "slots": C.slots, "d": d, **body})
+    fields_ = report.__dict__
+    fields_.update(_report_body(tower, d.code, symbol))
+    fields_["tower"] = tower
+    fields_["slots"] = C.slots
+    fields_["d"] = d
     return report
 
 
-def _obstruction_class(C: CompositionAlgebra) -> tuple:
+def _obstruction_symbol(C: CompositionAlgebra) -> int:
     """The preconditions of the obstruction that depend on the algebra
-    alone, and its norm's Witt class, the report body's key: checked on
-    the algebra's one Witt decomposition and kept in its instance dict as
-    ``_obstruction_class`` once they pass.  A failure keeps nothing, so it
-    raises again on every call."""
+    alone, and its norm's symbol, the report body's key: checked once and
+    kept in the algebra's instance dict as ``_obstruction_symbol`` once
+    they pass.  A failure keeps nothing, so it raises again on every
+    call."""
     tower = C.tower
     if C.dim != 8:
         raise PreconditionFailed("the obstruction applies to octonion algebras")
@@ -379,23 +400,29 @@ def _obstruction_class(C: CompositionAlgebra) -> tuple:
         raise PreconditionFailed("the ramified cubic needs a Laurent uniformizer")
     if not tower.has_zeta3():
         raise PreconditionFailed("the cubic is Galois only with zeta_3 in the base")
-    norm = C.norm_witt
-    if norm.witt_index:
+    symbol = C.symbol
+    if symbol is None:
+        raise PreconditionFailed(
+            f"the obstruction sweep needs at most {SYMBOL_VARS} Laurent variables"
+        )
+    if not symbol:
         raise PreconditionFailed("the obstruction applies to division algebras")
-    C.__dict__["_obstruction_class"] = norm.witt_class
-    return norm.witt_class
+    C.__dict__["_obstruction_symbol"] = symbol
+    return symbol
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _report_body(tower: FieldTower, d: SquareClass, norm_class: tuple) -> dict:
-    """Every field of an obstruction report after ``d``, by name, for any
-    division algebra over ``tower`` whose norm has Witt class
-    ``norm_class``: the verdict, decided once per key by ``_cubic_verdict``,
-    and the rows.  The evidence rows are the tower's shared row objects."""
+def _report_body(tower: FieldTower, d_code: int, symbol: int) -> dict:
+    """Every field of an obstruction report, by name and in order, for any
+    division algebra over ``tower`` whose norm has the symbol ``symbol``
+    and the d of code ``d_code``, with ``tower``, ``slots`` and ``d`` left
+    for the report to fill: the verdict (``_cubic_verdict``) and the rows.
+    The evidence rows are the tower's shared row objects."""
+    verdict = _cubic_verdict(tower, d_code, symbol)
     lambda_rows, gram, trace_diagonal = _tower_rows(tower)
-    evidence = _evidence_rows(tower, d, norm_class)
-    verdict = _cubic_verdict(tower, d, norm_class, any(r.norm_matches for r in evidence))
-    return {"verdict": verdict, "lambda_rows": lambda_rows, "gram": gram,
+    evidence = _evidence_rows(tower, d_code, symbol)
+    return {"tower": None, "slots": None, "d": None, "verdict": verdict,
+            "lambda_rows": lambda_rows, "gram": gram,
             "trace_diagonal": trace_diagonal, "evidence": evidence}
 
 
@@ -436,57 +463,71 @@ def _tower_rows(tower: FieldTower) -> tuple:
 _ROW_STATES = ((False, None, False), (True, False, False), (True, True, True))
 
 
-def _evidence_rows(tower: FieldTower, d: SquareClass, norm_class: tuple) -> tuple:
-    """Steps (c) and (d) against any algebra norm of Witt class ``norm_class``:
-    a Jacobson norm <<b,c,d>>, 8-dimensional like it, matches it exactly
-    when the classes are equal, and step (d) holds on a matching row
-    exactly when the norm class is the step (d) target.  A row is a
-    function of its (b, c) pair and its state (``_ROW_STATES``), so each
-    is read from the tower's row cache (``_tower_evidence``), keyed by
-    (pair index, state), and built the first time it is read."""
-    match_state = 2 if norm_class == _step_d_target(tower, d) else 1
-    pairs = _pair_codes(tower)
-    rows = _tower_evidence(tower)
-    jnorm_classes = pfister_classes(tower, (d,), [bc for _, _, bc in pairs])
-    evidence = []
-    for i, jnorm_class in enumerate(jnorm_classes):
-        key = i, match_state if jnorm_class == norm_class else 0
-        row = rows.get(key)
-        if row is None:
-            b, c, _ = pairs[i]
-            row = rows[key] = EvidenceRow(b, c, *_ROW_STATES[key[1]])
-        evidence.append(row)
-    return tuple(evidence)
+@lru_cache(maxsize=CACHE_SIZE)
+def _pair_groups(tower: FieldTower) -> tuple:
+    """The pairs (b, c) of square classes of an enumerable tower, b outer,
+    grouped by their symbol (b)(c) in k_2, groups in the order of their
+    first pair: (symbol, ((pair index, b, c), ...)) per group.  The
+    Jacobson norm <<b,c,d>> has the symbol (d)(b)(c), so one product
+    tells whether every pair of a group matches a norm."""
+    classes = enumerate_square_classes(tower)
+    groups: dict[int, list] = {}
+    for i, (b, c) in enumerate(itertools.product(classes, repeat=2)):
+        groups.setdefault(_symbol(tower, (b.code, c.code)), []).append((i, b, c))
+    return tuple((value, tuple(pairs)) for value, pairs in groups.items())
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _tower_evidence(tower: FieldTower) -> dict:
-    """The tower's evidence rows built so far, {(pair index, state): row},
-    the index into ``_pair_codes``: at most three rows per pair."""
-    return {}
+def _step_d(tower: FieldTower, d_code: int, symbol: int) -> Optional[bool]:
+    """Step (d) against a norm of symbol ``symbol``: None when no Jacobson
+    norm <<b,c,d>> has that symbol (tower(sqrt(d)) does not split the
+    norm), else whether the Witt class of one that has it, which is the
+    norm's (two 3-fold Pfister forms are isometric iff their symbols are
+    equal), is the step (d) target.  The pair is found by elimination in
+    k_3 (``qform._symbol_factor``), with no scan of the pairs."""
+    pair = _symbol_factor(tower, d_code, symbol)
+    if pair is None:
+        return None
+    slots = [class_of_code(tower, code) for code in (*pair, d_code)]
+    norm_class = pfister_classes(tower, slots, [(one_class(tower).code,)])[0]
+    return norm_class == _step_d_target(tower, d_code)
 
 
-def _step_d_target(tower: FieldTower, d: SquareClass) -> tuple:
+def _evidence_rows(tower: FieldTower, d_code: int, symbol: int) -> tuple:
+    """The rows of steps (c) and (d) against a norm of symbol ``symbol``,
+    one per pair (b, c): a row matches when its group's Jacobson norms
+    have that symbol, one product (d)(b)(c) per group, and a matching
+    row's step (d) outcome is the one ``_step_d`` read.  A row is a
+    function of its pair and its state (``_ROW_STATES``), so the rows of
+    each group in each state are built once per tower (``_group_rows``)
+    and put in place by pair index."""
+    holds = _step_d(tower, d_code, symbol)
+    match_state = 2 if holds else 1
+    groups = _pair_groups(tower)
+    matching = [_symbol_times(tower, d_code, value, 2) == symbol for value, _ in groups]
+    if any(matching) != (holds is not None):
+        raise InternalInconsistency(
+            f"the candidates and k_3 disagree on a match at d = {class_of_code(tower, d_code)}"
+        )
+    rows = [None] * sum(len(pairs) for _, pairs in groups)
+    for g, ((_, pairs), match) in enumerate(zip(groups, matching)):
+        for (i, _, _), row in zip(pairs, _group_rows(tower, g, match_state if match else 0)):
+            rows[i] = row
+    return tuple(rows)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _group_rows(tower: FieldTower, g: int, state: int) -> tuple:
+    """The evidence rows of the pairs of group ``g`` of ``_pair_groups`` in
+    the state ``state``, built once."""
+    return tuple(EvidenceRow(b, c, *_ROW_STATES[state]) for _, b, c in _pair_groups(tower)[g][1])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _step_d_target(tower: FieldTower, d_code: int) -> tuple:
     """The Witt class of <<d>> x (<1> + t3), the step (d) target."""
     unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
-    return pfister_classes(tower, (d,), [unit_t3])[0]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _pair_codes(tower: FieldTower) -> tuple:
-    """(b, c, sorted entry codes of <<b,c>>) for every pair of square
-    classes of an enumerable tower, b outer.  <<b,c>> has the entries
-    1, -b, -c, bc, whose codes are 0, m ^ b, m ^ c and b ^ c for m the
-    code of -1; each Jacobson norm <<b,c,d>> is <<b,c>> with (-d)<<b,c>>
-    appended.  Sorted, pairs whose forms have the same entries give equal
-    tuples, which ``pfister_classes`` extends once."""
-    classes = enumerate_square_classes(tower)
-    m = minus_one_class(tower).code
-    return tuple(
-        (b, c, tuple(sorted((0, m ^ b.code, m ^ c.code, b.code ^ c.code))))
-        for b in classes
-        for c in classes
-    )
+    return pfister_classes(tower, (class_of_code(tower, d_code),), [unit_t3])[0]
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -532,11 +573,12 @@ class ComparisonReport(_Report):
 
 
 def _type_verdict(
-    C: CompositionAlgebra, split: frozenset[SquareClass], tau: TorusType
+    C: CompositionAlgebra, classes: list, split: list, tau: TorusType
 ) -> TypeVerdict:
-    """The verdict on tau for C, whose splitting set is ``split``."""
+    """The verdict on tau for C: ``split[k]`` tells whether the class
+    ``classes[k]``, of code k, is in C's splitting set."""
     if isinstance(tau.cubic, PureCubicGalois):
-        if one_class(C.tower) in split:
+        if split[0]:
             return TypeVerdict(
                 tau, "undecided", "split algebra: outside the division-algebra obstruction"
             )
@@ -544,22 +586,27 @@ def _type_verdict(
             return TypeVerdict(
                 tau, "inadmissible", "quadratic part must be a field for a division algebra"
             )
-        verdict = _cubic_verdict(C.tower, tau.quad, C.norm_witt.witt_class, tau.quad in split)
+        verdict = _cubic_verdict(C.tower, tau.quad.code, C.symbol)
         return TypeVerdict(
             tau, verdict, "cubic obstruction: no hermitian candidate survives"
         )
-    first, second = _quadratic_pair(tau)
-    ok1, ok2 = first in split, second in split
+    # the codes of F' and F'' (``_quadratic_pair``): codes multiply by XOR
+    first = tau.quad.code
+    second = first if isinstance(tau.cubic, Split3) else first ^ tau.cubic.delta.code
+    ok1, ok2 = split[first], split[second]
     verdict = "admissible" if (ok1 and ok2) else "inadmissible"
-    reason = f"split by sqrt({first}): {'yes' if ok1 else 'no'}; split by sqrt({second}): {'yes' if ok2 else 'no'}"
+    reason = f"split by sqrt({classes[first]}): {'yes' if ok1 else 'no'}; split by sqrt({classes[second]}): {'yes' if ok2 else 'no'}"
     return TypeVerdict(tau, verdict, reason)
 
 
 def type_report(C: CompositionAlgebra) -> TypeReport:
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
-    split = _splitting_set(C)
-    rows = tuple(_type_verdict(C, split, tau) for tau in torus_type_catalog(C.tower))
+    classes = enumerate_square_classes(C.tower)
+    split = [False] * len(classes)
+    for c in _splitting_set(C):
+        split[c.code] = True
+    rows = tuple(_type_verdict(C, classes, split, tau) for tau in torus_type_catalog(C.tower))
     return TypeReport(C.tower, C.slots, rows)
 
 

@@ -247,10 +247,20 @@ def _table_with_n_e1_of_class(s):
 
 class TestSplitDetection:
     def test_split_iff_norm_isotropic(self):
-        u, s = nonresidue_class(F13ST), var_class(F13ST, "s")
-        t = var_class(F13ST, "t")
-        for slots in [(u, s), (u, t), (one_class(F13ST), s), (u, u), (u, s, t)]:
-            A = algebra_from_slots(F13ST, slots)
+        # F13((s))((t)) decides on the symbol; Q((s)) and a tower of more
+        # than SYMBOL_VARS variables have none and decide on the Witt pass
+        wide = FieldTower.prime(13, *(f"x{i}" for i in range(qform.SYMBOL_VARS - 1)), "s", "t")
+        for tower in (F13ST, wide):
+            u, s = nonresidue_class(tower), var_class(tower, "s")
+            t = var_class(tower, "t")
+            for slots in [(u, s), (u, t), (one_class(tower), s), (u, u), (u, s, t)]:
+                A = algebra_from_slots(tower, slots)
+                assert (A.symbol is None) == (tower is wide)
+                assert is_split(A) == is_isotropic(A.norm)
+        QS = FieldTower.rationals("s")
+        for a, b in [(2, 3), (-1, -1), (1, 5), (-1, 7)]:
+            A = quaternion(QS, canonical_square_class(QS, a), canonical_square_class(QS, b))
+            assert A.symbol is None
             assert is_split(A) == is_isotropic(A.norm)
 
     def test_division_octonion(self):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -276,6 +279,93 @@ class TestPfisterCodes:
             pfister(F13ST, (var_class(F5T, "t"),))
         with pytest.raises(FieldMismatch):
             pfister_classes(F13ST, (var_class(F5T, "t"),), [(0,)])
+
+
+SYMBOL_TOWERS = [
+    F13ST,  # -1 a square
+    FieldTower.prime(7, "r", "s", "t"),  # -1 not a square
+    FieldTower.prime(3, "s", "t"),
+    FieldTower.reals("s", "t"),
+    FieldTower.reals("r", "s", "t"),
+    FieldTower("F", 5, ("s", "t"), 2),  # degree 2
+]
+
+
+def pfister_symbol(tower, slots):
+    """The symbol of <<slots>>, read off the slot codes."""
+    return qform._symbol(tower, tuple(a.code for a in slots))
+
+
+class TestSymbols:
+    """The symbol e_n(<<slots>>) in k_n against the Witt pass on the folded
+    form: a Pfister form is hyperbolic iff its symbol is 0, and two of one
+    fold are isometric iff their symbols are equal (Orlov-Vishik-Voevodsky,
+    Ann. of Math. 165, 2007)."""
+
+    @pytest.mark.parametrize("tower", SYMBOL_TOWERS, ids=str)
+    def test_symbols_decide_isotropy_and_isometry(self, tower):
+        classes = enumerate_square_classes(tower)
+        for n in (1, 2, 3):
+            symbol_classes, class_symbols = {}, {}
+            for slots in itertools.product(classes, repeat=n):
+                codes = tuple(a.code for a in slots)
+                w = qform._witt(tower, tuple(sorted(qform._pfister_fold(tower, codes))))
+                symbol = pfister_symbol(tower, slots)
+                assert (symbol == 0) == (w.witt_index > 0), (tower, slots)
+                symbol_classes.setdefault(symbol, set()).add(w.witt_class)
+                class_symbols.setdefault(w.witt_class, set()).add(symbol)
+            assert all(len(v) == 1 for v in symbol_classes.values()), (tower, n)
+            assert all(len(v) == 1 for v in class_symbols.values()), (tower, n)
+
+    @pytest.mark.parametrize("tower", [t for t in SYMBOL_TOWERS if len(t.laurent_vars) == 2], ids=str)
+    def test_products_are_symmetric_and_multilinear(self, tower):
+        # (x) * e_n(slots) is e_(n+1) of the slots and x, in any order of
+        # the slots, and (xy) * e = (x) * e + (y) * e
+        classes = enumerate_square_classes(tower)
+        for slots in itertools.product(classes, repeat=2):
+            codes = tuple(a.code for a in slots)
+            e2 = qform._symbol(tower, codes)
+            assert e2 == qform._symbol(tower, codes[::-1])
+            for x, y in itertools.product(classes, repeat=2):
+                xe2 = qform._symbol_times(tower, x.code, e2, 2)
+                assert xe2 == qform._symbol(tower, (*codes, x.code))
+                assert xe2 == qform._symbol(tower, (x.code, *codes))
+                assert qform._symbol_times(tower, x.code ^ y.code, e2, 2) == (
+                    xe2 ^ qform._symbol_times(tower, y.code, e2, 2)
+                )
+
+    @pytest.mark.parametrize("tower", SYMBOL_TOWERS[1::3], ids=str)
+    def test_factor_exists_iff_the_extension_splits(self, tower):
+        # (d)(b)(c) = e_3 has a solution exactly when tower(sqrt(d)) splits
+        # an anisotropic <<slots>>, and the one found is one
+        classes = enumerate_square_classes(tower)
+        for slots in random.Random(7).sample(list(itertools.combinations(classes, 3)), 40):
+            symbol = pfister_symbol(tower, slots)
+            if not symbol:
+                continue
+            for d in classes[1:]:
+                pair = qform._symbol_factor(tower, d.code, symbol)
+                assert (pair is not None) == splits_over_quadratic(tower, slots, d), (slots, d)
+                if pair is not None:
+                    assert qform._symbol(tower, (d.code, *pair)) == symbol
+
+    def test_towers_without_symbols(self):
+        # Q and a tower past SYMBOL_VARS variables have no symbols
+        wide = FieldTower.prime(7, *(f"x{i}" for i in range(qform.SYMBOL_VARS + 1)))
+        for tower in (Q, FieldTower.rationals("t"), wide):
+            assert pfister_symbol(tower, (minus_one_class(tower),)) is None
+        narrower = FieldTower.prime(7, *wide.laurent_vars[1:])
+        assert pfister_symbol(narrower, (minus_one_class(narrower),)) == 1  # (u): -1 = u in F7
+
+    def test_tables_are_built_on_first_use(self):
+        code = (
+            "import wittforge\n"
+            "from wittforge import qform\n"
+            "print(qform._symbol_table.cache_info().currsize)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qform.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "0", out.stderr
 
 
 class TestIsotropy:

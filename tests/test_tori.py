@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittforge import algebras, qform, tori
+from wittforge import qform, tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     FieldMismatch,
@@ -86,19 +86,25 @@ def cold_tori_caches():
         fn.cache_clear()
 
 
+def pfister_symbol(tower, slots):
+    """The symbol of <<slots>>, read off the slot codes."""
+    return qform._symbol(tower, tuple(a.code for a in slots))
+
+
 def pure_part(tower, slots):
     """The complement of the leading <1> in the Pfister form <<slots>>."""
     return DiagonalForm(tower, pfister(tower, slots).entries[1:])
 
 
 def _inject_one_class(monkeypatch):
-    """Give every algebra norm and every Jacobson norm the Witt class ():
-    the one decomposition an algebra reads of its norm (anisotropic, so
-    the division check passes), which the report and ``type_report`` both
-    read, and the candidate classes.  The algebra must not have read its
-    decomposition before, as it keeps the first one it reads."""
-    anisotropic = qform.WittDecomposition(0, 8, witt_class=())
-    monkeypatch.setattr(algebras, "_witt", lambda tower, key: anisotropic)
+    """Give every Witt class the obstruction reads the class (): that of
+    the Jacobson norm <<b,c,d>> that matches the norm's symbol, which the
+    report and ``type_report`` both read as the norm's class, and that of
+    the step (d) target.  The algebra's symbol is left as it is, so the
+    division check passes and a candidate matches wherever sqrt(d)
+    splits the algebra; the step (d) memos must not hold the real
+    classes, which the ``tori`` memos, cleared around every test, do
+    not."""
     monkeypatch.setattr(
         tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
     )
@@ -527,15 +533,34 @@ class TestCubicObstruction:
             cubic_obstruction_report(C, one_class(F13ST))
 
     def test_the_reports_build_no_norm_form(self):
-        # is_split and the seven reports read the algebra's one Witt
-        # decomposition; the norm form is built only when it is read
+        # is_split and the seven reports read the algebra's symbol, which
+        # keys the report bodies; the matching Jacobson norms, whose class
+        # step (d) reads as the norm's, are isometric to the norm; the norm
+        # form is built only when it is read
+        C = division_octonion()
+        assert not is_split(C)
+        norm_class = witt_class(pfister(F13ST, C.slots))
+        for d in enumerate_square_classes(F13ST)[1:]:
+            rep = cubic_obstruction_report(C, d)
+            assert rep.verdict == "inadmissible"
+            matching = [row for row in rep.evidence if row.norm_matches]
+            assert matching
+            for row in matching:
+                assert witt_class(pfister(F13ST, (row.b, row.c, d))) == norm_class
+        assert "norm" not in vars(C)
+        assert vars(C)["_obstruction_symbol"] == pfister_symbol(F13ST, C.slots)
+        assert C.norm == pfister(F13ST, C.slots)
+
+    def test_the_sweep_folds_no_norm(self):
+        # is_split and the seven reports, on empty memos, read the symbol
+        # kept at construction: no Pfister fold, and no norm codes kept
+        qform._pfister_fold.cache_clear()
         C = division_octonion()
         assert not is_split(C)
         for d in enumerate_square_classes(F13ST)[1:]:
-            assert cubic_obstruction_report(C, d).verdict == "inadmissible"
-        assert "norm" not in vars(C)
-        assert vars(C)["_obstruction_class"] == witt_class(pfister(F13ST, C.slots))
-        assert C.norm == pfister(F13ST, C.slots)
+            cubic_obstruction_report(C, d)
+        assert qform._pfister_fold.cache_info().misses == 0
+        assert "norm_codes" not in vars(C)
 
     def test_a_failed_precondition_raises_on_every_call(self):
         # a failed check of the algebra keeps nothing on it; once the checks
@@ -599,7 +624,9 @@ class TestCubicObstruction:
         candidate's row is read from the evidence rows at the class of its
         Jacobson norm built as a form, so the row must match; the rows are
         asked for once per distinct class.  Over F13((t)) every candidate
-        passes the direct test; the other towers have both outcomes."""
+        passes the direct test; the other towers have both outcomes.  The
+        rows are keyed on symbols: each class is asked for by the symbol of
+        its first candidate."""
         outcomes = set()
         for tower in (F13T, F13ST, F7ST, F7RST):
             zero = LaurentPoly.zero(tower)
@@ -612,9 +639,12 @@ class TestCubicObstruction:
                 by_class = {}
                 for i, (b, c) in enumerate(itertools.product(classes, repeat=2)):
                     jnorm_class = witt_class(pfister(tower, (b, c, d)))
-                    by_class.setdefault(jnorm_class, []).append(i)
-                for jnorm_class, idxs in by_class.items():
-                    rows = tori._evidence_rows(tower, d, jnorm_class)
+                    by_class.setdefault(jnorm_class, []).append((i, b, c))
+                for jnorm_class, candidates in by_class.items():
+                    _, b, c = candidates[0]
+                    symbol = pfister_symbol(tower, (b, c, d))
+                    rows = tori._evidence_rows(tower, d.code, symbol)
+                    idxs = [i for i, _, _ in candidates]
                     for i in idxs:
                         row = rows[i]
                         pure = tensor(pf_d, pure_part(tower, (row.b, row.c)))
@@ -630,14 +660,20 @@ class TestCubicObstruction:
         norm class that reaches a state: each Jacobson norm class (its
         matching rows are matches) and the step (d) target (its matching
         rows are contradictions).  One row cache per tower serves every
-        call, so a row built in one state must never be read in another."""
+        call, so a row built in one state must never be read in another.
+        The reference reads Witt classes alone; the rows are asked for by
+        the symbol of a Jacobson norm of the class (the target is the
+        hyperbolic class here, that of the isotropic <<b,c,d>>)."""
         states = set()
         for tower in (F13ST, F7ST, F7RST):
             classes = enumerate_square_classes(tower)
             pairs = list(itertools.product(classes, repeat=2))
             for d in classes[1:]:
-                target = tori._step_d_target(tower, d)
+                target = tori._step_d_target(tower, d.code)
                 jnorm_classes = [witt_class(pfister(tower, (b, c, d))) for b, c in pairs]
+                symbols = {}
+                for (b, c), jnorm_class in zip(pairs, jnorm_classes):
+                    symbols.setdefault(jnorm_class, pfister_symbol(tower, (b, c, d)))
                 for norm_class in dict.fromkeys(jnorm_classes + [target]):
                     reference = []
                     for (b, c), jnorm_class in zip(pairs, jnorm_classes):
@@ -646,7 +682,8 @@ class TestCubicObstruction:
                         contradiction = matches and norm_class == target
                         reference.append(tori.EvidenceRow(b, c, matches, iso, contradiction))
                         states.add((matches, iso, contradiction))
-                    assert tori._evidence_rows(tower, d, norm_class) == tuple(reference)
+                    rows = tori._evidence_rows(tower, d.code, symbols[norm_class])
+                    assert rows == tuple(reference)
         assert states == {(False, None, False), (True, False, False), (True, True, True)}
 
     def test_the_sweep_builds_at_most_128_rows(self, monkeypatch):
@@ -720,20 +757,21 @@ class TestCubicObstruction:
                 if not is_isotropic(norm):
                     division.setdefault(witt_class(norm), slots)
             for norm_class, slots in division.items():
+                symbol = pfister_symbol(tower, slots)
                 for d in classes[1:]:
-                    rows = tori._evidence_rows(tower, d, norm_class)
+                    rows = tori._evidence_rows(tower, d.code, symbol)
                     splits = splits_over_quadratic(tower, slots, d)
                     assert any(r.norm_matches for r in rows) == splits, (slots, d)
-                    contradiction = splits and norm_class == tori._step_d_target(tower, d)
+                    contradiction = splits and norm_class == tori._step_d_target(tower, d.code)
                     assert any(r.contradiction for r in rows) == contradiction, (slots, d)
-                    assert tori._cubic_verdict(tower, d, norm_class, splits) == "inadmissible"
+                    assert tori._cubic_verdict(tower, d.code, symbol) == "inadmissible"
                     pairs += 1
                     matched += splits
         assert 0 < matched < pairs
 
     def test_type_report_builds_no_evidence(self, monkeypatch):
         """type_report reads the pure-cubic rows off the rule alone: with
-        the obstruction report and its candidate tables made to raise, it
+        the obstruction report and its evidence tables made to raise, it
         gives the same JSON for division and split octonions."""
         classes = enumerate_square_classes(F7RST)
         triples = random.Random(5).sample(list(itertools.combinations(classes, 3)), 12)
@@ -747,7 +785,7 @@ class TestCubicObstruction:
         def forbidden(*args):
             raise AssertionError("type_report built an evidence table")
 
-        for name in ("cubic_obstruction_report", "_evidence_rows", "_pair_codes"):
+        for name in ("cubic_obstruction_report", "_evidence_rows", "_pair_groups", "_group_rows"):
             monkeypatch.setattr(tori, name, forbidden)
         assert [type_report(A).to_json() for A in algebras] == expected
 
