@@ -21,10 +21,8 @@ so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
 Pfister forms are folded on codes by ``fields._code_mul``: <1> times
 <1,-a> for each slot a in turn (``_fold``), memoized per tuple of slot
-codes (``_pfister_fold``; the slots' towers are checked on every call),
-and ``pfister_classes`` reads the Witt classes of many folded forms
-extended by the same slots off those codes; tensor products and scalings
-multiply entries by ``fields.sq_mul``.
+codes (``_pfister_fold``; the slots' towers are checked on every call);
+tensor products and scalings multiply entries by ``fields.sq_mul``.
 
 One memoized Springer pass, ``_witt``, answers every Witt question:
 decomposition, class, isotropy, isometry and splitting.  Over R and F_q
@@ -41,7 +39,7 @@ literal): ``splits_over_quadratic`` decides on the folded codes without
 building a form, ``quadratic_splitting_classes`` gives its answers for
 every nonsquare delta from one fold and one isotropy lookup, the two
 sharing the one rule ``_pure_represents``, and ``pfister_slot_witness``
-finds its presentation one slot at a time.
+reads its presentation off the form's symbol (below).
 
 Over F_q and R towers a Pfister form also has its mod-2 symbol.  The
 mod-2 Milnor K-ring of K = k((t_1))...((t_n)) is k_*(k)[xi_1,...,xi_n]
@@ -59,6 +57,15 @@ Pfister forms are isometric iff their symbols are equal, and one is
 hyperbolic iff its symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math.
 165, 2007).  Symbols are kept on towers of at most ``SYMBOL_VARS``
 variables (a bit set has 2^n bits); Q, Q((t)) and wider towers have none.
+
+One routine finds every Pfister presentation, ``_presentation``: an
+anisotropic Pfister form is divisible by rho iff its symbol lies in
+e(rho) k_* (same reference; Lam, Ch. X), so the lexicographically first
+presentation with a given first slot takes each further slot as the
+least code that keeps the symbol in the span of the product so far
+times k_(n-k), one F_2 elimination (``_solve``) per code tried.
+``pfister_slot_witness`` and the step (d) candidate of ``tori`` both
+read it; no form is built or decomposed per candidate.
 """
 from __future__ import annotations
 
@@ -261,38 +268,31 @@ def _solve(vectors: list, target: int) -> Optional[int]:
     return combo
 
 
-def _symbol_factor(tower: FieldTower, d_code: int, symbol: int) -> Optional[tuple[int, int]]:
-    """Codes (b, c) with (d)(b)(c) = ``symbol`` in k_3, b the least code
-    that has a c, or None when ``symbol`` is not in (d) k_2, which the
-    (d)(g)(h) span for g, h the codes of one generator each.  For each b,
-    c -> (d)(b)(c) is linear in the code of c, so c is one elimination.
-    An anisotropic 3-fold Pfister form that tower(sqrt(d)) splits is
-    <<d,b,c>> for some b and c (Lam, Ch. X), so a Pfister symbol in
-    (d) k_2 always has its pair; InternalInconsistency if none is found."""
+def _presentation(tower: FieldTower, first_code: int, symbol: int, n: int) -> Optional[tuple]:
+    """The codes (first, b_2, ..., b_n) of the lexicographically first
+    presentation <<first, b_2, ..., b_n>> of the n-fold Pfister form of
+    symbol ``symbol``, or None when ``symbol`` is not in (first) k_(n-1).
+    Each b_k is the least code with ``symbol`` in
+    (first)(b_2)...(b_k) k_(n-k), which the product times every multiset
+    of n-k generator codes spans; membership is one elimination.  An
+    anisotropic Pfister form is divisible by rho iff its symbol lies in
+    e(rho) k_* (Orlov-Vishik-Voevodsky; Lam, Ch. X), so once the first
+    slot is in, every later step finds its b_k.  A hyperbolic form (symbol
+    0) gets the slots 1, as <<first, 1, ...>> is hyperbolic."""
     table = _symbol_table(tower)
-    gens = [1 << k for k in range(len(tower.laurent_vars) + 1)]
-    e_d = _times_codes(table, (d_code,), 1, 0)
-    span = [_times_codes(table, (g, h), e_d, 1) for i, g in enumerate(gens) for h in gens[i:]]
-    if _solve(span, symbol) is None:
-        return None
-    for b in range(2 << len(tower.laurent_vars)):
-        e_db = _times_codes(table, (b,), e_d, 1)
-        c = _solve([_times_codes(table, (g,), e_db, 2) for g in gens], symbol)
-        if c is not None:
-            return b, c
-    raise InternalInconsistency(f"symbol {symbol:#x} is in (d) k_2 but is no (d)(b)(c)")
-
-
-def pfister_classes(tower: FieldTower, slots: Sequence[SquareClass], bases) -> list:
-    """The Witt class of phi x <<slots>> for each Pfister form phi whose
-    entry codes (a tuple) are in ``bases``; the slots are read once for all
-    of them, and each distinct tuple is folded and looked up once."""
-    negs = _neg_codes(tower, _slot_codes(tower, slots))
-    classes = {
-        phi: _witt(tower, tuple(sorted(_fold(list(phi), negs)))).witt_class
-        for phi in dict.fromkeys(bases)
-    }
-    return [classes[phi] for phi in bases]
+    n_vars = len(tower.laurent_vars)
+    gens = [1 << k for k in range(n_vars + 1)]
+    found, e = (), 1  # 1 in k_0
+    for k in range(1, n + 1):
+        multisets = list(itertools.combinations_with_replacement(gens, n - k))
+        for b in (first_code,) if k == 1 else range(2 << n_vars):
+            e_b = _times_codes(table, (b,), e, k - 1)
+            if _solve([_times_codes(table, m, e_b, k) for m in multisets], symbol) is not None:
+                found, e = (*found, b), e_b
+                break
+        else:
+            return None
+    return found
 
 
 def orthogonal_sum(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
@@ -656,16 +656,19 @@ def pfister_slot_witness(
 ) -> tuple[SquareClass, ...]:
     """Slots (delta, b_2, ..., b_n) presenting f = <<slots>> with delta in front.
 
-    Found one slot at a time: b_k is the first class, in enumeration
-    order, for which rho = <<delta, b_2, ..., b_k>> is a subform of f
-    (Witt index of f + (-rho) at least dim rho).  A Pfister subform of a
-    Pfister form divides it (Lam, Ch. X), so every choice extends to a
-    full presentation and the result is the lexicographically first one.
-    Only available over enumerable towers; over Q the split/no-split
-    decision is all there is.
+    The lexicographically first presentation, in enumeration order (the
+    order of codes), read off f's mod-2 symbol by ``_presentation``: b_k
+    is the first class for which <<delta, b_2, ..., b_k>> divides f.
+    Only available where symbols are kept, over F_q and R towers of at
+    most ``SYMBOL_VARS`` variables; over Q the split/no-split decision is
+    all there is.  The slots found are checked to present f.
     """
     if not tower.is_enumerable:
         raise WitnessUnsupported(f"witness search needs a finite class group, not {tower}")
+    if _symbol_table(tower) is None:
+        raise WitnessUnsupported(
+            f"witness search needs at most {SYMBOL_VARS} Laurent variables, not {tower}"
+        )
     f = pfister(tower, slots)
     if not splits_over_quadratic(tower, slots, delta):
         raise NoSplit(f"{f} does not split over sqrt({delta})")
@@ -675,14 +678,10 @@ def pfister_slot_witness(
             f"<<{slots[0]}>> is hyperbolic and <<{delta}>> is not: "
             f"no presentation has {delta} in front"
         )
-    classes = enumerate_square_classes(tower)
-    found = (delta,)
-    for _ in range(n - 1):
-        for b in classes:
-            rho = pfister(tower, found + (b,))
-            if witt_decompose(orthogonal_sum(f, negate(rho))).witt_index >= rho.dim:
-                found += (b,)
-                break
+    codes = _presentation(tower, delta.code, _symbol(tower, [a.code for a in slots]), n)
+    if codes is None:
+        raise InternalInconsistency(f"{f} splits over sqrt({delta}) but has no presentation")
+    found = _classes(tower, codes)
     if not is_isometric(pfister(tower, found), f):
         raise InternalInconsistency(f"slots {found} found for {f} do not present it")
     return found

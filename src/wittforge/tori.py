@@ -31,12 +31,15 @@ which an algebra keeps from its construction.  The (b, c) pairs are
 grouped once per tower by (b)(c) in k_2 (``_pair_groups``), and a group
 matches when one product (d)(b)(c) does.  An anisotropic Pfister form is
 <<d>> x psi iff it splits over k(sqrt(d)) (Lam, Ch. X), so a candidate
-exists iff the symbol lies in (d) k_2, where ``qform._symbol_factor``
-finds one by elimination without a scan of the pairs.  Step (d) reads
-the norm's Witt class off that candidate, isometric to the norm, and
-compares it with the target, memoized per (tower, d) (``_step_d``).
-One rule, ``_cubic_verdict``, keyed on (tower, d, symbol), gives both
-reports their pure-cubic verdict from that.
+exists iff the symbol lies in (d) k_2, and ``qform._presentation``, the
+one routine that finds a Pfister presentation (``pfister_slot_witness``
+reads it too), gives the first <<d,b,c>> by elimination without a scan
+of the pairs.  Step (d) reads the norm's Witt class off that candidate,
+isometric to the norm, and compares it with the target, memoized per
+(tower, d) (``_step_d``); both classes are folded on codes and read by
+one helper, ``_fold_class``.  One rule, ``_cubic_verdict``, keyed on
+(tower, d, symbol), gives both reports their pure-cubic verdict from
+that.
 
 An obstruction report's parts are computed once per the inputs they
 depend on: the lambda rows (checked as they are built), the trace gram
@@ -51,7 +54,7 @@ report's instance dict, and builds and folds no form.  An evidence row
 is a function of its (b, c) pair and its state (no match, a match, a
 contradiction), so the rows of each group in each state are built once
 per tower.  The report and the memoized helpers call ``sq_mul``,
-``pfister_classes`` and ``EvidenceRow`` through module globals.
+``_fold_class`` and ``EvidenceRow`` through module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -95,11 +98,13 @@ from .fields import (
 from .laurent import LaurentPoly
 from .qform import (
     SYMBOL_VARS,
+    _fold,
+    _neg_codes,
+    _presentation,
     _symbol,
-    _symbol_factor,
     _symbol_times,
+    _witt,
     diagonalize,
-    pfister_classes,
     quadratic_splitting_classes,
     splits_over_quadratic,
 )
@@ -155,12 +160,27 @@ def _cubic_str(c: Cubic) -> str:
     return f"pure_cubic({c.var})"
 
 
+# The most rows a torus-type catalog may have: about 2^(2n+2) over n
+# Laurent variables, so eight variables (262,656 rows, some 3 s for a type
+# report) are catalogued and nine (over a million rows) are refused.
+CATALOG_ROWS = 1 << 19
+
+
 def torus_type_catalog(tower: FieldTower) -> list[TorusType]:
-    """All torus types over an enumerable tower, in a fixed order."""
+    """All torus types over an enumerable tower, in a fixed order.
+    PreconditionFailed, before any class is listed, when there would be
+    more than ``CATALOG_ROWS`` of them."""
+    pure = tower.has_zeta3() and bool(tower.laurent_vars)
+    count = 2 ** (len(tower.laurent_vars) + 1)  # the classes, if enumerable
+    if tower.is_enumerable and count * (count + pure) > CATALOG_ROWS:
+        raise PreconditionFailed(
+            f"the torus-type catalog over {tower} has {count * (count + pure)} rows, "
+            f"more than the bound of {CATALOG_ROWS}"
+        )
     classes = enumerate_square_classes(tower)
     cubics: list[Cubic] = [Split3()]
     cubics += [QuadTimes(d) for d in classes if not d.is_one]
-    if tower.has_zeta3() and tower.laurent_vars:
+    if pure:
         cubics.append(PureCubicGalois(tower.outer_var))
     return [TorusType(q, c) for q in classes for c in cubics]
 
@@ -483,21 +503,22 @@ def _step_d(tower: FieldTower, d_code: int, symbol: int) -> Optional[bool]:
     norm <<b,c,d>> has that symbol (tower(sqrt(d)) does not split the
     norm), else whether the Witt class of one that has it, which is the
     norm's (two 3-fold Pfister forms are isometric iff their symbols are
-    equal), is the step (d) target.  The pair is found by elimination in
-    k_3 (``qform._symbol_factor``), with no scan of the pairs."""
-    pair = _symbol_factor(tower, d_code, symbol)
-    if pair is None:
+    equal), is the step (d) target.  The candidate is the presentation
+    <<d,b,c>> of the norm that ``qform._presentation`` reads off the
+    symbol, with no scan of the pairs."""
+    codes = _presentation(tower, d_code, symbol, 3)
+    if codes is None:
         return None
-    slots = [class_of_code(tower, code) for code in (*pair, d_code)]
-    norm_class = pfister_classes(tower, slots, [(one_class(tower).code,)])[0]
-    return norm_class == _step_d_target(tower, d_code)
+    return _fold_class(tower, (one_class(tower).code,), codes) == _step_d_target(tower, d_code)
 
 
 def _evidence_rows(tower: FieldTower, d_code: int, symbol: int) -> tuple:
     """The rows of steps (c) and (d) against a norm of symbol ``symbol``,
     one per pair (b, c): a row matches when its group's Jacobson norms
     have that symbol, one product (d)(b)(c) per group, and a matching
-    row's step (d) outcome is the one ``_step_d`` read.  A row is a
+    row's step (d) outcome is the one ``_step_d`` read.  The group scan
+    and the presentation ``_step_d`` found must agree on whether a
+    candidate exists, or InternalInconsistency.  A row is a
     function of its pair and its state (``_ROW_STATES``), so the rows of
     each group in each state are built once per tower (``_group_rows``)
     and put in place by pair index."""
@@ -507,7 +528,7 @@ def _evidence_rows(tower: FieldTower, d_code: int, symbol: int) -> tuple:
     matching = [_symbol_times(tower, d_code, value, 2) == symbol for value, _ in groups]
     if any(matching) != (holds is not None):
         raise InternalInconsistency(
-            f"the candidates and k_3 disagree on a match at d = {class_of_code(tower, d_code)}"
+            f"the candidates and the presentation disagree at d = {class_of_code(tower, d_code)}"
         )
     rows = [None] * sum(len(pairs) for _, pairs in groups)
     for g, ((_, pairs), match) in enumerate(zip(groups, matching)):
@@ -527,7 +548,14 @@ def _group_rows(tower: FieldTower, g: int, state: int) -> tuple:
 def _step_d_target(tower: FieldTower, d_code: int) -> tuple:
     """The Witt class of <<d>> x (<1> + t3), the step (d) target."""
     unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
-    return pfister_classes(tower, (class_of_code(tower, d_code),), [unit_t3])[0]
+    return _fold_class(tower, unit_t3, (d_code,))
+
+
+def _fold_class(tower: FieldTower, codes: tuple, slot_codes: tuple) -> tuple:
+    """The Witt class of phi x <<slots>>, for phi of entry codes ``codes``
+    and the slots of codes ``slot_codes``, folded on codes (``qform._fold``):
+    the one read of a Witt class in step (d)."""
+    return _witt(tower, tuple(sorted(_fold(list(codes), _neg_codes(tower, slot_codes))))).witt_class
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -602,11 +630,12 @@ def _type_verdict(
 def type_report(C: CompositionAlgebra) -> TypeReport:
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
+    catalog = torus_type_catalog(C.tower)  # checks the catalog's size first
     classes = enumerate_square_classes(C.tower)
     split = [False] * len(classes)
     for c in _splitting_set(C):
         split[c.code] = True
-    rows = tuple(_type_verdict(C, classes, split, tau) for tau in torus_type_catalog(C.tower))
+    rows = tuple(_type_verdict(C, classes, split, tau) for tau in catalog)
     return TypeReport(C.tower, C.slots, rows)
 
 

@@ -53,7 +53,6 @@ from wittforge.qform import (
     negate,
     orthogonal_sum,
     pfister,
-    pfister_classes,
     pfister_slot_witness,
     scale,
     splits_over_quadratic,
@@ -257,19 +256,6 @@ class TestPfisterCodes:
             )
             self.check(tower, slots)
 
-    @pytest.mark.parametrize(
-        "tower", [F13ST, FieldTower.prime(7, "r", "s", "t"), FieldTower.reals("s", "t")], ids=str
-    )
-    def test_classes_of_folded_forms_extended_by_a_slot(self, tower):
-        """<<b,c,d>> read as <<b,c>>'s entry codes extended by d."""
-        classes = enumerate_square_classes(tower)
-        pairs = list(itertools.product(classes, repeat=2))
-        bases = [pfister(tower, pair).key for pair in pairs]
-        for d in classes:
-            assert pfister_classes(tower, (d,), bases) == [
-                witt_class(pfister(tower, (b, c, d))) for b, c in pairs
-            ], (tower, d)
-
     def test_slot_over_another_tower(self):
         # s over F13((s))((t)) and t over F5((t)) both have code 2: the fold
         # of (2,) over F13((s))((t)) is memoized first, and the slot is
@@ -277,8 +263,6 @@ class TestPfisterCodes:
         pfister(F13ST, (var_class(F13ST, "s"),))
         with pytest.raises(FieldMismatch):
             pfister(F13ST, (var_class(F5T, "t"),))
-        with pytest.raises(FieldMismatch):
-            pfister_classes(F13ST, (var_class(F5T, "t"),), [(0,)])
 
 
 SYMBOL_TOWERS = [
@@ -336,18 +320,19 @@ class TestSymbols:
 
     @pytest.mark.parametrize("tower", SYMBOL_TOWERS[1::3], ids=str)
     def test_factor_exists_iff_the_extension_splits(self, tower):
-        # (d)(b)(c) = e_3 has a solution exactly when tower(sqrt(d)) splits
-        # an anisotropic <<slots>>, and the one found is one
+        # a presentation <<d,b,c>> of e_3 exists exactly when tower(sqrt(d))
+        # splits an anisotropic <<slots>>, and the one found is one
         classes = enumerate_square_classes(tower)
         for slots in random.Random(7).sample(list(itertools.combinations(classes, 3)), 40):
             symbol = pfister_symbol(tower, slots)
             if not symbol:
                 continue
             for d in classes[1:]:
-                pair = qform._symbol_factor(tower, d.code, symbol)
-                assert (pair is not None) == splits_over_quadratic(tower, slots, d), (slots, d)
-                if pair is not None:
-                    assert qform._symbol(tower, (d.code, *pair)) == symbol
+                codes = qform._presentation(tower, d.code, symbol, 3)
+                assert (codes is not None) == splits_over_quadratic(tower, slots, d), (slots, d)
+                if codes is not None:
+                    assert codes[0] == d.code
+                    assert qform._symbol(tower, codes) == symbol
 
     def test_towers_without_symbols(self):
         # Q and a tower past SYMBOL_VARS variables have no symbols
@@ -707,6 +692,41 @@ class TestSlotWitness:
             (1, False, False), (1, True, True), (2, False, False), (2, False, True),
             (3, False, False), (3, False, True),
         }
+
+    def test_no_class_is_listed_and_no_form_decomposed_per_candidate(self, monkeypatch):
+        # the presentation is read off the symbol: neither the class list
+        # nor a Witt decomposition of a candidate form is asked for
+        def refuse(*args):
+            raise AssertionError("a search over classes or forms")
+
+        monkeypatch.setattr(qform, "enumerate_square_classes", refuse)
+        monkeypatch.setattr(qform, "witt_decompose", refuse)
+        F7RST = FieldTower.prime(7, "r", "s", "t")
+        u, r, s, t = nonresidue_class(F7RST), *(var_class(F7RST, v) for v in "rst")
+        assert pfister_slot_witness(F7RST, (t, s, r), r) == (r, s, t)
+        assert pfister_slot_witness(F7RST, (u, s, t), sq_mul(u, t)) == (sq_mul(u, t), u, s)
+
+    @pytest.mark.parametrize(
+        "tower", [FieldTower.prime(7, "r", "s", "t"), FieldTower.reals("r", "s", "t")], ids=str
+    )
+    def test_seeded_four_fold_presentations(self, tower):
+        rng = random.Random(33)
+        classes = enumerate_square_classes(tower)
+        checked = 0
+        while checked < 4:
+            slots = tuple(rng.choice(classes) for _ in range(4))
+            delta = rng.choice(classes[1:])
+            if splits_over_quadratic(tower, slots, delta):
+                expected = reference_slot_witness(tower, slots, delta)
+                assert pfister_slot_witness(tower, slots, delta) == expected, (slots, delta)
+                checked += 1
+
+    def test_wide_tower_is_unsupported(self):
+        # past SYMBOL_VARS variables there are no symbols to read
+        wide = FieldTower.prime(7, *(f"x{i}" for i in range(qform.SYMBOL_VARS + 1)))
+        x0, x1 = var_class(wide, "x0"), var_class(wide, "x1")
+        with pytest.raises(WitnessUnsupported):
+            pfister_slot_witness(wide, (nonresidue_class(wide), x0, x1), x0)
 
 
 def reference_slot_witness(tower, slots, delta):

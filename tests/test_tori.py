@@ -98,16 +98,14 @@ def pure_part(tower, slots):
 
 def _inject_one_class(monkeypatch):
     """Give every Witt class the obstruction reads the class (): that of
-    the Jacobson norm <<b,c,d>> that matches the norm's symbol, which the
-    report and ``type_report`` both read as the norm's class, and that of
-    the step (d) target.  The algebra's symbol is left as it is, so the
-    division check passes and a candidate matches wherever sqrt(d)
-    splits the algebra; the step (d) memos must not hold the real
-    classes, which the ``tori`` memos, cleared around every test, do
-    not."""
-    monkeypatch.setattr(
-        tori, "pfister_classes", lambda tower, slots, bases: [()] * len(bases)
-    )
+    the presentation <<d,b,c>> of the norm's symbol, which the report and
+    ``type_report`` both read as the norm's class, and that of the step
+    (d) target, both read through ``tori._fold_class``.  The algebra's
+    symbol is left as it is, so the division check passes and a
+    candidate matches wherever sqrt(d) splits the algebra; the step (d)
+    memos must not hold the real classes, which the ``tori`` memos,
+    cleared around every test, do not."""
+    monkeypatch.setattr(tori, "_fold_class", lambda tower, codes, slot_codes: ())
 
 
 def division_octonion():
@@ -130,6 +128,23 @@ class TestCatalog:
     def test_rationals_rejected(self):
         with pytest.raises(InfiniteSquareClassGroup):
             torus_type_catalog(Q)
+
+    def test_a_catalog_past_the_row_bound_is_refused(self, monkeypatch):
+        # 40 variables would list 2^41 classes: refused before any is listed
+        def refuse(tower):
+            raise AssertionError("classes listed")
+
+        wide = FieldTower.prime(7, *(f"x{i}" for i in range(40)))
+        u, x1, x39 = nonresidue_class(wide), var_class(wide, "x1"), var_class(wide, "x39")
+        C = algebra_from_slots(wide, (u, x1, x39))
+        monkeypatch.setattr(tori, "enumerate_square_classes", refuse)
+        with pytest.raises(PreconditionFailed, match=str(tori.CATALOG_ROWS)):
+            type_report(C)
+        with pytest.raises(PreconditionFailed):
+            compare_torus_systems(C, C)
+        # nine variables (1,049,600 rows) are refused too
+        with pytest.raises(PreconditionFailed, match="1049600 rows"):
+            torus_type_catalog(FieldTower.prime(7, *(f"x{i}" for i in range(9))))
 
     def test_pure_cubic_invariant(self):
         with pytest.raises(ValueError):
