@@ -14,8 +14,9 @@ and unrolled it gives the index rule
     gamma_ij = omega(i, j) * prod_(k in i & j) c_k,
 
 with c_k the monomial of slot k (bit k of the index) and omega(i, j) = +-1.
-The sign table omega depends only on the number of slots; it comes from
-the doubling formula run over signs.  The table ``gamma`` holds one
+The sign omega(i, j) does not depend on the slots; ``_sign`` reads it in
+closed form off the bits of i and j, the doubling formula unrolled from the
+top bit down.  The table ``gamma`` holds one
 (exps, coeff) term per pair, picked out of the 2^n slot products and
 their negatives by a layout read off omega and cached per slot count
 (``_row_getters``).  The products are built one doubling at a time, as
@@ -51,15 +52,21 @@ exact Laurent polynomials; the operations used here (multiply, conjugate, norm, 
 never leave that ring.  A zero divisor is x with conj x, for x an
 isotropic vector of the diagonal norm (``qform.isotropic_vector``).
 
-A product is one accumulate-then-reduce pass over the pairs of terms of
-x and y (``laurent._add_products``) on packed exponent keys, one int per
-exponent vector (see ``laurent``): each pair adds x_i * y_j * gamma_ij,
-unreduced, into a raw {key: coeff} map for slot i xor j, its exponent the
-sum of three keys, and each of the dim maps is reduced once by the one
-reduction, ``laurent._reduce_raw``, which reads the keys back as tuples.
-The table is packed once per algebra, on the first product (``_gamma``).
-So is the norm value computed.  Exponents of size ``laurent.EXP_LIMIT``
-or more raise ``ExponentOutOfRange`` where they are packed.
+A product is one accumulate-then-reduce pass on packed exponent keys, one
+int per exponent vector (see ``laurent``).  The coordinates of x and of y
+are packed into one flat list of (slot, key, coeff) terms each
+(``laurent._packed``); the kernel ``laurent._add_products`` runs one double
+loop over the pairs of terms, reads row gamma_i once per term of x, and
+adds x_i * y_j * gamma_ij, unreduced, into a raw {key: coeff} map for slot
+i xor j, its exponent the sum of three keys.  One call of the one
+reduction, ``laurent._reduce_raw``, then turns the dim maps into the
+coordinates, reading the keys back as tuples.  The norm value is the same
+kernel, one coordinate at a time, as slot 0 with gamma = N(e_i).  The
+table is packed once per algebra, on the first product (``_gamma``).
+Products and ``element`` build their values with one write of the
+instance dict; ``element`` coerces only what is not already a polynomial
+over the tower.  Exponents of size ``laurent.EXP_LIMIT`` or more raise
+``ExponentOutOfRange`` where they are packed.
 """
 from __future__ import annotations
 
@@ -100,6 +107,8 @@ from .qform import (
     _witt,
     isotropic_vector,
 )
+
+_new = object.__new__  # values are built by one write of the instance dict
 
 
 class CompositionAlgebra:
@@ -168,7 +177,7 @@ class CompositionAlgebra:
     @cached_property
     def norm_coeffs(self) -> tuple[LaurentPoly, ...]:
         """N(e_i) as polynomials, from the table's diagonal on first use."""
-        return tuple(_reduce_raw(self.tower, {k: c}) for k, c in _norm_terms(self._gamma))
+        return tuple(_reduce_raw(self.tower, [{k: c} for k, c in _norm_terms(self._gamma)]))
 
     def __eq__(self, other):
         return (
@@ -187,10 +196,17 @@ class CompositionAlgebra:
     __repr__ = __str__
 
     def element(self, coords) -> "AlgebraElement":
-        coords = tuple(LaurentPoly.coerce(self.tower, c) for c in coords)
+        tower = self.tower
+        coords = tuple([
+            c if type(c) is LaurentPoly and c.tower is tower else LaurentPoly.coerce(tower, c)
+            for c in coords
+        ])
         if len(coords) != self.dim:
             raise AlgebraMismatch(f"need {self.dim} coordinates, got {len(coords)}")
-        return AlgebraElement(self, coords)
+        x = _new(AlgebraElement)  # one write of the instance dict
+        d = x.__dict__
+        d["algebra"], d["coords"] = self, coords
+        return x
 
     def basis(self, i: int) -> "AlgebraElement":
         coords = [0] * self.dim
@@ -230,7 +246,10 @@ class AlgebraElement:
         A = self.algebra
         raws = [{} for _ in range(A.dim)]  # slot i ^ j: {key: unreduced coeff}
         _add_products(raws, _packed(self.coords), _packed(other.coords), A._gamma)
-        return AlgebraElement(A, tuple(_reduce_raw(A.tower, m) for m in raws))
+        x = _new(AlgebraElement)  # one write of the instance dict
+        d = x.__dict__
+        d["algebra"], d["coords"] = A, tuple(_reduce_raw(A.tower, raws))
+        return x
 
     __rmul__ = __mul__
 
@@ -256,9 +275,10 @@ class AlgebraElement:
     def norm_form_value(self) -> LaurentPoly:
         """The norm evaluated as a diagonal form on the coordinates."""
         raws = [{}]
-        for n, x in zip(_norm_terms(self.algebra._gamma), _packed(self.coords)):
-            _add_products(raws, (x,), (x,), ((n,),))
-        return _reduce_raw(self.algebra.tower, raws[0])
+        for n, c in zip(_norm_terms(self.algebra._gamma), self.coords):
+            x = _packed((c,))
+            _add_products(raws, x, x, ((n,),))
+        return _reduce_raw(self.algebra.tower, raws)[0]
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -266,34 +286,28 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def _sign_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """omega(i, j) = +-1 with gamma_ij = omega(i, j) * prod_(k in i & j) c_k
-    for n slots, by the doubling formula run over signs; the new slot is
-    the high bit, and conj(e_jj) = -e_jj unless jj = 0."""
-    if n == 0:
-        return ((1,),)
-    w = _sign_table(n - 1)
-    d = len(w)
-    table = []
-    for i in range(2 * d):
-        bi, ii = divmod(i, d)
-        row = []
-        for j in range(2 * d):
-            bj, jj = divmod(j, d)
-            sign = 1 if jj == 0 else -1  # conj(e_jj) = sign * e_jj
-            if bi == 0 and bj == 0:
-                row.append(w[ii][jj])
-            elif bi == 0:
-                # (a,0)(0,b) = (0, b a)
-                row.append(w[jj][ii])
-            elif bj == 0:
-                # (0,a)(b,0) = (0, a conj(b))
-                row.append(sign * w[ii][jj])
-            else:
-                # (0,a)(0,b) = (c conj(b) a, 0)
-                row.append(sign * w[jj][ii])
-        table.append(tuple(row))
-    return tuple(table)
+def _sign(i: int, j: int) -> int:
+    """omega(i, j) = +-1 with gamma_ij = omega(i, j) * prod_(k in i & j) c_k,
+    in closed form: the doubling formula unrolled over the index bits, from
+    the top bit down.  At bit b, with i', j' the parts of i and j below it,
+
+        (a,0)(b,0) = (ab, 0)         (a,0)(0,b) = (0, ba)
+        (0,a)(b,0) = (0, a conj(b))  (0,a)(0,b) = (c conj(b) a, 0),
+
+    so the sign flips where i has bit b and j' != 0 (conj(e_j') = -e_j'),
+    and i', j' swap places where j has bit b (Baez, "The Octonions", Bull.
+    AMS 39, 2002, 2.2).  Once j' = 0 no sign flips and no parts swap."""
+    sign = 1
+    top = 1 << (i | j).bit_length()
+    while j:
+        top >>= 1
+        if i & top:
+            i ^= top
+            if j & ~top:  # j' != 0
+                sign = -sign
+        if j & top:
+            i, j = j ^ top, i
+    return sign
 
 
 def _norm_terms(gamma) -> list:
@@ -308,12 +322,11 @@ def _row_getters(n: int) -> tuple:
     followed by their negatives: entry j is product i & j, negated where
     omega(i, j) < 0.  An itemgetter of one index returns the item itself,
     so the one-entry row of no slots is a slice."""
-    w = _sign_table(n)
-    d = len(w)
+    d = 1 << n
     if d == 1:
         return (itemgetter(slice(0, 1)),)
     return tuple(
-        itemgetter(*(i & j if w[i][j] > 0 else d + (i & j) for j in range(d)))
+        itemgetter(*(i & j if _sign(i, j) > 0 else d + (i & j) for j in range(d)))
         for i in range(d)
     )
 

@@ -17,20 +17,30 @@ Every exponent is checked where it is packed: |e| < EXP_LIMIT = 2^(K-3),
 so that three keys (x_i * y_j * gamma_ij) add without a carry from one
 digit into the next; a larger one raises ``ExponentOutOfRange`` instead of
 colliding with another key.  Sums and products add raw ints or Fractions
-into plain {key: coeff} maps, every product through the one kernel
-``_add_products``; ``_reduce_raw``, the one reduction, turns a map into a
-polynomial, mod p over prime bases (a ring homomorphism, so this is what
-reducing at every step gives), zeros dropped, terms sorted by key and the
-keys read back as tuples.  A product with a zero factor is zero at once,
-after both factors are packed (so their exponents are still checked),
-with no kernel call and no reduction; sums always reduce.  Packing and
+into plain {key: coeff} maps.  ``_packed`` lists the terms of one or more
+polynomials as one flat list of (slot, key, coeff), slot the index of the
+polynomial; every product goes through the one kernel ``_add_products``,
+one double loop over pairs of terms that adds cx * cy * cg at ex + ey + eg
+into the map of slot i xor j (a polynomial product is slot 0 with gamma =
+1).  ``_reduce_raw``, the one reduction, turns a list of maps into
+polynomials with the tower read once: mod p over prime bases (a ring
+homomorphism, so this is what reducing at every step gives), zeros
+dropped, terms sorted by key and the keys read back as tuples.  It builds
+each value, as ``__init__`` does, with one write of the instance dict
+instead of a frozen ``__setattr__`` per field.  Values are taken to be
+canonical: terms sorted, nonzero, reduced.  So a sum with a zero operand
+is the other operand, and negation maps each coefficient c to -c (p - c
+over F_p) in the order the terms already have, so a difference f + (-g)
+reduces at most once; a product with a zero factor is zero, with no
+kernel call and no reduction.  Every operand is packed first, so its exponents are
+still checked in each of these cases.  Packing and
 unpacking go through memos bounded by ``fields.CACHE_SIZE``; the
 unpacking memo is kept per arity, since (1,) and (0, 1) have the same
 key.  ``fields._norm_coeff``, the one rule that reduces a constant into
 the tower, checks coefficients where they enter: ``const``, ``monomial``
-and ``of_class``.  The class of a monomial term is read off it by ``_term_class`` (base class of the
-coefficient, parities of the exponents), for ``square_class`` and for the
-algebras' norm check alike.
+and ``of_class``.  The class of a monomial term is read off it by
+``_term_class`` (base class of the coefficient, parities of the
+exponents), for ``square_class`` and for the algebras' norm check alike.
 """
 from __future__ import annotations
 
@@ -93,57 +103,79 @@ def _exps(key: int, n: int, memo: dict) -> tuple:
 
 
 def _packed(polys) -> list:
-    """The terms of each polynomial as a list [(key, coeff), ...]."""
+    """The terms of the polynomials as one flat list [(slot, key, coeff), ...],
+    slot the index of the polynomial in polys, each key checked where packed."""
     try:
-        return [[(_KEYS[e], c) for e, c in f.terms] for f in polys]
+        return [(i, _KEYS[e], c) for i, f in enumerate(polys) for e, c in f.terms]
     except KeyError:
-        return [[(_key(e), c) for e, c in f.terms] for f in polys]
+        return [(i, _key(e), c) for i, f in enumerate(polys) for e, c in f.terms]
 
 
 def _add_products(raws: list, xs, ys, gamma) -> None:
-    """Add every term of x_i * y_j * gamma[i][j], unreduced, into raws[i ^ j]:
-    xs, ys hold one packed term sequence per slot, gamma[i][j] is one packed
-    (key, coeff) term; a polynomial product is one slot with gamma = 1.  Per
-    slot j, x is flattened into its terms times gamma_ij, so ex + eg is
-    summed once."""
-    xs = [(i, x) for i, x in enumerate(xs) if x]
-    for j, y in enumerate(ys):
-        if not y:
-            continue
-        xg = [(raws[i ^ j], ex + eg, cx * cg)
-              for i, x in xs for eg, cg in (gamma[i][j],) for ex, cx in x]
-        for ey, cy in y:
-            for raw, exg, cxg in xg:
-                e = exg + ey
-                raw[e] = raw.get(e, 0) + cxg * cy
+    """Add x_i * y_j * gamma_ij, unreduced, into raws[i ^ j] for every pair of
+    a term (i, ex, cx) of xs and a term (j, ey, cy) of ys (``_packed``):
+    one double loop over term pairs, row gamma[i] read once per x term,
+    gamma[i][j] one packed (key, coeff) term, so each pair adds cx * cy * cg
+    at the key ex + ey + eg.  A polynomial product is slot 0 with gamma = 1.
+    Most pairs land on a key not yet in the map, so the map is asked once
+    whether it holds the key instead of read with a default."""
+    for i, ex, cx in xs:
+        row = gamma[i]
+        for j, ey, cy in ys:
+            eg, cg = row[j]
+            raw = raws[i ^ j]
+            e = ex + ey + eg
+            if e in raw:
+                raw[e] += cx * cy * cg
+            else:
+                raw[e] = cx * cy * cg
 
 
-def _reduce_raw(tower: FieldTower, raw: dict) -> "LaurentPoly":
-    """The polynomial of a raw {key: coeff} map: coefficients mod p over
-    prime bases, zero terms dropped, terms sorted by key, keys unpacked."""
+_ONE = (((0, 1),),)  # gamma of a polynomial product: key 0, the zero vector, coefficient 1
+_new = object.__new__  # the reduction builds values by one write of the instance dict
+
+
+def _reduce_raw(tower: FieldTower, raws) -> list:
+    """The polynomials of raw {key: coeff} maps, one per map and with the
+    tower read once for all of them: coefficients mod p over prime bases,
+    zero terms dropped, terms sorted by key, keys unpacked.  The keys are
+    sorted as plain ints: keys of two or more variables are ints of more
+    than one digit, which sort faster alone than as the first item of
+    (key, coeff) pairs."""
     n = len(tower.laurent_vars)
     memo = _EXPS.get(n)
     if memo is None:
         memo = _EXPS[n] = {}
-    keys = sorted(raw)
-    if tower.kind == "F":
-        p = tower.p
+    p = tower.p if tower.kind == "F" else None
+    out = []
+    for raw in raws:
+        keys = sorted(raw)
         try:
-            terms = [(memo[k], r) for k in keys if (r := raw[k] % p)]
+            if p:
+                terms = [(memo[k], r) for k in keys if (r := raw[k] % p)]
+            else:
+                terms = [(memo[k], c) for k in keys if (c := raw[k])]
         except KeyError:
-            terms = [(_exps(k, n, memo), r) for k in keys if (r := raw[k] % p)]
-    else:
-        try:
-            terms = [(memo[k], c) for k in keys if (c := raw[k])]
-        except KeyError:
-            terms = [(_exps(k, n, memo), c) for k in keys if (c := raw[k])]
-    return LaurentPoly(tower, tuple(terms))
+            if p:
+                terms = [(_exps(k, n, memo), r) for k in keys if (r := raw[k] % p)]
+            else:
+                terms = [(_exps(k, n, memo), c) for k in keys if (c := raw[k])]
+        f = _new(LaurentPoly)  # one write of the instance dict, as in __init__
+        d = f.__dict__
+        d["tower"], d["terms"] = tower, tuple(terms)
+        out.append(f)
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaurentPoly:
     tower: FieldTower
     terms: tuple  # sorted ((exps, coeff), ...), exps aligned with laurent_vars
+
+    def __init__(self, tower: FieldTower, terms: tuple):
+        # one write of the instance dict, not one frozen __setattr__ per field
+        d = self.__dict__
+        d["tower"], d["terms"] = tower, terms
 
     # -- constructors --------------------------------------------------------
 
@@ -187,7 +219,7 @@ class LaurentPoly:
     @classmethod
     def coerce(cls, tower: FieldTower, value) -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
-            if value.tower != tower:
+            if value.tower is not tower and value.tower != tower:
                 raise UnknownVariable(f"polynomial over {value.tower}, expected {tower}")
             return value
         if isinstance(value, SquareClass):
@@ -195,22 +227,34 @@ class LaurentPoly:
         return cls.const(tower, value)
 
     # -- ring operations -----------------------------------------------------
+    #
+    # Every operand is packed, so an exponent out of range raises, before a
+    # zero operand or a negation returns with no kernel call or reduction.
 
     def __add__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        mine, theirs = _packed((self, other))
-        raw = dict(mine)
-        for k, c in theirs:
+        terms = _packed((self, other))
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        raw = {}
+        for _, k, c in terms:
             raw[k] = raw.get(k, 0) + c
-        return _reduce_raw(self.tower, raw)
+        return _reduce_raw(self.tower, (raw,))[0]
 
     __radd__ = __add__
 
     def __neg__(self):
-        (mine,) = _packed((self,))
-        return _reduce_raw(self.tower, {k: -c for k, c in mine})
+        _packed((self,))
+        tower = self.tower
+        if tower.kind == "F":  # terms stay sorted and nonzero: c -> p - c
+            p = tower.p
+            return LaurentPoly(tower, tuple([(e, p - c) for e, c in self.terms]))
+        return LaurentPoly(tower, tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, other):
+        # negation makes no reduction, so a difference makes one, in the sum
         return self + (-LaurentPoly.coerce(self.tower, other))
 
     def __rsub__(self, other):
@@ -218,13 +262,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.coerce(self.tower, other)
-        mine, theirs = _packed((self, other))
-        if not (mine and theirs):  # both packed, so an exponent out of range still raises
+        mine, theirs = _packed((self,)), _packed((other,))
+        if not (mine and theirs):
             return LaurentPoly(self.tower, ())
         raws = [{}]
-        # gamma = 1: key 0, that of the zero exponent vector, coefficient 1
-        _add_products(raws, (mine,), (theirs,), (((0, 1),),))
-        return _reduce_raw(self.tower, raws[0])
+        _add_products(raws, mine, theirs, _ONE)
+        return _reduce_raw(self.tower, raws)[0]
 
     __rmul__ = __mul__
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge.algebras import (
+    AlgebraElement,
     algebra_from_slots,
     cayley_dickson,
     composition_defect,
@@ -19,7 +22,9 @@ from wittforge.cli import run_command
 from wittforge.errors import (
     AlgebraMismatch,
     DimTooLarge,
+    ExponentOutOfRange,
     InternalInconsistency,
+    UnknownVariable,
     UnrepresentableClass,
     UnsupportedDim,
 )
@@ -32,7 +37,7 @@ from wittforge.fields import (
     one_class,
     var_class,
 )
-from wittforge.laurent import LaurentPoly, _key, _reduce_raw
+from wittforge.laurent import EXP_LIMIT, LaurentPoly, _key, _reduce_raw
 from wittforge.oracles import find_defect_witness
 from wittforge.qform import is_isotropic, pfister, tensor
 from wittforge.tori import cubic_obstruction_report
@@ -608,7 +613,7 @@ class TestNormFromSlotCodes:
             assert A.norm == pfister(tower, slots), slots
             diagonal = [A.gamma[i][i] for i in range(A.dim)]
             eager = tuple(
-                _reduce_raw(tower, {_key(e): -c if i else c}) for i, (e, c) in enumerate(diagonal)
+                _reduce_raw(tower, [{_key(e): -c if i else c} for i, (e, c) in enumerate(diagonal)])
             )
             assert A.norm_coeffs == eager
             minus_c = [-LaurentPoly.of_class(c) for c in slots]
@@ -761,3 +766,173 @@ class TestReferenceProduct:
         prod = x * x.conj()
         assert all(c.is_zero for c in prod.coords[1:])
         assert prod.coords[0] == x.norm() == x.norm_form_value()
+
+
+# -- the flat product against a schoolbook one, by the index rule ---------------------
+
+
+def reference_sign_table(n):
+    """omega(i, j) for n slots by the doubling formula run over signs,
+    recursively: the new slot is the high bit, and conj(e_jj) = -e_jj unless
+    jj = 0."""
+    if n == 0:
+        return ((1,),)
+    w = reference_sign_table(n - 1)
+    d = len(w)
+    table = []
+    for i in range(2 * d):
+        bi, ii = divmod(i, d)
+        row = []
+        for j in range(2 * d):
+            bj, jj = divmod(j, d)
+            sign = 1 if jj == 0 else -1  # conj(e_jj) = sign * e_jj
+            if bi == 0 and bj == 0:
+                row.append(w[ii][jj])
+            elif bi == 0:
+                row.append(w[jj][ii])  # (a,0)(0,b) = (0, b a)
+            elif bj == 0:
+                row.append(sign * w[ii][jj])  # (0,a)(b,0) = (0, a conj(b))
+            else:
+                row.append(sign * w[jj][ii])  # (0,a)(0,b) = (c conj(b) a, 0)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def schoolbook_product(tower, slots, x, y):
+    """sum over every pair of terms of x_i * y_j * omega(i, j) *
+    prod_(k in i & j) c_k at e_(i xor j), with the recursive sign table and
+    this file's own dict arithmetic; no library product is called."""
+    w = reference_sign_table(len(slots))
+    cs = [dict(LaurentPoly.of_class(c).terms) for c in slots]
+    zero = (0,) * len(tower.laurent_vars)
+    out = [{} for _ in x]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            g = {zero: w[i][j]}
+            for k, ck in enumerate(cs):
+                if (i & j) >> k & 1:
+                    g = _mul(tower, g, ck)
+            out[i ^ j] = _add(tower, out[i ^ j], _mul(tower, _mul(tower, xi, yj), g))
+    return [tuple(sorted(v.items())) for v in out]
+
+
+def _random_coords(tower, rng, dim, terms=(0, 1, 1, 2, 3)):
+    if tower.kind == "F":
+        coeffs = range(1, tower.p)
+    else:
+        coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+    coords = []
+    for _ in range(dim):
+        raw = {}
+        for _ in range(rng.choice(terms)):
+            e = tuple(rng.randint(-3, 3) for _ in tower.laurent_vars)
+            raw[e] = raw.get(e, 0) + rng.choice(coeffs)
+        coords.append(_nonzero(tower, raw))
+    return coords
+
+
+def _as_element(A, coords):
+    return A.element([LaurentPoly(A.tower, tuple(sorted(v.items()))) for v in coords])
+
+
+RST = FieldTower.reals("s", "t")
+
+
+def _slot_classes(tower):
+    if tower.kind == "Q":
+        return [canonical_square_class(tower, v, {"t": e}) for v in Q_SLOT_VALUES for e in (0, 1)]
+    return enumerate_square_classes(tower)
+
+
+class TestFlatProduct:
+    """The product is one pass over pairs of terms and one reduction of all
+    the coordinates; it must give what the schoolbook sum over pairs gives,
+    and build frozen values that behave as constructor-built ones."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_closed_form_sign_equals_the_recursive_table(self, n):
+        w = reference_sign_table(n)
+        d = 1 << n
+        assert [[algebras._sign(i, j) for j in range(d)] for i in range(d)] == [list(r) for r in w]
+
+    @pytest.mark.parametrize("tower", (F13ST, F7RST, RST, QT), ids=str)
+    def test_seeded_products_match_the_schoolbook_sum(self, tower):
+        rng = random.Random(f"flat-product:{tower}")
+        classes = _slot_classes(tower)
+        for n in (2, 3, 4):
+            for _ in range(6 if n < 4 else 2):
+                slots = tuple(rng.choice(classes) for _ in range(n))
+                A = algebra_from_slots(tower, slots)
+                xc, yc = (_random_coords(tower, rng, A.dim) for _ in range(2))
+                got = _as_element(A, xc) * _as_element(A, yc)
+                assert [c.terms for c in got.coords] == schoolbook_product(tower, slots, xc, yc), slots
+                if tower.kind != "F":  # over Q and R the reduction keeps Fractions
+                    assert all(type(c) is Fraction for f in got.coords for _, c in f.terms)
+
+    @pytest.mark.parametrize("tower", (F13ST, QT), ids=str)
+    def test_products_whose_coordinates_cancel(self, tower):
+        rng = random.Random(f"flat-cancel:{tower}")
+        classes = _slot_classes(tower)
+        for n in (2, 3, 4):
+            slots = tuple(rng.choice(classes) for _ in range(n))
+            A = algebra_from_slots(tower, slots)
+            # e_1 e_2 = -e_2 e_1, so coordinate 3 of (e_1 + e_2)^2 cancels
+            x = A.basis(1) + A.basis(2)
+            xx = x * x
+            assert xx.coords[3].is_zero and not xx.coords[0].is_zero
+            coords = [dict(c.terms) for c in x.coords]
+            assert [c.terms for c in xx.coords] == schoolbook_product(tower, slots, coords, coords)
+            # x conj(x) cancels to its norm in every coordinate but the first
+            y = _as_element(A, _random_coords(tower, rng, A.dim, terms=(1, 2)))
+            assert all(c.is_zero for c in (y * y.conj()).coords[1:])
+            assert (A.element([0] * A.dim) * y).is_zero
+        # a zero divisor pair multiplies to zero in every coordinate
+        split = algebra_from_slots(F13ST, (one_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")))
+        x, y = zero_divisor_pair(split)
+        assert all(c.terms == () for c in (x * y).coords)
+
+    @pytest.mark.parametrize("tower", (F13ST, QT), ids=str)
+    def test_a_coordinate_at_the_limit_raises(self, tower):
+        A = algebra_from_slots(tower, (_slot_classes(tower)[1],) * 2)
+        ok = A.element([1, 2, 0, 1])
+        for e in (EXP_LIMIT, -EXP_LIMIT):
+            m = LaurentPoly.monomial(tower, 3, {tower.laurent_vars[-1]: e})
+            far = A.element([0, m, 0, 0])
+            for op in (lambda: far * ok, lambda: ok * far, lambda: far * far, far.norm_form_value):
+                with pytest.raises(ExponentOutOfRange, match=str(EXP_LIMIT)):
+                    op()
+
+    def test_element_coerces_what_is_not_a_polynomial_over_the_tower(self):
+        A = division_octonion_k()
+        same = FieldTower.prime(13, "s", "t")  # equal to F13ST, another object
+        s = LaurentPoly.variable(F13ST, "s")
+        t = LaurentPoly.variable(same, "t")
+        x = A.element([s, t, 3, var_class(F13ST, "s"), 0, 0, 0, 0])
+        assert x.coords[0] is s and x.coords[1] is t
+        assert x.coords[2] == LaurentPoly.const(F13ST, 3) and x.coords[3] == s
+        with pytest.raises(UnknownVariable):
+            A.element([LaurentPoly.variable(F13S, "s")] + [0] * 7)
+
+    def test_values_are_frozen_and_behave_as_constructor_built_ones(self):
+        A = division_octonion_k()
+        rng = random.Random("flat-frozen")
+        x = _as_element(A, _random_coords(F13ST, rng, 8, terms=(1, 2)))
+        y = A.element([LaurentPoly.variable(F13ST, "s"), 3] + [0] * 6)
+        for value in (x, y, x * y):
+            built = AlgebraElement(A, tuple(LaurentPoly(F13ST, c.terms) for c in value.coords))
+            assert list(vars(value)) == ["algebra", "coords"]
+            for c, b in zip(value.coords + (-value.coords[0],), built.coords + (-built.coords[0],)):
+                assert list(vars(c)) == ["tower", "terms"]
+                assert c == b and hash(c) == hash(b) and str(c) == str(b) and repr(c) == repr(b)
+                assert pickle.dumps(c) == pickle.dumps(b) and pickle.loads(pickle.dumps(c)) == b
+                for field in ("tower", "terms"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(c, field, None)
+            assert value == built and hash(value) == hash(built)
+            assert str(value) == str(built) and repr(value) == repr(built)
+            assert pickle.dumps(value) == pickle.dumps(built) and pickle.loads(pickle.dumps(value)) == built
+            for field in ("algebra", "coords"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field, None)
+        assert [f.name for f in dataclasses.fields(LaurentPoly)] == ["tower", "terms"]
+        assert [f.name for f in dataclasses.fields(AlgebraElement)] == ["algebra", "coords"]

@@ -125,6 +125,48 @@ class TestProductKernel:
             assert (x * zero).tower == tower
 
 
+class TestSmallOperands:
+    """Sums and differences with a zero operand are the other operand,
+    negation flips coefficients in place, and a difference reduces once."""
+
+    @pytest.mark.parametrize("tower", TOWERS + (F7PQRST,), ids=str)
+    def test_zero_operands_and_negation_skip_the_reduction(self, tower, monkeypatch):
+        rng = random.Random(f"laurent-small:{tower}")
+        fs = [random_poly(tower, rng) for _ in range(40)]
+        expected = [(f.terms, tuple_keyed_reduce(tower, {e: -c for e, c in f.terms})) for f in fs]
+
+        def forbidden(*args):
+            raise AssertionError("a zero operand or a negation reached the kernel or the reduction")
+
+        monkeypatch.setattr(laurent, "_add_products", forbidden)
+        monkeypatch.setattr(laurent, "_reduce_raw", forbidden)
+        zero = LaurentPoly.zero(tower)
+        for f, (terms, negated) in zip(fs, expected):
+            assert all(h.terms == terms for h in (f + zero, zero + f, f - zero, f + 0))
+            if f.terms:  # the other operand itself
+                assert f + zero is f and zero + f is f and f - zero is f
+            assert (-f).terms == (zero - f).terms == (0 - f).terms == negated
+            assert (-f).tower == tower and -(-f) == f
+
+    @pytest.mark.parametrize("tower", TOWERS, ids=str)
+    def test_a_difference_reduces_once(self, tower, monkeypatch):
+        rng = random.Random(f"laurent-sub:{tower}")
+        pairs = [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(60)]
+        expected = [tuple_keyed_sum(f, -g) for f, g in pairs]
+        calls = []
+        reduce_raw = laurent._reduce_raw
+
+        def counted(tower, raws):
+            calls.append(len(raws))
+            return reduce_raw(tower, raws)
+
+        monkeypatch.setattr(laurent, "_reduce_raw", counted)
+        for (f, g), terms in zip(pairs, expected):
+            del calls[:]
+            assert (f - g).terms == terms, (f, g)
+            assert calls == ([1] if f.terms and g.terms else [])
+
+
 class TestPackedKeys:
     """Exponent vectors are packed into one int each inside ``laurent``;
     ``terms`` keep their tuples, and every result is what tuple arithmetic
@@ -152,7 +194,7 @@ class TestPackedKeys:
             _add_products(raws, _packed((x,)), _packed((y,)), (((_key(e), c),),))
             xy = schoolbook(tower, dict(x.terms), dict(y.terms))
             expected = schoolbook(tower, xy, {e: c})
-            got = _reduce_raw(tower, raws[0]).terms
+            (got,) = (f.terms for f in _reduce_raw(tower, raws))
             assert got == tuple(sorted(expected.items())), signs
             if len(set(signs)) == 1:
                 assert max(abs(d) for exps, _ in got for d in exps) == 3 * top
@@ -166,7 +208,9 @@ class TestPackedKeys:
                 m = LaurentPoly.monomial(tower, 3, {v: e})  # built, not yet packed
                 for op in (lambda: m * one, lambda: one * m, lambda: m * m,
                            lambda: m * zero, lambda: zero * m,
-                           lambda: m + one, lambda: one - m, lambda: -m):
+                           lambda: m + one, lambda: one - m, lambda: -m,
+                           lambda: m + zero, lambda: zero + m, lambda: m + 0,
+                           lambda: m - zero, lambda: zero - m, lambda: 0 - m):
                     with pytest.raises(ExponentOutOfRange, match=str(EXP_LIMIT)):
                         op()
         assert issubclass(ExponentOutOfRange, WittforgeError)
