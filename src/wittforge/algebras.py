@@ -35,18 +35,17 @@ the norm's mod-2 symbol, ``symbol`` = (a_1)...(a_n), read off the slot
 codes (``qform._symbol``; None over Q, Q((t)) and towers of more than
 ``qform.SYMBOL_VARS`` variables).  It builds and folds no form.  An
 algebra of dimension 2, 4 or 8 is split iff its norm is hyperbolic, that
-is iff the symbol is 0; without a symbol ``is_split`` reads the norm's
-Witt decomposition, ``norm_witt``, read once from ``qform._witt`` and
-kept.  The entry codes of the norm, ``norm_codes``, are folded from the
-slot codes on their first read (``qform._pfister_fold``), and the norm
-form ``norm``, as ``qform.pfister`` builds it, from those.  Questions of
-the norm alone (splitting, the cubic obstruction) read the symbol and
-stop there.  The table is built on its first read (``gamma``), and
-checked on codes, once per algebra, before any reader gets it: the
-class code of each N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its
-term (``laurent._term_class``: the exponent parities and the base class of
-the coefficient) and must equal the norm's entry code i.  A table that
-fails raises on every read.  The diagonal coefficients
+is iff the symbol is 0; without a symbol ``is_split`` asks whether the
+norm form is isotropic.  The norm form ``norm`` is ``qform.pfister`` of
+the slots, built on its first read.  Questions of the norm alone
+(splitting, the cubic obstruction) read the symbol and stop there.  The
+table is built on its first read (``gamma``), and checked on codes, once
+per algebra, before any reader gets it: the class code of each
+N(e_i) = -gamma_ii, with N(e_0) = 1, is read off its term
+(``laurent._term_class``: the exponent parities and the base class of
+the coefficient) and must equal entry i of the norm's codes as
+``qform._pfister_codes`` folds them, so no norm form is built.  A table
+that fails raises on every read.  The diagonal coefficients
 ``norm_coeffs`` become polynomials on first use.  Element coordinates are
 exact Laurent polynomials; the operations used here (multiply, conjugate, norm, trace)
 never leave that ring.  A zero divisor is x with conj x, for x an
@@ -100,12 +99,11 @@ from .laurent import (
 )
 from .qform import (
     DiagonalForm,
-    WittDecomposition,
-    _classes,
-    _pfister_fold,
+    _pfister_codes,
     _symbol,
-    _witt,
+    is_isotropic,
     isotropic_vector,
+    pfister,
 )
 
 _new = object.__new__  # values are built by one write of the instance dict
@@ -113,10 +111,9 @@ _new = object.__new__  # values are built by one write of the instance dict
 
 class CompositionAlgebra:
     """The algebra on ``slots``: the symbol of its Pfister norm, kept at
-    construction where the tower has symbols (else None); the norm's entry
-    codes, the norm form and its Witt decomposition, each built on first
-    read; and its structure-constant table by the index rule, built and
-    checked against the norm's codes on first use."""
+    construction where the tower has symbols (else None); the norm form,
+    built on first read; and its structure-constant table by the index
+    rule, built and checked against the norm's codes on first use."""
 
     def __init__(self, tower, slots):
         slots = tuple(slots)
@@ -136,21 +133,9 @@ class CompositionAlgebra:
         self.symbol = _symbol(tower, codes)  # None where the tower has no symbols
 
     @cached_property
-    def norm_codes(self) -> tuple:
-        """The entry codes of the Pfister norm, folded from the slot codes
-        on first read (``qform._pfister_fold``)."""
-        return _pfister_fold(self.tower, tuple(c.code for c in self.slots))
-
-    @cached_property
     def norm(self) -> DiagonalForm:
-        """The Pfister norm as a form, from ``norm_codes`` on first read."""
-        return DiagonalForm(self.tower, _classes(self.tower, self.norm_codes))
-
-    @cached_property
-    def norm_witt(self) -> WittDecomposition:
-        """The norm's Witt decomposition, read once from ``_witt``: whether
-        the algebra is split, on towers without symbols."""
-        return _witt(self.tower, tuple(sorted(self.norm_codes)))
+        """The Pfister norm <<slots>> as a form, built on first read."""
+        return pfister(self.tower, self.slots)
 
     @cached_property
     def gamma(self) -> tuple:
@@ -158,7 +143,7 @@ class CompositionAlgebra:
         pair, by the index rule on first use; the class of each N(e_i),
         read off its term, must be the norm's entry i."""
         gamma = _index_rule_table(self.tower, self.slots)
-        codes = self.norm_codes
+        codes = _pfister_codes(self.tower, self.slots)
         diagonal = tuple(
             _class_code(self.tower, *_term_class(self.tower, e, c)) for e, c in _norm_terms(gamma)
         )
@@ -392,12 +377,12 @@ def algebra_from_slots(
 
 def is_split(A: CompositionAlgebra) -> bool:
     """Split means isotropic (equivalently hyperbolic) norm form: a zero
-    symbol where the tower has symbols, a positive Witt index elsewhere."""
+    symbol where the tower has symbols, an isotropic norm form elsewhere."""
     if A.dim not in (2, 4, 8):
         raise UnsupportedDim(f"splitness is defined for dimensions 2, 4, 8; got {A.dim}")
     if A.symbol is not None:
         return A.symbol == 0
-    return A.norm_witt.witt_index > 0
+    return is_isotropic(A.norm)
 
 
 def composition_defect(x: AlgebraElement, y: AlgebraElement) -> LaurentPoly:

@@ -20,9 +20,10 @@ A form's ``key`` is the sorted tuple of its entries' codes (see
 so a repeated question costs one tuple hash; the tower stays in every
 key, since the same codes mean different classes over different towers.
 Pfister forms are folded on codes by ``fields._code_mul``: <1> times
-<1,-a> for each slot a in turn (``_fold``), memoized per tuple of slot
-codes (``_pfister_fold``; the slots' towers are checked on every call);
-tensor products and scalings multiply entries by ``fields.sq_mul``.
+<1,-a> for each slot a in turn (``_fold``), the slots' towers checked
+first, in one routine, ``_pfister_codes``, which ``pfister``, the
+splitting questions and an algebra's table check all read; tensor
+products and scalings multiply entries by ``fields.sq_mul``.
 
 One memoized Springer pass, ``_witt``, answers every Witt question:
 decomposition, class, isotropy, isometry and splitting.  Over R and F_q
@@ -133,25 +134,13 @@ def _classes(tower: FieldTower, codes) -> tuple[SquareClass, ...]:
     return tuple(class_of_code(tower, c) for c in codes)
 
 
-def _slot_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
-    """The codes of the slots, each checked to live over ``tower``."""
+def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
+    """The entry codes of <<a_1,...,a_n>>: the slots, each checked to live
+    over ``tower``, folded on their codes (``_fold``)."""
     for a in slots:
         if a.tower != tower:
             raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
-    return tuple(a.code for a in slots)
-
-
-def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
-    """Codes of the entries of <<a_1,...,a_n>>, the slots checked on every
-    call before the fold is looked up."""
-    return _pfister_fold(tower, _slot_codes(tower, slots))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _pfister_fold(tower: FieldTower, codes: tuple) -> tuple:
-    """The entry codes of <<a_1,...,a_n>> from the slot codes: <1> folded
-    over the slots (``_fold``), memoized per tuple of slot codes."""
-    return tuple(_fold([one_class(tower).code], _neg_codes(tower, codes)))
+    return tuple(_fold([one_class(tower).code], _neg_codes(tower, [a.code for a in slots])))
 
 
 def _neg_codes(tower: FieldTower, codes) -> list:
@@ -633,9 +622,9 @@ def quadratic_splitting_classes(
 ) -> frozenset[SquareClass]:
     """The nonsquare classes delta of an enumerable tower with <<slots>>
     hyperbolic over tower(sqrt(delta)): the answers of
-    ``splits_over_quadratic`` for every delta at once.  The slots are
-    checked and folded once and isotropy is asked once; then each delta
-    is one ``_witt`` lookup."""
+    ``splits_over_quadratic`` for every delta at once.  One fold of the
+    checked slots and one isotropy question serve every delta; then each
+    delta is one ``_witt`` lookup."""
     nonsquares = [d for d in enumerate_square_classes(tower) if not d.is_one]
     codes = _pfister_codes(tower, slots)
     if _witt(tower, tuple(sorted(codes))).witt_index > 0:

@@ -8,12 +8,13 @@ the ramified Galois cubic k((t))(t^(1/3)) available once the base holds
 a primitive cube root of unity.
 
 Admissibility of the first two cubic kinds reduces to splitting the
-algebra over at most two quadratic extensions.  A type report computes
-the algebra's splitting set once, the classes whose quadratic etale
-algebra splits it (its splitting profile, plus 1 when it is split), as
-one flag per class code, and reads every such verdict's two classes off
-it: over an enumerable tower codes multiply by XOR, so [F''] is one XOR
-and each test one list index.  ``admits_type`` tests just its type's two
+algebra over at most two quadratic extensions.  A type report flags
+once, per class code, whether the class's quadratic etale algebra
+splits the algebra: the class 1 (k x k) when the algebra is split
+(``is_split``), any other class when it is in the splitting profile.
+Every such verdict reads its two classes off these flags: over an
+enumerable tower codes multiply by XOR, so [F''] is one XOR and each
+test one list index.  ``admits_type`` tests just its type's two
 classes, so it needs no finite class group.  The cubic-field kind is
 ruled out for division algebras by a trace-form comparison: every
 hermitian-shape candidate (b, c) compatible with the norm form would
@@ -160,9 +161,10 @@ def _cubic_str(c: Cubic) -> str:
     return f"pure_cubic({c.var})"
 
 
-# The most rows a torus-type catalog may have: about 2^(2n+2) over n
-# Laurent variables, so eight variables (262,656 rows, some 3 s for a type
-# report) are catalogued and nine (over a million rows) are refused.
+# The most rows a torus-type catalog or an obstruction report's evidence
+# may have: about 2^(2n+2) over n Laurent variables, so eight variables
+# (262,656 rows, some 3 s for a type report) are catalogued and nine (over
+# a million rows) are refused.
 CATALOG_ROWS = 1 << 19
 
 
@@ -191,13 +193,6 @@ def torus_type_catalog(tower: FieldTower) -> list[TorusType]:
 def splitting_profile(C: CompositionAlgebra) -> frozenset[SquareClass]:
     """Nonsquare classes delta with C split by adjoining sqrt(delta)."""
     return quadratic_splitting_classes(C.tower, C.slots)
-
-
-def _splitting_set(C: CompositionAlgebra) -> frozenset[SquareClass]:
-    """Classes delta whose quadratic etale algebra splits C: the splitting
-    profile, and 1 (for k x k) when C is split."""
-    profile = splitting_profile(C)
-    return profile | {one_class(C.tower)} if is_split(C) else profile
 
 
 def _quadratic_pair(tau: TorusType) -> tuple[SquareClass, SquareClass]:
@@ -410,7 +405,8 @@ def _obstruction_symbol(C: CompositionAlgebra) -> int:
     alone, and its norm's symbol, the report body's key: checked once and
     kept in the algebra's instance dict as ``_obstruction_symbol`` once
     they pass.  A failure keeps nothing, so it raises again on every
-    call."""
+    call.  A report has one evidence row per pair of classes, 4^(n+1)
+    over n Laurent variables, held to ``CATALOG_ROWS`` like the catalog."""
     tower = C.tower
     if C.dim != 8:
         raise PreconditionFailed("the obstruction applies to octonion algebras")
@@ -424,6 +420,12 @@ def _obstruction_symbol(C: CompositionAlgebra) -> int:
     if symbol is None:
         raise PreconditionFailed(
             f"the obstruction sweep needs at most {SYMBOL_VARS} Laurent variables"
+        )
+    rows = 4 ** (len(tower.laurent_vars) + 1)
+    if rows > CATALOG_ROWS:
+        raise PreconditionFailed(
+            f"the obstruction report over {tower} has {rows} evidence rows, "
+            f"more than the bound of {CATALOG_ROWS}"
         )
     if not symbol:
         raise PreconditionFailed("the obstruction applies to division algebras")
@@ -633,8 +635,9 @@ def type_report(C: CompositionAlgebra) -> TypeReport:
     catalog = torus_type_catalog(C.tower)  # checks the catalog's size first
     classes = enumerate_square_classes(C.tower)
     split = [False] * len(classes)
-    for c in _splitting_set(C):
+    for c in splitting_profile(C):
         split[c.code] = True
+    split[0] = is_split(C)  # the class 1, for k x k
     rows = tuple(_type_verdict(C, classes, split, tau) for tau in catalog)
     return TypeReport(C.tower, C.slots, rows)
 

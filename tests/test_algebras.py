@@ -52,15 +52,15 @@ def _algebra_caches():
         fn
         for fn in vars(algebras).values()
         if hasattr(fn, "cache_clear") and fn.__module__ == algebras.__name__
-    ] + [qform._pfister_fold]
+    ]
 
 
 @pytest.fixture(autouse=True)
 def cold_algebra_caches():
-    """Every test starts and ends with empty ``algebras`` memos and an empty
-    Pfister fold memo: the fault-injection tests patch names the memoized
-    helpers call (``LaurentPoly.of_class``), so a warm memo would hide the
-    fault, and a poisoned entry left behind would leak into later tests."""
+    """Every test starts and ends with empty ``algebras`` memos: the
+    fault-injection tests patch names the memoized helpers call
+    (``LaurentPoly.of_class``), so a warm memo would hide the fault, and a
+    poisoned entry left behind would leak into later tests."""
     for fn in _algebra_caches():
         fn.cache_clear()
     yield
@@ -364,17 +364,16 @@ class TestSplitDetection:
 
 
 class TestTableOnFirstUse:
-    """The constructor checks the slots and keeps the codes of the norm;
-    the norm form and the table are built on their first read, the table
-    checked against those codes."""
+    """The constructor checks the slots; the norm form and the table are
+    built on their first read, the table checked against the norm's
+    folded codes."""
 
     def test_a_product_builds_no_norm_form(self):
-        # the table is checked on the kept codes, so neither the table nor
+        # the table is checked on the folded codes, so neither the table nor
         # a product reads the norm form; a later read builds it
         u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
         for slots in ((u, s), (u, s, t), (one_class(F13ST), s, t)):
             A = algebra_from_slots(F13ST, slots)
-            assert A.norm_codes == tuple(e.code for e in pfister(F13ST, slots).entries)
             assert not (A.basis(1) * A.basis(2)).is_zero
             A.norm_coeffs
             assert "norm" not in vars(A)

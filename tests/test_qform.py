@@ -292,8 +292,7 @@ class TestSymbols:
         for n in (1, 2, 3):
             symbol_classes, class_symbols = {}, {}
             for slots in itertools.product(classes, repeat=n):
-                codes = tuple(a.code for a in slots)
-                w = qform._witt(tower, tuple(sorted(qform._pfister_fold(tower, codes))))
+                w = qform._witt(tower, tuple(sorted(qform._pfister_codes(tower, slots))))
                 symbol = pfister_symbol(tower, slots)
                 assert (symbol == 0) == (w.witt_index > 0), (tower, slots)
                 symbol_classes.setdefault(symbol, set()).add(w.witt_class)

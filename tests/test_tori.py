@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittforge import qform, tori
+from wittforge import algebras, qform, tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     FieldMismatch,
@@ -173,16 +173,17 @@ class TestSplittingProfile:
         nonsquares = {c for c in enumerate_square_classes(F13ST) if not c.is_one}
         assert prof == nonsquares
 
-    def test_one_pfister_fold_per_profile(self):
+    def test_one_pfister_fold_per_profile(self, monkeypatch):
         # the slots are folded once for all 31 nonsquare d over
-        # F7((q))((r))((s))((t)): one fold lookup per profile, no repeat
+        # F7((q))((r))((s))((t)): one fold per profile, no repeat
         tower = FieldTower.prime(7, "q", "r", "s", "t")
         classes = enumerate_square_classes(tower)
         C = algebra_from_slots(tower, (classes[3], classes[10], classes[21]))
-        qform._pfister_fold.cache_clear()
+        folds = []
+        fold = qform._pfister_codes
+        monkeypatch.setattr(qform, "_pfister_codes", lambda *a: folds.append(a) or fold(*a))
         splitting_profile(C)
-        info = qform._pfister_fold.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert len(folds) == 1
 
 
 class TestAdmitsType:
@@ -566,16 +567,19 @@ class TestCubicObstruction:
         assert vars(C)["_obstruction_symbol"] == pfister_symbol(F13ST, C.slots)
         assert C.norm == pfister(F13ST, C.slots)
 
-    def test_the_sweep_folds_no_norm(self):
-        # is_split and the seven reports, on empty memos, read the symbol
-        # kept at construction: no Pfister fold, and no norm codes kept
-        qform._pfister_fold.cache_clear()
+    def test_the_sweep_folds_no_norm(self, monkeypatch):
+        # is_split and the seven reports read the symbol kept at
+        # construction: no Pfister fold, and no norm form kept
+        def refuse(*args):
+            raise AssertionError("Pfister slots folded")
+
+        monkeypatch.setattr(qform, "_pfister_codes", refuse)
+        monkeypatch.setattr(algebras, "_pfister_codes", refuse)
         C = division_octonion()
         assert not is_split(C)
         for d in enumerate_square_classes(F13ST)[1:]:
             cubic_obstruction_report(C, d)
-        assert qform._pfister_fold.cache_info().misses == 0
-        assert "norm_codes" not in vars(C)
+        assert "norm" not in vars(C)
 
     def test_a_failed_precondition_raises_on_every_call(self):
         # a failed check of the algebra keeps nothing on it; once the checks
@@ -601,6 +605,35 @@ class TestCubicObstruction:
                 cubic_obstruction_report(C, one_class(F13ST))
             with pytest.raises(FieldMismatch):
                 cubic_obstruction_report(C, var_class(F7ST, "s"))
+
+    def test_an_obstruction_past_the_row_bound_fails_fast(self, monkeypatch):
+        # <<u,x1,x_(n-1)>> at d = x0 over F7((x0))...((x_(n-1))): 9 to 16
+        # variables have symbols but 4^(n+1) evidence rows, more than
+        # CATALOG_ROWS, and are refused before any pair or class is listed,
+        # on every call; 17 and 40 have no symbols; 8 pass the checks
+        def refuse(*args):
+            raise AssertionError("pairs or classes listed")
+
+        def octonion_over(n):
+            tower = FieldTower.prime(7, *(f"x{i}" for i in range(n)))
+            slots = (nonresidue_class(tower), var_class(tower, "x1"), var_class(tower, f"x{n - 1}"))
+            return algebra_from_slots(tower, slots), var_class(tower, "x0")
+
+        monkeypatch.setattr(tori, "_pair_groups", refuse)
+        monkeypatch.setattr(tori, "enumerate_square_classes", refuse)
+        for n, message in [
+            (9, "1048576 evidence rows"),
+            (16, "17179869184 evidence rows"),
+            (17, "at most 16 Laurent variables"),
+            (40, "at most 16 Laurent variables"),
+        ]:
+            C, d = octonion_over(n)
+            for _ in range(2):
+                with pytest.raises(PreconditionFailed, match=message):
+                    cubic_obstruction_report(C, d)
+            assert "_obstruction_symbol" not in vars(C)
+        C, _ = octonion_over(8)
+        assert tori._obstruction_symbol(C) == C.symbol != 0
 
     def test_json_roundtrip(self):
         C = division_octonion()
