@@ -6,6 +6,8 @@ machinery over Q, Cayley-Dickson composition algebras, and torus-type
 catalogs for their automorphism groups.
 """
 
+import gc
+
 from .errors import WittforgeError
 from .fields import (
     FieldTower,
@@ -76,3 +78,7 @@ from .tori import (
 )
 
 __version__ = "0.1.0"
+
+if not gc.get_freeze_count():  # leave what the host froze frozen
+    gc.freeze()  # with unfreeze, all made so far is old at no cost: no first operation collects it
+    gc.unfreeze()

@@ -85,6 +85,7 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
+    Value,
     _class_code,
     _norm_coeff,
     class_of_code,
@@ -202,8 +203,10 @@ class CompositionAlgebra:
         return self.basis(0)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+@dataclass(init=False, repr=False, eq=False)
+class AlgebraElement(Value):
+    """An element of ``algebra``: one polynomial coordinate per basis vector."""
+
     algebra: CompositionAlgebra
     coords: tuple[LaurentPoly, ...]
 

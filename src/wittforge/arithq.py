@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Optional
 
 from .errors import ZeroArgument
 from .fields import (
     SquareClass,
+    Value,
+    factor_bound,
     is_prime,
     legendre,
     minus_one_class,
@@ -32,15 +35,23 @@ from .fields import (
 from .qform import DiagonalForm, WittDecomposition
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+@total_ordering
+@dataclass(init=False, repr=False, eq=False)
+class Place(Value):
     """A completion of Q: FinitePrime(p) or the real place (p == 0)."""
 
     p: int
 
-    def __post_init__(self):
-        if self.p != 0 and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if p != 0 and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.__dict__["p"] = p
+
+    def _values(self) -> tuple:
+        return (self.p,)
+
+    def __lt__(self, other):
+        return self.p < other.p if type(other) is type(self) else NotImplemented
 
     @property
     def is_real(self) -> bool:
@@ -120,10 +131,11 @@ def hilbert_symbol(a, b, v: Place) -> int:
 def _support_primes(values) -> list[int]:
     """2 and the primes dividing some value to an odd power: away from
     them every Hilbert symbol of the values is 1.  Factoring is bounded
-    by ``WITTFORGE_FACTOR_BOUND``."""
+    by ``WITTFORGE_FACTOR_BOUND``, read once per call."""
     primes = {2}
+    bound = factor_bound()
     for x in values:
-        primes.update(squarefree_decomposition(x)[1])
+        primes.update(squarefree_decomposition(x, bound)[1])
     return sorted(primes)
 
 
@@ -134,8 +146,8 @@ def ramification_set(a, b) -> frozenset[Place]:
     return frozenset(v for v in places if _hasse((a, b), v.p) == -1)
 
 
-@dataclass(frozen=True)
-class RationalInvariants:
+@dataclass(init=False, repr=False, eq=False)
+class RationalInvariants(Value):
     """Classifying data of a form over Q.
 
     ``hasse_minus`` holds exactly the places where the Hasse invariant

@@ -29,12 +29,18 @@ A class builds its string on its first ``str`` and its hash on its first
 The unramified quadratic extension of an F_p tower is modelled by the
 same prime with ``degree == 2`` (the field F_{p^2}); its square-class
 group is still {1, u} but every base constant is a square there.
+
+Value classes only register their fields with ``@dataclass(init=False,
+repr=False, eq=False)``: no method is compiled at import.  ``Value`` writes
+the instance dict once, in field order, forbids assignment and deletion
+(FrozenInstanceError), compares and hashes the tuple of ``compare`` fields
+and prints the dataclass repr.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache, total_ordering
 from fractions import Fraction
 from typing import Optional, Union
@@ -197,22 +203,60 @@ def _sign_and_primes(n: int, bound: int) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(sorted(primes))
 
 
-def squarefree_decomposition(value) -> tuple[int, tuple[int, ...]]:
-    """(sign, odd-multiplicity primes) of a nonzero int or Fraction."""
+def squarefree_decomposition(value, bound: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
+    """(sign, odd-multiplicity primes) of a nonzero int or Fraction, to ``bound`` or factor_bound()."""
     if isinstance(value, Fraction):
         n = value.numerator * value.denominator
     else:
         n = int(value)
     if n == 0:
         raise ZeroElement("0 has no square class")
-    return _sign_and_primes(n, factor_bound())
+    return _sign_and_primes(n, factor_bound() if bound is None else bound)
+
+
+class Value:
+    """The immutable base of the package's value classes (module docstring)."""
+
+    def __init__(self, *args, **kwargs):
+        names = Value._names(type(self))[0]
+        if kwargs or len(args) != len(names):  # by name, as the dataclass also took them
+            values = dict(zip(names, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        self.__dict__.update(zip(names, args))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @staticmethod
+    @lru_cache(maxsize=CACHE_SIZE)
+    def _names(cls) -> tuple:  # (init, compare) field names
+        fs = fields(cls)
+        return tuple(f.name for f in fs if f.init), tuple(f.name for f in fs if f.compare)
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in Value._names(type(self))[1]])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({shown})"
 
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
-@dataclass(frozen=True)
-class FieldTower:
+@dataclass(init=False, repr=False, eq=False)
+class FieldTower(Value):
     """Base field descriptor plus ordered Laurent variables (innermost first)."""
 
     kind: str  # "Q" | "R" | "F"
@@ -222,25 +266,26 @@ class FieldTower:
     # towers key every memo cache, so the hash is computed once, here
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "R", "F"):
-            raise ValueError(f"unknown base kind {self.kind!r}")
-        if self.kind == "F":
-            if self.p is None or self.p == 2 or not is_prime(self.p):
+    def __init__(self, kind: str, p: Optional[int] = None, laurent_vars: tuple = (), degree: int = 1):
+        if kind not in ("Q", "R", "F"):
+            raise ValueError(f"unknown base kind {kind!r}")
+        if kind == "F":
+            if p is None or p == 2 or not is_prime(p):
                 raise ValueError("prime base needs an odd prime (char 2 rejected)")
-            if self.degree not in (1, 2):
+            if degree not in (1, 2):
                 raise ValueError("only degree 1 and 2 prime bases are supported")
         else:
-            if self.p is not None or self.degree != 1:
-                raise ValueError(f"base {self.kind} takes no prime/degree")
-        if len(set(self.laurent_vars)) != len(self.laurent_vars):
+            if p is not None or degree != 1:
+                raise ValueError(f"base {kind} takes no prime/degree")
+        if len(set(laurent_vars)) != len(laurent_vars):
             raise ValueError("Laurent variable names must be distinct")
-        for v in self.laurent_vars:
+        for v in laurent_vars:
             if not v or v[0].isdigit() or not set(v) <= _IDENT_OK:
                 raise ValueError(f"bad variable name {v!r}")
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.p, self.laurent_vars, self.degree))
-        )
+        # one attribute at a time, not the dict: CPython reads towers faster
+        values = kind, p, laurent_vars, degree, hash((kind, p, laurent_vars, degree))
+        for name, value in zip(("kind", "p", "laurent_vars", "degree", "_hash"), values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         # classes and forms of one tower share its object: answer that first
@@ -329,8 +374,8 @@ def _subtower(kind, p, laurent_vars, degree) -> FieldTower:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class SquareClass:
+@dataclass(init=False, repr=False, eq=False)
+class SquareClass(Value):
     """Canonical representative of an element of k^x / k^{x2}.
 
     ``base`` is the base-field part and bit i of ``mask`` marks an odd
@@ -346,20 +391,19 @@ class SquareClass:
         init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> len(self.tower.laurent_vars):
-            raise UnknownVariable(
-                f"variable mask {self.mask:#b} exceeds the variables of {self.tower}"
-            )
-        if self.tower.kind == "F":
-            if self.base not in (1, self.tower.nonresidue):
-                raise ValueError(f"non-canonical prime base part {self.base}")
-        elif self.tower.kind == "R":
-            if self.base not in (1, -1):
-                raise ValueError(f"non-canonical sign part {self.base}")
-        elif self.base == 0:
+    def __init__(self, tower: FieldTower, base: int, mask: int = 0):
+        if mask < 0 or mask >> len(tower.laurent_vars):
+            raise UnknownVariable(f"variable mask {mask:#b} exceeds the variables of {tower}")
+        if tower.kind == "F":
+            if base not in (1, tower.nonresidue):
+                raise ValueError(f"non-canonical prime base part {base}")
+        elif tower.kind == "R":
+            if base not in (1, -1):
+                raise ValueError(f"non-canonical sign part {base}")
+        elif base == 0:
             raise ZeroElement("0 has no square class")
-        object.__setattr__(self, "code", _class_code(self.tower, self.base, self.mask))
+        d = self.__dict__
+        d["tower"], d["base"], d["mask"], d["code"] = tower, base, mask, _class_code(tower, base, mask)
 
     @property
     def odd_vars(self) -> frozenset[str]:
@@ -408,8 +452,8 @@ class SquareClass:
         return "*".join([base_part] + vars_part)
 
     def __str__(self) -> str:
-        """Built on the first call and kept in the instance dict, which the
-        frozen dataclass's fields, equality and hash ignore.  A plain dict
+        """Built on the first call and kept in the instance dict, where the
+        fields, equality and hash of a ``Value`` never look.  A plain dict
         entry, not ``functools.cached_property``: that takes a lock on each
         first read, and most classes over Q are printed once."""
         text = self.__dict__.get("_text")

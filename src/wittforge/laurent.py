@@ -27,7 +27,7 @@ polynomials with the tower read once: mod p over prime bases (a ring
 homomorphism, so this is what reducing at every step gives), zeros
 dropped, terms sorted by key and the keys read back as tuples.  It builds
 each value, as ``__init__`` does, with one write of the instance dict
-instead of a frozen ``__setattr__`` per field.  Values are taken to be
+(``fields.Value`` forbids ``__setattr__``).  Values are taken to be
 canonical: terms sorted, nonzero, reduced.  So a sum with a zero operand
 is the other operand, and negation maps each coefficient c to -c (p - c
 over F_p) in the order the terms already have, so a difference f + (-g)
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExponentOutOfRange, UnknownVariable, UnrepresentableClass, ZeroElement, number_text
-from .fields import CACHE_SIZE, FieldTower, SquareClass, _base_class_of_constant, _norm_coeff
+from .fields import CACHE_SIZE, FieldTower, SquareClass, Value, _base_class_of_constant, _norm_coeff
 
 K = 32  # bits per exponent digit of a packed key
 EXP_LIMIT = 1 << (K - 3)  # |e| < EXP_LIMIT: three keys add without a carry
@@ -167,13 +167,14 @@ def _reduce_raw(tower: FieldTower, raws) -> list:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class LaurentPoly:
+@dataclass(init=False, repr=False, eq=False)
+class LaurentPoly(Value):
+    """A Laurent polynomial over ``tower``: its canonical terms."""
+
     tower: FieldTower
     terms: tuple  # sorted ((exps, coeff), ...), exps aligned with laurent_vars
 
     def __init__(self, tower: FieldTower, terms: tuple):
-        # one write of the instance dict, not one frozen __setattr__ per field
         d = self.__dict__
         d["tower"], d["terms"] = tower, terms
 

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -91,6 +91,7 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
+    Value,
     _code_mul,
     class_of_code,
     enumerate_square_classes,
@@ -107,18 +108,19 @@ def _times(a: SquareClass, entries) -> tuple[SquareClass, ...]:
     return tuple(sq_mul(a, e) for e in entries)
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+@dataclass(init=False, repr=False, eq=False)
+class DiagonalForm(Value):
+    """The form <entries> over ``tower``; ``key`` is its sorted entry codes."""
+
     tower: FieldTower
     entries: tuple[SquareClass, ...]
     key: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        tower = self.tower
-        for e in self.entries:
+    def __init__(self, tower: FieldTower, entries: tuple[SquareClass, ...]):
+        for e in entries:
             if e.tower is not tower and e.tower != tower:
-                raise FieldMismatch(f"entry {e} lives over {e.tower}, not {self.tower}")
-        object.__setattr__(self, "key", tuple(sorted(e.code for e in self.entries)))
+                raise FieldMismatch(f"entry {e} lives over {e.tower}, not {tower}")
+        self.__dict__.update(tower=tower, entries=entries, key=tuple(sorted(e.code for e in entries)))
 
     @property
     def dim(self) -> int:
@@ -381,8 +383,10 @@ def diagonalize(tower: FieldTower, gram) -> DiagonalForm:
 # -- isotropy, Witt decomposition -----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class WittDecomposition:
+@dataclass(init=False, repr=False, eq=False)
+class WittDecomposition(Value):
+    """Witt index and anisotropic kernel, as a form or as invariants."""
+
     witt_index: int
     kernel_dim: int
     kernel: Optional[DiagonalForm] = None  # None when only invariants survive (Q)
@@ -391,23 +395,14 @@ class WittDecomposition:
     # that is kept of the kernel (over Q((t))...), else derived
     witt_class: Optional[tuple] = field(default=None, repr=False)
 
-    def _key(self) -> tuple:
+    def __init__(self, witt_index, kernel_dim, kernel=None, kernel_invariants=None, witt_class=None):
+        self.__dict__.update(witt_index=witt_index, kernel_dim=kernel_dim, kernel=kernel,
+                             kernel_invariants=kernel_invariants, witt_class=witt_class)
+
+    def _values(self) -> tuple:
         kept = self.kernel is not None or self.kernel_invariants is not None
-        return (
-            self.witt_index,
-            self.kernel_dim,
-            self.kernel,
-            self.kernel_invariants,
-            None if kept else self.witt_class,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, WittDecomposition):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return (self.witt_index, self.kernel_dim, self.kernel, self.kernel_invariants,
+                None if kept else self.witt_class)
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -443,7 +438,8 @@ def _witt_rational(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittD
         from . import arithq
 
         w = arithq.witt_index_rational(DiagonalForm(tower, entries))
-        return replace(w, witt_class=((0, w.kernel_invariants),) if w.kernel_dim else ())
+        witt_class = ((0, w.kernel_invariants),) if w.kernel_dim else ()
+        return WittDecomposition(w.witt_index, w.kernel_dim, None, w.kernel_invariants, witt_class)
     base = tower.base_field()
     witt_index = kernel_dim = 0
     witt_class = []

@@ -89,6 +89,7 @@ from .fields import (
     CACHE_SIZE,
     FieldTower,
     SquareClass,
+    Value,
     class_of_code,
     enumerate_square_classes,
     lift_class,
@@ -114,20 +115,20 @@ from .qform import (
 # -- torus types ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Split3:
+@dataclass(init=False, repr=False, eq=False)
+class Split3(Value):
     """Cubic part k x k x k."""
 
 
-@dataclass(frozen=True)
-class QuadTimes:
+@dataclass(init=False, repr=False, eq=False)
+class QuadTimes(Value):
     """Cubic part k x E for the quadratic etale algebra of class delta."""
 
     delta: SquareClass
 
 
-@dataclass(frozen=True)
-class PureCubicGalois:
+@dataclass(init=False, repr=False, eq=False)
+class PureCubicGalois(Value):
     """Cubic part k((t))(t^(1/3)), Galois once zeta_3 lives downstairs."""
 
     var: str
@@ -136,18 +137,21 @@ class PureCubicGalois:
 Cubic = Union[Split3, QuadTimes, PureCubicGalois]
 
 
-@dataclass(frozen=True)
-class TorusType:
+@dataclass(init=False, repr=False, eq=False)
+class TorusType(Value):
+    """A maximal torus type: its quadratic class and its cubic part."""
+
     quad: SquareClass
     cubic: Cubic
 
-    def __post_init__(self):
-        if isinstance(self.cubic, PureCubicGalois):
-            tower = self.quad.tower
-            if not tower.laurent_vars or self.cubic.var != tower.outer_var:
+    def __init__(self, quad: SquareClass, cubic: Cubic):
+        if isinstance(cubic, PureCubicGalois):
+            tower = quad.tower
+            if not tower.laurent_vars or cubic.var != tower.outer_var:
                 raise ValueError("pure cubic type needs the outermost uniformizer")
             if not tower.has_zeta3():
                 raise ValueError("pure cubic Galois type needs zeta_3 in the base")
+        self.__dict__.update(quad=quad, cubic=cubic)
 
     def __str__(self):
         return f"(quad={self.quad}, cubic={_cubic_str(self.cubic)})"
@@ -305,7 +309,7 @@ def _key(*path: str):
     return field(metadata={"key": path})
 
 
-class _Report:
+class _Report(Value):
     """JSON for a report through the one codec, ``_encode``/``_decode``."""
 
     def to_json_dict(self) -> dict:
@@ -319,8 +323,10 @@ class _Report:
         return _decode(cls, json.loads(text), None)
 
 
-@dataclass(frozen=True)
-class LambdaRow:
+@dataclass(init=False, repr=False, eq=False)
+class LambdaRow(Value):
+    """Step (a) for one unit class and valuation r of lambda."""
+
     r: int
     unit: SquareClass = field(metadata={"inner": True})  # a class of tower.inner()
     norm_class: SquareClass
@@ -328,8 +334,10 @@ class LambdaRow:
     lambda_is_square: bool
 
 
-@dataclass(frozen=True)
-class EvidenceRow:
+@dataclass(init=False, repr=False, eq=False)
+class EvidenceRow(Value):
+    """Steps (c) and (d) for one hermitian candidate (b, c)."""
+
     b: SquareClass
     c: SquareClass
     norm_matches: bool
@@ -337,8 +345,10 @@ class EvidenceRow:
     contradiction: bool
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class CubicObstructionReport(_Report):
+    """The cubic-field exclusion replayed for one algebra and one d."""
+
     tower: FieldTower = _key("field")
     slots: tuple[SquareClass, ...] = _key("algebra", "slots")
     d: SquareClass
@@ -379,8 +389,7 @@ def cubic_obstruction_report(
     decides.  A contradiction raises InternalInconsistency, and a raise
     is never memoized.  The report's instance dict is filled from the
     memoized fields, in order, and then given the algebra's tower and
-    slots and d: the dataclass has no ``__post_init__``, so this is what
-    its constructor stores.
+    slots and d: exactly what its constructor writes.
     """
     symbol = C.__dict__.get("_obstruction_symbol")
     if symbol is None:
@@ -563,34 +572,42 @@ def _fold_class(tower: FieldTower, codes: tuple, slot_codes: tuple) -> tuple:
 # -- reports -----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
+@dataclass(init=False, repr=False, eq=False)
+class TypeVerdict(Value):
+    """One catalog row: a torus type, its verdict and the reason."""
+
     tau: TorusType = _key()
     verdict: str  # admissible | inadmissible | undecided
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TypeReport(_Report):
+    """The verdict on every torus type; ``admissible`` is derived."""
+
     tower: FieldTower = _key("field")
     slots: tuple[SquareClass, ...] = _key("algebra", "slots")
     rows: tuple[TypeVerdict, ...] = _key("catalog")
     admissible: tuple[TorusType, ...] = field(init=False)
 
-    def __post_init__(self):
-        admissible = tuple(r.tau for r in self.rows if r.verdict == "admissible")
-        object.__setattr__(self, "admissible", admissible)
+    def __init__(self, tower, slots, rows):
+        admissible = tuple(r.tau for r in rows if r.verdict == "admissible")
+        self.__dict__.update(tower=tower, slots=slots, rows=rows, admissible=admissible)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+@dataclass(init=False, repr=False, eq=False)
+class ComparisonRow(Value):
+    """One torus type's verdicts for the two algebras."""
+
     tau: TorusType = _key()
     verdict1: str
     verdict2: str
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ComparisonReport(_Report):
+    """Per-type verdicts of two algebras; equivalent iff they all agree."""
+
     tower: FieldTower = _key("field")
     slots1: tuple[SquareClass, ...] = _key("algebra1", "slots")
     slots2: tuple[SquareClass, ...] = _key("algebra2", "slots")

@@ -1,8 +1,14 @@
 import dataclasses
+import hashlib
 import itertools
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +24,7 @@ from wittforge.algebras import (
     zero_divisor_pair,
 )
 from wittforge import algebras, qform
+from wittforge.arithq import Place, rational_invariants
 from wittforge.cli import run_command
 from wittforge.errors import (
     AlgebraMismatch,
@@ -30,6 +37,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import (
     FieldTower,
+    SquareClass,
     canonical_square_class,
     enumerate_square_classes,
     minus_one_class,
@@ -39,8 +47,16 @@ from wittforge.fields import (
 )
 from wittforge.laurent import EXP_LIMIT, LaurentPoly, _key, _reduce_raw
 from wittforge.oracles import find_defect_witness
-from wittforge.qform import is_isotropic, pfister, tensor
-from wittforge.tori import cubic_obstruction_report
+from wittforge.qform import DiagonalForm, WittDecomposition, is_isotropic, pfister, tensor, witt_decompose
+from wittforge.tori import (
+    PureCubicGalois,
+    QuadTimes,
+    Split3,
+    TorusType,
+    compare_torus_systems,
+    cubic_obstruction_report,
+    type_report,
+)
 
 Q = FieldTower.rationals()
 F13S = FieldTower.prime(13, "s")
@@ -843,6 +859,82 @@ def _slot_classes(tower):
     return enumerate_square_classes(tower)
 
 
+def _value_samples() -> dict:
+    """One value of each of the package's 19 value classes, by class name.
+    The element lives in an algebra of its own, so that no report leaves
+    anything in the instance dict its pickle carries."""
+    u, s, t = nonresidue_class(F13ST), var_class(F13ST, "s"), var_class(F13ST, "t")
+    element = algebra_from_slots(F13ST, (u, s)).element([LaurentPoly.variable(F13ST, "t"), 3, 0, 0])
+    C = algebra_from_slots(F13ST, (u, s, t))
+    split = algebra_from_slots(F13ST, (one_class(F13ST), s, t))
+    form = DiagonalForm(F13ST, (one_class(F13ST), s, u * t))
+    obstruction = cubic_obstruction_report(C, u * s)
+    types = type_report(C)
+    comparison = compare_torus_systems(C, split)
+    return {
+        "FieldTower": F13ST,
+        "SquareClass": u * s,
+        "LaurentPoly": LaurentPoly.variable(F13ST, "s", -2) + 3,
+        "AlgebraElement": element,
+        "Place": Place(5),
+        "RationalInvariants": rational_invariants(DiagonalForm(Q, tuple(SquareClass(Q, a) for a in (1, 3, -5, 7)))),
+        "DiagonalForm": form,
+        "WittDecomposition": witt_decompose(form),
+        "Split3": Split3(),
+        "QuadTimes": QuadTimes(t),
+        "PureCubicGalois": PureCubicGalois("t"),
+        "TorusType": TorusType(s, QuadTimes(u)),
+        "LambdaRow": obstruction.lambda_rows[1],
+        "EvidenceRow": obstruction.evidence[5],
+        "CubicObstructionReport": obstruction,
+        "TypeVerdict": types.rows[9],
+        "TypeReport": types,
+        "ComparisonRow": comparison.rows[3],
+        "ComparisonReport": comparison,
+    }
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _value_digests() -> dict:
+    """Per sample: its repr (a digest when longer than 80 characters) and
+    a digest of its pickle, as a fresh process prints them."""
+    out = {}
+    for name, value in _value_samples().items():
+        text = repr(value)
+        out[name] = [text if len(text) <= 80 else _digest(text.encode()), _digest(pickle.dumps(value, protocol=4))]
+    return out
+
+
+# Recorded from the frozen dataclasses that the value classes replaced:
+# per class, the repr (or its digest) and the pickle digest of its sample
+# in a fresh process, and its field names, which are also the instance
+# dict's keys, in order, right after the constructor.
+RECORDED_VALUES = {
+    "FieldTower": ["FieldTower(kind='F', p=13, laurent_vars=('s', 't'), degree=1)", "d9da7fa7e9cb3c9c", ["kind", "p", "laurent_vars", "degree", "_hash"]],
+    "SquareClass": ["u*s", "32cab9ef8b5eb08b", ["tower", "base", "mask", "code"]],
+    "LaurentPoly": ["s^-2+3", "30fa83d6c3a2250c", ["tower", "terms"]],
+    "AlgebraElement": ["(t, 3, 0, 0)", "35dd10bd55511a40", ["algebra", "coords"]],
+    "Place": ["5", "2eecb228ad290087", ["p"]],
+    "RationalInvariants": ["8d4bc5ad41bc956d", "b1c6073780278b09", ["dim", "disc", "hasse_minus", "signature"]],
+    "DiagonalForm": ["[1,s,u*t]", "c9f8b09eb4ef158a", ["tower", "entries", "key"]],
+    "WittDecomposition": ["2acc741e550ece7d", "e7dd85ec5ed12c01", ["witt_index", "kernel_dim", "kernel", "kernel_invariants", "witt_class"]],
+    "Split3": ["Split3()", "7e5b649b467197b3", []],
+    "QuadTimes": ["QuadTimes(delta=t)", "b538e0da7f2bd79b", ["delta"]],
+    "PureCubicGalois": ["PureCubicGalois(var='t')", "e96f43449a3a9c11", ["var"]],
+    "TorusType": ["TorusType(quad=s, cubic=QuadTimes(delta=u))", "1712086b96f3b6e3", ["quad", "cubic"]],
+    "LambdaRow": ["2a2032d433aba4ca", "25d74efd4b58be55", ["r", "unit", "norm_class", "norm_is_square", "lambda_is_square"]],
+    "EvidenceRow": ["eecdd5dbac7c5eaa", "399f3cbf0be6fe6d", ["b", "c", "norm_matches", "trace_isometric", "contradiction"]],
+    "CubicObstructionReport": ["213bf45d63e74a56", "401c9584e0b8f698", ["tower", "slots", "d", "verdict", "lambda_rows", "gram", "trace_diagonal", "evidence"]],
+    "TypeVerdict": ["ac9cff98deb40933", "ab11822596507adf", ["tau", "verdict", "reason"]],
+    "TypeReport": ["b376e84d26cc5c68", "3c4dbff17c5f19be", ["tower", "slots", "rows", "admissible"]],
+    "ComparisonRow": ["4c94169c3ce8fa27", "c71582760ec26409", ["tau", "verdict1", "verdict2"]],
+    "ComparisonReport": ["a493d2963342bdb8", "afa72b6324835999", ["tower", "slots1", "slots2", "rows", "verdict"]],
+}
+
+
 class TestFlatProduct:
     """The product is one pass over pairs of terms and one reduction of all
     the coordinates; it must give what the schoolbook sum over pairs gives,
@@ -935,3 +1027,46 @@ class TestFlatProduct:
                     setattr(value, field, None)
         assert [f.name for f in dataclasses.fields(LaurentPoly)] == ["tower", "terms"]
         assert [f.name for f in dataclasses.fields(AlgebraElement)] == ["algebra", "coords"]
+        # every value class: frozen, and built, compared, hashed, printed and
+        # pickled as the frozen dataclass it replaced
+        samples = _value_samples()
+        assert sorted(samples) == sorted(RECORDED_VALUES) and len(samples) == 19
+        for name, value in samples.items():
+            cls = type(value)
+            fields = dataclasses.fields(cls)
+            names = RECORDED_VALUES[name][2]
+            assert cls.__name__ == name and [f.name for f in fields] == names
+            built = cls(**{f.name: getattr(value, f.name) for f in fields if f.init})
+            assert list(vars(built)) == names
+            assert built == value and not built != value and hash(built) == hash(value)
+            assert repr(built) == repr(value) and value.__eq__(object()) is NotImplemented
+            if cls is not WittDecomposition:  # which compares witt_class only when nothing else is kept
+                assert hash(value) == hash(tuple(getattr(value, f.name) for f in fields if f.compare))
+            assert pickle.loads(pickle.dumps(value)) == value
+            for field in names + ["unknown"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, field)
+        # reprs and pickles as a fresh process prints them (caches of other
+        # tests decide which equal objects are shared, and so the pickles)
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(algebras.__file__).resolve().parents[1]), str(tests)])
+        flags = ["-O"] if sys.flags.optimize else []
+        code = "import json, test_algebras; print(json.dumps(test_algebras._value_digests()))"
+        out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {k: v[:2] for k, v in RECORDED_VALUES.items()}
+        # the shared constructor takes every field, by position or by name, once
+        t = var_class(F13ST, "t")
+        assert QuadTimes(delta=t) == QuadTimes(t) and vars(QuadTimes(delta=t)) == {"delta": t}
+        for args, kwargs in [((), {}), ((t, t), {}), ((t,), {"delta": t}), ((), {"d": t})]:
+            with pytest.raises(TypeError):
+                QuadTimes(*args, **kwargs)
+        # replace reads the fields and calls the constructor with keywords
+        w = samples["WittDecomposition"]
+        assert dataclasses.replace(w) == w and dataclasses.replace(w, witt_index=2) != w
+        rational = WittDecomposition(1, 2, None, samples["RationalInvariants"])
+        assert dataclasses.replace(rational, witt_class=((0, rational.kernel_invariants),)) == rational
+        assert vars(dataclasses.replace(rational, witt_class=())) == {**vars(rational), "witt_class": ()}

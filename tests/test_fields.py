@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -559,6 +560,28 @@ def package_caches():
                 fn = getattr(obj, "__func__", obj)
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     yield f"{module.__name__}.{name}", fn
+
+
+class TestValueClasses:
+    def test_value_classes_generate_no_code_at_import(self):
+        """The dataclass decorator compiles source text for each method it
+        generates (init, repr, eq, order, frozen), at import, in every
+        fresh process: the package's dataclasses only register their
+        fields, and ``fields.Value`` gives what those methods did."""
+        classes = []
+        for info in pkgutil.iter_modules(wittforge.__path__):
+            module = importlib.import_module(f"wittforge.{info.name}")
+            classes += [
+                obj
+                for obj in vars(module).values()
+                if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+            ]
+        assert len(classes) == 19
+        for cls in classes:
+            params = cls.__dataclass_params__
+            asked = [p for p in ("init", "repr", "eq", "order", "frozen") if getattr(params, p)]
+            assert asked == [], f"{cls.__name__} asks the decorator for {asked}"
+            assert issubclass(cls, wittforge.fields.Value), cls.__name__
 
 
 class TestLayering:
