@@ -1,20 +1,32 @@
 """Local-global machinery over Q.
 
-Hilbert symbols at the real place and at finite primes, Hasse invariants
-with the product-over-pairs convention, local isotropy by the classical
-dimension case analysis, and Witt indices computed on invariant tuples.
+Hilbert symbols, Hasse invariants with the product-over-pairs convention,
+local and global isotropy, and Witt indices, all read off a form's local
+data at the places that decide about it (Serre, *A Course in Arithmetic*,
+Ch. III-IV).
 
-One routine, ``_hasse``, computes every symbol: the Hasse invariant
-prod over i < j of (a_i, a_j)_v of a list of integers, in one pass per
-place.  Each entry's local data is read once (the sign; the valuation bit
-and the Legendre symbol of the unit at an odd p; the valuation bit and the
-unit mod 8 at 2), and the product over pairs is read off counts, so a
+``_hasse`` computes every symbol: prod over i < j of (a_i, a_j)_v of a
+list of ints in one pass per place, each entry's local data read once
+(sign; valuation bit and Legendre symbol of the unit at odd p; valuation
+bit and unit mod 8 at 2) and the product over pairs read off counts, so a
 form of dimension n costs O(n) per place, not C(n, 2) symbols.  A Hilbert
-symbol is the Hasse invariant of the pair, and the plane-stripping step
-of ``witt_index_rational`` is that of <-1, -disc>.
+symbol is the invariant of the pair.
+
+``_local_data`` decides a form from its sorted codes (mask, |b|, b < 0):
+the places [0, 2, p, ...] (the real place, then 2 and the primes of the
+entries, the factor bound read once), the discriminant folded into one
+squarefree int d, the Hasse invariant at each place as a list of +-1 in
+that order, and the signature; off those places every form is isotropic
+and every invariant 1.  Invariants, ramification sets, local and global
+isotropy (the first obstructing place in that order) and the Witt index
+read it.  ``witt_index_rational`` strips hyperbolic planes on these ints:
+each plane multiplies the list by (-1, -d)_v and turns d into -d, and the
+kernel's ``RationalInvariants`` are built once, at the end.  ``qform``
+passes a form's codes straight in, or each run's with the mask cleared.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -22,14 +34,12 @@ from typing import Optional
 
 from .errors import ZeroArgument
 from .fields import (
+    FieldTower,
     SquareClass,
     Value,
     factor_bound,
     is_prime,
     legendre,
-    minus_one_class,
-    one_class,
-    sq_mul,
     squarefree_decomposition,
 )
 from .qform import DiagonalForm, WittDecomposition
@@ -76,15 +86,6 @@ def _as_int(x) -> int:
     return f.numerator * f.denominator
 
 
-def _split(a: int, p: int) -> tuple[int, int]:
-    """(alpha, u) with a = p^v * u, p not dividing u, alpha = v mod 2."""
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha ^= 1
-    return alpha, a
-
-
 def _hasse(values, p: int) -> int:
     """prod over i < j of (a_i, a_j)_v for nonzero ints a_i, at the real
     place (p == 0) or at the prime p, in one pass over the entries.
@@ -106,8 +107,11 @@ def _hasse(values, p: int) -> int:
     A = 0
     if p == 2:
         E = W = alpha_omega = 0
-        for a in values:
-            alpha, u = _split(a, 2)
+        for u in values:
+            alpha = 0
+            while u % 2 == 0:
+                u //= 2
+                alpha ^= 1
             omega = (u >> 1 ^ u >> 2) & 1  # u = 3, 5 mod 8
             A += alpha
             E += u >> 1 & 1  # u = 3, 7 mod 8
@@ -115,8 +119,11 @@ def _hasse(values, p: int) -> int:
             alpha_omega += alpha & omega
         return -1 if (E * (E - 1) // 2 + A * W - alpha_omega) % 2 else 1
     units = [1, 1]  # products mod p of the units with alpha = 0 and alpha = 1
-    for a in values:
-        alpha, u = _split(a, p)
+    for u in values:
+        alpha = 0
+        while u % p == 0:
+            u //= p
+            alpha ^= 1
         A += alpha
         units[alpha] = units[alpha] * u % p
     h = legendre(units[0] if A % 2 else units[1], p)
@@ -128,22 +135,10 @@ def hilbert_symbol(a, b, v: Place) -> int:
     return _hasse((_as_int(a), _as_int(b)), v.p)
 
 
-def _support_primes(values) -> list[int]:
-    """2 and the primes dividing some value to an odd power: away from
-    them every Hilbert symbol of the values is 1.  Factoring is bounded
-    by ``WITTFORGE_FACTOR_BOUND``, read once per call."""
-    primes = {2}
-    bound = factor_bound()
-    for x in values:
-        primes.update(squarefree_decomposition(x, bound)[1])
-    return sorted(primes)
-
-
 def ramification_set(a, b) -> frozenset[Place]:
     """Places where the quaternion symbol (a, b) does not split."""
-    a, b = _as_int(a), _as_int(b)
-    places = [REAL_PLACE] + [Place(p) for p in _support_primes((a, b))]
-    return frozenset(v for v in places if _hasse((a, b), v.p) == -1)
+    places, _, hasse, _ = _local_data([(0, abs(x), x < 0) for x in (_as_int(a), _as_int(b))])
+    return frozenset(Place(p) for p, h in zip(places, hasse) if h < 0)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -163,110 +158,110 @@ class RationalInvariants(Value):
         return -1 if v in self.hasse_minus else 1
 
 
-def _entry_values(f: DiagonalForm) -> list[int]:
-    return [e.base for e in f.entries]
+def _local_data(codes) -> tuple[list[int], int, list[int], tuple[int, int]]:
+    """(places, d, hasse, signature) of the form over Q of sorted codes
+    ``codes`` (module docstring).  d folds the codes as ``fields._code_mul``
+    does; the primes are those of the entries, factored up to
+    ``WITTFORGE_FACTOR_BOUND``."""
+    values, primes, size, negative = [], {2}, 1, False
+    bound = factor_bound()
+    for _, b, neg in codes:
+        values.append(-b if neg else b)
+        primes.update(squarefree_decomposition(b, bound)[1])
+        g = math.gcd(size, b)
+        size, negative = (size // g) * (b // g), negative != neg
+    places = [0, *sorted(primes)]
+    pos = sum(1 for x in values if x > 0)
+    hasse = [_hasse(values, p) for p in places]
+    return places, -size if negative else size, hasse, (pos, len(values) - pos)
 
 
-def support_places(f: DiagonalForm) -> list[Place]:
-    return [Place(p) for p in _support_primes(_entry_values(f))]
-
-
-def _invariants_and_places(f: DiagonalForm) -> tuple[RationalInvariants, list[Place]]:
-    """The invariants of f and the places that decide about it: the real
-    place, then ``support_places(f)``."""
-    vals = _entry_values(f)
-    places = [REAL_PLACE] + support_places(f)
-    disc = one_class(f.tower)
-    for e in f.entries:
-        disc = sq_mul(disc, e)
-    minus = frozenset(v for v in places if _hasse(vals, v.p) == -1)
-    pos = sum(1 for x in vals if x > 0)
-    return RationalInvariants(len(vals), disc, minus, (pos, len(vals) - pos)), places
+def _invariants(tower: FieldTower, dim: int, places, d: int, hasse, signature):
+    minus = frozenset(Place(p) for p, h in zip(places, hasse) if h < 0)
+    return RationalInvariants(dim, SquareClass(tower, d), minus, signature)
 
 
 def rational_invariants(f: DiagonalForm) -> RationalInvariants:
-    return _invariants_and_places(f)[0]
+    return _invariants(f.tower, f.dim, *_local_data(f.key))
 
 
 def is_square_in_qp(x, p: int) -> bool:
-    x = Fraction(x)
+    if type(x) is not int:
+        x = Fraction(x)
+        x = x.numerator * x.denominator
     if x == 0:
         return True
-    alpha, u = _split(x.numerator * x.denominator, p)
+    alpha = 0
+    while x % p == 0:
+        x //= p
+        alpha ^= 1
     if alpha:
         return False
     if p == 2:
-        return u % 8 == 1
-    return legendre(u, p) == 1
+        return x % 8 == 1
+    return legendre(x, p) == 1
 
 
-def _local_isotropic(
-    dim: int, disc_val: int, hasse_v: int, signature, v: Place
-) -> bool:
-    """Classical case analysis on (dim, disc, hasse, signature) at one place."""
+def _local_isotropic(dim: int, d: int, h: int, signature, p: int) -> bool:
+    """Classical case analysis on (dim, disc d, Hasse invariant h,
+    signature) at the real place (p == 0) or the prime p."""
     if dim <= 1:
         return False
-    if v.is_real:
+    if p == 0:
         pos, neg = signature
         return pos >= 1 and neg >= 1
-    p = v.p
     if dim == 2:
-        return is_square_in_qp(-disc_val, p)
+        return is_square_in_qp(-d, p)
     if dim == 3:
-        return _hasse((-1, -disc_val), p) == hasse_v  # (-1, -disc)_p
+        return _hasse((-1, -d), p) == h  # (-1, -disc)_p
     if dim == 4:
-        if not is_square_in_qp(disc_val, p):
-            return True
-        return hasse_v == _hasse((-1, -1), p)
+        return not is_square_in_qp(d, p) or h == _hasse((-1, -1), p)
     return True
 
 
-def local_isotropy(f: DiagonalForm, v: Place) -> bool:
-    inv = rational_invariants(f)
-    return _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v)
-
-
-def _failing_place(inv: RationalInvariants, places) -> Optional[Place]:
-    """First place where the invariants describe an anisotropic form."""
-    for v in places:
-        if not _local_isotropic(inv.dim, inv.disc.base, inv.hasse(v), inv.signature, v):
-            return v
+def _obstruction(dim: int, d: int, hasse, signature, places) -> Optional[int]:
+    """The first of ``places`` (0 the real place) at which a form of these
+    invariants is anisotropic, or None.  Past dimension 4 every finite
+    place is isotropic, so only the real place is read."""
+    for p, h in zip(places if dim <= 4 else places[:1], hasse):
+        if not _local_isotropic(dim, d, h, signature, p):
+            return p
     return None
 
 
-def global_isotropy_certificate(f: DiagonalForm) -> tuple[bool, Optional[Place]]:
-    """Hasse-Minkowski over the finite support: verdict plus a failing
-    place for anisotropic forms.
+def local_isotropy(f: DiagonalForm, v: Place) -> bool:
+    places, d, hasse, signature = _local_data(f.key)
+    h = hasse[places.index(v.p)] if v.p in places else 1
+    return _local_isotropic(f.dim, d, h, signature, v.p)
 
-    Outside the primes of the entries (all squarefree) and 2, every form
-    of any dimension is automatically isotropic, so the real place plus
-    the support decides.
-    """
-    place = _failing_place(*_invariants_and_places(f))
-    return place is None, place
+
+def global_isotropy_certificate(f: DiagonalForm) -> tuple[bool, Optional[Place]]:
+    """Hasse-Minkowski over the places of ``_local_data``: verdict plus
+    the first failing place (the real place, then the primes ascending)."""
+    places, d, hasse, signature = _local_data(f.key)
+    p = _obstruction(f.dim, d, hasse, signature, places)
+    return p is None, None if p is None else Place(p)
 
 
 def global_isotropy(f: DiagonalForm) -> bool:
     return global_isotropy_certificate(f)[0]
 
 
-def witt_index_rational(f: DiagonalForm) -> WittDecomposition:
-    """Strip hyperbolic planes on the invariant tuple until anisotropic.
+def _witt_codes(tower: FieldTower, codes) -> WittDecomposition:
+    """``witt_index_rational`` on sorted codes, with the Witt class: the
+    one run, of mask 0, when the kernel is not 0."""
+    places, d, hasse, (pos, neg) = _local_data(codes)
+    dim, index = len(codes), 0
+    while dim >= 2 and _obstruction(dim, d, hasse, (pos, neg), places) is None:
+        hasse = [h * _hasse((-1, -d), p) for p, h in zip(places, hasse)]
+        dim, d, pos, neg, index = dim - 2, -d, pos - 1, neg - 1, index + 1
+    inv = _invariants(tower, dim, places, d, hasse, (pos, neg))
+    return WittDecomposition(index, dim, None, inv, ((0, inv),) if dim else ())
 
-    One plane off: dim - 2, hasse(v) *= (-1, -disc)_v, disc -> -disc,
-    signature drops (1, 1).  The kernel survives as invariants only.  The
-    support places are found once, and each step's symbol is the Hasse
-    invariant of <-1, -disc> at each of them.
-    """
-    inv, places = _invariants_and_places(f)
-    m1 = minus_one_class(f.tower)
-    index = 0
-    while inv.dim >= 2 and _failing_place(inv, places) is None:
-        step = (-1, -inv.disc.base)
-        minus = frozenset(v for v in places if inv.hasse(v) * _hasse(step, v.p) == -1)
-        pos, neg = inv.signature
-        inv = RationalInvariants(
-            inv.dim - 2, sq_mul(m1, inv.disc), minus, (pos - 1, neg - 1)
-        )
-        index += 1
-    return WittDecomposition(index, inv.dim, None, inv)
+
+def witt_index_rational(f: DiagonalForm) -> WittDecomposition:
+    """Strip hyperbolic planes off the local data until a place obstructs:
+    each plane takes dim - 2, the Hasse list times (-1, -d)_v place by
+    place, d -> -d and the signature down (1, 1), all on ints.  The kernel
+    survives as invariants only, built once from the last ints."""
+    return _witt_codes(f.tower, f.key)

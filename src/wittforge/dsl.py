@@ -33,7 +33,8 @@ from .errors import ParseError, ZeroSlot
 from .fields import (
     FieldTower,
     SquareClass,
-    canonical_square_class,
+    _base_class_of_constant,
+    factor_bound,
     is_prime,
     nonresidue_class,
     sq_mul,
@@ -194,9 +195,10 @@ def _parse_monomial(s: _Scanner, tower: FieldTower):
     return coeff, exps
 
 
-def _monomial_class(tower: FieldTower, coeff, exps) -> SquareClass:
+def _monomial_class(tower: FieldTower, coeff, exps, bound=None) -> SquareClass:
     odd_u = exps.pop(_NONRESIDUE, 0) % 2
-    c = canonical_square_class(tower, coeff, exps)
+    mask = sum((e & 1) << tower.laurent_vars.index(v) for v, e in exps.items())
+    c = SquareClass(tower, _base_class_of_constant(tower, coeff, bound), mask)
     return sq_mul(c, nonresidue_class(tower)) if odd_u else c
 
 
@@ -211,14 +213,16 @@ def parse_class(text: str, tower: FieldTower) -> SquareClass:
 def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: Optional[str] = None):
     """Nonzero monomials separated by commas, up to the ``stop`` token (an
     empty list allowed) or, when ``stop`` is None, to the end of the text."""
-    slots = []
+    slots, bound = [], None
     if stop is not None and s.match(stop):
         return ()
     while True:
         coeff, exps = _parse_monomial(s, tower)
         if coeff == 0:
             raise ZeroSlot("slot must be nonzero")
-        slots.append(_monomial_class(tower, coeff, exps))
+        if bound is None and tower.kind == "Q":
+            bound = factor_bound()  # once per literal, where its first entry reads it
+        slots.append(_monomial_class(tower, coeff, exps, bound))
         if (s.at_end() if stop is None else s.match(stop)):
             return tuple(slots)
         s.expect(",")
@@ -243,10 +247,12 @@ def parse_form(text: str, tower: FieldTower) -> DiagonalForm:
     if s.match("<<"):
         return pfister(tower, parse_pfister(text, tower))
     s.expect("[")
-    entries = []
+    entries, bound = [], None
     while True:
         coeff, exps = _parse_monomial(s, tower)
-        entries.append(_monomial_class(tower, coeff, exps))
+        if bound is None and coeff and tower.kind == "Q":
+            bound = factor_bound()  # once per literal, where its first entry reads it
+        entries.append(_monomial_class(tower, coeff, exps, bound))
         if s.match("]"):
             break
         s.expect(",")

@@ -511,14 +511,14 @@ def _norm_coeff(tower: FieldTower, c):
     return int(c) % p
 
 
-def _base_class_of_constant(tower: FieldTower, coeff) -> int:
-    """Canonical base part of a nonzero constant, per base kind."""
+def _base_class_of_constant(tower: FieldTower, coeff, bound: Optional[int] = None) -> int:
+    """Canonical base part of a nonzero constant, per base kind; over Q factored up to ``bound``."""
     if isinstance(coeff, float):
         raise TypeError("exact constants only (int or Fraction)")
     if coeff == 0:
         raise ZeroElement("0 has no square class")
     if tower.kind == "Q":
-        sign, primes = squarefree_decomposition(coeff)
+        sign, primes = squarefree_decomposition(coeff, bound)
         out = sign
         for q in primes:
             out *= q

@@ -430,21 +430,19 @@ def _count_class(tower: FieldTower, pos: int, neg: int) -> tuple:
     return c, *((0, 0), (1, 0), (2, 0), (0, 1))[c]
 
 
-def _witt_rational(tower: FieldTower, entries: tuple[SquareClass, ...]) -> WittDecomposition:
+def _witt_rational(tower: FieldTower, key: tuple) -> WittDecomposition:
     """The Springer pass over Q and Q((t_1))...((t_n)): ``arithq`` decides
-    each run with its mask cleared, and a run's class is its kernel's
-    invariants; over Q itself the one run is the form's own entries."""
-    if not tower.laurent_vars:
-        from . import arithq
+    each run of ``key`` (codes sort by mask first) with the mask cleared,
+    and a run's class is its kernel's invariants; over Q, ``key`` itself."""
+    from . import arithq
 
-        w = arithq.witt_index_rational(DiagonalForm(tower, entries))
-        witt_class = ((0, w.kernel_invariants),) if w.kernel_dim else ()
-        return WittDecomposition(w.witt_index, w.kernel_dim, None, w.kernel_invariants, witt_class)
+    if not tower.laurent_vars:
+        return arithq._witt_codes(tower, key)
     base = tower.base_field()
     witt_index = kernel_dim = 0
     witt_class = []
-    for mask, idxs in _mask_runs(entries):
-        w = _witt_rational(base, tuple(SquareClass(base, entries[i].base) for i in idxs))
+    for mask, run in itertools.groupby(key, key=lambda code: code[0]):
+        w = arithq._witt_codes(base, tuple((0, b, neg) for _, b, neg in run))
         witt_index += w.witt_index
         kernel_dim += w.kernel_dim
         witt_class += [(mask, c) for _, c in w.witt_class]
@@ -471,7 +469,7 @@ def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     2*mask and 2*mask + 1; an anisotropic plane is its own kernel.
     """
     if tower.kind == "Q":
-        return _witt_rational(tower, _classes(tower, key))
+        return _witt_rational(tower, key)
     counts: dict[int, list[int]] = {}
     for code in key:
         counts.setdefault(code >> 1, [0, 0])[code & 1] += 1

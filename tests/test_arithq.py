@@ -17,6 +17,7 @@ from wittforge.arithq import (
     rational_invariants,
     witt_index_rational,
 )
+from wittforge import arithq, fields, qform
 from wittforge.errors import ZeroArgument
 from wittforge.fields import FieldTower, SquareClass, canonical_square_class
 from wittforge.oracles import (
@@ -26,7 +27,7 @@ from wittforge.oracles import (
     unit_form_liftable_mod_p,
     verify_rational_witness,
 )
-from wittforge.qform import DiagonalForm, pfister
+from wittforge.qform import DiagonalForm, pfister, witt_decompose
 
 Q = FieldTower.rationals()
 PLACES = [REAL_PLACE, Place(2), Place(3), Place(5), Place(7), Place(13)]
@@ -325,34 +326,49 @@ def reference_invariants(values, primes):
     return len(values), disc, hasse, (pos, len(values) - pos)
 
 
+def reference_isotropic_at(p, dim, disc, h, signature):
+    """Whether a form of dimension ``dim``, discriminant ``disc``, Hasse
+    invariant h at p and ``signature`` is isotropic at p: Serre's criterion
+    (Ch. IV, Thm. 6) on (dim, d, s) and, at the real place (p == 0),
+    indefiniteness."""
+    if dim <= 1:
+        return False
+    if p == 0:
+        return signature[0] > 0 and signature[1] > 0
+
+    def local_square(m):
+        if m % p == 0:
+            return False
+        return m % 8 == 1 if p == 2 else pow(m % p, (p - 1) // 2, p) == 1
+
+    if dim == 2:
+        return local_square(-disc)
+    if dim == 3:
+        return reference_hilbert(-1, -disc, p) == h
+    if dim == 4:
+        return not local_square(disc) or h == reference_hilbert(-1, -1, p)
+    return True
+
+
+def reference_obstruction(dim, disc, hasse, signature):
+    """The first place, the real one (0) and then the primes ascending, at
+    which the form is anisotropic, or None when it is isotropic."""
+    return next(
+        (p for p in sorted(hasse) if not reference_isotropic_at(p, dim, disc, hasse[p], signature)),
+        None,
+    )
+
+
 def reference_witt_index(dim, disc, hasse, signature):
     """Witt index and kernel invariants by stripping hyperbolic planes off
     the invariants of ``reference_invariants``.
 
     f = <1,-1> ⊥ f' has dim(f') = dim(f) - 2, d(f') = -d(f) and
-    s(f') = s(f) (-1, -d(f)); isotropy at a place is Serre's criterion
-    (Ch. IV, Thm. 6) on (dim, d, s) and, at the real place, indefiniteness.
+    s(f') = s(f) (-1, -d(f)).
     """
     (pos, neg), places = signature, sorted(hasse)
-
-    def local_square(m, p):
-        if m % p == 0:
-            return False
-        return m % 8 == 1 if p == 2 else pow(m % p, (p - 1) // 2, p) == 1
-
-    def isotropic_at(p):
-        if p == 0:
-            return pos > 0 and neg > 0
-        if dim == 2:
-            return local_square(-disc, p)
-        if dim == 3:
-            return reference_hilbert(-1, -disc, p) == hasse[p]
-        if dim == 4:
-            return not local_square(disc, p) or hasse[p] == reference_hilbert(-1, -1, p)
-        return True
-
     index = 0
-    while dim >= 2 and all(isotropic_at(p) for p in places):
+    while dim >= 2 and reference_obstruction(dim, disc, hasse, (pos, neg)) is None:
         hasse = {p: hasse[p] * reference_hilbert(-1, -disc, p) for p in places}
         dim, disc, pos, neg, index = dim - 2, -disc, pos - 1, neg - 1, index + 1
     return index, (dim, disc, {p for p in places if hasse[p] == -1}, (pos, neg))
@@ -370,18 +386,25 @@ def _primes_below(n):
 LARGE_PRIMES = [q for q in _primes_below(10**5) if q > 13]
 
 
+def seeded_entry(rng):
+    """(value, primes): a sign times up to two primes from 2..13, and a
+    third of the time times one prime up to 10^5, so that factoring stays
+    cheap."""
+    ps = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 2))
+    if rng.random() < 1 / 3:
+        ps.append(rng.choice(LARGE_PRIMES))
+    return rng.choice((1, -1)) * math.prod(ps), ps
+
+
 def seeded_squarefree_forms(seed, count):
-    """(values, primes) of ``count`` forms of dimension 1-9: each entry a sign
-    times up to two primes from 2..13, and a third of them times one
-    prime up to 10^5, so that factoring stays cheap."""
+    """(values, primes) of ``count`` forms of dimension 1-9, entries by
+    ``seeded_entry``; ``primes`` holds 2 and every prime of an entry."""
     rng = random.Random(seed)
     for _ in range(count):
         values, primes = [], {2}
         for _ in range(rng.randint(1, 9)):
-            ps = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 2))
-            if rng.random() < 1 / 3:
-                ps.append(rng.choice(LARGE_PRIMES))
-            values.append(rng.choice((1, -1)) * math.prod(ps))
+            value, ps = seeded_entry(rng)
+            values.append(value)
             primes.update(ps)
         yield values, primes
 
@@ -414,3 +437,86 @@ class TestAgainstPairwiseReference:
             assert kernel.hasse_minus == {Place(p) for p in k_minus}, values
             seen.add((dim % 2, min(index, 2), k_dim))
         assert len(seen) >= 10  # odd and even forms, anisotropic to index 2 and more
+
+    @pytest.mark.parametrize("names", [("t",), ("s", "t")], ids=["Q((t))", "Q((s))((t))"])
+    def test_kernel_runs_of_laurent_forms(self, names):
+        # Springer: each variable mask's entries, bases only, form one run
+        # over Q, decomposed on its own
+        tower = FieldTower.rationals(*names)
+        rng = random.Random(f"kernel-runs:{len(names)}")
+        seen = set()
+        for _ in range(600):
+            runs = {}
+            for _ in range(rng.randint(1, 9)):
+                (value, ps), mask = seeded_entry(rng), rng.randrange(1 << len(names))
+                values, primes = runs.setdefault(mask, ([], {2}))
+                values.append(value)
+                primes.update(ps)
+            f = DiagonalForm(
+                tower,
+                tuple(SquareClass(tower, x, m) for m, (values, _) in runs.items() for x in values),
+            )
+            w = witt_decompose(f)
+            expected_index, expected_class = 0, []
+            for mask in sorted(runs):
+                values, primes = runs[mask]
+                index, (k_dim, k_disc, k_minus, k_signature) = reference_witt_index(
+                    *reference_invariants(values, primes)
+                )
+                expected_index += index
+                if k_dim:
+                    expected_class.append((mask, k_dim, k_disc, {Place(p) for p in k_minus}, k_signature))
+                seen.add((len(values) % 2, min(index, 2), k_dim))
+            got = [
+                (mask, inv.dim, inv.disc.base, inv.hasse_minus, inv.signature)
+                for mask, inv in w.witt_class
+            ]
+            assert got == expected_class, f
+            assert all(inv.disc.tower == Q for _, inv in w.witt_class)
+            assert (w.witt_index, w.kernel_dim) == (expected_index, sum(c[1] for c in got)), f
+        assert len(seen) >= 10
+
+    def test_certificate_names_the_first_failing_place(self):
+        failing = set()
+        for values, primes in seeded_squarefree_forms(15, 1500):
+            f = DiagonalForm(Q, tuple(SquareClass(Q, x) for x in values))
+            first = reference_obstruction(*reference_invariants(values, primes))
+            ok, place = global_isotropy_certificate(f)
+            if first is None:
+                assert ok and place is None, values
+            else:
+                assert not ok and place == Place(first), values
+                failing.add(first if first < 3 else "odd")
+        assert failing == {0, 2, "odd"}  # the real place, 2 and odd primes all come first somewhere
+
+
+class TestOneLocalDataPass:
+    """A Witt decomposition over Q reads its form's codes once and builds
+    the kernel's invariants once, at the end: no form is rebuilt from the
+    codes, no class is multiplied and no invariants are built per plane."""
+
+    @pytest.mark.parametrize(
+        "entries, index",
+        [([1, 1, -7, -7], 0), ([1, -1, 3], 1), ([2, -2, 5, -5, 7], 2), ([1, -1, 2, -2, 3, -3], 3)],
+    )
+    def test_one_invariants_no_form_and_no_product_per_miss(self, monkeypatch, entries, index):
+        f = qform_of(entries)
+        built = {"invariants": 0, "form": 0, "sq_mul": 0}
+
+        def counting(name, make):
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(arithq, "RationalInvariants", counting("invariants", arithq.RationalInvariants))
+        for module in (qform, arithq):
+            monkeypatch.setattr(module, "DiagonalForm", counting("form", DiagonalForm))
+        for module in (fields, qform, arithq):
+            monkeypatch.setattr(module, "sq_mul", counting("sq_mul", fields.sq_mul), raising=False)
+        qform._witt.cache_clear()
+        w = witt_decompose(f)
+        assert qform._witt.cache_info().misses == 1
+        assert w.witt_index == index
+        assert built == {"invariants": 1, "form": 0, "sq_mul": 0}

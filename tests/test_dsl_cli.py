@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittforge
-from wittforge import cli, dsl
+from wittforge import cli, dsl, fields
 from wittforge.cli import build_parser, run_command
 from wittforge.algebras import AlgebraElement
-from wittforge.errors import ParseError, WittforgeError, ZeroSlot
+from wittforge.errors import FactorBoundExceeded, ParseError, WittforgeError, ZeroSlot
 from wittforge.fields import (
     FieldTower,
     canonical_square_class,
@@ -149,6 +149,20 @@ class TestParsers:
         for text in ("2+t^2", "1-t", "t^-1", "3*t", "1+s*t"):
             p = dsl.parse_poly(text, F13ST)
             assert dsl.parse_poly(str(p), F13ST) == p
+
+    def test_factor_bound_read_once_per_literal(self, monkeypatch):
+        # 10403 = 101 * 103 needs trial division past 100
+        Q, reads = FieldTower.rationals(), []
+        bound = fields.factor_bound
+        monkeypatch.setattr(dsl, "factor_bound", lambda: reads.append(1) or bound())
+        assert str(dsl.parse_form("[10403, 6, -35, 2*9, 7]", Q)) == "[10403,6,-35,2,7]"
+        assert [str(a) for a in dsl.parse_slots("10403, 6, -35", Q)] == ["10403", "6", "-35"]
+        assert len(reads) == 2
+        dsl.parse_form("[1, u, u*t]", F5T)  # no factoring over F_p
+        assert len(reads) == 2
+        monkeypatch.setenv("WITTFORGE_FACTOR_BOUND", "100")  # the next literal reads the change
+        with pytest.raises(FactorBoundExceeded):
+            dsl.parse_form("[6, 10403]", Q)
 
     @given(st.text(alphabet=string.printable, max_size=25))
     @settings(max_examples=300, deadline=None)
