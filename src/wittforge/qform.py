@@ -59,14 +59,16 @@ hyperbolic iff its symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math.
 165, 2007).  Symbols are kept on towers of at most ``SYMBOL_VARS``
 variables (a bit set has 2^n bits); Q, Q((t)) and wider towers have none.
 
-One routine finds every Pfister presentation, ``_presentation``: an
-anisotropic Pfister form is divisible by rho iff its symbol lies in
-e(rho) k_* (same reference; Lam, Ch. X), so the lexicographically first
-presentation with a given first slot takes each further slot as the
-least code that keeps the symbol in the span of the product so far
-times k_(n-k), one F_2 elimination (``_solve``) per code tried.
-``pfister_slot_witness`` and the step (d) candidate of ``tori`` both
-read it; no form is built or decomposed per candidate.
+``_presentation`` finds the presentation ``pfister_slot_witness``
+gives, and serves nothing else (the cubic obstruction of ``tori`` needs
+none: its step (d) target is hyperbolic).  An anisotropic Pfister form
+is divisible by rho iff its symbol lies in e(rho) k_* (same reference;
+Lam, Ch. X), so the lexicographically first presentation with a given
+first slot takes each further slot as the least code that keeps the
+symbol in the span of the product so far times k_(n-k), one F_2
+elimination (``_solve``) per code tried.  Only codes in the variables of
+the symbol and of the first slot are tried, and no form is built or
+decomposed per candidate.
 """
 from __future__ import annotations
 
@@ -269,14 +271,23 @@ def _presentation(tower: FieldTower, first_code: int, symbol: int, n: int) -> Op
     anisotropic Pfister form is divisible by rho iff its symbol lies in
     e(rho) k_* (Orlov-Vishik-Voevodsky; Lam, Ch. X), so once the first
     slot is in, every later step finds its b_k.  A hyperbolic form (symbol
-    0) gets the slots 1, as <<first, 1, ...>> is hyperbolic."""
+    0) gets the slots 1, as <<first, 1, ...>> is hyperbolic.  Only codes
+    whose variables lie in those of ``symbol`` and of the first slot are
+    tried: setting xi_i to 0 is a ring map of k_*, which fixes the symbol
+    and the slots so far when they avoid xi_i, so clearing bit i of a b_k
+    that works gives a smaller code that works."""
     table = _symbol_table(tower)
     n_vars = len(tower.laurent_vars)
     gens = [1 << k for k in range(n_vars + 1)]
+    support = first_code >> 1
+    for i, part in enumerate(table[0]):
+        support |= bool(symbol & part) << i
     found, e = (), 1  # 1 in k_0
     for k in range(1, n + 1):
         multisets = list(itertools.combinations_with_replacement(gens, n - k))
         for b in (first_code,) if k == 1 else range(2 << n_vars):
+            if b >> 1 & ~support:
+                continue
             e_b = _times_codes(table, (b,), e, k - 1)
             if _solve([_times_codes(table, m, e_b, k) for m in multisets], symbol) is not None:
                 found, e = (*found, b), e_b

@@ -20,31 +20,31 @@ ruled out for division algebras by a trace-form comparison: every
 hermitian-shape candidate (b, c) compatible with the norm form would
 force the norm to be hyperbolic.  The Jacobson norm <<d>> x <<b,c>> is
 <<d>> + <<d>> x pure(<<b,c>>), so by Witt cancellation step (d),
-<<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds exactly when its Witt class
-equals that of <<d>> x (<1> + t3), the target.
+<<d>> x t3 ~ <<d>> x pure(<<b,c>>), holds exactly when the norm's Witt
+class equals that of <<d>> x (<1> + t3), the target.  For x^3 = t,
+Tr(x) = Tr(x^2) = Tr(x^4) = 0 and Tr(x^3) = 3t, so t3 is <3> + H and
+<1> + t3 is <1,3> + H, hyperbolic exactly when zeta_3 is in k.  Step
+(d) is this check, on the computed t3, once per tower next to the
+lambda rows (``_tower_rows``; InternalInconsistency if it fails).  Then
+every target is hyperbolic, and a candidate's trace forms are isometric
+exactly when the norm is hyperbolic.
 
 The candidates are compared by their mod-2 symbols (see ``qform``).  A
 3-fold Pfister form is determined by its symbol e_3 in k_3: two are
 isometric iff their symbols are equal, and one is hyperbolic iff its
 symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math. 165, 2007).  So a
 candidate matches the norm exactly when (d)(b)(c) is the norm's symbol,
-which an algebra keeps from its construction.  The (b, c) pairs are
+which an algebra keeps from its construction, and a match contradicts
+the theorem exactly when that symbol is 0.  The (b, c) pairs are
 grouped once per tower by (b)(c) in k_2 (``_pair_groups``), and a group
-matches when one product (d)(b)(c) does.  An anisotropic Pfister form is
-<<d>> x psi iff it splits over k(sqrt(d)) (Lam, Ch. X), so a candidate
-exists iff the symbol lies in (d) k_2, and ``qform._presentation``, the
-one routine that finds a Pfister presentation (``pfister_slot_witness``
-reads it too), gives the first <<d,b,c>> by elimination without a scan
-of the pairs.  Step (d) reads the norm's Witt class off that candidate,
-isometric to the norm, and compares it with the target, memoized per
-(tower, d) (``_step_d``); both classes are folded on codes and read by
-one helper, ``_fold_class``.  One rule, ``_cubic_verdict``, keyed on
-(tower, d, symbol), gives both reports their pure-cubic verdict from
-that.
+matches when one product (d)(b)(c) does.  One rule, ``_cubic_verdict``,
+keyed on (tower, d, symbol), gives both reports their pure-cubic
+verdict: "inadmissible", since a division algebra's norm has a nonzero
+symbol.
 
 An obstruction report's parts are computed once per the inputs they
-depend on: the lambda rows (checked as they are built), the trace gram
-and t3 per tower; and the report body, verdict and evidence rows, per
+depend on: the lambda rows and step (d) (checked as built), the trace
+gram and t3 per tower; and the report body, verdict and evidence rows, per
 (tower, code of d, symbol of the norm), so algebras with isometric norms
 share it.  The preconditions that depend on the algebra alone are
 checked once per algebra, the division check on its symbol, and the
@@ -55,7 +55,7 @@ report's instance dict, and builds and folds no form.  An evidence row
 is a function of its (b, c) pair and its state (no match, a match, a
 contradiction), so the rows of each group in each state are built once
 per tower.  The report and the memoized helpers call ``sq_mul``,
-``_fold_class`` and ``EvidenceRow`` through module globals.
+``diagonalize`` and ``EvidenceRow`` through module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
 driven by the dataclasses' own fields and declared types: a field's
@@ -100,9 +100,6 @@ from .fields import (
 from .laurent import LaurentPoly
 from .qform import (
     SYMBOL_VARS,
-    _fold,
-    _neg_codes,
-    _presentation,
     _symbol,
     _symbol_times,
     _witt,
@@ -360,12 +357,14 @@ class CubicObstructionReport(_Report):
 
 
 def _cubic_verdict(tower: FieldTower, d_code: int, symbol: int) -> str:
-    """"inadmissible", unless sqrt(d) splits the division algebra whose
-    norm has the symbol ``symbol`` and the norm's Witt class is the step
-    (d) target, which contradicts the theorem (``_step_d``).  Both
+    """"inadmissible" for an algebra whose norm has the symbol ``symbol``.
+    Once ``_tower_rows`` has checked that the step (d) target is
+    hyperbolic, a candidate's trace forms are isometric only when the
+    norm is hyperbolic, of symbol 0, which a division algebra's norm is
+    not: symbol 0 contradicts the theorem (InternalInconsistency).  Both
     reports read their pure-cubic verdict here."""
-    _tower_rows(tower)  # checks the lambda rows, once per tower
-    if _step_d(tower, d_code, symbol):
+    _tower_rows(tower)  # checks the lambda rows and step (d), once per tower
+    if not symbol:
         raise InternalInconsistency(
             f"cubic obstruction contradicted at d = {class_of_code(tower, d_code)}"
         )
@@ -381,7 +380,8 @@ def cubic_obstruction_report(
     a square, (b) the trace form t3 of the ramified cubic, (c) all (b, c)
     square-class pairs whose hermitian norm matches the algebra norm,
     (d) for each, the trace-form isometry that would make the norm
-    hyperbolic: by Witt cancellation, the norm's class is the target's.
+    hyperbolic: by Witt cancellation, the norm's class is the target's,
+    and the target is hyperbolic (checked once per tower).
     The preconditions of the algebra alone are answered once per algebra
     (``_obstruction_symbol``), those of d on every call; the rest of the
     report, its verdict and its rows, comes from one memo keyed on the
@@ -459,8 +459,9 @@ def _report_body(tower: FieldTower, d_code: int, symbol: int) -> dict:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _tower_rows(tower: FieldTower) -> tuple:
-    """Steps (a) and (b), which depend on the tower alone: the lambda rows,
-    checked as they are built, the trace gram as strings and t3's diagonal."""
+    """Steps (a), (b) and (d), which depend on the tower alone: the lambda
+    rows, checked as they are built, the trace gram as strings and t3's
+    diagonal, and the check that <1> + t3, hence every target, is hyperbolic."""
     inner = tower.inner()
     t_class = var_class(tower, tower.outer_var)
 
@@ -482,11 +483,13 @@ def _tower_rows(tower: FieldTower) -> tuple:
 
     # (b) trace form of K(t^(1/3)) = K[x]/(x^3 - t)
     gram = trace_form_gram(tower, (-LaurentPoly.variable(tower, tower.outer_var), 0, 0))
-    return (
-        tuple(lambda_rows),
-        tuple(tuple(str(e) for e in row) for row in gram),
-        diagonalize(tower, gram).entries,
-    )
+    t3 = diagonalize(tower, gram).entries
+
+    # (d) <1> + t3 = <1,3> + H is hyperbolic iff -3 is a square
+    kernel = _witt(tower, tuple(sorted((one_class(tower).code, *(e.code for e in t3))))).kernel
+    if kernel.dim:
+        raise InternalInconsistency(f"cubic obstruction contradicted: <1> + t3 has the kernel {kernel}")
+    return tuple(lambda_rows), tuple(tuple(str(e) for e in row) for row in gram), t3
 
 
 # (norm_matches, trace_isometric, contradiction) of an evidence row in each
@@ -508,42 +511,22 @@ def _pair_groups(tower: FieldTower) -> tuple:
     return tuple((value, tuple(pairs)) for value, pairs in groups.items())
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _step_d(tower: FieldTower, d_code: int, symbol: int) -> Optional[bool]:
-    """Step (d) against a norm of symbol ``symbol``: None when no Jacobson
-    norm <<b,c,d>> has that symbol (tower(sqrt(d)) does not split the
-    norm), else whether the Witt class of one that has it, which is the
-    norm's (two 3-fold Pfister forms are isometric iff their symbols are
-    equal), is the step (d) target.  The candidate is the presentation
-    <<d,b,c>> of the norm that ``qform._presentation`` reads off the
-    symbol, with no scan of the pairs."""
-    codes = _presentation(tower, d_code, symbol, 3)
-    if codes is None:
-        return None
-    return _fold_class(tower, (one_class(tower).code,), codes) == _step_d_target(tower, d_code)
-
-
 def _evidence_rows(tower: FieldTower, d_code: int, symbol: int) -> tuple:
     """The rows of steps (c) and (d) against a norm of symbol ``symbol``,
     one per pair (b, c): a row matches when its group's Jacobson norms
-    have that symbol, one product (d)(b)(c) per group, and a matching
-    row's step (d) outcome is the one ``_step_d`` read.  The group scan
-    and the presentation ``_step_d`` found must agree on whether a
-    candidate exists, or InternalInconsistency.  A row is a
-    function of its pair and its state (``_ROW_STATES``), so the rows of
-    each group in each state are built once per tower (``_group_rows``)
-    and put in place by pair index."""
-    holds = _step_d(tower, d_code, symbol)
-    match_state = 2 if holds else 1
+    have that symbol, one product (d)(b)(c) per group.  The step (d)
+    target is hyperbolic (``_tower_rows``, which ``_report_body`` reads
+    first), so a matching row's trace forms are isometric, a
+    contradiction, exactly when the symbol is 0.  A row is a function of
+    its pair and its state (``_ROW_STATES``), so the rows of each group
+    in each state are built once per tower (``_group_rows``) and put in
+    place by pair index."""
+    match_state = 1 if symbol else 2
     groups = _pair_groups(tower)
-    matching = [_symbol_times(tower, d_code, value, 2) == symbol for value, _ in groups]
-    if any(matching) != (holds is not None):
-        raise InternalInconsistency(
-            f"the candidates and the presentation disagree at d = {class_of_code(tower, d_code)}"
-        )
     rows = [None] * sum(len(pairs) for _, pairs in groups)
-    for g, ((_, pairs), match) in enumerate(zip(groups, matching)):
-        for (i, _, _), row in zip(pairs, _group_rows(tower, g, match_state if match else 0)):
+    for g, (value, pairs) in enumerate(groups):
+        state = match_state if _symbol_times(tower, d_code, value, 2) == symbol else 0
+        for (i, _, _), row in zip(pairs, _group_rows(tower, g, state)):
             rows[i] = row
     return tuple(rows)
 
@@ -553,20 +536,6 @@ def _group_rows(tower: FieldTower, g: int, state: int) -> tuple:
     """The evidence rows of the pairs of group ``g`` of ``_pair_groups`` in
     the state ``state``, built once."""
     return tuple(EvidenceRow(b, c, *_ROW_STATES[state]) for _, b, c in _pair_groups(tower)[g][1])
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _step_d_target(tower: FieldTower, d_code: int) -> tuple:
-    """The Witt class of <<d>> x (<1> + t3), the step (d) target."""
-    unit_t3 = (one_class(tower).code, *(e.code for e in _tower_rows(tower)[2]))
-    return _fold_class(tower, unit_t3, (d_code,))
-
-
-def _fold_class(tower: FieldTower, codes: tuple, slot_codes: tuple) -> tuple:
-    """The Witt class of phi x <<slots>>, for phi of entry codes ``codes``
-    and the slots of codes ``slot_codes``, folded on codes (``qform._fold``):
-    the one read of a Witt class in step (d)."""
-    return _witt(tower, tuple(sorted(_fold(list(codes), _neg_codes(tower, slot_codes))))).witt_class
 
 
 # -- reports -----------------------------------------------------------------------------

@@ -333,6 +333,32 @@ class TestSymbols:
                     assert codes[0] == d.code
                     assert qform._symbol(tower, codes) == symbol
 
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            *(FieldTower.prime(p, *"pqrst"[5 - n:]) for p in (7, 5) for n in (4, 5)),
+            *(FieldTower.reals(*"pqrst"[5 - n:]) for n in (4, 5)),
+            F13ST,
+        ],
+        ids=str,
+    )
+    def test_presentations_keep_to_the_symbols_variables(self, tower):
+        # seeded 2- to 4-fold forms, first slots drawn from the form's own
+        # slots and from every class: the codes inside the variables of the
+        # symbol and of the first slot give the presentation that trying
+        # every code gives
+        rng = random.Random(101)
+        classes = enumerate_square_classes(tower)
+        outcomes = set()
+        for _ in range(200):
+            slots = [rng.choice(classes) for _ in range(rng.randint(2, 4))]
+            first = rng.choice(slots if rng.random() < 0.5 else classes)
+            symbol = pfister_symbol(tower, slots)
+            expected = presentation_trying_every_code(tower, first.code, symbol, len(slots))
+            assert qform._presentation(tower, first.code, symbol, len(slots)) == expected, (slots, first)
+            outcomes.add((expected is None, bool(symbol)))
+        assert outcomes >= {(True, True), (False, True), (False, False)}
+
     def test_towers_without_symbols(self):
         # Q and a tower past SYMBOL_VARS variables have no symbols
         wide = FieldTower.prime(7, *(f"x{i}" for i in range(qform.SYMBOL_VARS + 1)))
@@ -350,6 +376,25 @@ class TestSymbols:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qform.__file__)))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "0", out.stderr
+
+
+def presentation_trying_every_code(tower, first_code, symbol, n):
+    """The lexicographically first presentation of ``qform._presentation``,
+    with every code of the tower tried for each later slot."""
+    table = qform._symbol_table(tower)
+    n_vars = len(tower.laurent_vars)
+    gens = [1 << k for k in range(n_vars + 1)]
+    found, e = (), 1  # 1 in k_0
+    for k in range(1, n + 1):
+        multisets = list(itertools.combinations_with_replacement(gens, n - k))
+        for b in (first_code,) if k == 1 else range(2 << n_vars):
+            e_b = qform._times_codes(table, (b,), e, k - 1)
+            if qform._solve([qform._times_codes(table, m, e_b, k) for m in multisets], symbol) is not None:
+                found, e = (*found, b), e_b
+                break
+        else:
+            return None
+    return found
 
 
 class TestIsotropy:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittforge import algebras, qform, tori
+from wittforge import algebras, dsl, qform, tori
 from wittforge.algebras import algebra_from_slots, cayley_dickson, is_split, quaternion
 from wittforge.errors import (
     FieldMismatch,
@@ -32,10 +32,12 @@ from wittforge.qform import (
     is_hyperbolic,
     is_isometric,
     is_isotropic,
+    orthogonal_sum,
     pfister,
     splits_over_quadratic,
     tensor,
     witt_class,
+    witt_decompose,
 )
 from wittforge.tori import (
     ComparisonReport,
@@ -96,16 +98,33 @@ def pure_part(tower, slots):
     return DiagonalForm(tower, pfister(tower, slots).entries[1:])
 
 
-def _inject_one_class(monkeypatch):
-    """Give every Witt class the obstruction reads the class (): that of
-    the presentation <<d,b,c>> of the norm's symbol, which the report and
-    ``type_report`` both read as the norm's class, and that of the step
-    (d) target, both read through ``tori._fold_class``.  The algebra's
-    symbol is left as it is, so the division check passes and a
-    candidate matches wherever sqrt(d) splits the algebra; the step (d)
-    memos must not hold the real classes, which the ``tori`` memos,
-    cleared around every test, do not."""
-    monkeypatch.setattr(tori, "_fold_class", lambda tower, codes, slot_codes: ())
+def unit_plus_t3(tower, diagonalize=diagonalize):
+    """<1> + t3, t3 the trace form of K[x]/(x^3 - t), built as a form."""
+    zero = LaurentPoly.zero(tower)
+    minus_t = -LaurentPoly.variable(tower, tower.outer_var)
+    t3 = diagonalize(tower, trace_form_gram(tower, (minus_t, zero, zero)))
+    return orthogonal_sum(DiagonalForm(tower, (one_class(tower),)), t3)
+
+
+def step_d_target(tower, d):
+    """The Witt class of the step (d) target <<d>> x (<1> + t3), from forms."""
+    return witt_class(tensor(pfister(tower, (d,)), unit_plus_t3(tower)))
+
+
+def _inject_anisotropic_t3(monkeypatch):
+    """Make step (d) fail: ``tori.diagonalize`` gives t3 with its first
+    entry <3> scaled by the nonresidue u, so <1> + t3 is <1,3u> + H, not
+    hyperbolic where -3 is a square.  The lambda rows and the algebra's
+    symbol are left as they are, so the division check passes and only
+    the per-tower step (d) check can fail; the ``tori`` memos, cleared
+    around every test, hold no real t3."""
+    real = tori.diagonalize
+
+    def skewed(tower, gram):
+        first, *rest = real(tower, gram).entries
+        return DiagonalForm(tower, (sq_mul(first, nonresidue_class(tower)), *rest))
+
+    monkeypatch.setattr(tori, "diagonalize", skewed)
 
 
 def division_octonion():
@@ -642,33 +661,36 @@ class TestCubicObstruction:
         assert type(rep).from_json(text).to_json() == text
 
     def test_contradicting_evidence_raises(self, monkeypatch):
+        # a t3 with <1> + t3 not hyperbolic: the step (d) target is no
+        # longer hyperbolic, and the per-tower check says so
         C = division_octonion()
         u = nonresidue_class(F13ST)
-        # every form and every Jacobson norm gets one class: each candidate
-        # matches the norm, and the norm class equals the step (d) target;
-        # the report reads the norm's class off its one Witt decomposition
-        _inject_one_class(monkeypatch)
-        with pytest.raises(InternalInconsistency):
+        _inject_anisotropic_t3(monkeypatch)
+        assert not is_hyperbolic(unit_plus_t3(F13ST, tori.diagonalize))
+        with pytest.raises(InternalInconsistency, match=r"<1> \+ t3 has the kernel"):
             cubic_obstruction_report(C, u)
         # type_report reads its verdict from the same rule
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(InternalInconsistency, match=r"<1> \+ t3 has the kernel"):
             type_report(C)
 
     def test_a_raise_is_not_memoized(self, monkeypatch):
-        # the injection of test_contradicting_evidence_raises: the report
-        # memo keeps no entry for a raise, so a second call raises again
+        # the injection of test_contradicting_evidence_raises: no memo keeps
+        # an entry for a raise, so a second call of either report raises again
         C = division_octonion()
         u = nonresidue_class(F13ST)
-        _inject_one_class(monkeypatch)
+        _inject_anisotropic_t3(monkeypatch)
         for _ in range(2):
             with pytest.raises(InternalInconsistency):
                 cubic_obstruction_report(C, u)
+            with pytest.raises(InternalInconsistency):
+                type_report(C)
         assert tori._report_body.cache_info().currsize == 0
+        assert tori._tower_rows.cache_info().currsize == 0
 
     def test_step_d_class_comparison_matches_trace_isometry(self):
-        """Step (d) read off Witt classes, the Jacobson norm's against the
-        target <<d>> x (<1> + t3), agrees on every candidate with the
-        direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Each
+        """Step (d) as the rows record it, from the norm's symbol and the
+        hyperbolic target <<d>> x (<1> + t3), agrees on every candidate
+        with the direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Each
         candidate's row is read from the evidence rows at the class of its
         Jacobson norm built as a form, so the row must match; the rows are
         asked for once per distinct class.  Over F13((t)) every candidate
@@ -709,15 +731,16 @@ class TestCubicObstruction:
         matching rows are matches) and the step (d) target (its matching
         rows are contradictions).  One row cache per tower serves every
         call, so a row built in one state must never be read in another.
-        The reference reads Witt classes alone; the rows are asked for by
-        the symbol of a Jacobson norm of the class (the target is the
-        hyperbolic class here, that of the isotropic <<b,c,d>>)."""
+        The reference reads Witt classes alone, the target's built as a
+        form; the rows are asked for by the symbol of a Jacobson norm of
+        the class (the target is the hyperbolic class here, that of the
+        isotropic <<b,c,d>>)."""
         states = set()
         for tower in (F13ST, F7ST, F7RST):
             classes = enumerate_square_classes(tower)
             pairs = list(itertools.product(classes, repeat=2))
             for d in classes[1:]:
-                target = tori._step_d_target(tower, d.code)
+                target = step_d_target(tower, d)
                 jnorm_classes = [witt_class(pfister(tower, (b, c, d))) for b, c in pairs]
                 symbols = {}
                 for (b, c), jnorm_class in zip(pairs, jnorm_classes):
@@ -792,10 +815,12 @@ class TestCubicObstruction:
     def test_rule_matches_the_rows(self):
         """The rule ``_cubic_verdict`` reads against the row scan, for
         every division norm class and every nonsquare d: a row matches the
-        norm exactly when d splits the algebra (Lam, Ch. X), and a row
+        norm exactly when d splits the algebra (Lam, Ch. X), exactly when
+        the norm's symbol has a presentation <<d,b,c>>, and a row
         contradicts the theorem exactly when, besides, the norm class is
-        the step (d) target.  Over two variables the one division class is
-        split by every d; over three some d leave it division."""
+        the step (d) target, built as a form.  Over two variables the one
+        division class is split by every d; over three some d leave it
+        division."""
         pairs, matched = 0, 0
         for tower in (F13ST, F7ST, F7RST, F13RST):
             classes = enumerate_square_classes(tower)
@@ -810,12 +835,50 @@ class TestCubicObstruction:
                     rows = tori._evidence_rows(tower, d.code, symbol)
                     splits = splits_over_quadratic(tower, slots, d)
                     assert any(r.norm_matches for r in rows) == splits, (slots, d)
-                    contradiction = splits and norm_class == tori._step_d_target(tower, d.code)
+                    presented = qform._presentation(tower, d.code, symbol, 3) is not None
+                    assert presented == splits, (slots, d)
+                    contradiction = splits and norm_class == step_d_target(tower, d)
                     assert any(r.contradiction for r in rows) == contradiction, (slots, d)
                     assert tori._cubic_verdict(tower, d.code, symbol) == "inadmissible"
                     pairs += 1
                     matched += splits
         assert 0 < matched < pairs
+
+    @pytest.mark.parametrize(
+        "name, hyperbolic",
+        [
+            *((name, True) for name in (
+                "F13((t))", "F13((s))((t))", "F7((s))((t))", "F7((r))((s))((t))",
+                "F7((q))((r))((s))((t))", "F25((s))((t))", "F121((t))",
+            )),
+            *((name, False) for name in ("F5((t))", "F11((s))((t))", "R((t))")),
+        ],
+    )
+    def test_unit_plus_t3_is_hyperbolic_exactly_with_zeta3(self, name, hyperbolic):
+        """<1> + t3 = <1,3> + H, built as a form, is hyperbolic (Witt index
+        2) exactly over the towers with zeta_3, and has Witt index 1 and a
+        kernel <1,3> of dimension 2 over the others; the per-tower step (d)
+        check passes on the first and fails on the second, so it rests on
+        the computed t3, not on the tower's name."""
+        tower = dsl.parse_field(name)
+        w = witt_decompose(unit_plus_t3(tower))
+        assert (w.witt_index, w.kernel_dim) == ((2, 0) if hyperbolic else (1, 2))
+        assert tower.has_zeta3() == hyperbolic
+        if hyperbolic:
+            assert tori._tower_rows(tower)[2] == unit_plus_t3(tower).entries[1:]
+        else:
+            with pytest.raises(InternalInconsistency, match=r"<1> \+ t3 has the kernel"):
+                tori._tower_rows(tower)
+            assert tori._tower_rows.cache_info().currsize == 0
+
+    def test_a_hyperbolic_norm_contradicts_the_rule(self):
+        # symbol 0 is a hyperbolic norm: every candidate's trace forms would
+        # be isometric to the hyperbolic target's
+        for tower in (F13ST, F7RST):
+            for d in enumerate_square_classes(tower)[1:]:
+                with pytest.raises(InternalInconsistency, match="contradicted at d"):
+                    tori._cubic_verdict(tower, d.code, 0)
+                assert tori._cubic_verdict(tower, d.code, 1) == "inadmissible"
 
     def test_type_report_builds_no_evidence(self, monkeypatch):
         """type_report reads the pure-cubic rows off the rule alone: with
