@@ -12,9 +12,9 @@ algebra over at most two quadratic extensions.  A type report flags
 once, per class code, whether the class's quadratic etale algebra
 splits the algebra: the class 1 (k x k) when the algebra is split
 (``is_split``), any other class when it is in the splitting profile.
-Every such verdict reads its two classes off these flags: over an
-enumerable tower codes multiply by XOR, so [F''] is one XOR and each
-test one list index.  ``admits_type`` tests just its type's two
+Every such verdict reads its two classes, F' and F'' of
+``_quadratic_pair`` (the one rule for both), off these flags, one list
+index per class.  ``admits_type`` tests just its type's two
 classes, so it needs no finite class group.  The cubic-field kind is
 ruled out for division algebras by a trace-form comparison: every
 hermitian-shape candidate (b, c) compatible with the norm form would
@@ -35,12 +35,14 @@ isometric iff their symbols are equal, and one is hyperbolic iff its
 symbol is 0 (Orlov-Vishik-Voevodsky, Ann. of Math. 165, 2007).  So a
 candidate matches the norm exactly when (d)(b)(c) is the norm's symbol,
 which an algebra keeps from its construction, and a match contradicts
-the theorem exactly when that symbol is 0.  The (b, c) pairs are
-grouped once per tower by (b)(c) in k_2 (``_pair_groups``), and a group
-matches when one product (d)(b)(c) does.  One rule, ``_cubic_verdict``,
+the theorem exactly when that symbol is 0.  One rule, ``_cubic_verdict``,
 keyed on (tower, d, symbol), gives both reports their pure-cubic
-verdict: "inadmissible", since a division algebra's norm has a nonzero
-symbol.
+verdict: "inadmissible" for a nonzero symbol, which a division algebra's
+norm has, while symbol 0 raises before any row is built.  So a row has
+two states: a match, whose trace forms are not isometric, or no match.
+One table per tower (``_pair_table``) holds the distinct symbols (b)(c)
+in k_2 and, per (b, c) pair, the index of its symbol and its unmatched
+row, so a d costs one product (d)(b)(c) per distinct symbol.
 
 An obstruction report's parts are computed once per the inputs they
 depend on: the lambda rows and step (d) (checked as built), the trace
@@ -52,9 +54,9 @@ symbol is kept on the algebra once they pass; a failure keeps nothing
 and raises again.  A repeated report pays for the checks on d, one memo
 lookup on (tower, int, int) and a copy of the memoized fields into the
 report's instance dict, and builds and folds no form.  An evidence row
-is a function of its (b, c) pair and its state (no match, a match, a
-contradiction), so the rows of each group in each state are built once
-per tower.  The report and the memoized helpers call ``sq_mul``,
+is a function of its (b, c) pair and its state, so every report over a
+tower shares the table's unmatched rows, and a report body builds only
+its matching rows.  The report and the memoized helpers call ``sq_mul``,
 ``diagonalize`` and ``EvidenceRow`` through module globals.
 
 The three reports share one JSON codec, ``_encode`` and ``_decode``,
@@ -212,6 +214,8 @@ def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
     """
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
+    if tau.quad.tower != C.tower:
+        raise FieldMismatch(f"{tau.quad.tower} vs {C.tower}")
     if isinstance(tau.cubic, PureCubicGalois):
         raise UnsupportedCubic("use cubic_obstruction_report for the cubic field kind")
     return all(
@@ -447,8 +451,9 @@ def _report_body(tower: FieldTower, d_code: int, symbol: int) -> dict:
     """Every field of an obstruction report, by name and in order, for any
     division algebra over ``tower`` whose norm has the symbol ``symbol``
     and the d of code ``d_code``, with ``tower``, ``slots`` and ``d`` left
-    for the report to fill: the verdict (``_cubic_verdict``) and the rows.
-    The evidence rows are the tower's shared row objects."""
+    for the report to fill: the verdict (``_cubic_verdict``), which raises
+    on symbol 0 before any row is built, and the rows, the unmatched ones
+    the tower's shared row objects (``_pair_table``)."""
     verdict = _cubic_verdict(tower, d_code, symbol)
     lambda_rows, gram, trace_diagonal = _tower_rows(tower)
     evidence = _evidence_rows(tower, d_code, symbol)
@@ -492,50 +497,33 @@ def _tower_rows(tower: FieldTower) -> tuple:
     return tuple(lambda_rows), tuple(tuple(str(e) for e in row) for row in gram), t3
 
 
-# (norm_matches, trace_isometric, contradiction) of an evidence row in each
-# of its three states: no match, a match, a match that contradicts
-_ROW_STATES = ((False, None, False), (True, False, False), (True, True, True))
-
-
 @lru_cache(maxsize=CACHE_SIZE)
-def _pair_groups(tower: FieldTower) -> tuple:
-    """The pairs (b, c) of square classes of an enumerable tower, b outer,
-    grouped by their symbol (b)(c) in k_2, groups in the order of their
-    first pair: (symbol, ((pair index, b, c), ...)) per group.  The
-    Jacobson norm <<b,c,d>> has the symbol (d)(b)(c), so one product
-    tells whether every pair of a group matches a norm."""
-    classes = enumerate_square_classes(tower)
-    groups: dict[int, list] = {}
-    for i, (b, c) in enumerate(itertools.product(classes, repeat=2)):
-        groups.setdefault(_symbol(tower, (b.code, c.code)), []).append((i, b, c))
-    return tuple((value, tuple(pairs)) for value, pairs in groups.items())
+def _pair_table(tower: FieldTower) -> tuple:
+    """The pairs (b, c) of square classes of an enumerable tower, built
+    once: the distinct symbols (b)(c) in k_2, in the order of their first
+    pair, and per pair, b outer, the index of its symbol and its unmatched
+    row.  The Jacobson norm <<b,c,d>> has the symbol (d)(b)(c), so one
+    product per symbol tells which pairs match a norm."""
+    symbols: dict[int, int] = {}
+    pairs = []
+    for b, c in itertools.product(enumerate_square_classes(tower), repeat=2):
+        index = symbols.setdefault(_symbol(tower, (b.code, c.code)), len(symbols))
+        pairs.append((index, EvidenceRow(b, c, False, None, False)))
+    return tuple(symbols), tuple(pairs)
 
 
 def _evidence_rows(tower: FieldTower, d_code: int, symbol: int) -> tuple:
-    """The rows of steps (c) and (d) against a norm of symbol ``symbol``,
-    one per pair (b, c): a row matches when its group's Jacobson norms
-    have that symbol, one product (d)(b)(c) per group.  The step (d)
-    target is hyperbolic (``_tower_rows``, which ``_report_body`` reads
-    first), so a matching row's trace forms are isometric, a
-    contradiction, exactly when the symbol is 0.  A row is a function of
-    its pair and its state (``_ROW_STATES``), so the rows of each group
-    in each state are built once per tower (``_group_rows``) and put in
-    place by pair index."""
-    match_state = 1 if symbol else 2
-    groups = _pair_groups(tower)
-    rows = [None] * sum(len(pairs) for _, pairs in groups)
-    for g, (value, pairs) in enumerate(groups):
-        state = match_state if _symbol_times(tower, d_code, value, 2) == symbol else 0
-        for (i, _, _), row in zip(pairs, _group_rows(tower, g, state)):
-            rows[i] = row
-    return tuple(rows)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _group_rows(tower: FieldTower, g: int, state: int) -> tuple:
-    """The evidence rows of the pairs of group ``g`` of ``_pair_groups`` in
-    the state ``state``, built once."""
-    return tuple(EvidenceRow(b, c, *_ROW_STATES[state]) for _, b, c in _pair_groups(tower)[g][1])
+    """The rows of steps (c) and (d) against a norm of the nonzero symbol
+    ``symbol``, one per pair (b, c): a row matches when (d)(b)(c) is that
+    symbol, one product per distinct (b)(c) (``_pair_table``).  The step
+    (d) target is hyperbolic and the symbol is not 0 (``_report_body``
+    reads ``_cubic_verdict`` first, which raises on 0), so a matching
+    row's trace forms are not isometric and no row contradicts.  A
+    matching row is built per call; an unmatched row is its pair's
+    shared row, built once per tower."""
+    symbols, pairs = _pair_table(tower)
+    matched = [_symbol_times(tower, d_code, value, 2) == symbol for value in symbols]
+    return tuple(EvidenceRow(row.b, row.c, True, False, False) if matched[i] else row for i, row in pairs)
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -588,11 +576,9 @@ class ComparisonReport(_Report):
         return self.verdict == "equivalent"
 
 
-def _type_verdict(
-    C: CompositionAlgebra, classes: list, split: list, tau: TorusType
-) -> TypeVerdict:
-    """The verdict on tau for C: ``split[k]`` tells whether the class
-    ``classes[k]``, of code k, is in C's splitting set."""
+def _type_verdict(C: CompositionAlgebra, split: list, tau: TorusType) -> TypeVerdict:
+    """The verdict on tau for C: ``split[k]`` tells whether the class of
+    code k is in C's splitting set."""
     if isinstance(tau.cubic, PureCubicGalois):
         if split[0]:
             return TypeVerdict(
@@ -606,12 +592,10 @@ def _type_verdict(
         return TypeVerdict(
             tau, verdict, "cubic obstruction: no hermitian candidate survives"
         )
-    # the codes of F' and F'' (``_quadratic_pair``): codes multiply by XOR
-    first = tau.quad.code
-    second = first if isinstance(tau.cubic, Split3) else first ^ tau.cubic.delta.code
-    ok1, ok2 = split[first], split[second]
+    first, second = _quadratic_pair(tau)
+    ok1, ok2 = split[first.code], split[second.code]
     verdict = "admissible" if (ok1 and ok2) else "inadmissible"
-    reason = f"split by sqrt({classes[first]}): {'yes' if ok1 else 'no'}; split by sqrt({classes[second]}): {'yes' if ok2 else 'no'}"
+    reason = f"split by sqrt({first}): {'yes' if ok1 else 'no'}; split by sqrt({second}): {'yes' if ok2 else 'no'}"
     return TypeVerdict(tau, verdict, reason)
 
 
@@ -619,12 +603,11 @@ def type_report(C: CompositionAlgebra) -> TypeReport:
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
     catalog = torus_type_catalog(C.tower)  # checks the catalog's size first
-    classes = enumerate_square_classes(C.tower)
-    split = [False] * len(classes)
+    split = [False] * len(enumerate_square_classes(C.tower))
     for c in splitting_profile(C):
         split[c.code] = True
     split[0] = is_split(C)  # the class 1, for k x k
-    rows = tuple(_type_verdict(C, classes, split, tau) for tau in catalog)
+    rows = tuple(_type_verdict(C, split, tau) for tau in catalog)
     return TypeReport(C.tower, C.slots, rows)
 
 

@@ -13,6 +13,7 @@ from wittforge.errors import (
     LambdaNotUnit,
     NotSeparable,
     PreconditionFailed,
+    UnrepresentableClass,
     UnsupportedCubic,
 )
 from wittforge.fields import (
@@ -226,6 +227,38 @@ class TestAdmitsType:
         C = division_octonion()
         for cubic in (Split3(), QuadTimes(var_class(F13ST, "s"))):
             assert not admits_type(C, TorusType(one_class(F13ST), cubic))
+
+    def test_a_type_over_another_tower_is_a_field_mismatch(self):
+        # the class 1 of another tower is not read as this tower's k x k
+        for C in (division_octonion(), algebra_from_slots(F13ST, (one_class(F13ST),) * 3)):
+            for cubic in (Split3(), QuadTimes(var_class(F13RST, "s"))):
+                with pytest.raises(FieldMismatch):
+                    admits_type(C, TorusType(one_class(F13RST), cubic))
+
+    @pytest.mark.parametrize(
+        "name", ["F13((s))((t))", "F7((r))((s))((t))", "R((r))((s))((t))", "F25((s))((t))"]
+    )
+    def test_agrees_with_the_type_report(self, name):
+        """admits_type, which splits the algebra over F' and F'', agrees
+        with the type report's verdict on every type of the split and
+        quadratic kinds, for the first division and the first split
+        algebra in slot order (over F25((s))((t)) the class u has no
+        constant, so only split algebras are built)."""
+        tower = dsl.parse_field(name)
+        algebras = {}
+        for slots in itertools.product(enumerate_square_classes(tower), repeat=3):
+            try:
+                A = algebra_from_slots(tower, slots)
+            except UnrepresentableClass:
+                continue
+            algebras.setdefault(is_split(A), A)
+            if len(algebras) == 2:
+                break
+        assert len(algebras) == (1 if name == "F25((s))((t))" else 2)
+        for A in algebras.values():
+            for row in type_report(A).rows:
+                if not isinstance(row.tau.cubic, PureCubicGalois):
+                    assert admits_type(A, row.tau) == (row.verdict == "admissible"), row
 
     def test_answers_over_q(self):
         # Q has no finite class group; the criterion needs only the classes
@@ -638,7 +671,7 @@ class TestCubicObstruction:
             slots = (nonresidue_class(tower), var_class(tower, "x1"), var_class(tower, f"x{n - 1}"))
             return algebra_from_slots(tower, slots), var_class(tower, "x0")
 
-        monkeypatch.setattr(tori, "_pair_groups", refuse)
+        monkeypatch.setattr(tori, "_pair_table", refuse)
         monkeypatch.setattr(tori, "enumerate_square_classes", refuse)
         for n, message in [
             (9, "1048576 evidence rows"),
@@ -693,10 +726,12 @@ class TestCubicObstruction:
         with the direct isometry test <<d>> x t3 ~ <<d>> x pure(<<b,c>>).  Each
         candidate's row is read from the evidence rows at the class of its
         Jacobson norm built as a form, so the row must match; the rows are
-        asked for once per distinct class.  Over F13((t)) every candidate
-        passes the direct test; the other towers have both outcomes.  The
-        rows are keyed on symbols: each class is asked for by the symbol of
-        its first candidate."""
+        asked for once per distinct class of nonzero symbol.  A class of
+        symbol 0 is the hyperbolic target: each of its candidates passes
+        the direct test, and the rule raises on it, so no row is built.
+        Over F13((t)) every candidate passes the direct test; the other
+        towers have both outcomes.  The rows are keyed on symbols: each
+        class is asked for by the symbol of its first candidate."""
         outcomes = set()
         for tower in (F13T, F13ST, F7ST, F7RST):
             zero = LaurentPoly.zero(tower)
@@ -713,9 +748,15 @@ class TestCubicObstruction:
                 for jnorm_class, candidates in by_class.items():
                     _, b, c = candidates[0]
                     symbol = pfister_symbol(tower, (b, c, d))
+                    if not symbol:
+                        for _, b, c in candidates:
+                            assert is_isometric(lhs, tensor(pf_d, pure_part(tower, (b, c))))
+                        outcomes.add(True)
+                        with pytest.raises(InternalInconsistency, match="contradicted at d"):
+                            tori._cubic_verdict(tower, d.code, symbol)
+                        continue
                     rows = tori._evidence_rows(tower, d.code, symbol)
-                    idxs = [i for i, _, _ in candidates]
-                    for i in idxs:
+                    for i, _, _ in candidates:
                         row = rows[i]
                         pure = tensor(pf_d, pure_part(tower, (row.b, row.c)))
                         direct = is_isometric(lhs, pure)
@@ -725,16 +766,15 @@ class TestCubicObstruction:
         assert outcomes == {True, False}
 
     def test_rows_equal_a_reference_built_row_by_row(self):
-        """The shared rows against rows written out from each candidate's
-        Jacobson norm <<b,c,d>> as a form, for every nonsquare d and every
-        norm class that reaches a state: each Jacobson norm class (its
-        matching rows are matches) and the step (d) target (its matching
-        rows are contradictions).  One row cache per tower serves every
-        call, so a row built in one state must never be read in another.
+        """The rows against rows written out from each candidate's Jacobson
+        norm <<b,c,d>> as a form, for every nonsquare d and every Jacobson
+        norm class of nonzero symbol.  One table per tower serves every
+        call, so a shared unmatched row must never be read as a match.
         The reference reads Witt classes alone, the target's built as a
         form; the rows are asked for by the symbol of a Jacobson norm of
-        the class (the target is the hyperbolic class here, that of the
-        isotropic <<b,c,d>>)."""
+        the class.  The step (d) target is the hyperbolic class here, that
+        of the isotropic <<b,c,d>>, of symbol 0: its report body raises
+        before any row is built, and nothing is memoized."""
         states = set()
         for tower in (F13ST, F7ST, F7RST):
             classes = enumerate_square_classes(tower)
@@ -746,6 +786,14 @@ class TestCubicObstruction:
                 for (b, c), jnorm_class in zip(pairs, jnorm_classes):
                     symbols.setdefault(jnorm_class, pfister_symbol(tower, (b, c, d)))
                 for norm_class in dict.fromkeys(jnorm_classes + [target]):
+                    if norm_class == target:
+                        tables = tori._pair_table.cache_info().currsize
+                        with pytest.raises(InternalInconsistency, match="contradicted at d"):
+                            tori._report_body(tower, d.code, 0)
+                        assert tori._report_body.cache_info().currsize == 0
+                        assert tori._pair_table.cache_info().currsize == tables
+                        continue
+                    assert symbols[norm_class]
                     reference = []
                     for (b, c), jnorm_class in zip(pairs, jnorm_classes):
                         matches = jnorm_class == norm_class
@@ -755,30 +803,49 @@ class TestCubicObstruction:
                         states.add((matches, iso, contradiction))
                     rows = tori._evidence_rows(tower, d.code, symbols[norm_class])
                     assert rows == tuple(reference)
-        assert states == {(False, None, False), (True, False, False), (True, True, True)}
+        assert states == {(False, None, False), (True, False, False)}
 
-    def test_the_sweep_builds_at_most_128_rows(self, monkeypatch):
-        # the 168 x 7 reports over F13((s))((t)) read 7 tables of 64 rows;
-        # each (b, c) pair is built at most once per state it is read in
+    def test_the_sweep_builds_232_rows(self, monkeypatch):
+        # the 168 x 7 reports over F13((s))((t)) read 7 report bodies of 64
+        # rows: the tower's 64 shared unmatched rows are built once, and
+        # each body builds its own 24 matches; every unmatched row read is
+        # one of the shared objects
         built = []
 
         def counted(*args):
-            built.append(args)
-            return row_class(*args)
+            built.append(row_class(*args))
+            return built[-1]
 
         row_class = tori.EvidenceRow
         monkeypatch.setattr(tori, "EvidenceRow", counted)
         classes = enumerate_square_classes(F13ST)
         reports = 0
+        read = []
         for slots in itertools.product(classes, repeat=3):
             A = algebra_from_slots(F13ST, slots)
             if not is_split(A):
                 for d in classes[1:]:
-                    assert len(cubic_obstruction_report(A, d).evidence) == 64
+                    evidence = cubic_obstruction_report(A, d).evidence
+                    assert len(evidence) == 64
+                    read += [row for row in evidence if not row.norm_matches]
                     reports += 1
         assert reports == 168 * 7
-        assert 0 < len(built) <= 128
-        assert len(set(built)) == len(built)
+        shared = {id(row) for row in built if not row.norm_matches}
+        assert len(built) == 232 and len(shared) == 64
+        assert sum(row.norm_matches for row in built) == 7 * 24
+        assert {id(row) for row in read} == shared
+
+    def test_reports_over_seven_variables_share_their_unmatched_rows(self):
+        # 256 classes, 65,536 pairs and thousands of distinct symbols (b)(c):
+        # the reports at d = x0 and x1 read the same unmatched row objects
+        tower = FieldTower.prime(7, *(f"x{i}" for i in range(7)))
+        slots = (nonresidue_class(tower), var_class(tower, "x1"), var_class(tower, "x6"))
+        C = algebra_from_slots(tower, slots)
+        first, second = (cubic_obstruction_report(C, var_class(tower, x)).evidence for x in ("x0", "x1"))
+        unmatched = [(a, b) for a, b in zip(first, second) if not b.norm_matches]
+        assert not any(a.norm_matches for a in first)
+        assert len(unmatched) == 65_536 - 24
+        assert all(a is b for a, b in unmatched)
 
     def test_the_report_is_written_as_its_constructor_writes_it(self):
         # the report's instance dict is written in one step, which is what
@@ -896,7 +963,7 @@ class TestCubicObstruction:
         def forbidden(*args):
             raise AssertionError("type_report built an evidence table")
 
-        for name in ("cubic_obstruction_report", "_evidence_rows", "_pair_groups", "_group_rows"):
+        for name in ("cubic_obstruction_report", "_evidence_rows", "_pair_table"):
             monkeypatch.setattr(tori, name, forbidden)
         assert [type_report(A).to_json() for A in algebras] == expected
 
