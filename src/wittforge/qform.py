@@ -2,18 +2,19 @@
 
 Forms are always diagonal, with canonical square classes as entries.
 Witt decomposition, isotropy and isometry apply one base-field rule,
-which returns the form's class in W(k): counted from the entries of each
-class over R and F_q (Lam, Ch. II), with the kernel read off it, and the
-kernel's invariants from ``arithq`` over Q.  Over a Laurent tower
-k((t_1))...((t_n)), Springer's theorem gives
-W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
-the entries of one mask, with the mask cleared, form one base-field
-summand, and the rule runs once on each.  A form's Witt class is its
-(mask, base class) pairs, and forms of one dimension are isometric when
-their classes are equal (Witt cancellation).  ``isotropic_vector`` takes
-its vector from the same runs: the first run the rule makes isotropic
-gets an exact base-field solution (a square root for a pair, the least
-ternary solution over F_p), lifted by monomials.
+``_base_witt``, which returns the form's class in W(k): counted from the
+entries of each class over R and F_q (``_count_class``; Lam, Ch. II),
+with the kernel read off it, and the kernel's invariants from ``arithq``
+over Q.  Over a Laurent tower k((t_1))...((t_n)), Springer's theorem
+gives W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of
+W(k): the entries of one mask, with the mask cleared, form one residue
+run, and the rule runs once on each.  One helper, ``_runs``, splits
+entry codes into runs.  A form's Witt class is its (mask, base class)
+pairs, and forms of one dimension are isometric when their classes are
+equal (Witt cancellation).  ``isotropic_vector`` takes its vector from
+the same runs: the first run the rule makes isotropic gets an exact
+base-field solution (a square root for a pair, the least ternary
+solution over F_p), lifted by monomials.
 
 A form's ``key`` is the sorted tuple of its entries' codes (see
 ``fields``), computed once.  The memo caches are keyed on (tower, key),
@@ -26,21 +27,17 @@ splitting questions and an algebra's table check all read; tensor
 products and scalings multiply entries by ``fields.sq_mul``.
 
 One memoized Springer pass, ``_witt``, answers every Witt question:
-decomposition, class, isotropy, isometry and splitting.  Over R and F_q
-it reads the runs straight off the sorted codes: code 2*mask + base bit
-puts each mask's entries in one run, and the base-field rule needs only
-the run's counts of base bits 0 and 1 (``_count_class``, the one copy of
-the rule), which give the run's class and its kernel's codes.  No class
-is built per entry or per run; the kernel is one form.
+decomposition, class, isotropy, isometry and splitting, as the sum of
+the base-field decompositions of a form's runs.
 
 A form is its tower and its entries, and nothing else: a Pfister form
 keeps no record of its slots.  The questions that need slots take them,
 as every caller holds them (an algebra's ``slots``, a ``<<...>>``
-literal): ``splits_over_quadratic`` decides on the folded codes without
-building a form, ``quadratic_splitting_classes`` gives its answers for
-every nonsquare delta from one fold and one isotropy lookup, the two
-sharing the one rule ``_pure_represents``, and ``pfister_slot_witness``
-reads its presentation off the form's symbol (below).
+literal): ``splits_over_quadratic`` and ``quadratic_splitting_classes``
+(every nonsquare delta from one fold and one isotropy lookup) decide on
+the folded codes without building a form, by one base-field question on
+delta's run (``_pure_represents``), and ``pfister_slot_witness`` reads its
+presentation off the form's symbol (below).
 
 Over F_q and R towers a Pfister form also has its mod-2 symbol.  The
 mod-2 Milnor K-ring of K = k((t_1))...((t_n)) is k_*(k)[xi_1,...,xi_n]
@@ -144,13 +141,8 @@ def _pfister_codes(tower: FieldTower, slots: Sequence[SquareClass]) -> tuple:
     for a in slots:
         if a.tower != tower:
             raise FieldMismatch(f"slot {a} lives over {a.tower}, not {tower}")
-    return tuple(_fold([one_class(tower).code], _neg_codes(tower, [a.code for a in slots])))
-
-
-def _neg_codes(tower: FieldTower, codes) -> list:
-    """The codes of -a for the slot codes a."""
     minus_one = minus_one_class(tower).code
-    return [_code_mul(minus_one, a) for a in codes]
+    return tuple(_fold([one_class(tower).code], [_code_mul(minus_one, a.code) for a in slots]))
 
 
 def _fold(codes: list, negs: list) -> list:
@@ -441,60 +433,56 @@ def _count_class(tower: FieldTower, pos: int, neg: int) -> tuple:
     return c, *((0, 0), (1, 0), (2, 0), (0, 1))[c]
 
 
-def _witt_rational(tower: FieldTower, key: tuple) -> WittDecomposition:
-    """The Springer pass over Q and Q((t_1))...((t_n)): ``arithq`` decides
-    each run of ``key`` (codes sort by mask first) with the mask cleared,
-    and a run's class is its kernel's invariants; over Q, ``key`` itself."""
-    from . import arithq
-
-    if not tower.laurent_vars:
-        return arithq._witt_codes(tower, key)
-    base = tower.base_field()
-    witt_index = kernel_dim = 0
-    witt_class = []
-    for mask, run in itertools.groupby(key, key=lambda code: code[0]):
-        w = arithq._witt_codes(base, tuple((0, b, neg) for _, b, neg in run))
-        witt_index += w.witt_index
-        kernel_dim += w.kernel_dim
-        witt_class += [(mask, c) for _, c in w.witt_class]
-    return WittDecomposition(witt_index, kernel_dim, witt_class=tuple(witt_class))
+def _runs(tower: FieldTower, codes) -> dict:
+    """Springer's residue runs of the entry codes ``codes`` (Lam, Ch. VI):
+    for each variable mask, in order of first appearance, the base-field
+    codes of the entries of that mask with the mask cleared, ``code & 1``
+    over R and F_q and (0, |b|, b < 0) over Q.  Sorted codes give masks
+    ascending and each run sorted."""
+    runs: dict = {}
+    for code in codes:
+        mask, base = (code >> 1, code & 1) if type(code) is int else (code[0], (0, *code[1:]))
+        runs.setdefault(mask, []).append(base)
+    return runs
 
 
-def _mask_runs(classes) -> list[tuple[int, list[int]]]:
-    """The runs of the Springer pass: the indices of ``classes`` grouped by
-    variable mask, masks ascending, indices in order within a run."""
-    runs: dict[int, list[int]] = {}
-    for i, c in enumerate(classes):
-        runs.setdefault(c.mask, []).append(i)
-    return sorted(runs.items())
+def _base_witt(base: FieldTower, codes) -> WittDecomposition:
+    """The base-field rule on the sorted codes of a form over R, F_q or Q:
+    ``arithq`` over Q, whose kernel survives as invariants; over R and F_q
+    ``_count_class`` on the counts of base bits 0 and 1, the kernel built
+    from its counts (an anisotropic plane is its own kernel)."""
+    if base.kind == "Q":
+        from . import arithq
+        return arithq._witt_codes(base, codes)
+    neg = sum(codes)
+    pos = len(codes) - neg
+    c, ones, others = _count_class(base, pos, neg)
+    if pos + neg == 2 == ones + others:
+        ones, others = pos, neg
+    kernel = DiagonalForm(base, _classes(base, (0,) * ones + (1,) * others))
+    return WittDecomposition((pos + neg - ones - others) // 2, ones + others, kernel,
+                             witt_class=((0, c),) if kernel.dim else ())
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
-    the entries of mask m (Lam, Ch. VI).  Over R and F_q the runs are read
-    off the sorted codes: code 2*mask + base bit puts each mask's entries
-    in one run, masks ascending, and ``_count_class`` takes the run's
-    counts of base bits 0 and 1.  The kernel is built once, from the codes
-    2*mask and 2*mask + 1; an anisotropic plane is its own kernel.
-    """
-    if tower.kind == "Q":
-        return _witt_rational(tower, key)
-    counts: dict[int, list[int]] = {}
-    for code in key:
-        counts.setdefault(code >> 1, [0, 0])[code & 1] += 1
-    witt_index, kernel, witt_class = 0, [], []
-    for mask, (pos, neg) in counts.items():
-        c, ones, others = _count_class(tower, pos, neg)
-        if pos + neg == 2 == ones + others:  # an anisotropic plane is its own kernel
-            ones, others = pos, neg
-        witt_index += (pos + neg - ones - others) // 2
-        kernel += [2 * mask] * ones + [2 * mask + 1] * others
-        if ones or others:
-            witt_class.append((mask, c))
-    kernel_form = DiagonalForm(tower, _classes(tower, kernel))
-    return WittDecomposition(witt_index, len(kernel), kernel_form, witt_class=tuple(witt_class))
+    the run of mask m (``_runs``; Lam, Ch. VI).  A form over the base field
+    is one run, decided by ``_base_witt``; over a Laurent tower each run
+    is, and the parts add up: Witt indices, classes (mask, base class),
+    and the kernel, the runs' kernel codes with their masks put back (over
+    Q((t_1))... only the classes are kept).  Each run's class is its own
+    object, so a decomposition shares none between runs."""
+    if not tower.laurent_vars:
+        return _base_witt(tower, key)
+    base = tower.base_field()
+    parts = [(mask, _base_witt(base, run)) for mask, run in _runs(tower, key).items()]
+    kernel = None if tower.kind == "Q" else DiagonalForm(
+        tower, _classes(tower, [2 * mask | code for mask, w in parts for code in w.kernel.key]))
+    return WittDecomposition(
+        sum(w.witt_index for _, w in parts), sum(w.kernel_dim for _, w in parts), kernel,
+        witt_class=tuple((mask, c) for mask, w in parts for _, c in w.witt_class))
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:
@@ -564,24 +552,25 @@ def isotropic_vector(
 ) -> Optional[list[LaurentPoly]]:
     """Exact nonzero x with sum c_i x_i^2 = 0 for monomials c_i, or None.
 
-    The runs of the Witt pass, masks ascending; a run is searched only
-    when the base-field rule makes it isotropic.  A vector y of its base
-    constants lifts to x_i = y_i * prod v^(-floor(e_i/2)), e_i the
-    exponents of c_i, and the other x_i are 0.  An isotropic run with no
-    vector is skipped over F_{p^2} (no constant root) and Q (a bounded
-    search); over F_p it raises InternalInconsistency.
+    The residue runs of the Witt pass (``_runs``), masks ascending; a run
+    is searched only when the base-field rule, asked on its base codes,
+    makes it isotropic.  A vector y of its base constants lifts to
+    x_i = y_i * prod v^(-floor(e_i/2)), e_i the exponents of c_i, and the
+    other x_i are 0.  An isotropic run with no vector is skipped over
+    F_{p^2} (no constant root) and Q (a bounded search); over F_p it
+    raises InternalInconsistency.
     """
     monos = [m for (m,) in (c.terms for c in coeffs)]  # ValueError unless monomials
     classes = [c.square_class() for c in coeffs]
     base = tower.base_field()
-    for mask, idxs in _mask_runs(classes):
-        run = tuple(SquareClass(base, classes[i].base) for i in idxs)
-        if not is_isotropic(DiagonalForm(base, run)):
+    for mask, run in sorted(_runs(tower, [c.code for c in classes]).items()):
+        if not _witt(base, tuple(sorted(run))).witt_index:
             continue
+        idxs = [i for i, c in enumerate(classes) if c.mask == mask]
         y = _base_vector(base, [monos[i][1] for i in idxs])
         if y is None:
             if base.kind == "F" and base.degree == 1:
-                raise InternalInconsistency(f"isotropic run {run} without a vector")
+                raise InternalInconsistency(f"isotropic run {_classes(base, run)} without a vector")
             continue
         out = [LaurentPoly.zero(tower)] * len(coeffs)
         for i, yi in zip(idxs, y):
@@ -609,7 +598,7 @@ def splits_over_quadratic(
     Decided entirely downstairs, on the folded codes: a hyperbolic form
     splits over anything, and otherwise the pure subform (every entry but
     the leading <1>) represents -delta exactly when the extension kills
-    the form.
+    the form, one base-field question on delta's run (``_pure_represents``).
     """
     codes = _pfister_codes(tower, slots)
     if delta.tower != tower:
@@ -619,7 +608,7 @@ def splits_over_quadratic(
     # isotropic Pfister forms are hyperbolic
     if _witt(tower, tuple(sorted(codes))).witt_index > 0:
         return True
-    return _pure_represents(tower, codes, delta.code)
+    return _pure_represents(tower, _runs(tower, codes[1:]), delta.code)
 
 
 def quadratic_splitting_classes(
@@ -628,21 +617,26 @@ def quadratic_splitting_classes(
     """The nonsquare classes delta of an enumerable tower with <<slots>>
     hyperbolic over tower(sqrt(delta)): the answers of
     ``splits_over_quadratic`` for every delta at once.  One fold of the
-    checked slots and one isotropy question serve every delta; then each
-    delta is one ``_witt`` lookup."""
+    checked slots, one isotropy question and one split of the pure subform
+    into runs serve every delta; then each delta is one base-field lookup."""
     nonsquares = [d for d in enumerate_square_classes(tower) if not d.is_one]
     codes = _pfister_codes(tower, slots)
     if _witt(tower, tuple(sorted(codes))).witt_index > 0:
         return frozenset(nonsquares)
-    return frozenset(d for d in nonsquares if _pure_represents(tower, codes, d.code))
+    runs = _runs(tower, codes[1:])
+    return frozenset(d for d in nonsquares if _pure_represents(tower, runs, d.code))
 
 
-def _pure_represents(tower: FieldTower, codes: tuple, delta_code) -> bool:
-    """Whether the pure subform of the Pfister form with entry codes
-    ``codes`` (every entry but the leading <1>) represents -delta, that is
-    whether it plus <delta> is isotropic: for an anisotropic Pfister form,
-    exactly when tower(sqrt(delta)) splits it (Lam, Ch. X)."""
-    return _witt(tower, tuple(sorted((*codes[1:], delta_code)))).witt_index > 0
+def _pure_represents(tower: FieldTower, runs: dict, delta_code) -> bool:
+    """Whether the pure subform of an anisotropic Pfister form (every entry
+    but the leading <1>), of residue runs ``runs``, represents -delta, that
+    is whether it plus <delta> is isotropic: exactly when tower(sqrt(delta))
+    splits the form (Lam, Ch. X).  The pure subform is anisotropic with the
+    form, so by Springer's theorem only delta's own run can turn isotropic:
+    one memoized question over the base field, on that run plus delta's
+    base code, on every tower (Lam, Ch. VI)."""
+    ((mask, run),) = _runs(tower, (delta_code,)).items()
+    return _witt(tower.base_field(), tuple(sorted(runs.get(mask, []) + run))).witt_index > 0
 
 
 def pfister_slot_witness(

@@ -54,6 +54,7 @@ from wittforge.qform import (
     orthogonal_sum,
     pfister,
     pfister_slot_witness,
+    quadratic_splitting_classes,
     scale,
     splits_over_quadratic,
     tensor,
@@ -639,6 +640,58 @@ class TestSplitsOverQuadratic:
                     assert splits == reference_splits(f, delta), (tower, slots, delta)
                     outcomes.add(splits)
         assert outcomes == {True, False}
+        # seeded 3-fold forms over four variables, every nonsquare delta
+        for tower in (FieldTower.prime(7, "q", "r", "s", "t"), FieldTower.reals("q", "r", "s", "t")):
+            classes = enumerate_square_classes(tower)
+            for _ in range(24):
+                slots = tuple(rng.choice(classes) for _ in range(3))
+                f = pfister(tower, slots)
+                expected = {delta for delta in classes[1:] if reference_splits(f, delta)}
+                assert quadratic_splitting_classes(tower, slots) == expected, (tower, slots)
+                for delta in classes[1:]:
+                    assert splits_over_quadratic(tower, slots, delta) == (delta in expected)
+        # seeded 1- to 3-fold forms and seeded delta over Q, Q((t)) and Q((s))((t))
+        values = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -14, 15, -30, 11, 13, -105]
+        outcomes = set()
+        for tower in (Q, FieldTower.rationals("t"), FieldTower.rationals("s", "t")):
+            def seeded():
+                return cls(tower, rng.choice(values), {v: rng.randint(0, 1) for v in tower.laurent_vars})
+            for _ in range(150):
+                slots = tuple(seeded() for _ in range(rng.randint(1, 3)))
+                delta = seeded()
+                if delta.is_one:
+                    continue
+                splits = splits_over_quadratic(tower, slots, delta)
+                assert splits == reference_splits(pfister(tower, slots), delta), (tower, slots, delta)
+                outcomes.add(splits)
+        assert outcomes == {True, False}
+
+    def test_splitting_sets_ask_one_base_field_key_per_delta(self, monkeypatch):
+        # the 155 division classes over four F7 variables, one representative
+        # per nonzero symbol of a slot triple: past the Pfister form's own
+        # isotropy key, every delta is one question over F7 on its run, and
+        # the memo holds the 155 Pfister keys and a few base-field keys
+        tower = FieldTower.prime(7, "q", "r", "s", "t")
+        reps = {}
+        for slots in itertools.combinations_with_replacement(enumerate_square_classes(tower), 3):
+            reps.setdefault(qform._symbol(tower, [a.code for a in slots]), slots)
+        reps.pop(0)
+        assert len(reps) == 155
+        witt = qform._witt
+        asked = []
+
+        def spy(on, key):
+            asked.append((on, key))
+            return witt(on, key)
+
+        witt.cache_clear()
+        monkeypatch.setattr(qform, "_witt", spy)
+        sets = [quadratic_splitting_classes(tower, slots) for slots in reps.values()]
+        assert len(set(sets)) == 155
+        pfister_keys = sorted(tuple(sorted(qform._pfister_codes(tower, slots))) for slots in reps.values())
+        assert sorted(key for on, key in asked if on == tower) == pfister_keys
+        assert {on for on, _ in asked} == {tower, tower.base_field()}
+        assert witt.cache_info().currsize < 200
 
     def test_slot_or_delta_over_another_tower(self):
         u, t = nonresidue_class(F5T), var_class(F5T, "t")
