@@ -19,10 +19,10 @@ squarefree int d, the Hasse invariant at each place as a list of +-1 in
 that order, and the signature; off those places every form is isotropic
 and every invariant 1.  Invariants, ramification sets, local and global
 isotropy (the first obstructing place in that order) and the Witt index
-read it.  ``witt_index_rational`` strips hyperbolic planes on these ints:
-each plane multiplies the list by (-1, -d)_v and turns d into -d, and the
-kernel's ``RationalInvariants`` are built once, at the end.  ``qform``
-passes a form's codes straight in, or each run's with the mask cleared.
+read it.  ``_witt_codes``, ``qform``'s base-field rule over Q, strips
+hyperbolic planes on these ints: each plane multiplies the list by
+(-1, -d)_v and turns d into -d, and the kernel's ``RationalInvariants``
+are built once, at the end.  Forms over other towers raise FieldMismatch.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional
 
-from .errors import ZeroArgument
+from .errors import FieldMismatch, ZeroArgument
 from .fields import (
     FieldTower,
     SquareClass,
@@ -42,7 +42,7 @@ from .fields import (
     legendre,
     squarefree_decomposition,
 )
-from .qform import DiagonalForm, WittDecomposition
+from .qform import DiagonalForm, WittDecomposition, witt_decompose
 
 
 @total_ordering
@@ -181,8 +181,16 @@ def _invariants(tower: FieldTower, dim: int, places, d: int, hasse, signature):
     return RationalInvariants(dim, SquareClass(tower, d), minus, signature)
 
 
+def _rational_key(f: DiagonalForm) -> tuple:
+    """The codes of a form over Q itself; FieldMismatch over any other
+    tower, Q((t)) included, whose forms the local-global rules do not see."""
+    if f.tower.kind != "Q" or f.tower.laurent_vars:
+        raise FieldMismatch(f"the local-global rules of Q do not apply over {f.tower}")
+    return f.key
+
+
 def rational_invariants(f: DiagonalForm) -> RationalInvariants:
-    return _invariants(f.tower, f.dim, *_local_data(f.key))
+    return _invariants(f.tower, f.dim, *_local_data(_rational_key(f)))
 
 
 def is_square_in_qp(x, p: int) -> bool:
@@ -230,7 +238,7 @@ def _obstruction(dim: int, d: int, hasse, signature, places) -> Optional[int]:
 
 
 def local_isotropy(f: DiagonalForm, v: Place) -> bool:
-    places, d, hasse, signature = _local_data(f.key)
+    places, d, hasse, signature = _local_data(_rational_key(f))
     h = hasse[places.index(v.p)] if v.p in places else 1
     return _local_isotropic(f.dim, d, h, signature, v.p)
 
@@ -238,7 +246,7 @@ def local_isotropy(f: DiagonalForm, v: Place) -> bool:
 def global_isotropy_certificate(f: DiagonalForm) -> tuple[bool, Optional[Place]]:
     """Hasse-Minkowski over the places of ``_local_data``: verdict plus
     the first failing place (the real place, then the primes ascending)."""
-    places, d, hasse, signature = _local_data(f.key)
+    places, d, hasse, signature = _local_data(_rational_key(f))
     p = _obstruction(f.dim, d, hasse, signature, places)
     return p is None, None if p is None else Place(p)
 
@@ -247,21 +255,19 @@ def global_isotropy(f: DiagonalForm) -> bool:
     return global_isotropy_certificate(f)[0]
 
 
-def _witt_codes(tower: FieldTower, codes) -> WittDecomposition:
-    """``witt_index_rational`` on sorted codes, with the Witt class: the
-    one run, of mask 0, when the kernel is not 0."""
+def _witt_codes(tower: FieldTower, codes) -> tuple:
+    """``qform._base_witt`` over Q on sorted codes: (witt_index, kernel
+    invariants, class), the class the invariants or None when hyperbolic."""
     places, d, hasse, (pos, neg) = _local_data(codes)
     dim, index = len(codes), 0
     while dim >= 2 and _obstruction(dim, d, hasse, (pos, neg), places) is None:
         hasse = [h * _hasse((-1, -d), p) for p, h in zip(places, hasse)]
         dim, d, pos, neg, index = dim - 2, -d, pos - 1, neg - 1, index + 1
     inv = _invariants(tower, dim, places, d, hasse, (pos, neg))
-    return WittDecomposition(index, dim, None, inv, ((0, inv),) if dim else ())
+    return index, inv, inv if dim else None
 
 
 def witt_index_rational(f: DiagonalForm) -> WittDecomposition:
-    """Strip hyperbolic planes off the local data until a place obstructs:
-    each plane takes dim - 2, the Hasse list times (-1, -d)_v place by
-    place, d -> -d and the signature down (1, 1), all on ints.  The kernel
-    survives as invariants only, built once from the last ints."""
-    return _witt_codes(f.tower, f.key)
+    """The Witt decomposition of a form over Q, by ``qform``'s Witt pass."""
+    _rational_key(f)
+    return witt_decompose(f)

@@ -2,16 +2,17 @@
 
 Forms are always diagonal, with canonical square classes as entries.
 Witt decomposition, isotropy and isometry apply one base-field rule,
-``_base_witt``, which returns the form's class in W(k): counted from the
-entries of each class over R and F_q (``_count_class``; Lam, Ch. II),
-with the kernel read off it, and the kernel's invariants from ``arithq``
-over Q.  Over a Laurent tower k((t_1))...((t_n)), Springer's theorem
-gives W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of
-W(k): the entries of one mask, with the mask cleared, form one residue
-run, and the rule runs once on each.  One helper, ``_runs``, splits
-entry codes into runs.  A form's Witt class is its (mask, base class)
-pairs, and forms of one dimension are isometric when their classes are
-equal (Witt cancellation).  ``isotropic_vector`` takes its vector from
+``_base_witt``, which returns plain data, the Witt index, the kernel and
+the form's class in W(k): the class counted from the entries of each
+class over R and F_q (``_count_class``; Lam, Ch. II), with the kernel's
+codes read off it, and the kernel's invariants from ``arithq`` over Q.
+Over a Laurent tower k((t_1))...((t_n)), Springer's theorem gives
+W(k((t_1))...((t_n))) = sum over variable masks m in (Z/2)^n of W(k):
+the entries of one mask, with the mask cleared, form one residue run
+(``_runs`` splits entry codes into runs), and the rule runs once on
+each.  A form's Witt class is its (mask, base class) pairs, and forms of
+one dimension are isometric when their classes are equal (Witt
+cancellation).  ``isotropic_vector`` takes its vector from
 the same runs: the first run the rule makes isotropic gets an exact
 base-field solution (a square root for a pair, the least ternary
 solution over F_p), lifted by monomials.
@@ -27,8 +28,8 @@ splitting questions and an algebra's table check all read; tensor
 products and scalings multiply entries by ``fields.sq_mul``.
 
 One memoized Springer pass, ``_witt``, answers every Witt question:
-decomposition, class, isotropy, isometry and splitting, as the sum of
-the base-field decompositions of a form's runs.
+decomposition, class, isotropy, isometry and splitting, adding up the
+rule's answers on a form's runs into the one ``WittDecomposition``.
 
 A form is its tower and its entries, and nothing else: a Pfister form
 keeps no record of its slots.  The questions that need slots take them,
@@ -446,11 +447,12 @@ def _runs(tower: FieldTower, codes) -> dict:
     return runs
 
 
-def _base_witt(base: FieldTower, codes) -> WittDecomposition:
+def _base_witt(base: FieldTower, codes) -> tuple:
     """The base-field rule on the sorted codes of a form over R, F_q or Q:
-    ``arithq`` over Q, whose kernel survives as invariants; over R and F_q
-    ``_count_class`` on the counts of base bits 0 and 1, the kernel built
-    from its counts (an anisotropic plane is its own kernel)."""
+    (witt_index, kernel, class or None when hyperbolic).  Over Q ``arithq``,
+    the kernel its invariants; over R and F_q ``_count_class`` on the counts
+    of base bits 0 and 1, the kernel its sorted base codes (an anisotropic
+    plane is its own kernel).  Unmemoized: each run's class is its own."""
     if base.kind == "Q":
         from . import arithq
         return arithq._witt_codes(base, codes)
@@ -459,30 +461,31 @@ def _base_witt(base: FieldTower, codes) -> WittDecomposition:
     c, ones, others = _count_class(base, pos, neg)
     if pos + neg == 2 == ones + others:
         ones, others = pos, neg
-    kernel = DiagonalForm(base, _classes(base, (0,) * ones + (1,) * others))
-    return WittDecomposition((pos + neg - ones - others) // 2, ones + others, kernel,
-                             witt_class=((0, c),) if kernel.dim else ())
+    return (pos + neg - ones - others) // 2, (0,) * ones + (1,) * others, c if ones + others else None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _witt(tower: FieldTower, key: tuple) -> WittDecomposition:
     """Springer's theorem once per variable, flattened: W of the tower is
     the sum over variable masks m of W(base), the summand of m spanned by
-    the run of mask m (``_runs``; Lam, Ch. VI).  A form over the base field
-    is one run, decided by ``_base_witt``; over a Laurent tower each run
-    is, and the parts add up: Witt indices, classes (mask, base class),
-    and the kernel, the runs' kernel codes with their masks put back (over
-    Q((t_1))... only the classes are kept).  Each run's class is its own
-    object, so a decomposition shares none between runs."""
-    if not tower.laurent_vars:
-        return _base_witt(tower, key)
-    base = tower.base_field()
-    parts = [(mask, _base_witt(base, run)) for mask, run in _runs(tower, key).items()]
-    kernel = None if tower.kind == "Q" else DiagonalForm(
-        tower, _classes(tower, [2 * mask | code for mask, w in parts for code in w.kernel.key]))
-    return WittDecomposition(
-        sum(w.witt_index for _, w in parts), sum(w.kernel_dim for _, w in parts), kernel,
-        witt_class=tuple((mask, c) for mask, w in parts for _, c in w.witt_class))
+    the run of mask m (``_runs``; Lam, Ch. VI); a base-field form is one
+    run, of mask 0.  ``_base_witt`` decides each run and the parts add up:
+    Witt indices, (mask, class) of the anisotropic runs, and one kernel
+    form of the runs' kernel codes, masks put back, over R and F_q; over Q
+    the one run's invariants, over Q((t_1))... only the classes."""
+    base, index, kernels, classes = tower.base_field(), 0, [], []
+    for mask, run in (_runs(tower, key) if tower.laurent_vars else {0: key}).items():
+        i, k, c = _base_witt(base, run)
+        index += i
+        kernels.append((mask, k))
+        if c is not None:
+            classes.append((mask, c))
+    kernel = invariants = None
+    if tower.kind != "Q":
+        kernel = DiagonalForm(tower, _classes(tower, [2 * mask | code for mask, k in kernels for code in k]))
+    elif not tower.laurent_vars:
+        ((_, invariants),) = kernels
+    return WittDecomposition(index, len(key) - 2 * index, kernel, invariants, tuple(classes))
 
 
 def witt_decompose(f: DiagonalForm) -> WittDecomposition:

@@ -491,9 +491,9 @@ def _tower_rows(tower: FieldTower) -> tuple:
     t3 = diagonalize(tower, gram).entries
 
     # (d) <1> + t3 = <1,3> + H is hyperbolic iff -3 is a square
-    kernel = _witt(tower, tuple(sorted((one_class(tower).code, *(e.code for e in t3))))).kernel
-    if kernel.dim:
-        raise InternalInconsistency(f"cubic obstruction contradicted: <1> + t3 has the kernel {kernel}")
+    w = _witt(tower, tuple(sorted((one_class(tower).code, *(e.code for e in t3)))))
+    if w.kernel_dim:
+        raise InternalInconsistency(f"cubic obstruction contradicted: <1> + t3 has the kernel {w.kernel}")
     return tuple(lambda_rows), tuple(tuple(str(e) for e in row) for row in gram), t3
 
 

@@ -18,7 +18,8 @@ from wittforge.arithq import (
     witt_index_rational,
 )
 from wittforge import arithq, fields, qform
-from wittforge.errors import ZeroArgument
+from wittforge.dsl import parse_field, parse_form
+from wittforge.errors import FieldMismatch, ZeroArgument
 from wittforge.fields import FieldTower, SquareClass, canonical_square_class
 from wittforge.oracles import (
     hilbert2_unit_solvable,
@@ -253,6 +254,46 @@ class TestWittIndexRational:
                 inv = w.kernel_invariants
                 pos, neg = inv.signature
                 assert pos >= 0 and neg >= 0
+
+
+class TestFormsOverQOnly:
+    """The local-global rules read a form's codes as entries over Q, so
+    they take forms over Q itself.  <1,-t> over Q((t)) is anisotropic (its
+    runs <1> and <-t> are), though <1,-1> over Q is a hyperbolic plane."""
+
+    CALLS = [
+        witt_index_rational,
+        rational_invariants,
+        lambda f: local_isotropy(f, REAL_PLACE),
+        global_isotropy_certificate,
+        global_isotropy,
+    ]
+
+    @pytest.mark.parametrize(
+        "field, form", [("Q((t))", "[1,-t]"), ("Q((s))((t))", "[1,-s,t]"), ("F7", "[1,u]"), ("R", "[1,-1]")]
+    )
+    def test_every_other_tower_raises_field_mismatch(self, field, form):
+        f = parse_form(form, parse_field(field))
+        for call in self.CALLS:
+            with pytest.raises(FieldMismatch):
+                call(f)
+
+    def test_q_laurent_form_keeps_its_decomposition(self):
+        w = witt_decompose(parse_form("[1,-t]", parse_field("Q((t))")))
+        assert (w.witt_index, w.kernel_dim) == (0, 2)
+
+    def test_forms_over_q_answer_as_before(self):
+        f = qform_of([1, -1])
+        w = witt_index_rational(f)
+        assert (w.witt_index, w.kernel_dim, w.kernel) == (1, 0, None)
+        assert w == witt_decompose(f) and w.kernel_invariants.dim == 0
+        inv = rational_invariants(f)
+        assert (inv.dim, inv.disc, inv.hasse_minus, inv.signature) == (2, qcls(-1), frozenset(), (1, 1))
+        assert global_isotropy(f) and global_isotropy_certificate(f) == (True, None)
+        assert all(local_isotropy(f, v) for v in PLACES)
+        g = qform_of([1, 1, -7])
+        assert (witt_index_rational(g).witt_index, global_isotropy(g)) == (0, False)
+        assert global_isotropy_certificate(g) == (False, Place(2)) and not local_isotropy(g, Place(2))
 
 
 class TestPlace:

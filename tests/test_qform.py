@@ -1114,6 +1114,52 @@ class TestWittClassOffCodes:
         assert w.witt_class == reference_witt_class(tower, f.key)
 
 
+class TestOneDecompositionPerQuestion:
+    @pytest.mark.parametrize(
+        "tower, entries",
+        [
+            ("F7((r))((s))((t))", "[1,u,r,u*s,s*t,u*r*s*t,t,t]"),
+            ("R((r))((s))((t))", "[1,-1,-r,s,-s,r*t,-s*t,-s*t]"),
+        ],
+    )
+    def test_a_cold_pass_builds_one_kernel_form_and_one_decomposition(
+        self, monkeypatch, tower, entries
+    ):
+        # the runs' answers are plain data: only the sum over the runs is built
+        tower = parse_field(tower)
+        f = parse_form(entries, tower)
+        assert len(qform._runs(tower, f.key)) >= 5
+        built = {DiagonalForm: 0, WittDecomposition: 0}
+        for kind in built:
+            def counting(self, *args, _kind=kind, _init=kind.__init__, **kwargs):
+                built[_kind] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(kind, "__init__", counting)
+        qform._witt.cache_clear()
+        w = witt_decompose(f)
+        assert built == {DiagonalForm: 1, WittDecomposition: 1}
+        monkeypatch.undo()
+        assert w == reference_witt(f) and w.witt_class == reference_witt_class(tower, f.key)
+
+    def test_the_empty_form(self):
+        # over Q the kernel's invariants survive, of dimension 0
+        w = witt_decompose(DiagonalForm(Q, ()))
+        assert (w.witt_index, w.kernel_dim, w.kernel, w.witt_class) == (0, 0, None, ())
+        assert w.kernel_invariants.dim == 0
+        assert w.kernel_invariants == rational_invariants(DiagonalForm(Q, ()))
+        # over Q((t)) only the classes are kept, and there are none
+        w = witt_decompose(DiagonalForm(FieldTower.rationals("t"), ()))
+        assert (w.witt_index, w.kernel_dim, w.kernel, w.kernel_invariants, w.witt_class) == (
+            0, 0, None, None, ()
+        )
+        # over R and F_p towers the kernel is the empty form
+        for tower in (FieldTower.reals(), F5, F5T, RTS):
+            w = witt_decompose(DiagonalForm(tower, ()))
+            assert (w.witt_index, w.kernel_dim, w.kernel_invariants, w.witt_class) == (0, 0, None, ())
+            assert w.kernel == DiagonalForm(tower, ()) and w.is_hyperbolic
+
+
 # -- the same laws over Q and Q((t)), decided by local invariants --------------------
 
 SMALL_PRIMES = (2, 3, 5, 7)
