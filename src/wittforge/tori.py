@@ -8,14 +8,16 @@ the ramified Galois cubic k((t))(t^(1/3)) available once the base holds
 a primitive cube root of unity.
 
 Admissibility of the first two cubic kinds reduces to splitting the
-algebra over at most two quadratic extensions.  A type report flags
-once, per class code, whether the class's quadratic etale algebra
-splits the algebra: the class 1 (k x k) when the algebra is split
+algebra over at most two quadratic extensions.  An algebra's flag vector
+(``_flags``) tells, per class code, whether the class's quadratic etale
+algebra splits the algebra: the class 1 (k x k) when the algebra is split
 (``is_split``), any other class when it is in the splitting profile.
-Every such verdict reads its two classes, F' and F'' of
-``_quadratic_pair`` (the one rule for both), off these flags, one list
-index per class.  ``admits_type`` tests just its type's two
-classes, so it needs no finite class group.  The cubic-field kind is
+The one rule ``_type_verdict`` reads a type's verdict off the flags of
+F' and F'' (``_quadratic_pair``), or flag 0 for the cubic-field kind;
+``admits_type`` hands it just its type's two flags, keyed by code, so it
+needs no finite class group.  The split3 rows list the flags and every
+row is a function of them, so ``compare_torus_systems`` decides on flag
+equality, with no type report.  The cubic-field kind is
 ruled out for division algebras by a trace-form comparison: every
 hermitian-shape candidate (b, c) compatible with the norm form would
 force the norm to be hyperbolic.  The Jacobson norm <<d>> x <<b,c>> is
@@ -218,10 +220,9 @@ def admits_type(C: CompositionAlgebra, tau: TorusType) -> bool:
         raise FieldMismatch(f"{tau.quad.tower} vs {C.tower}")
     if isinstance(tau.cubic, PureCubicGalois):
         raise UnsupportedCubic("use cubic_obstruction_report for the cubic field kind")
-    return all(
-        is_split(C) if q.is_one else splits_over_quadratic(C.tower, C.slots, q)
-        for q in set(_quadratic_pair(tau))
-    )
+    flags = {q.code: is_split(C) if q.is_one else splits_over_quadratic(C.tower, C.slots, q)
+             for q in set(_quadratic_pair(tau))}
+    return _type_verdict(C, flags, tau).verdict == "admissible"
 
 
 def genus_equal_rational(q1: tuple, q2: tuple) -> bool:
@@ -576,24 +577,28 @@ class ComparisonReport(_Report):
         return self.verdict == "equivalent"
 
 
-def _type_verdict(C: CompositionAlgebra, split: list, tau: TorusType) -> TypeVerdict:
-    """The verdict on tau for C: ``split[k]`` tells whether the class of
-    code k is in C's splitting set."""
+def _flags(C: CompositionAlgebra) -> list[bool]:
+    """Per class code, whether that class's quadratic etale algebra splits
+    C: the splitting profile, and ``is_split`` at code 0 (k x k)."""
+    flags = [False] * len(enumerate_square_classes(C.tower))
+    for c in splitting_profile(C):
+        flags[c.code] = True
+    flags[0] = is_split(C)
+    return flags
+
+
+def _type_verdict(C: CompositionAlgebra, flags, tau: TorusType) -> TypeVerdict:
+    """The verdict on tau for C: ``flags[k]`` is entry k of C's flag vector
+    (``_flags``), a list or a dict holding at least the codes tau reads."""
     if isinstance(tau.cubic, PureCubicGalois):
-        if split[0]:
-            return TypeVerdict(
-                tau, "undecided", "split algebra: outside the division-algebra obstruction"
-            )
+        if flags[0]:
+            return TypeVerdict(tau, "undecided", "split algebra: outside the division-algebra obstruction")
         if tau.quad.is_one:
-            return TypeVerdict(
-                tau, "inadmissible", "quadratic part must be a field for a division algebra"
-            )
+            return TypeVerdict(tau, "inadmissible", "quadratic part must be a field for a division algebra")
         verdict = _cubic_verdict(C.tower, tau.quad.code, C.symbol)
-        return TypeVerdict(
-            tau, verdict, "cubic obstruction: no hermitian candidate survives"
-        )
+        return TypeVerdict(tau, verdict, "cubic obstruction: no hermitian candidate survives")
     first, second = _quadratic_pair(tau)
-    ok1, ok2 = split[first.code], split[second.code]
+    ok1, ok2 = flags[first.code], flags[second.code]
     verdict = "admissible" if (ok1 and ok2) else "inadmissible"
     reason = f"split by sqrt({first}): {'yes' if ok1 else 'no'}; split by sqrt({second}): {'yes' if ok2 else 'no'}"
     return TypeVerdict(tau, verdict, reason)
@@ -603,28 +608,29 @@ def type_report(C: CompositionAlgebra) -> TypeReport:
     if C.dim != 8:
         raise UnsupportedDim("torus types are catalogued for octonion algebras")
     catalog = torus_type_catalog(C.tower)  # checks the catalog's size first
-    split = [False] * len(enumerate_square_classes(C.tower))
-    for c in splitting_profile(C):
-        split[c.code] = True
-    split[0] = is_split(C)  # the class 1, for k x k
-    rows = tuple(_type_verdict(C, split, tau) for tau in catalog)
-    return TypeReport(C.tower, C.slots, rows)
+    flags = _flags(C)
+    return TypeReport(C.tower, C.slots, tuple(_type_verdict(C, flags, tau) for tau in catalog))
 
 
-def compare_torus_systems(
-    C1: CompositionAlgebra, C2: CompositionAlgebra
-) -> ComparisonReport:
-    """Per-type admissibility comparison; equivalent iff the verdicts agree."""
+def compare_torus_systems(C1: CompositionAlgebra, C2: CompositionAlgebra) -> ComparisonReport:
+    """Per-type comparison, decided on the flag vectors (``_type_verdict``):
+    the split3 row of q reads flag q twice, a quad_times(delta) row flags q
+    and q*delta, and a pure-cubic row flag 0, then ``_cubic_verdict``,
+    which returns "inadmissible" or raises.  So the rows all agree exactly
+    when the vectors are equal.  The towers, both dims and the catalog's
+    row bound are checked before any flag is built."""
     if C1.tower != C2.tower:
         raise FieldMismatch(f"{C1.tower} vs {C2.tower}")
-    r1 = type_report(C1)
-    r2 = type_report(C2)
+    if C1.dim != 8 or C2.dim != 8:
+        raise UnsupportedDim("torus types are catalogued for octonion algebras")
+    catalog = torus_type_catalog(C1.tower)  # checks the catalog's size first
+    f1, f2 = _flags(C1), _flags(C2)
     rows = tuple(
-        ComparisonRow(a.tau, a.verdict, b.verdict) for a, b in zip(r1.rows, r2.rows)
+        ComparisonRow(tau, _type_verdict(C1, f1, tau).verdict, _type_verdict(C2, f2, tau).verdict)
+        for tau in catalog
     )
-    same = all(r.verdict1 == r.verdict2 for r in rows)
     return ComparisonReport(
-        C1.tower, C1.slots, C2.slots, rows, "equivalent" if same else "not equivalent"
+        C1.tower, C1.slots, C2.slots, rows, "equivalent" if f1 == f2 else "not equivalent"
     )
 
 

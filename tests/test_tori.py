@@ -15,6 +15,7 @@ from wittforge.errors import (
     PreconditionFailed,
     UnrepresentableClass,
     UnsupportedCubic,
+    UnsupportedDim,
 )
 from wittforge.fields import (
     FieldTower,
@@ -705,6 +706,9 @@ class TestCubicObstruction:
         # type_report reads its verdict from the same rule
         with pytest.raises(InternalInconsistency, match=r"<1> \+ t3 has the kernel"):
             type_report(C)
+        # and so does the comparison, through its pure-cubic rows
+        with pytest.raises(InternalInconsistency, match=r"<1> \+ t3 has the kernel"):
+            compare_torus_systems(C, C)
 
     def test_a_raise_is_not_memoized(self, monkeypatch):
         # the injection of test_contradicting_evidence_raises: no memo keeps
@@ -717,6 +721,8 @@ class TestCubicObstruction:
                 cubic_obstruction_report(C, u)
             with pytest.raises(InternalInconsistency):
                 type_report(C)
+            with pytest.raises(InternalInconsistency):
+                compare_torus_systems(C, C)
         assert tori._report_body.cache_info().currsize == 0
         assert tori._tower_rows.cache_info().currsize == 0
 
@@ -1097,3 +1103,96 @@ class TestCompare:
         tr = type_report(algebra_from_slots(tower, [t, t, t]))
         back = TypeReport.from_json(tr.to_json())
         assert back == tr and back.to_json() == tr.to_json()
+
+
+def census(tower):
+    """One octonion algebra per symbol of a slot triple over ``tower``, in
+    slot order: one division algebra per nonzero symbol and one split
+    algebra (symbol 0)."""
+    reps = {}
+    for slots in itertools.combinations_with_replacement(enumerate_square_classes(tower), 3):
+        A = algebra_from_slots(tower, slots)
+        reps.setdefault(A.symbol, A)
+    return list(reps.values())
+
+
+def reference_comparison(r1, r2):
+    """The row-by-row rule on two type reports: the zipped rows, and the
+    verdict, equivalent iff every row agrees."""
+    rows = [(a.tau, a.verdict, b.verdict) for a, b in zip(r1.rows, r2.rows)]
+    return rows, "equivalent" if all(v1 == v2 for _, v1, v2 in rows) else "not equivalent"
+
+
+class TestCompareOnTheFlags:
+    def _check(self, A, B, ra, rb):
+        """The comparison of A and B against the reference on their type
+        reports ra and rb; whether the pair is equivalent."""
+        rep = compare_torus_systems(A, B)
+        rows = [(r.tau, r.verdict1, r.verdict2) for r in rep.rows]
+        assert (rows, rep.verdict) == reference_comparison(ra, rb)
+        return rep.equivalent
+
+    @pytest.mark.parametrize(
+        "name, size", [("F13((s))((t))", 2), ("F7((r))((s))((t))", 16)]
+    )
+    def test_census_pairs_agree_with_the_row_reference(self, name, size):
+        """Every pair of the census algebras, self-pairs included, gets the
+        reference's rows and verdict; distinct census algebras have
+        distinct flag vectors, so only the self-pairs are equivalent."""
+        algebras = census(dsl.parse_field(name))
+        assert len(algebras) == size and sum(is_split(A) for A in algebras) == 1
+        reports = [type_report(A) for A in algebras]
+        for i, j in itertools.combinations_with_replacement(range(size), 2):
+            same = self._check(algebras[i], algebras[j], reports[i], reports[j])
+            assert same == (i == j), (algebras[i].slots, algebras[j].slots)
+
+    def test_seeded_pairs_over_r_agree_with_the_row_reference(self):
+        algebras = census(dsl.parse_field("R((r))((s))((t))"))
+        assert len(algebras) == 52
+        reports = [type_report(A) for A in algebras]
+        pairs = list(itertools.combinations_with_replacement(range(len(algebras)), 2))
+        sample = random.Random(42).sample(pairs, 200)
+        assert any(i == j for i, j in sample)
+        for i, j in sample:
+            same = self._check(algebras[i], algebras[j], reports[i], reports[j])
+            assert same == (i == j), (algebras[i].slots, algebras[j].slots)
+
+    def test_the_comparison_builds_no_type_report(self, monkeypatch):
+        """With type_report made to raise, the comparison gives the same
+        JSON on split and division pairs."""
+        classes = enumerate_square_classes(F7RST)
+        triples = random.Random(7).sample(list(itertools.combinations(classes, 3)), 6)
+        triples.append((one_class(F7RST), *classes[1:3]))
+        algebras = [algebra_from_slots(F7RST, slots) for slots in triples]
+        algebras += [division_octonion(), algebra_from_slots(F13ST, (one_class(F13ST),) * 3)]
+        assert {is_split(A) for A in algebras} == {True, False}
+        pairs = [(A, B) for A in algebras for B in algebras if A.tower == B.tower]
+        expected = [compare_torus_systems(A, B).to_json() for A, B in pairs]
+        for fn in _tori_caches():
+            fn.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("the comparison built a type report")
+
+        monkeypatch.setattr(tori, "type_report", forbidden)
+        assert [compare_torus_systems(A, B).to_json() for A, B in pairs] == expected
+
+    def test_a_quaternion_in_either_position_is_unsupported(self, monkeypatch):
+        C = division_octonion()
+        H = quaternion(F13ST, nonresidue_class(F13ST), var_class(F13ST, "s"))
+        for pair in ((H, C), (C, H), (H, H)):
+            with pytest.raises(UnsupportedDim):
+                compare_torus_systems(*pair)
+        # both dims are checked before the row bound (40 variables would
+        # list 2^41 classes) and so before any class or flag is built
+        wide = FieldTower.prime(7, *(f"x{i}" for i in range(40)))
+        u, x1, x39 = nonresidue_class(wide), var_class(wide, "x1"), var_class(wide, "x39")
+        O, Hw = algebra_from_slots(wide, (u, x1, x39)), quaternion(wide, u, x1)
+
+        def refuse(tower):
+            raise AssertionError("classes listed")
+
+        monkeypatch.setattr(tori, "enumerate_square_classes", refuse)
+        for pair in ((O, Hw), (Hw, O)):
+            with pytest.raises(UnsupportedDim):
+                compare_torus_systems(*pair)
