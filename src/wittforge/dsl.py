@@ -21,13 +21,26 @@ prime-field constant is a square, ``u`` is the nonresidue class and may
 appear in class, slot and form literals but not in polynomials.  The
 rationals of ``alg-genus`` are monomials over Q, so ``0.5``, ``1e-5``
 and ``1_000`` are parse errors.
+
+Lexical rules.  A literal is lexed once, and every parser walks the one
+token list.  A token is optional whitespace (``str.isspace``), then one
+of three classes: an integer, a run of decimal digits (``str.isdecimal``:
+the digits ``int()`` reads, not superscripts); a word, a run of
+``str.isalnum()`` characters and ``_`` that does not start with a decimal
+digit (an identifier is a word that starts with a letter or ``_``; the
+field parser splits ``F13`` after its letter); or any other single
+character.  Whitespace may stand between any two tokens but not inside
+``((``, ``))``, ``<<`` and ``>>``.  An error points at the first
+character of the token where parsing stopped, past its whitespace (the
+end of the text when no token is left); ``division by zero`` points at
+the end of the denominator, an ``unknown identifier`` with an exponent
+at the end of that exponent, and a bad field size just past its ``F``.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ParseError, ZeroSlot
 from .fields import (
@@ -42,106 +55,79 @@ from .fields import (
 from .laurent import LaurentPoly
 from .qform import DiagonalForm, pfister
 
+# one token: (whitespace, integer, word, other character).  In a str
+# pattern \s is exactly what str.isspace accepts, \d what str.isdecimal
+# accepts and \w what str.isalnum accepts, and "_".
+_TOKEN = re.compile(r"(\s*)(?:(\d+)|(\w+)|(\S))")
+_END = ("", "", "", "")  # appended after the last token
+# the second character of "((", "))", "<<" and ">>": no whitespace before it
+_OPEN, _CLOSE, _LT, _GT = (("", "", "", c) for c in "()<>")
 
-# a run of whitespace: in a str pattern, \s is exactly what str.isspace accepts
-_WS = re.compile(r"\s*")
-# an integer after optional whitespace: in a str pattern, \d is exactly what
-# str.isdecimal accepts, the digits int() reads (not superscripts, which
-# str.isdigit also accepts)
-_INT = re.compile(r"\s*(\d+)")
+
+def _lex(text: str) -> list:
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    return toks
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _error(message: str, text: str, toks: list, i: int, past: bool = False) -> ParseError:
+    """A ParseError at the first character of token ``i`` or, with
+    ``past``, just after its last; the position is summed only here."""
+    pos = sum(len("".join(t)) for t in toks[: i + past])
+    if not past:
+        pos = len(text) if toks[i] is _END else pos + len(toks[i][0])
+    return ParseError(message, text, pos)
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
 
-    def skip_ws(self):
-        # most tokens follow no whitespace: test one character before matching
-        if self.text[self.pos : self.pos + 1].isspace():
-            self.pos = _WS.match(self.text, self.pos).end()
+def _finish(text: str, toks: list, i: int, what: str):
+    """Check that token ``i`` is the end of the text."""
+    if toks[i] is not _END:
+        raise _error(f"trailing characters after {what}", text, toks, i)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def match(self, token: str) -> bool:
-        # a token never starts with whitespace: at a match there is none to skip
-        if not self.text.startswith(token, self.pos):
-            self.skip_ws()
-            if not self.text.startswith(token, self.pos):
-                return False
-        self.pos += len(token)
-        return True
+def _integer(text: str, toks: list, i: int) -> int:
+    digits = toks[i][1]
+    if not digits:
+        raise _error("expected an integer", text, toks, i)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (int_max_str_digits)
+        raise _error(f"integer literal of {len(digits)} digits is too long", text, toks, i) from None
 
-    def expect(self, token: str):
-        if not self.match(token):
-            raise self.error(f"expected {token!r}")
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def integer(self) -> int:
-        m = _INT.match(self.text, self.pos)
-        if m is None:
-            self.skip_ws()
-            raise self.error("expected an integer")
-        try:
-            value = int(m[1])
-        except ValueError:  # more digits than int() converts (int_max_str_digits)
-            self.pos = m.start(1)
-            raise self.error(f"integer literal of {len(m[1])} digits is too long") from None
-        self.pos = m.end()
-        return value
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.text[start : self.pos]
+def _is_ident(word: str) -> bool:
+    return word[:1].isalpha() or word[:1] == "_"
 
 
 def parse_field(text: str) -> FieldTower:
-    s = _Scanner(text)
-    s.skip_ws()
-    ch = s.peek()
-    degree = 1
-    if ch == "Q":
-        s.pos += 1
-        kind, p = "Q", None
-    elif ch == "R":
-        s.pos += 1
-        kind, p = "R", None
-    elif ch == "F":
-        s.pos += 1
-        start = s.pos
-        kind, q = "F", s.integer()
+    toks = _lex(text)
+    ws, _, word, _ = toks[0]
+    kind = word[:1]
+    if kind not in ("Q", "R", "F"):
+        raise _error(
+            "expected a base field: Q, R or F<q>, q = p or p^2, p an odd prime", text, toks, 0
+        )
+    if len(word) > 1:  # "F13" is one word: the letter, then the rest lexed apart
+        toks[0:1] = [(ws, "", kind, "")] + _TOKEN.findall(word[1:])
+    p, degree, i = None, 1, 1
+    if kind == "F":
+        q = _integer(text, toks, 1)
         r = math.isqrt(q)
         p, degree = (r, 2) if r * r == q else (q, 1)
         if p == 2 or not is_prime(p):
             raise ParseError(
-                f"F{q}: the size must be an odd prime p or its square p^2", text, start
+                f"F{q}: the size must be an odd prime p or its square p^2", text, len(ws) + 1
             )
-    else:
-        raise s.error("expected a base field: Q, R or F<q>, q = p or p^2, p an odd prime")
+        i = 2
     names = []
-    while s.match("(("):
-        names.append(s.ident())
-        s.expect("))")
-    if not s.at_end():
-        raise s.error("trailing characters after field descriptor")
+    while toks[i][3] == "(" and toks[i + 1] == _OPEN:
+        if not _is_ident(toks[i + 2][2]):
+            raise _error("expected an identifier", text, toks, i + 2)
+        names.append(toks[i + 2][2])
+        if not (toks[i + 3][3] == ")" and toks[i + 4] == _CLOSE):
+            raise _error("expected '))'", text, toks, i + 3)
+        i += 5
+    _finish(text, toks, i, "field descriptor")
     try:
         return FieldTower(kind, p, tuple(names), degree)
     except ValueError as exc:
@@ -154,157 +140,171 @@ def parse_field(text: str) -> FieldTower:
 _NONRESIDUE = None
 
 
-def _parse_factor(s: _Scanner, tower: FieldTower, coeff, exps):
-    s.skip_ws()
-    if s.peek().isdecimal():
-        num = s.integer()
-        if s.match("/"):
-            den = s.integer()
-            if den == 0:
-                raise s.error("division by zero")
-            coeff = coeff * Fraction(num, den)
+def _monomial(text: str, toks: list, i: int, tower: FieldTower):
+    """The monomial from token ``i``: (coefficient, {variable: exponent},
+    index of the token after it)."""
+    coeff, exps = 1, {}
+    sign = toks[i][3]
+    if sign == "-" or sign == "+":  # one sign at most: a second fails as a factor
+        coeff, i = (-1 if sign == "-" else 1), i + 1
+    while True:
+        digits, name = toks[i][1], toks[i][2]
+        if digits:
+            num = _integer(text, toks, i)
+            if toks[i + 1][3] == "/":
+                den = _integer(text, toks, i + 2)
+                if den == 0:
+                    raise _error("division by zero", text, toks, i + 2, past=True)
+                coeff, i = coeff * Fraction(num, den), i + 3
+            else:
+                coeff, i = coeff * num, i + 1
         else:
-            coeff = coeff * num
-        return coeff
-    name = s.ident()
-    e = 1
-    if s.match("^"):
-        sign = -1 if s.match("-") else 1
-        e = sign * s.integer()
-    if name in tower.laurent_vars:
-        exps[name] = exps.get(name, 0) + e
-        return coeff
-    if name == "u" and tower.kind == "F" and tower.degree == 1:
-        return coeff * pow(tower.nonresidue, e, tower.p)
-    if name == "u" and tower.kind == "F":
-        exps[_NONRESIDUE] = exps.get(_NONRESIDUE, 0) + e
-        return coeff
-    raise s.error(f"unknown identifier {name!r} over {tower}")
-
-
-def _parse_monomial(s: _Scanner, tower: FieldTower):
-    coeff = 1
-    s.skip_ws()
-    if s.peek() in ("+", "-"):  # one sign at most: a second fails as a factor
-        coeff = -1 if s.peek() == "-" else 1
-        s.pos += 1
-    exps: dict[str, int] = {}
-    coeff = _parse_factor(s, tower, coeff, exps)
-    while s.match("*"):
-        coeff = _parse_factor(s, tower, coeff, exps)
-    return coeff, exps
+            if not _is_ident(name):
+                raise _error("expected an identifier", text, toks, i)
+            e, i, at = 1, i + 1, None
+            if toks[i][3] == "^":
+                i += 1
+                if toks[i][3] == "-":
+                    e, i = -1, i + 1
+                e, i, at = e * _integer(text, toks, i), i + 1, i
+            if name in tower.laurent_vars:
+                exps[name] = exps.get(name, 0) + e
+            elif name == "u" and tower.kind == "F" and tower.degree == 1:
+                coeff = coeff * pow(tower.nonresidue, e, tower.p)
+            elif name == "u" and tower.kind == "F":
+                exps[_NONRESIDUE] = exps.get(_NONRESIDUE, 0) + e
+            else:
+                message = f"unknown identifier {name!r} over {tower}"
+                # past the exponent, or where the next token starts
+                raise _error(message, text, toks, i if at is None else at, at is not None)
+        if toks[i][3] != "*":
+            return coeff, exps, i
+        i += 1
 
 
 def _monomial_class(tower: FieldTower, coeff, exps, bound=None) -> SquareClass:
-    odd_u = exps.pop(_NONRESIDUE, 0) % 2
-    mask = sum((e & 1) << tower.laurent_vars.index(v) for v, e in exps.items())
+    mask = odd_u = 0
+    if exps:  # a constant has no exponents to fold
+        odd_u = exps.pop(_NONRESIDUE, 0) & 1
+        index = tower.laurent_vars.index
+        for v, e in exps.items():
+            mask |= (e & 1) << index(v)
     c = SquareClass(tower, _base_class_of_constant(tower, coeff, bound), mask)
     return sq_mul(c, nonresidue_class(tower)) if odd_u else c
 
 
 def parse_class(text: str, tower: FieldTower) -> SquareClass:
-    s = _Scanner(text)
-    coeff, exps = _parse_monomial(s, tower)
-    if not s.at_end():
-        raise s.error("trailing characters after monomial")
+    toks = _lex(text)
+    coeff, exps, i = _monomial(text, toks, 0, tower)
+    _finish(text, toks, i, "monomial")
     return _monomial_class(tower, coeff, exps)
 
 
-def _parse_slot_list(s: _Scanner, tower: FieldTower, stop: Optional[str] = None):
-    """Nonzero monomials separated by commas, up to the ``stop`` token (an
-    empty list allowed) or, when ``stop`` is None, to the end of the text."""
+def _slot_list(text: str, toks: list, i: int, tower: FieldTower, pfister_close: bool):
+    """Nonzero monomials from token ``i``, separated by commas, up to ``>>``
+    (an empty list allowed) with ``pfister_close``, else to the end of the
+    text: (slots, index of the token after them)."""
     slots, bound = [], None
-    if stop is not None and s.match(stop):
-        return ()
+    if pfister_close and toks[i][3] == ">" and toks[i + 1] == _GT:
+        return (), i + 2
     while True:
-        coeff, exps = _parse_monomial(s, tower)
+        coeff, exps, i = _monomial(text, toks, i, tower)
         if coeff == 0:
             raise ZeroSlot("slot must be nonzero")
         if bound is None and tower.kind == "Q":
             bound = factor_bound()  # once per literal, where its first entry reads it
         slots.append(_monomial_class(tower, coeff, exps, bound))
-        if (s.at_end() if stop is None else s.match(stop)):
-            return tuple(slots)
-        s.expect(",")
+        if pfister_close and toks[i][3] == ">" and toks[i + 1] == _GT:
+            return tuple(slots), i + 2
+        if not pfister_close and toks[i] is _END:
+            return tuple(slots), i
+        if toks[i][3] != ",":
+            raise _error("expected ','", text, toks, i)
+        i += 1
 
 
 def parse_slots(text: str, tower: FieldTower) -> tuple[SquareClass, ...]:
-    return _parse_slot_list(_Scanner(text), tower)
+    return _slot_list(text, _lex(text), 0, tower, False)[0]
+
+
+def _pfister_slots(text: str, toks: list, tower: FieldTower) -> tuple[SquareClass, ...]:
+    if not (toks[0][3] == "<" and toks[1] == _LT):
+        raise _error("expected '<<'", text, toks, 0)
+    slots, i = _slot_list(text, toks, 2, tower, True)
+    _finish(text, toks, i, "Pfister literal")
+    return slots
 
 
 def parse_pfister(text: str, tower: FieldTower) -> tuple[SquareClass, ...]:
     """The slots of a Pfister literal ``<<a_1,...,a_n>>``."""
-    s = _Scanner(text)
-    s.expect("<<")
-    slots = _parse_slot_list(s, tower, ">>")
-    if not s.at_end():
-        raise s.error("trailing characters after Pfister literal")
-    return slots
+    return _pfister_slots(text, _lex(text), tower)
 
 
 def parse_form(text: str, tower: FieldTower) -> DiagonalForm:
-    s = _Scanner(text)
-    if s.match("<<"):
-        return pfister(tower, parse_pfister(text, tower))
-    s.expect("[")
-    entries, bound = [], None
+    toks = _lex(text)
+    if toks[0][3] == "<" and toks[1] == _LT:
+        return pfister(tower, _pfister_slots(text, toks, tower))
+    if toks[0][3] != "[":
+        raise _error("expected '['", text, toks, 0)
+    entries, bound, i = [], None, 1
     while True:
-        coeff, exps = _parse_monomial(s, tower)
+        coeff, exps, i = _monomial(text, toks, i, tower)
         if bound is None and coeff and tower.kind == "Q":
             bound = factor_bound()  # once per literal, where its first entry reads it
         entries.append(_monomial_class(tower, coeff, exps, bound))
-        if s.match("]"):
+        if toks[i][3] == "]":
             break
-        s.expect(",")
-    if not s.at_end():
-        raise s.error("trailing characters after form literal")
+        if toks[i][3] != ",":
+            raise _error("expected ','", text, toks, i)
+        i += 1
+    _finish(text, toks, i + 1, "form literal")
     return DiagonalForm(tower, tuple(entries))
 
 
-def _parse_term(s: _Scanner, tower: FieldTower) -> LaurentPoly:
-    coeff, exps = _parse_monomial(s, tower)
-    if _NONRESIDUE in exps:
-        raise s.error(f"u is a square class over {tower}, not an element")
-    return LaurentPoly.monomial(tower, coeff, exps) if coeff else LaurentPoly.zero(tower)
+def _poly(text: str, toks: list, i: int, tower: FieldTower):
+    """The polynomial from token ``i``: (value, index of the token after it)."""
+    out = None
+    while True:
+        coeff, exps, i = _monomial(text, toks, i, tower)
+        if _NONRESIDUE in exps:
+            raise _error(f"u is a square class over {tower}, not an element", text, toks, i)
+        term = LaurentPoly.monomial(tower, coeff, exps) if coeff else LaurentPoly.zero(tower)
+        out = term if out is None else out + term
+        if toks[i][3] != "+" and toks[i][3] != "-":
+            return out, i
 
 
-def parse_poly(text_or_scanner, tower: FieldTower) -> LaurentPoly:
-    s = (
-        text_or_scanner
-        if isinstance(text_or_scanner, _Scanner)
-        else _Scanner(text_or_scanner)
-    )
-    out = _parse_term(s, tower)
-    s.skip_ws()
-    while s.peek() in ("+", "-"):
-        out = out + _parse_term(s, tower)
-        s.skip_ws()
-    if not isinstance(text_or_scanner, _Scanner) and not s.at_end():
-        raise s.error("trailing characters after polynomial")
+def parse_poly(text: str, tower: FieldTower) -> LaurentPoly:
+    toks = _lex(text)
+    out, i = _poly(text, toks, 0, tower)
+    _finish(text, toks, i, "polynomial")
     return out
 
 
 def parse_element_coords(text: str, tower: FieldTower) -> tuple[LaurentPoly, ...]:
-    s = _Scanner(text)
-    s.expect("(")
-    coords = []
+    toks = _lex(text)
+    if toks[0][3] != "(":
+        raise _error("expected '('", text, toks, 0)
+    coords, i = [], 1
     while True:
-        coords.append(parse_poly(s, tower))
-        if s.match(")"):
+        poly, i = _poly(text, toks, i, tower)
+        coords.append(poly)
+        if toks[i][3] == ")":
             break
-        s.expect(",")
-    if not s.at_end():
-        raise s.error("trailing characters after element literal")
+        if toks[i][3] != ",":
+            raise _error("expected ','", text, toks, i)
+        i += 1
+    _finish(text, toks, i + 1, "element literal")
     return tuple(coords)
 
 
 def parse_rational_pair(text: str) -> tuple:
     """The two rationals of ``monomial "," monomial`` over Q."""
-    s = _Scanner(text)
+    toks = _lex(text)
     rationals = FieldTower.rationals()
-    a, _ = _parse_monomial(s, rationals)
-    s.expect(",")
-    b, _ = _parse_monomial(s, rationals)
-    if not s.at_end():
-        raise s.error("trailing characters after rational pair")
+    a, _, i = _monomial(text, toks, 0, rationals)
+    if toks[i][3] != ",":
+        raise _error("expected ','", text, toks, i)
+    b, _, i = _monomial(text, toks, i + 1, rationals)
+    _finish(text, toks, i, "rational pair")
     return a, b

@@ -517,12 +517,10 @@ def _base_class_of_constant(tower: FieldTower, coeff, bound: Optional[int] = Non
         raise TypeError("exact constants only (int or Fraction)")
     if coeff == 0:
         raise ZeroElement("0 has no square class")
-    if tower.kind == "Q":
-        sign, primes = squarefree_decomposition(coeff, bound)
-        out = sign
-        for q in primes:
-            out *= q
-        return out
+    if tower.kind == "Q":  # the squarefree part, from the memoized factorization
+        n = coeff.numerator * coeff.denominator
+        sign, primes = _sign_and_primes(n, factor_bound() if bound is None else bound)
+        return math.prod(primes, start=sign)
     if tower.kind == "R":
         return 1 if coeff > 0 else -1
     # prime base

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import string
 import subprocess
@@ -28,7 +29,7 @@ from wittforge.fields import (
     var_class,
 )
 from wittforge.laurent import EXP_LIMIT, LaurentPoly
-from wittforge.qform import pfister
+from wittforge.qform import DiagonalForm, pfister
 
 F5T = FieldTower.prime(5, "t")
 F13ST = FieldTower.prime(13, "s", "t")
@@ -242,6 +243,200 @@ class reference_scanner:
         return self.text[start : self.pos]
 
 
+class reference_dsl:
+    """The former recursive-descent parsers of ``dsl``, character by
+    character over ``reference_scanner``: the reference the token parsers
+    must agree with, value for value and error for error."""
+
+    @staticmethod
+    def parse_field(text):
+        s = reference_scanner(text)
+        s.skip_ws()
+        ch = s.peek()
+        degree = 1
+        if ch in ("Q", "R"):
+            s.pos += 1
+            kind, p = ch, None
+        elif ch == "F":
+            s.pos += 1
+            start = s.pos
+            kind, q = "F", s.integer()
+            r = math.isqrt(q)
+            p, degree = (r, 2) if r * r == q else (q, 1)
+            if p == 2 or not fields.is_prime(p):
+                raise ParseError(
+                    f"F{q}: the size must be an odd prime p or its square p^2", text, start
+                )
+        else:
+            raise s.error("expected a base field: Q, R or F<q>, q = p or p^2, p an odd prime")
+        names = []
+        while s.match("(("):
+            names.append(s.ident())
+            s.expect("))")
+        if not s.at_end():
+            raise s.error("trailing characters after field descriptor")
+        try:
+            return FieldTower(kind, p, tuple(names), degree)
+        except ValueError as exc:
+            raise ParseError(str(exc), text, 0) from exc
+
+    @staticmethod
+    def _factor(s, tower, coeff, exps):
+        s.skip_ws()
+        if s.peek().isdecimal():
+            num = s.integer()
+            if s.match("/"):
+                den = s.integer()
+                if den == 0:
+                    raise s.error("division by zero")
+                return coeff * Fraction(num, den)
+            return coeff * num
+        name = s.ident()
+        e = 1
+        if s.match("^"):
+            sign = -1 if s.match("-") else 1
+            e = sign * s.integer()
+        if name in tower.laurent_vars:
+            exps[name] = exps.get(name, 0) + e
+            return coeff
+        if name == "u" and tower.kind == "F" and tower.degree == 1:
+            return coeff * pow(tower.nonresidue, e, tower.p)
+        if name == "u" and tower.kind == "F":
+            exps[None] = exps.get(None, 0) + e
+            return coeff
+        raise s.error(f"unknown identifier {name!r} over {tower}")
+
+    @staticmethod
+    def _monomial(s, tower):
+        coeff = 1
+        s.skip_ws()
+        if s.peek() in ("+", "-"):
+            coeff = -1 if s.peek() == "-" else 1
+            s.pos += 1
+        exps = {}
+        coeff = reference_dsl._factor(s, tower, coeff, exps)
+        while s.match("*"):
+            coeff = reference_dsl._factor(s, tower, coeff, exps)
+        return coeff, exps
+
+    @staticmethod
+    def _class(tower, coeff, exps, bound=None):
+        odd_u = exps.pop(None, 0) % 2
+        mask = sum((e & 1) << tower.laurent_vars.index(v) for v, e in exps.items())
+        if tower.kind == "Q":  # the squarefree part through the public factorization
+            sign, primes = fields.squarefree_decomposition(coeff, bound)
+            base = math.prod(primes, start=sign)
+        else:
+            base = fields._base_class_of_constant(tower, coeff, bound)
+        c = fields.SquareClass(tower, base, mask)
+        return sq_mul(c, nonresidue_class(tower)) if odd_u else c
+
+    @staticmethod
+    def parse_class(text, tower):
+        s = reference_scanner(text)
+        coeff, exps = reference_dsl._monomial(s, tower)
+        if not s.at_end():
+            raise s.error("trailing characters after monomial")
+        return reference_dsl._class(tower, coeff, exps)
+
+    @staticmethod
+    def _slot_list(s, tower, stop=None):
+        slots, bound = [], None
+        if stop is not None and s.match(stop):
+            return ()
+        while True:
+            coeff, exps = reference_dsl._monomial(s, tower)
+            if coeff == 0:
+                raise ZeroSlot("slot must be nonzero")
+            if bound is None and tower.kind == "Q":
+                bound = fields.factor_bound()
+            slots.append(reference_dsl._class(tower, coeff, exps, bound))
+            if (s.at_end() if stop is None else s.match(stop)):
+                return tuple(slots)
+            s.expect(",")
+
+    @staticmethod
+    def parse_slots(text, tower):
+        return reference_dsl._slot_list(reference_scanner(text), tower)
+
+    @staticmethod
+    def parse_pfister(text, tower):
+        s = reference_scanner(text)
+        s.expect("<<")
+        slots = reference_dsl._slot_list(s, tower, ">>")
+        if not s.at_end():
+            raise s.error("trailing characters after Pfister literal")
+        return slots
+
+    @staticmethod
+    def parse_form(text, tower):
+        s = reference_scanner(text)
+        if s.match("<<"):
+            return pfister(tower, reference_dsl.parse_pfister(text, tower))
+        s.expect("[")
+        entries, bound = [], None
+        while True:
+            coeff, exps = reference_dsl._monomial(s, tower)
+            if bound is None and coeff and tower.kind == "Q":
+                bound = fields.factor_bound()
+            entries.append(reference_dsl._class(tower, coeff, exps, bound))
+            if s.match("]"):
+                break
+            s.expect(",")
+        if not s.at_end():
+            raise s.error("trailing characters after form literal")
+        return DiagonalForm(tower, tuple(entries))
+
+    @staticmethod
+    def _term(s, tower):
+        coeff, exps = reference_dsl._monomial(s, tower)
+        if None in exps:
+            raise s.error(f"u is a square class over {tower}, not an element")
+        return LaurentPoly.monomial(tower, coeff, exps) if coeff else LaurentPoly.zero(tower)
+
+    @staticmethod
+    def _poly(s, tower):
+        out = reference_dsl._term(s, tower)
+        s.skip_ws()
+        while s.peek() in ("+", "-"):
+            out = out + reference_dsl._term(s, tower)
+            s.skip_ws()
+        return out
+
+    @staticmethod
+    def parse_poly(text, tower):
+        s = reference_scanner(text)
+        out = reference_dsl._poly(s, tower)
+        if not s.at_end():
+            raise s.error("trailing characters after polynomial")
+        return out
+
+    @staticmethod
+    def parse_element_coords(text, tower):
+        s = reference_scanner(text)
+        s.expect("(")
+        coords = []
+        while True:
+            coords.append(reference_dsl._poly(s, tower))
+            if s.match(")"):
+                break
+            s.expect(",")
+        if not s.at_end():
+            raise s.error("trailing characters after element literal")
+        return tuple(coords)
+
+    @staticmethod
+    def parse_rational_pair(text):
+        s = reference_scanner(text)
+        rationals = FieldTower.rationals()
+        a, _ = reference_dsl._monomial(s, rationals)
+        s.expect(",")
+        b, _ = reference_dsl._monomial(s, rationals)
+        if not s.at_end():
+            raise s.error("trailing characters after rational pair")
+        return a, b
+
+
 SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 # digits that str.isdigit accepts and int() rejects: superscripts and the like
 NON_DECIMAL_DIGITS = [
@@ -284,22 +479,36 @@ def _seeded_literals(rng, count):
     return out
 
 
-def _parse_outcomes(text):
-    """What each parser makes of the text: its value, or the error with
-    its position."""
-    parsers = (
-        dsl.parse_field,
-        lambda t: dsl.parse_form(t, F13ST),
-        lambda t: dsl.parse_form(t, FieldTower.rationals()),
-        lambda t: dsl.parse_class(t, F13ST),
-        lambda t: dsl.parse_slots(t, F13ST),
-        lambda t: dsl.parse_element_coords(t, F13ST),
-        lambda t: dsl.parse_poly(t, F13ST),
-    )
+# the towers every tower-taking parser is compared over
+OUTCOME_TOWERS = [
+    F13ST,
+    FieldTower.rationals(),
+    FieldTower.rationals("t"),
+    FieldTower("F", 5, ("t",), 2),
+    FieldTower.reals("s", "t"),
+]
+
+
+def _parse_outcomes(text, parsers=dsl):
+    """What each public parser of ``parsers`` makes of the text: its value,
+    or the error with its type, message and position."""
+    calls = [lambda: parsers.parse_field(text), lambda: parsers.parse_rational_pair(text)]
+    for tower in OUTCOME_TOWERS:
+        calls += [
+            lambda tower=tower, parse=parse: parse(text, tower)
+            for parse in (
+                parsers.parse_form,
+                parsers.parse_pfister,
+                parsers.parse_class,
+                parsers.parse_slots,
+                parsers.parse_element_coords,
+                parsers.parse_poly,
+            )
+        ]
     out = []
-    for fn in parsers:
+    for fn in calls:
         try:
-            out.append(("ok", fn(text)))
+            out.append(("ok", fn()))
         except ParseError as e:
             out.append(("ParseError", e.pos, str(e)))
         except WittforgeError as e:
@@ -311,15 +520,30 @@ class TestScanner:
     SPACES = SPACES
 
     def test_skip_ws_accepts_what_isspace_accepts(self):
-        # every whitespace code point, each run ended by a non-space one
+        # every whitespace code point, each run ended by a non-space one;
+        # lexed from every position, the first token's whitespace is the run
+        # the character loop skips, and the tokens spell out the text
         text = "".join(c + self.SPACES[:i] + "x\u200b" for i, c in enumerate(self.SPACES))
-        scanner = dsl._Scanner(text)
         for pos in range(len(text) + 1):
-            scanner.pos = pos
-            scanner.skip_ws()
-            assert scanner.pos == reference_skip_ws(text, pos), pos
+            toks = dsl._lex(text[pos:])
+            assert pos + len(toks[0][0]) == reference_skip_ws(text, pos), pos
+            spelled = "".join("".join(t) for t in toks)
+            assert text[pos:].startswith(spelled) and not text[pos + len(spelled):].strip()
 
-    def test_error_positions_unchanged(self, monkeypatch):
+    def test_regex_classes_are_the_str_predicates(self):
+        # the lexer's premise: in a str pattern, \s, \d and \w accept exactly
+        # what str.isspace, str.isdecimal and str.isalnum (or "_") accept
+        classes = {
+            r"\s": str.isspace,
+            r"\d": str.isdecimal,
+            r"\w": lambda c: c.isalnum() or c == "_",
+        }
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        for pattern, accepts in classes.items():
+            by_regex = "".join(re.findall(pattern, chars))
+            assert by_regex == "".join(filter(accepts, chars)), pattern
+
+    def test_error_positions_unchanged(self):
         bad = [
             " [1,\u00a0t^\u2003]",
             "<<u,\u3000 ,s>>",
@@ -327,41 +551,44 @@ class TestScanner:
             "\u2028F13((s))\u0085((",
             "(1,\t2\u200b)",
             "[\v3/\f0]",
+            "[1, t ]",
+            "[t^ - x]",
+            "[3/ 0 ]",
+            "F13((s)",
+            "(1, s",
+            "F 15",
+            "Q( (t))",
+            "< <u>>",
+            "<<u> >",
         ]
 
-        def positions():
+        def positions(parsers):
             out = []
             for text in bad:
-                for fn in (dsl.parse_field, lambda t: dsl.parse_form(t, F13ST),
-                           lambda t: dsl.parse_element_coords(t, F13ST)):
-                    try:
-                        fn(text)
-                        out.append(None)
-                    except ParseError as e:
-                        out.append(e.pos)
-                    except WittforgeError as e:
-                        out.append(type(e).__name__)
+                for outcome in _parse_outcomes(text, parsers):
+                    out.append(outcome[1] if outcome[0] == "ParseError" else outcome[0])
             return out
 
-        fast = positions()
-        assert any(isinstance(p, int) and p > 0 for p in fast)
+        tokens = positions(dsl)
+        assert any(isinstance(p, int) and p > 0 for p in tokens)
+        assert positions(reference_dsl) == tokens
 
-        def slow_skip_ws(scanner):
-            scanner.pos = reference_skip_ws(scanner.text, scanner.pos)
-
-        monkeypatch.setattr(dsl._Scanner, "skip_ws", slow_skip_ws)
-        assert positions() == fast
-
-    def test_scanner_matches_reference_scanner(self, monkeypatch):
-        texts = _seeded_literals(random.Random(18), 1500)
+    @staticmethod
+    def _matches_reference(seed, count):
+        texts = _seeded_literals(random.Random(seed), count)
         assert not any(c in NON_DECIMAL_DIGITS for text in texts for c in text)
-        fast = [_parse_outcomes(text) for text in texts]
-        outcomes = [o for per_text in fast for o in per_text]
-        assert {"ok", "ParseError"} <= {o[0] for o in outcomes}
+        tokens = [_parse_outcomes(text) for text in texts]
+        outcomes = [o for per_text in tokens for o in per_text]
+        assert {"ok", "ParseError", "ZeroSlot"} <= {o[0] for o in outcomes}
         assert any(o[0] == "ParseError" and o[1] > 0 for o in outcomes)
-        monkeypatch.setattr(dsl, "_Scanner", reference_scanner)
-        for text, expected in zip(texts, fast):
-            assert _parse_outcomes(text) == expected, text
+        for text, expected in zip(texts, tokens):
+            assert _parse_outcomes(text, reference_dsl) == expected, text
+
+    def test_scanner_matches_reference_scanner(self):
+        self._matches_reference(18, 1500)
+
+    def test_token_parsers_match_reference_on_a_second_seed(self):
+        self._matches_reference(43, 20000)
 
     def test_non_decimal_digits_are_parse_errors(self):
         # int() rejects these although str.isdigit accepts them
