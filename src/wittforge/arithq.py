@@ -9,20 +9,26 @@ Ch. III-IV).
 list of ints in one pass per place, each entry's local data read once
 (sign; valuation bit and Legendre symbol of the unit at odd p; valuation
 bit and unit mod 8 at 2) and the product over pairs read off counts, so a
-form of dimension n costs O(n) per place, not C(n, 2) symbols.  A Hilbert
-symbol is the invariant of the pair.
+form of dimension n costs O(n) per place, not C(n, 2) symbols.  At an odd
+prime the product is one closed form (``_odd_hasse``) in the number of
+entries of odd valuation and two products of units.  A Hilbert symbol is
+the invariant of the pair.
 
 ``_local_data`` decides a form from its sorted codes (mask, |b|, b < 0):
 the places [0, 2, p, ...] (the real place, then 2 and the primes of the
 entries, the factor bound read once), the discriminant folded into one
 squarefree int d, the Hasse invariant at each place as a list of +-1 in
-that order, and the signature; off those places every form is isotropic
-and every invariant 1.  Invariants, ramification sets, local and global
-isotropy (the first obstructing place in that order) and the Witt index
-read it.  ``_witt_codes``, ``qform``'s base-field rule over Q, strips
-hyperbolic planes on these ints: each plane multiplies the list by
-(-1, -d)_v and turns d into -d, and the kernel's ``RationalInvariants``
-are built once, at the end.  Forms over other towers raise FieldMismatch.
+that order (an odd prime reads only the entries it divides, so a form of
+dimension n costs O(n) and one exact quotient per prime), and the
+signature; off those places every form is isotropic and every invariant
+1.  Invariants, ramification sets, local and global isotropy (the first
+obstructing place in that order) and the Witt index read it.
+``_witt_codes``, ``qform``'s base-field rule over Q, strips hyperbolic
+planes on these ints: each plane multiplies the list by (-1, -d)_v and
+turns d into -d, so four planes leave both as they were and the planes
+past dimension 4 are counted four at a time; the kernel's
+``RationalInvariants`` are built once, at the end.  Forms over other
+towers raise FieldMismatch.
 """
 from __future__ import annotations
 
@@ -126,7 +132,15 @@ def _hasse(values, p: int) -> int:
             alpha ^= 1
         A += alpha
         units[alpha] = units[alpha] * u % p
-    h = legendre(units[0] if A % 2 else units[1], p)
+    return _odd_hasse(A, units[0], units[1], p)
+
+
+def _odd_hasse(A: int, u0: int, u1: int, p: int) -> int:
+    """The closed form of ``_hasse`` at an odd prime p: (-1|p)^C(A,2) times
+    the Legendre symbol of u0 (A odd) or u1 (A even), where A entries have
+    odd valuation and u0, u1 are the products of the units of the entries
+    with even and odd valuation (or any ints of their square classes mod p)."""
+    h = legendre(u0 if A % 2 else u1, p)
     return -h if p % 4 == 3 and A * (A - 1) // 2 % 2 else h
 
 
@@ -162,17 +176,36 @@ def _local_data(codes) -> tuple[list[int], int, list[int], tuple[int, int]]:
     """(places, d, hasse, signature) of the form over Q of sorted codes
     ``codes`` (module docstring).  d folds the codes as ``fields._code_mul``
     does; the primes are those of the entries, factored up to
-    ``WITTFORGE_FACTOR_BOUND``."""
-    values, primes, size, negative = [], {2}, 1, False
+    ``WITTFORGE_FACTOR_BOUND``.
+
+    Each base is read as its squarefree part b_i, so at an odd prime p an
+    entry a_i has alpha_i = [p | b_i] and p reads only the entries it
+    divides: their units are the cofactors a_i / p, with product u1, and
+    the product q of all units is the product of the entries over p^A.
+    The units with alpha_i = 0 multiply to q / u1, in the square class of
+    q * u1 mod p.  So a form of dimension n costs O(n) at 2 and the real
+    place and one exact quotient at each odd prime, not n symbols per
+    place."""
+    values, cofactors, size, negative = [], {}, 1, False
     bound = factor_bound()
     for _, b, neg in codes:
-        values.append(-b if neg else b)
-        primes.update(squarefree_decomposition(b, bound)[1])
+        primes = squarefree_decomposition(b, bound)[1]
+        b = math.prod(primes)
+        a = -b if neg else b
+        values.append(a)
+        for p in primes:
+            cofactors.setdefault(p, []).append(a // p)
         g = math.gcd(size, b)
         size, negative = (size // g) * (b // g), negative != neg
-    places = [0, *sorted(primes)]
+    places = [0, 2, *sorted(cofactors.keys() - {2})]
+    hasse = [_hasse(values, 0), _hasse(values, 2)]
+    product = math.prod(values)
+    for p in places[2:]:
+        A, u1 = len(cofactors[p]), 1
+        for c in cofactors[p]:
+            u1 = u1 * c % p
+        hasse.append(_odd_hasse(A, product // p**A % p * u1, u1, p))
     pos = sum(1 for x in values if x > 0)
-    hasse = [_hasse(values, p) for p in places]
     return places, -size if negative else size, hasse, (pos, len(values) - pos)
 
 
@@ -257,9 +290,17 @@ def global_isotropy(f: DiagonalForm) -> bool:
 
 def _witt_codes(tower: FieldTower, codes) -> tuple:
     """``qform._base_witt`` over Q on sorted codes: (witt_index, kernel
-    invariants, class), the class the invariants or None when hyperbolic."""
+    invariants, class), the class the invariants or None when hyperbolic.
+
+    Plane j multiplies the Hasse list by that of (-1, -d_j), with d_j =
+    (-1)^j d, so four planes in a row leave the list and d as they were.
+    Past dimension 4 only the real place obstructs (``_obstruction``), one
+    plane goes while both signs remain, and those planes are counted four
+    at a time, so at most five planes are stripped one by one."""
     places, d, hasse, (pos, neg) = _local_data(codes)
-    dim, index = len(codes), 0
+    dim = len(codes)
+    index = max(0, min(pos, neg, (dim - 3) // 2)) // 4 * 4
+    dim, pos, neg = dim - 2 * index, pos - index, neg - index
     while dim >= 2 and _obstruction(dim, d, hasse, (pos, neg), places) is None:
         hasse = [h * _hasse((-1, -d), p) for p, h in zip(places, hasse)]
         dim, d, pos, neg, index = dim - 2, -d, pos - 1, neg - 1, index + 1

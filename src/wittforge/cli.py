@@ -1,6 +1,11 @@
 """Command line front end.
 
-One table in ``_parsers`` declares every command.  A handler returns
+One table in ``_parsers`` declares every command: its handler, required
+flags, switches and flags of two values.  The argparse parsers are built
+from it, and ``_read_plain`` reads a plain command line (every token an
+exact flag of the command, given once) straight off it into the
+namespace argparse would give; any other goes through argparse, which
+alone writes help, usage and error text.  A handler returns
 ``(payload, lines)``; ``run_command`` prints one JSON line (``--json``)
 or the lines.  Field descriptors, form literals, slot lists and the
 rational pairs of ``alg-genus`` use the DSL documented in ``dsl``.  Exit
@@ -298,28 +303,30 @@ def _cmd_g2_cubic_obstruction(args) -> tuple[dict, list[str]]:
 
 
 @lru_cache(maxsize=1)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top parser and, by name, the subcommand parsers that
-    ``add_subparsers`` fills in for it (its ``choices``)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
+    """The top parser, by name the subcommand parsers that
+    ``add_subparsers`` fills in for it (its ``choices``), and the command
+    table they are built from, which ``_read_plain`` reads too."""
     parser = argparse.ArgumentParser(
         prog="wittforge",
         description="exact quadratic form and composition algebra calculator",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # name: (handler, required flags, switches), built here so that a wrapper
-    # put on a handler's module global (a tracer's) is what the parser calls
+    # name: (handler, required flags, switches, optional flags of two values),
+    # built here so that a wrapper put on a handler's module global (a
+    # tracer's) is what the parser calls
     commands = {
-        "qf-isotropy": (_cmd_qf_isotropy, ("--field", "--form"), ("--oracle",)),
-        "qf-witt": (_cmd_qf_witt, ("--field", "--form"), ("--oracle",)),
-        "qf-pfister-split": (_cmd_qf_pfister_split, ("--field", "--form", "--delta"), ("--witness",)),
-        "alg-build": (_cmd_alg_build, ("--field", "--slots"), ()),
-        "alg-split": (_cmd_alg_split, ("--field", "--slots"), ("--oracle",)),
-        "alg-genus": (_cmd_alg_genus, ("--q1", "--q2"), ()),
-        "g2-types": (_cmd_g2_types, ("--field", "--slots"), ()),
-        "g2-compare": (_cmd_g2_compare, ("--field", "--slots1", "--slots2"), ()),
-        "g2-cubic-obstruction": (_cmd_g2_cubic_obstruction, ("--field", "--octonion", "--d"), ()),
+        "qf-isotropy": (_cmd_qf_isotropy, ("--field", "--form"), ("--oracle",), ()),
+        "qf-witt": (_cmd_qf_witt, ("--field", "--form"), ("--oracle",), ()),
+        "qf-pfister-split": (_cmd_qf_pfister_split, ("--field", "--form", "--delta"), ("--witness",), ()),
+        "alg-build": (_cmd_alg_build, ("--field", "--slots"), (), ("--mul",)),
+        "alg-split": (_cmd_alg_split, ("--field", "--slots"), ("--oracle",), ()),
+        "alg-genus": (_cmd_alg_genus, ("--q1", "--q2"), (), ()),
+        "g2-types": (_cmd_g2_types, ("--field", "--slots"), (), ()),
+        "g2-compare": (_cmd_g2_compare, ("--field", "--slots1", "--slots2"), (), ()),
+        "g2-cubic-obstruction": (_cmd_g2_cubic_obstruction, ("--field", "--octonion", "--d"), (), ()),
     }
-    for name, (handler, required, switches) in commands.items():
+    for name, (handler, required, switches, pairs) in commands.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true")
@@ -327,31 +334,86 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             p.add_argument(flag, required=True)
         for flag in switches:
             p.add_argument(flag, action="store_true")
-    sub.choices["alg-build"].add_argument("--mul", nargs=2, metavar=("X", "Y"))
-    return parser, sub.choices
+        for flag in pairs:
+            p.add_argument(flag, nargs=2, metavar=("X", "Y"))
+    return parser, sub.choices, commands
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process:
-    parsing leaves it unchanged, and building it takes about 5 ms, some
-    fifty times a whole ``qf-isotropy`` command (about 0.1 ms with its
-    answer cached, on a shared 2-vCPU Xeon with Python 3.11)."""
+    parsing leaves it unchanged.  Building it takes about 2.5 ms, some
+    twenty times a whole ``qf-isotropy`` or ``qf-witt`` command over Q in
+    a rational-forms benchmark round (about 0.13 ms each at argparse,
+    0.10 ms with ``_read_plain``).  There an argparse parse of a command
+    takes a median 31 µs, and ``_read_plain`` 9 µs (timed in process on a
+    shared 2-vCPU Xeon with Python 3.11.7)."""
     return _parsers()[0]
 
 
+def _read_plain(argv: list[str]):
+    """The namespace argparse gives a *plain* argv, or None for any other.
+
+    Plain: argv[0] names a command of the table, and every other token is
+    an exact flag of that command, given once: ``--json`` or a switch;
+    a required flag as ``--flag=value`` or ``--flag value``; a flag of two
+    values as ``--flag x y``; and every required flag is there.  A value
+    read after its flag must not start with ``-``, and ``--flag=--`` is
+    refused too (argparse reads that ``--`` as an empty list)."""
+    entry = _parsers()[2].get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    handler, required, switches, pairs = entry
+    # the namespace in argparse's order: the defaults, then the handler
+    values = {"--json": False, **dict.fromkeys(required), **dict.fromkeys(switches, False)}
+    values.update(dict.fromkeys(pairs))
+    given, i = set(), 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        if flag in given or flag not in values:
+            return None
+        given.add(flag)
+        if eq:
+            if flag not in required or value == "--":
+                return None
+            values[flag], i = value, i + 1
+        elif flag in required or flag in pairs:
+            n = 1 if flag in required else 2
+            read = argv[i + 1 : i + 1 + n]
+            if len(read) < n or any(v.startswith("-") for v in read):
+                return None
+            values[flag], i = read[0] if n == 1 else read, i + 1 + n
+        else:  # --json or a switch
+            values[flag], i = True, i + 1
+    if not given.issuperset(required):
+        return None
+    return argparse.Namespace(**{flag[2:]: v for flag, v in values.items()}, handler=handler)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass when argv
-    names a subcommand: that subcommand's parser reads the rest, and what
-    it leaves over is reported by the top parser, as the nested pass
+    """``build_parser().parse_args(argv)``, less ``subcommand`` when argv
+    names a subcommand.  A plain argv is read off the command table
+    (``_read_plain``); any other goes through argparse in one pass when
+    argv names a subcommand: that subcommand's parser reads the rest, and
+    what it leaves over is reported by the top parser, as the nested pass
     would.  Anything else (no argv, ``-h``, an unknown name) goes through
-    the top parser."""
+    the top parser, so argparse alone writes help, usage and error text.
+    ``--flag=--`` is a usage error, as ``--flag --`` is: argparse would
+    hand the command an empty list."""
     parser = build_parser()
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     sub = _parsers()[1].get(argv[0]) if argv else None
     if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        args = parser.parse_args(argv)
+        sub = _parsers()[1][args.subcommand]
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+    for dest, value in vars(args).items():
+        if value == []:  # argparse reads --flag=-- as no value at all
+            sub.error(f"argument --{dest}: expected one argument")
     return args
 
 

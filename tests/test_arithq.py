@@ -561,3 +561,120 @@ class TestOneLocalDataPass:
         assert qform._witt.cache_info().misses == 1
         assert w.witt_index == index
         assert built == {"invariants": 1, "form": 0, "sq_mul": 0}
+
+
+def scan_local_data(codes):
+    """``arithq._local_data`` as a per-place scan: every place reads every
+    entry through ``_hasse``, n symbols' worth of work per place."""
+    values, primes, size, negative = [], {2}, 1, False
+    for _, b, neg in codes:
+        values.append(-b if neg else b)
+        primes.update(fields.squarefree_decomposition(b)[1])
+        g = math.gcd(size, b)
+        size, negative = (size // g) * (b // g), negative != neg
+    places = [0, *sorted(primes)]
+    pos = sum(1 for x in values if x > 0)
+    hasse = [arithq._hasse(values, p) for p in places]
+    return places, -size if negative else size, hasse, (pos, len(values) - pos)
+
+
+def scan_witt_codes(codes):
+    """(witt_index, kernel dim, d, Hasse list, signature) of the Witt pass
+    that strips one plane at a time and twists every place per plane."""
+    places, d, hasse, (pos, neg) = scan_local_data(codes)
+    dim, index = len(codes), 0
+    while dim >= 2 and arithq._obstruction(dim, d, hasse, (pos, neg), places) is None:
+        hasse = [h * arithq._hasse((-1, -d), p) for p, h in zip(places, hasse)]
+        dim, d, pos, neg, index = dim - 2, -d, pos - 1, neg - 1, index + 1
+    return index, dim, d, hasse, (pos, neg)
+
+
+def seeded_long_forms(seed, count):
+    """Forms of dimension 1-48 with entries by ``seeded_entry``, about
+    two thirds of the entries of one sign, so that the Witt pass strips
+    planes past dimension 4 and stops at either sign running out."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lean = rng.choice((1, -1))
+        values = []
+        for _ in range(rng.randint(1, 48)):
+            value, _ = seeded_entry(rng)
+            values.append(abs(value) * (lean if rng.random() < 2 / 3 else -lean))
+        yield values
+
+
+class TestIncidenceLocalData:
+    """The local data read off prime incidences equal the per-place scan."""
+
+    def test_local_data_matches_the_scan(self):
+        forms = [values for values, _ in seeded_squarefree_forms(44, 1500)]
+        forms += list(seeded_long_forms(45, 300))
+        for values in forms:
+            codes = qform_of(values).key
+            assert arithq._local_data(codes) == scan_local_data(codes), values
+
+    def test_witt_pass_matches_the_plane_by_plane_pass(self):
+        seen = set()
+        for values in seeded_long_forms(46, 400):
+            codes = qform_of(values).key
+            index, inv, cls = arithq._witt_codes(Q, codes)
+            s_index, s_dim, s_d, s_hasse, s_signature = scan_witt_codes(codes)
+            places = scan_local_data(codes)[0]
+            minus = {Place(p) for p, h in zip(places, s_hasse) if h < 0}
+            assert (index, inv.dim, inv.disc.base) == (s_index, s_dim, s_d), values
+            assert (inv.hasse_minus, inv.signature) == (minus, s_signature), values
+            assert (cls is None) == (s_dim == 0), values
+            seen.add((index % 4, min(s_dim, 5)))
+        assert len(seen) >= 16  # every residue of the planes stripped mod 4, kernels of each size
+
+    def test_ramification_set_matches_the_scan_of_the_raw_ints(self):
+        # ramification_set passes num * den, which need not be squarefree;
+        # _local_data reads each base as its squarefree part, since the
+        # incidences see valuations 0 and 1 only
+        rng = random.Random(47)
+        pairs = [(Fraction(4 * 3, 25), -18), (9, 7), (Fraction(-1, 4), Fraction(8, 27))]
+        for _ in range(600):
+            a, b = (
+                Fraction(
+                    rng.choice((1, -1)) * math.prod(seeded_entry(rng)[1]) * rng.randint(1, 6) ** 2,
+                    math.prod(seeded_entry(rng)[1]) * rng.randint(1, 4),
+                )
+                for _ in range(2)
+            )
+            pairs.append((a, b))
+        for a, b in pairs:
+            raw = [(0, abs(x), x < 0) for x in (arithq._as_int(a), arithq._as_int(b))]
+            places, _, hasse, _ = scan_local_data(raw)
+            expected = {Place(p) for p, h in zip(places, hasse) if h < 0}
+            assert ramification_set(a, b) == expected, (a, b)
+            squarefree = [
+                (0, math.prod(primes), sign < 0)
+                for sign, primes in map(fields.squarefree_decomposition, (a, b))
+            ]
+            reduced = scan_local_data(squarefree)
+            assert arithq._local_data(squarefree) == reduced, (a, b)
+            places, d, hasse, signature = arithq._local_data(raw)
+            assert (places, hasse, signature) == (reduced[0], reduced[2], reduced[3]), (a, b)
+            assert d == reduced[1], (a, b)
+
+    def test_each_place_reads_only_its_entries(self, monkeypatch):
+        # [1, -2, 3, -4, ...]: every prime below n is a place; the symbols
+        # read the n entries at 2 and at the real place, and a few pairs
+        # per place, not n entries per place
+        n = 600
+        f = qform_of([k if k % 2 else -k for k in range(1, n + 1)])
+        read = []
+
+        def counting(values, p):
+            read.append(len(values))
+            return hasse(values, p)
+
+        hasse = arithq._hasse
+        monkeypatch.setattr(arithq, "_hasse", counting)
+        places = arithq._local_data(f.key)[0]
+        assert sum(read) == 2 * n
+        read.clear()
+        qform._witt.cache_clear()
+        assert witt_decompose(f).witt_index > 200
+        # a few planes' twists per place, and the checks of dimension 4 and below
+        assert sum(read) <= 2 * n + 16 * len(places)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -1202,3 +1203,153 @@ class TestCli:
             )
             assert code in (0, 1, 2)
             capsys.readouterr()
+
+
+# -- the plain reader -------------------------------------------------------------
+
+READER_VALUES = ["Q", "F5", "[1,-1]", "[1,2,3]", "u", "(1,0)", "--", "-1", "-x", "", "=", "a b", "x=y"]
+
+
+def fuzzed_argv(rng):
+    """A seeded argv over the command table: every flag of a command in
+    either spelling and in shuffled order, mostly plain, sometimes with a
+    repeat, a missing flag, help, ``--``, an abbreviation, an unknown flag
+    or a positional, which only argparse reads."""
+    commands = cli._parsers()[2]
+    name = rng.choice(list(commands))
+    _, required, switches, pairs = commands[name]
+    groups = []
+    for flag in required:
+        if rng.random() < 0.95:
+            value = rng.choice(READER_VALUES)
+            groups.append([f"{flag}={value}"] if rng.random() < 0.5 else [flag, value])
+    groups += [[flag] for flag in ("--json", *switches) if rng.random() < 0.5]
+    groups += [
+        [flag, rng.choice(READER_VALUES), rng.choice(READER_VALUES)]
+        for flag in pairs
+        if rng.random() < 0.5
+    ]
+    if groups and rng.random() < 0.3:
+        kind, group = rng.randrange(6), rng.choice(groups)
+        if kind == 0:
+            groups.append(list(group))
+        elif kind == 1:
+            groups.append([rng.choice(["-h", "--help", "--he"])])
+        elif kind == 2:
+            groups.append(rng.choice([["--"], ["--", "x"]]))
+        elif kind == 3:
+            flag, eq, value = group[0].partition("=")
+            group[0] = flag[: rng.randint(3, max(3, len(flag) - 1))] + eq + value
+        elif kind == 4:
+            groups.append([rng.choice(["--bogus", "--json=1", "--oracle", "--mul=x", "--slots", "-j"])])
+        else:
+            groups.append([rng.choice(["extra", "Q", "x=y"])])
+    rng.shuffle(groups)
+    if rng.random() < 0.02:
+        name = rng.choice(["qf", "no-such-command", "--json", "-h"])
+    return [name] + [token for group in groups for token in group]
+
+
+def benchmark_argv(seed: int) -> list:
+    """The argv of one rational-forms round, as the benchmark's worker
+    builds them (it imports no wittforge, so a child process reads them)."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import worker; "
+        f"print(json.dumps([item[2] for item in worker.RationalForms({seed}, 0).items]))"
+    )
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(perfbench)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(proc.stdout)
+
+
+def argparse_namespace(argv) -> dict:
+    """``vars()`` of argparse's own parse of argv, less ``subcommand``."""
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses an argv the reader accepts: {argv}")
+    del args["subcommand"]
+    return args
+
+
+class TestPlainReader:
+    def run(self, capsys, argv):
+        code = run_command(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_reader_matches_argparse_on_fuzzed_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(44)
+        cases = [fuzzed_argv(rng) for _ in range(24000)]
+        accepted = [argv for argv in cases if cli._read_plain(argv) is not None]
+        for argv in accepted:
+            assert vars(cli._read_plain(argv)) == argparse_namespace(argv), argv
+        assert 0.3 < len(accepted) / len(cases) < 0.8
+        # a sample through the whole command, against the nested parse
+        sample = cases[::12]
+        fast = [self.run(capsys, argv) for argv in sample]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        emptied = 0
+        for argv, a in zip(sample, fast):
+            try:
+                nested = vars(build_parser().parse_args(argv)).values()
+            except SystemExit:
+                nested = ()
+            capsys.readouterr()
+            if [] in nested:
+                # argparse reads --flag=-- as [], which the nested parse
+                # handed to the handler (a TypeError); now a usage error
+                assert a[0] == 2 and a[2].endswith(": expected one argument\n"), argv
+                emptied += 1
+            else:
+                assert a == self.run(capsys, argv), argv
+        assert {code for code, _, _ in fast} == {0, 1, 2}
+        assert 0 < emptied < len(sample) / 10
+
+    def test_reader_declines_what_only_argparse_reads(self):
+        # help, abbreviations, repeats, --, unknown or missing flags, and a
+        # value after its flag that starts with - are argparse's to read
+        assert [argv for argv in DISPATCH_CASES if cli._read_plain(argv) is not None] == [
+            ["qf-witt", "--field=Q", "--form=[1,2,3]"],
+            ["qf-isotropy", "--field", "Q", "--form", "[1", "--json"],
+            ["qf-isotropy", "--oracle", "--field", "Q", "--form", "[1,1,1,1,-3]", "--json"],
+            ["qf-pfister-split", "--field", "F5((t))", "--form", "<<u,t>>", "--delta", "1"],
+        ]
+        for argv in (
+            ["qf-witt", "--field=--", "--form=[1]"],
+            ["qf-witt", "--field", "--", "--form", "[1]"],
+            ["qf-witt", "--field=Q", "--form=[1]", "--json="],
+            ["alg-build", "--field", "F5", "--slots", "u", "--mul=(1,0)", "(0,1)"],
+            ["alg-build", "--field", "F5", "--slots", "u", "--mul", "(1,0)", "-1"],
+        ):
+            assert cli._read_plain(argv) is None, argv
+
+    def test_reader_accepts_readme_and_benchmark_command_lines(self):
+        cases = readme_commands()
+        cases += [argv + ["--json"] for argv in cases if "--json" not in argv]
+        cases += benchmark_argv(1) + benchmark_argv(2)
+        assert {argv[0] for argv in cases} == set(cli._parsers()[2])
+        for argv in cases:
+            read = cli._read_plain(argv)
+            assert read is not None, argv
+            assert vars(read) == argparse_namespace(argv), argv
+
+    def test_plain_argv_needs_no_argparse_parse(self, capsys, monkeypatch):
+        cases = [
+            ["qf-isotropy", "--field", "Q", "--form", "[1,-1]"],
+            ["qf-witt", "--field=Q", "--form=[1,2,3]", "--json"],
+            ["qf-isotropy", "--json", "--form", "[3,-5,7,-30]", "--field", "Q", "--oracle"],
+            ["qf-witt", "--form", "[1,1,-7,-7]", "--field", "Q", "--oracle"],
+        ]
+        expected = [self.run(capsys, argv) for argv in cases]
+        assert all(code == 0 for code, _, _ in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [self.run(capsys, argv) for argv in cases] == expected
